@@ -29,6 +29,7 @@ from .corpus import (
     write_annotations,
 )
 from .errors import (
+    ConvergenceWarning,
     DomainError,
     FolkmetricsError,
     FormatError,
@@ -76,13 +77,17 @@ from .similarity import (
     usage_distribution,
 )
 from .spear import (
+    CreditBatch,
     CreditMatrix,
+    SpearBatch,
     SpearResult,
+    credit_batch,
     credit_matrix,
     eligible_tags,
     spear_by_bin,
     spear_scores,
     standardize_and_average,
+    user_mean_z,
 )
 from .stats import (
     BinRow,

@@ -8,8 +8,12 @@ with status 2.
 
 from __future__ import annotations
 
+import contextlib
 import functools
+import json
+import math
 import sys
+import warnings
 
 import click
 
@@ -28,32 +32,25 @@ from .corpus import (
     parse_annotations,
     write_annotations,
 )
-from .errors import FolkmetricsError
+from .errors import ConvergenceWarning, FolkmetricsError
 from .partition import pareto_curve, partition_summary, split_supertaggers
-from .stats import BinSpec
-from .report import (
-    PARTITION_SUMMARY_HEADER,
-    ReportConfig,
-    partition_json,
-    partition_summary_rows,
-    summary_json,
-    write_binned_csv,
-    write_consensus_csv,
-    write_json,
-    write_labeled_binned_csv,
-    write_pareto_csv,
-    write_similarity_csv,
-    write_usage_csv,
-)
+from .stats import BinSpec, binned_mean
 
 
 def _fail_on_domain_errors(fn):
+    """Turn library errors into exit status 1 and library warnings into stderr lines."""
+
     @functools.wraps(fn)
     def wrapper(*args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except (FolkmetricsError, OSError) as exc:
-            raise click.ClickException(str(exc))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ConvergenceWarning)
+            try:
+                return fn(*args, **kwargs)
+            except (FolkmetricsError, OSError) as exc:
+                raise click.ClickException(str(exc))
+            finally:
+                for warning in caught:
+                    click.echo(str(warning.message), err=True)
 
     return wrapper
 
@@ -116,22 +113,27 @@ def _load_index(source, delimiter, granularity, header, dedupe):
     return build_index(parsed.annotations, dedupe=(dedupe == "on"), granularity=gran), parsed
 
 
-def _out_stream(path):
+@contextlib.contextmanager
+def _output(path):
+    """A text stream writing to path, or to stdout for None or '-'."""
     if path is None or path == "-":
-        return sys.stdout
-    return open(path, "w", encoding="utf-8", newline="")
+        yield sys.stdout
+    else:
+        with open(path, "w", encoding="utf-8", newline="") as stream:
+            yield stream
 
 
 def _emit_json(payload, out):
-    stream = _out_stream(out)
-    try:
-        import json
-
+    with _output(out) as stream:
         json.dump(payload, stream, indent=2, sort_keys=True)
         stream.write("\n")
-    finally:
-        if stream is not sys.stdout:
-            stream.close()
+
+
+def _write_per_user(path, column, index, score):
+    """Per-user CSV of (user, annotations, score) for the users whose score is defined."""
+    rows = ((u, index.user_annotation_count[u], score(u)) for u in sorted(index.by_user))
+    defined = (row for row in rows if row[2] is not None)
+    report_mod._write_csv(path, ["user", "annotations", column], defined)
 
 
 @click.group()
@@ -154,16 +156,12 @@ def main(ctx, threads):
 def ingest(source, delimiter, granularity, header, dedupe, out, summary_out):
     """Parse, validate, optionally dedupe, and re-emit a dataset."""
     index, parsed = _load_index(source, delimiter, granularity, header, dedupe)
-    stream = _out_stream(out)
-    try:
+    with _output(out) as stream:
         write_annotations(index.annotations, stream)
-    finally:
-        if stream is not sys.stdout:
-            stream.close()
-    payload = summary_json(index)
+    payload = report_mod.summary_json(index)
     payload["malformed_lines"] = parsed.malformed
     if summary_out:
-        write_json(summary_out, payload)
+        report_mod.write_json(summary_out, payload)
     else:
         click.echo(f"{payload['annotations']} annotations "
                    f"({parsed.malformed} malformed lines skipped)", err=True)
@@ -192,12 +190,8 @@ def synth(users, items, tags, activity_exponent, item_exponent, tag_exponent, se
         seed=seed,
     )
     annotations = generate_synthetic(config)
-    stream = _out_stream(out)
-    try:
+    with _output(out) as stream:
         write_annotations(annotations, stream)
-    finally:
-        if stream is not sys.stdout:
-            stream.close()
 
 
 @main.command()
@@ -224,13 +218,13 @@ def partition(source, delimiter, granularity, header, dedupe, fraction, out, tab
             with open(f"{users_out}{name}.txt", "w", encoding="utf-8", newline="") as fh:
                 fh.writelines(f"{user}\n" for user in sorted(users))
         omit_users = True
-    _emit_json(partition_json(part, include_users=not omit_users), out)
+    _emit_json(report_mod.partition_json(part, include_users=not omit_users), out)
     if tables:
-        report_mod._write_csv(
-            tables, PARTITION_SUMMARY_HEADER, partition_summary_rows(partition_summary(index, part))
-        )
+        rows = report_mod.partition_summary_rows(partition_summary(index, part))
+        report_mod._write_csv(tables, report_mod.PARTITION_SUMMARY_HEADER, rows)
     if pareto:
-        write_pareto_csv(pareto, pareto_curve(index, None if full_pareto else resolution))
+        curve = pareto_curve(index, None if full_pareto else resolution)
+        report_mod.write_pareto_csv(pareto, curve)
 
 
 @main.command()
@@ -247,7 +241,7 @@ def similarity(source, delimiter, granularity, header, dedupe, dimension, fracti
     curve = similarity_mod.similarity_curve(
         index, part, dimension, similarity_mod.default_n_grid(max_n)
     )
-    write_similarity_csv(out if out != "-" else sys.stdout, curve)
+    report_mod.write_similarity_csv(out if out != "-" else sys.stdout, curve)
     if curve.core_size is not None:
         click.echo(f"core size: {curve.core_size}", err=True)
 
@@ -269,7 +263,7 @@ def usage_dist(source, delimiter, granularity, header, dedupe, dimension, cumula
         dist = similarity_mod.freq_dist(index, users, dimension)
         if dist.counts:
             series[group] = similarity_mod.usage_distribution(dist, cumulative=cumulative)
-    write_usage_csv(out if out != "-" else sys.stdout, series)
+    report_mod.write_usage_csv(out if out != "-" else sys.stdout, series)
 
 
 def _read_popularity(path, delimiter="\t"):
@@ -279,10 +273,14 @@ def _read_popularity(path, delimiter="\t"):
             line = line.rstrip("\n").rstrip("\r")
             if not line.strip():
                 continue
-            parts = line.split(delimiter)
-            if len(parts) != 2:
+            item, _, raw = line.partition(delimiter)
+            try:
+                count = float(raw)
+            except ValueError:
+                count = math.nan
+            if not (math.isfinite(count) and count >= 0):
                 raise FolkmetricsError(f"bad popularity line: {line!r}")
-            popularity[parts[0].strip()] = float(parts[1])
+            popularity[item.strip()] = count
     return popularity
 
 
@@ -300,7 +298,7 @@ def exo_diff(source, delimiter, granularity, header, dedupe, popularity, fractio
     series = similarity_mod.exogenous_popularity_diff(
         index, part, _read_popularity(popularity, delimiter), bins
     )
-    write_binned_csv(out if out != "-" else sys.stdout, series, value_name="mean_diff")
+    report_mod.write_binned_csv(out if out != "-" else sys.stdout, series, "mean_diff")
 
 
 @main.command()
@@ -314,7 +312,7 @@ def consensus(source, delimiter, granularity, header, dedupe, fraction, bins, ou
     index, _ = _load_index(source, delimiter, granularity, header, dedupe)
     part = split_supertaggers(index, fraction)
     series = consensus_mod.consensus_by_bin(index, part, bins)
-    write_consensus_csv(out if out != "-" else sys.stdout, series)
+    report_mod.write_consensus_csv(out if out != "-" else sys.stdout, series)
 
 
 @main.command()
@@ -338,7 +336,7 @@ def motivation(source, delimiter, granularity, header, dedupe, per_user, binned,
             per_user, ["user", "annotations", "tpp", "trr", "orphan_ratio"], rows
         )
     series = motivation_mod.motivation_by_bin(index, bins, orphan_divisor)
-    write_labeled_binned_csv(
+    report_mod.write_labeled_binned_csv(
         binned if binned != "-" else sys.stdout,
         "metric",
         {"tpp": series.tpp, "trr": series.trr, "orphan_ratio": series.orphan_ratio},
@@ -360,24 +358,11 @@ def spear(source, delimiter, granularity, header, dedupe, top_k, min_users, expo
           tolerance, max_iter, bins, out, per_user):
     """Standardized SPEAR expertise, binned by user annotation count."""
     index, _ = _load_index(source, delimiter, granularity, header, dedupe)
-    tags = spear_mod.eligible_tags(index, top_k=top_k, min_users=min_users)
-    if not tags:
-        raise FolkmetricsError("no eligible tags for expertise analysis")
-    results = [
-        spear_mod.spear_scores(spear_mod.credit_matrix(index, tag, exponent), tolerance, max_iter)
-        for tag in sorted(tags)
-    ]
-    mean_z = spear_mod.standardize_and_average(results)
+    mean_z = spear_mod.user_mean_z(index, top_k, min_users, exponent, tolerance, max_iter)
     if per_user:
-        report_mod._write_csv(
-            per_user,
-            ["user", "annotations", "mean_z"],
-            [(u, index.user_annotation_count[u], z) for u, z in sorted(mean_z.items())],
-        )
-    from .stats import binned_mean
-
-    pairs = [(float(index.user_annotation_count[u]), z) for u, z in sorted(mean_z.items())]
-    write_binned_csv(out if out != "-" else sys.stdout, binned_mean(pairs, bins))
+        _write_per_user(per_user, "mean_z", index, mean_z.get)
+    pairs = [(float(index.user_annotation_count[u]), z) for u, z in mean_z.items()]
+    report_mod.write_binned_csv(out if out != "-" else sys.stdout, binned_mean(pairs, bins))
 
 
 @main.group()
@@ -398,14 +383,10 @@ def expertise_consensus(source, delimiter, granularity, header, dedupe, per_user
     """Item-consensus expertise scores."""
     index, _ = _load_index(source, delimiter, granularity, header, dedupe)
     if per_user:
-        rows = []
-        for user in sorted(index.by_user):
-            score = expertise_mod.user_consensus_expertise(index, user)
-            if score is not None:
-                rows.append((user, index.user_annotation_count[user], score))
-        report_mod._write_csv(per_user, ["user", "annotations", "expertise"], rows)
+        _write_per_user(per_user, "expertise", index,
+                        lambda user: expertise_mod.user_consensus_expertise(index, user))
     series = expertise_mod.consensus_expertise_by_bin(index, bins, raw_counts=raw_counts)
-    write_binned_csv(binned if binned != "-" else sys.stdout, series)
+    report_mod.write_binned_csv(binned if binned != "-" else sys.stdout, series)
 
 
 @expertise.command("depth")
@@ -430,14 +411,10 @@ def expertise_depth(source, delimiter, granularity, header, dedupe, mode, thresh
     table = taxonomy_mod.conditional_table(index, tags, min_support)
     forest = taxonomy_mod.induce_forest(table, threshold)
     if per_user:
-        rows = []
-        for user in sorted(index.by_user):
-            score = taxonomy_mod.user_depth_expertise(index, forest, user, mode)
-            if score is not None:
-                rows.append((user, index.user_annotation_count[user], score))
-        report_mod._write_csv(per_user, ["user", "annotations", "depth_expertise"], rows)
+        _write_per_user(per_user, "depth_expertise", index,
+                        lambda user: taxonomy_mod.user_depth_expertise(index, forest, user, mode))
     series = taxonomy_mod.depth_by_bin(index, forest, bins, mode)
-    write_binned_csv(binned if binned != "-" else sys.stdout, series)
+    report_mod.write_binned_csv(binned if binned != "-" else sys.stdout, series)
 
 
 @main.command()
@@ -481,7 +458,7 @@ def report(source, delimiter, granularity, header, dedupe, out_dir, fraction, bi
            orphan_divisor, popularity):
     """Run the full pipeline and write every figure/table data series."""
     index, _ = _load_index(source, delimiter, granularity, header, dedupe)
-    config = ReportConfig(
+    config = report_mod.ReportConfig(
         fraction=fraction,
         bins=bins,
         max_n=max_n,

@@ -82,10 +82,11 @@ def parse_annotations(
     """Parse delimited user/item/tag/time lines into annotations.
 
     Tags are trimmed and lowercased (Unicode-aware); user and item ids are
-    trimmed only. Lines with a wrong field count, empty fields, or a bad
-    timestamp are counted as malformed. If more than half of the non-blank
-    lines are malformed a FormatError is raised, signalling a wrong
-    delimiter spec. `source` may be a path or any iterable of text lines.
+    trimmed only. Lines with a wrong field count, empty fields, or a
+    timestamp that is not a run of ASCII digits are counted as malformed.
+    If more than half of the non-blank lines are malformed a FormatError is
+    raised, signalling a wrong delimiter spec. `source` may be a path or
+    any iterable of text lines.
     """
     lines, handle = _open_lines(source)
     annotations: list[Annotation] = []
@@ -108,15 +109,12 @@ def parse_annotations(
             user = parts[0].strip()
             item = parts[1].strip()
             tag = parts[2].strip().lower()
-            try:
-                time = int(parts[3])
-            except ValueError:
+            stamp = parts[3]
+            # ASCII digits only: int() would also take signs, spaces, '_' and other scripts' digits
+            if not user or not item or not tag or not (stamp.isdigit() and stamp.isascii()):
                 malformed += 1
                 continue
-            if not user or not item or not tag or time < 0:
-                malformed += 1
-                continue
-            annotations.append(Annotation(intern(user), intern(item), intern(tag), time))
+            annotations.append(Annotation(intern(user), intern(item), intern(tag), int(stamp)))
     finally:
         if handle is not None:
             handle.close()

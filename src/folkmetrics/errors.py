@@ -19,3 +19,7 @@ class NotFoundError(FolkmetricsError):
 
 class UndefinedCorrelationError(DomainError):
     """Correlation is undefined (constant input or fewer than two points)."""
+
+
+class ConvergenceWarning(UserWarning):
+    """An iterative method stopped at its iteration limit before converging."""

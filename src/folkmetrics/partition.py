@@ -118,7 +118,7 @@ def pareto_curve(index: FolksonomyIndex, resolution: Optional[int] = None) -> Pa
     else:
         ks = np.unique(np.round(np.linspace(1, n, max(resolution, 2))).astype(int))
     points = [(0.0, 0.0)]
-    points.extend((k / n, float(shares[k - 1])) for k in ks)
+    points.extend((int(k) / n, float(shares[k - 1])) for k in ks)
     return ParetoCurve(points=tuple(points))
 
 

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -183,6 +184,29 @@ class TestAnalysisCommands:
         rows = list(csv.DictReader(per_user.open()))
         assert {r["user"] for r in rows} == {"a", "b", "c", "d"}
 
+    def test_spear_reports_unconverged_tags(self, runner, tmp_path):
+        src = str(tmp_path / "corpus.tsv")
+        runner.invoke(main, ["synth", "--users", "300", "--items", "60", "--tags", "20",
+                             "--seed", "5", "--out", src])
+        args = ["spear", src, "--min-users", "3", "--out", str(tmp_path / "spear.csv")]
+        result = runner.invoke(main, args + ["--max-iter", "1"])
+        assert result.exit_code == 0, result.output
+        match = re.fullmatch(r"spear: (\d+) of (\d+) tags did not converge within max_iter=1\n",
+                             result.stderr)
+        assert match and 0 < int(match[1]) <= int(match[2])
+        result = runner.invoke(main, args + ["--max-iter", "100000"])
+        assert result.exit_code == 0, result.output
+        assert result.stderr == ""
+
+    @pytest.mark.parametrize("count", ["many", "nan", "inf", "-3"])
+    def test_exo_diff_rejects_bad_popularity_counts(self, runner, tmp_path, count):
+        src = write_fixture(tmp_path / "corpus.tsv")
+        sidecar = tmp_path / "pop.tsv"
+        sidecar.write_text(f"i0\t10\ni1\t{count}\n")
+        result = runner.invoke(main, ["exo-diff", src, "--popularity", str(sidecar)])
+        assert result.exit_code == 1
+        assert f"bad popularity line: 'i1\\t{count}'" in result.stderr
+
     def test_exo_diff(self, runner, tmp_path):
         src = write_fixture(tmp_path / "corpus.tsv")
         sidecar = tmp_path / "pop.tsv"
@@ -265,6 +289,21 @@ class TestReportBundle:
         for path in out_dir.glob("*.csv"):
             first = path.read_text().splitlines()[0]
             assert first and not first[0].isdigit(), f"{path.name} lacks a header row"
+
+    def test_every_numeric_cell_parses_as_a_float(self, runner, tmp_path):
+        src = self._synth_corpus(runner, tmp_path / "corpus.tsv")
+        sidecar = tmp_path / "pop.tsv"
+        sidecar.write_text("".join(f"i{k:02d}\t{k + 1}\n" for k in range(80)))
+        out_dir = tmp_path / "bundle"
+        result = runner.invoke(main, ["report", src, "--out-dir", str(out_dir), "--popularity",
+                                      str(sidecar), "--min-users", "3", "--min-support", "2"])
+        assert result.exit_code == 0, result.output
+        labels = {"group", "metric", "mode"}
+        for path in sorted(out_dir.glob("*.csv")):
+            for row in csv.DictReader(path.open()):
+                for column, cell in row.items():
+                    if column not in labels and cell != "":
+                        float(cell)  # raises on e.g. "np.float64(0.5)"
 
     def test_report_with_popularity_adds_exo_diff(self, runner, tmp_path):
         src = self._synth_corpus(runner, tmp_path / "corpus.tsv")

@@ -49,6 +49,12 @@ class TestParse:
         result = parse_annotations(io.StringIO("u1\ti1\trock\t-5\nu2\ti2\tj\t1\n"))
         assert result.malformed == 1
 
+    @pytest.mark.parametrize("stamp", ["1_000", " 5", "5 ", "+5", "\u0665", "\uff15", "\u00b2", ""])
+    def test_timestamp_must_be_ascii_digits(self, stamp):
+        result = parse_annotations(io.StringIO(f"u1\ti1\trock\t{stamp}\nu2\ti2\tj\t1\n"))
+        assert result.annotations == [Annotation("u2", "i2", "j", 1)]
+        assert result.malformed == 1
+
     def test_blank_lines_skipped(self):
         result = parse_annotations(io.StringIO("\nu1\ti1\trock\t1\n\n"))
         assert len(result.annotations) == 1

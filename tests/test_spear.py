@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from folkmetrics.errors import DomainError, NotFoundError
+from folkmetrics.errors import ConvergenceWarning, DomainError, NotFoundError
 from folkmetrics.spear import (
     CreditMatrix,
     credit_matrix,
@@ -279,6 +279,14 @@ class TestSpearByBin:
             for u, zs in sorted(per_user.items())
         ]
         assert series == binned_mean(pairs, spec)
+
+    def test_unconverged_tags_warn(self):
+        rng = np.random.default_rng(173)
+        rows = random_rows(rng, n_users=10, n_items=8, n_tags=3, n_annotations=150, time_span=4)
+        index = make_index(rows)
+        message = r"spear: [1-3] of 3 tags did not converge within max_iter=1"
+        with pytest.warns(ConvergenceWarning, match=message):
+            spear_by_bin(index, BinSpec(), top_k=3, min_users=1, max_iter=1)
 
     def test_no_eligible_tags_raises(self):
         index = make_index([("u", "i", "t", 0)])

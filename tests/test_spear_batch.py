@@ -1,0 +1,111 @@
+"""Properties of the batched SPEAR kernel against the per-tag reference."""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import spear_oracle
+from folkmetrics.spear import credit_batch, spear_scores
+
+from conftest import make_index
+
+corpora = st.lists(
+    st.tuples(
+        st.sampled_from([f"u{k}" for k in range(8)]),
+        st.sampled_from([f"i{k}" for k in range(5)]),
+        st.sampled_from(["rock", "jazz", "pop"]),
+        st.integers(0, 5),
+    ),
+    min_size=1,
+    max_size=80,
+)
+limits = st.tuples(st.sampled_from([1e-3, 1e-8, 1e-12]), st.integers(0, 60))
+
+
+def per_tag(scored):
+    """{tag: (user scores, item scores, iterations, converged)} of a SpearBatch."""
+    credits = scored.credits
+    users = [credits.users[c] for c in credits.user_code]
+    items = [credits.items[c] for c in credits.item_code]
+    out = {}
+    for k, tag in enumerate(credits.tags):
+        u = slice(credits.user_offsets[k], credits.user_offsets[k + 1])
+        i = slice(credits.item_offsets[k], credits.item_offsets[k + 1])
+        out[tag] = (
+            dict(zip(users[u], scored.user_score[u].tolist())),
+            dict(zip(items[i], scored.item_score[i].tolist())),
+            int(scored.tag_iterations[k]),
+            bool(scored.tag_converged[k]),
+        )
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(corpora, limits)
+def test_batch_matches_per_tag_reference(rows, limit):
+    tolerance, max_iter = limit
+    index = make_index(rows)
+    tags = sorted(index.by_tag)
+    scored = per_tag(spear_scores(credit_batch(index, tags), tolerance, max_iter))
+    for tag in tags:
+        expected = spear_oracle.spear_scores(
+            spear_oracle.credit_matrix(index, tag), tolerance, max_iter
+        )
+        users, items, iterations, converged = scored[tag]
+        assert (iterations, converged) == (expected.iterations, expected.converged)
+        assert users.keys() == expected.user_scores.keys()
+        assert items.keys() == expected.item_scores.keys()
+        for got, want in ((users, expected.user_scores), (items, expected.item_scores)):
+            for key, value in want.items():
+                assert got[key] == pytest.approx(value, abs=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(corpora, limits, st.data())
+def test_scores_do_not_depend_on_the_rest_of_the_batch(rows, limit, data):
+    index = make_index(rows)
+    tags = sorted(index.by_tag)
+    subset = data.draw(st.permutations(tags))[: data.draw(st.integers(1, len(tags)))]
+    full = per_tag(spear_scores(credit_batch(index, tags), *limit))
+    part = per_tag(spear_scores(credit_batch(index, subset), *limit))
+    for tag in subset:
+        assert part[tag] == full[tag]
+
+
+@settings(max_examples=60, deadline=None)
+@given(corpora, st.sampled_from([0.0, 0.5, 1.0, 1.7]))
+def test_credits_equal_the_counting_reference(rows, exponent):
+    index = make_index(rows)
+    tags = sorted(index.by_tag)
+    batch = credit_batch(index, tags, exponent)
+    for k, tag in enumerate(tags):
+        span = slice(batch.offsets[k], batch.offsets[k + 1])
+        users = [batch.users[c] for c in batch.user_code[batch.user[span]]]
+        items = [batch.items[c] for c in batch.item_code[batch.item[span]]]
+        got = dict(zip(zip(users, items), batch.credit[span].tolist()))
+        assert got == spear_oracle.credit_matrix(index, tag, exponent).entries
+        assert list(got) == sorted(got)
+
+
+def test_timestamps_beyond_int64_keep_their_order():
+    rows = [("a", "i", "rock", 2**70), ("b", "i", "rock", 2**70 + 1), ("c", "i", "rock", 3)]
+    batch = credit_batch(make_index(rows), ["rock"], exponent=1.0)
+    users = [batch.users[batch.user_code[u]] for u in batch.user]
+    credits = dict(zip(users, batch.credit.tolist()))
+    assert credits == {"a": 2.0, "b": 1.0, "c": 3.0}
+
+
+def test_batch_totals_iterations_and_convergence_over_its_tags():
+    rows = [("u0", "i0", "solo", 0)]
+    rows += [(f"u{k}", f"i{k}", "chain", k) for k in range(6)]
+    rows += [(f"u{k + 1}", f"i{k}", "chain", k + 1) for k in range(5)]
+    scored = spear_scores(credit_batch(make_index(rows), ["solo", "chain"]), 1e-8, 3)
+    assert scored.tag_iterations.tolist() == [1, 3]
+    assert scored.tag_converged.tolist() == [True, False]
+    assert (scored.iterations, scored.converged) == (4, False)
+
+
+def test_empty_batch_scores_nothing():
+    scored = spear_scores(credit_batch(make_index([("u", "i", "rock", 0)]), []))
+    assert scored.user_score.size == scored.tag_iterations.size == 0
+    assert (scored.iterations, scored.converged) == (0, True)
