@@ -15,6 +15,7 @@ from .consensus import (
 )
 from .corpus import (
     Annotation,
+    AnnotationColumns,
     DatasetSummary,
     FolksonomyIndex,
     ParseResult,

@@ -76,9 +76,16 @@ def _parse_bins(_ctx, _param, value) -> BinSpec:
         raise click.BadParameter(str(exc))
 
 
+def _check_delimiter(_ctx, _param, value: str) -> str:
+    if not value:
+        raise click.BadParameter("must not be empty")
+    return value
+
+
 def input_options(fn):
     fn = click.argument("source", type=str)(fn)
-    fn = click.option("--delimiter", default="\t", help="field delimiter (default: tab)")(fn)
+    fn = click.option("--delimiter", default="\t", callback=_check_delimiter,
+                      help="field delimiter (default: tab)")(fn)
     fn = click.option(
         "--granularity",
         type=click.Choice([g.value for g in TimeGranularity]),
@@ -108,7 +115,8 @@ def bins_option(fn):
 
 def _load_index(source, delimiter, granularity, header, dedupe):
     gran = TimeGranularity(granularity)
-    stream = sys.stdin if source == "-" else source
+    # stdin as bytes: the parser decodes it, and names the line of a bad byte
+    stream = sys.stdin.buffer if source == "-" else source
     parsed = parse_annotations(stream, delimiter=delimiter, granularity=gran, header=header)
     return build_index(parsed.annotations, dedupe=(dedupe == "on"), granularity=gran), parsed
 
@@ -131,7 +139,7 @@ def _emit_json(payload, out):
 
 def _write_per_user(path, column, index, score):
     """Per-user CSV of (user, annotations, score) for the users whose score is defined."""
-    rows = ((u, index.user_annotation_count[u], score(u)) for u in sorted(index.by_user))
+    rows = ((u, index.user_annotation_count[u], score(u)) for u in index.columns.users)
     defined = (row for row in rows if row[2] is not None)
     report_mod._write_csv(path, ["user", "annotations", column], defined)
 
@@ -157,7 +165,7 @@ def ingest(source, delimiter, granularity, header, dedupe, out, summary_out):
     """Parse, validate, optionally dedupe, and re-emit a dataset."""
     index, parsed = _load_index(source, delimiter, granularity, header, dedupe)
     with _output(out) as stream:
-        write_annotations(index.annotations, stream)
+        write_annotations(index.columns, stream)
     payload = report_mod.summary_json(index)
     payload["malformed_lines"] = parsed.malformed
     if summary_out:
@@ -328,7 +336,7 @@ def motivation(source, delimiter, granularity, header, dedupe, per_user, binned,
     index, _ = _load_index(source, delimiter, granularity, header, dedupe)
     if per_user:
         rows = []
-        for user in sorted(index.by_user):
+        for user in index.columns.users:
             scores = motivation_mod.user_motivation(index, user, orphan_divisor)
             rows.append((user, index.user_annotation_count[user], scores.tpp,
                          scores.trr, scores.orphan_ratio))

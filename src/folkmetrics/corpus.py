@@ -2,17 +2,23 @@
 
 An annotation is a (user, item, tag, time) tuple. Datasets are delimited
 UTF-8 text, one annotation per line; timestamps are integers at a declared
-granularity (seconds or months). The FolksonomyIndex built here is the
-immutable input to every downstream analysis.
+granularity (seconds or months). Parsed annotations are held as columns:
+int32 user, item and tag codes, numbered in sorted name order, and a time
+column. The FolksonomyIndex built over them here is the immutable input to
+every downstream analysis.
 """
 
 from __future__ import annotations
 
+import contextlib
+import io
 import sys
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
+from itertools import compress, islice, repeat
 from pathlib import Path
-from typing import IO, Iterable, Iterator, Mapping, Optional, Sequence
+from typing import IO, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -21,6 +27,9 @@ from .stats import MedianIQR, median_iqr
 
 __all__ = [
     "Annotation",
+    "AnnotationColumns",
+    "CHUNK_LINES",
+    "Csr",
     "DatasetSummary",
     "FolksonomyIndex",
     "ParseResult",
@@ -57,20 +66,183 @@ class Annotation:
     time: int
 
 
+class AnnotationColumns(Sequence[Annotation]):
+    """Annotations held as columns rather than one object per annotation.
+
+    user[k], item[k] and tag[k] are int32 codes into the name lists users,
+    items and tags. Each list is sorted and holds only names that occur, so
+    codes compare as the names do. time is int64, or an object array of
+    exact Python ints when a timestamp does not fit in int64. Indexing and
+    iteration build Annotation objects on demand.
+    """
+
+    __slots__ = ("user", "item", "tag", "time", "users", "items", "tags")
+
+    def __init__(self, user, item, tag, time, users, items, tags):
+        self.user, self.item, self.tag, self.time = user, item, tag, time
+        self.users, self.items, self.tags = users, items, tags
+
+    @classmethod
+    def from_annotations(cls, annotations: Iterable[Annotation]) -> "AnnotationColumns":
+        rows = list(annotations)
+        names = [_Vocabulary() for _ in range(3)]
+        codes = [vocab.encode([getattr(a, field) for a in rows])
+                 for vocab, field in zip(names, ("user", "item", "tag"))]
+        time = _exact_times(np.array([a.time for a in rows], dtype=object))
+        return _renumbered(names, codes, time)
+
+    def __len__(self) -> int:
+        return len(self.user)
+
+    def __getitem__(self, k: int) -> Annotation:
+        return Annotation(self.users[self.user[k]], self.items[self.item[k]],
+                          self.tags[self.tag[k]], int(self.time[k]))
+
+    def __iter__(self) -> Iterator[Annotation]:
+        return map(Annotation, *self._names(), self.time.tolist())
+
+    def _names(self) -> tuple[Iterator[str], Iterator[str], Iterator[str]]:
+        """The user, item and tag name of each annotation, in order."""
+        return (map(self.users.__getitem__, self.user.tolist()),
+                map(self.items.__getitem__, self.item.tolist()),
+                map(self.tags.__getitem__, self.tag.tolist()))
+
+    def take(self, positions: np.ndarray, time: Optional[np.ndarray] = None) -> "AnnotationColumns":
+        """The annotations at positions, with the given times if any; the name lists are shared."""
+        return AnnotationColumns(self.user[positions], self.item[positions], self.tag[positions],
+                                 self.time[positions] if time is None else time,
+                                 self.users, self.items, self.tags)
+
+
+class _Vocabulary:
+    """Provisional codes for names, numbered as the names arrive."""
+
+    def __init__(self):
+        self.code: dict[str, int] = {}
+
+    def encode(self, names: list[str]) -> np.ndarray:
+        code = self.code
+        new = set(names).difference(code)
+        code.update(zip(new, range(len(code), len(code) + len(new))))
+        return np.fromiter(map(code.__getitem__, names), dtype=np.int32, count=len(names))
+
+    def renumbering(self) -> tuple[list[str], np.ndarray]:
+        """The names sorted, and the sorted position of each provisional code."""
+        names = list(self.code)
+        order = sorted(range(len(names)), key=names.__getitem__)
+        renumber = np.empty(len(names), dtype=np.int32)
+        renumber[order] = np.arange(len(names), dtype=np.int32)
+        return [names[k] for k in order], renumber
+
+
+def _exact_times(time: np.ndarray) -> np.ndarray:
+    """The times as int64 if they all fit, else as they are."""
+    if time.dtype == object:
+        with contextlib.suppress(OverflowError):
+            return time.astype(np.int64)
+    return time
+
+
+def _renumbered(vocabularies, codes, time) -> AnnotationColumns:
+    """Columns whose provisional codes are renumbered in sorted name order."""
+    columns, names = [], []
+    for vocab, code in zip(vocabularies, codes):
+        sorted_names, renumber = vocab.renumbering()
+        columns.append(renumber[code])
+        names.append(sorted_names)
+    return AnnotationColumns(*columns, time, *names)
+
+
 @dataclass(frozen=True)
 class ParseResult:
     """Well-formed annotations plus a count of rejected lines."""
 
-    annotations: list[Annotation]
+    annotations: AnnotationColumns
     malformed: int
     granularity: TimeGranularity
 
 
-def _open_lines(source) -> tuple[Iterable[str], Optional[IO]]:
+# Lines parsed at a time: the parser's working memory is bounded by this,
+# not by the size of the input.
+CHUNK_LINES = 1 << 16
+
+# any run of at most 18 decimal digits fits in int64
+_INT64_DIGITS = 18
+
+
+def _open_lines(source) -> tuple[Iterable, Optional[IO]]:
     if isinstance(source, (str, Path)):
-        handle = open(source, "r", encoding="utf-8")
+        handle = open(source, "rb")
         return handle, handle
     return source, None
+
+
+def _decode(chunk: list, joiner: str, first_line: int) -> str:
+    """The chunk's lines joined into one text, bytes lines decoded as UTF-8."""
+    try:
+        return joiner.join(chunk)
+    except TypeError:
+        pass
+    try:
+        return joiner.encode().join(chunk).decode("utf-8")
+    except (TypeError, UnicodeDecodeError):
+        pass
+    lines = []
+    for number, line in enumerate(chunk, first_line):
+        if isinstance(line, bytes):
+            try:
+                line = line.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise FormatError(
+                    f"line {number}: invalid UTF-8 byte {line[exc.start]:#04x}"
+                ) from None
+        lines.append(line)
+    return joiner.join(lines)
+
+
+def _ascii_digits(stamp: str) -> bool:
+    # int() would also take signs, spaces, '_' and other scripts' digits
+    return stamp.isdigit() and stamp.isascii()
+
+
+def _parse_chunk(lines: list[str], delimiter: str, vocabularies, columns) -> int:
+    """Append the well-formed lines' codes and times to columns; return the malformed count.
+
+    Fields are split for the whole chunk at once: the 4-field lines are
+    joined and split again at newlines and delimiters alike, so their
+    fields come out as one flat list, four per line.
+    """
+    lines = list(filter(None, lines))
+    n = len(lines)
+    blank = np.fromiter(map(str.isspace, lines), dtype=bool, count=n)
+    shaped = np.fromiter(map(str.count, lines, repeat(delimiter)), dtype=np.intp, count=n) == 3
+    shaped &= ~blank
+    malformed = n - int(np.count_nonzero(blank)) - int(np.count_nonzero(shaped))
+    if not shaped.all():
+        lines = list(compress(lines, shaped))
+    if not lines:
+        return malformed
+    fields = "\n".join(lines).replace(delimiter, "\n").split("\n")
+    users = list(map(str.strip, fields[0::4]))
+    items = list(map(str.strip, fields[1::4]))
+    tags = list(map(str.lower, map(str.strip, fields[2::4])))
+    stamps = fields[3::4]
+    del fields
+    digits = "".join(stamps)
+    if not (all(users) and all(items) and all(tags) and all(stamps)
+            and digits.isascii() and digits.isdigit()):
+        keep = list(map(all, zip(users, items, tags, map(_ascii_digits, stamps))))
+        malformed += len(keep) - sum(keep)
+        users, items, tags, stamps = (list(compress(c, keep)) for c in (users, items, tags, stamps))
+        if not stamps:
+            return malformed
+    for vocab, names, column in zip(vocabularies, (users, items, tags), columns):
+        column.append(vocab.encode(names))
+    if max(map(len, stamps)) <= _INT64_DIGITS:
+        columns[3].append(np.fromiter(map(int, stamps), dtype=np.int64, count=len(stamps)))
+    else:
+        columns[3].append(np.array(list(map(int, stamps)), dtype=object))
+    return malformed
 
 
 def parse_annotations(
@@ -79,51 +251,51 @@ def parse_annotations(
     granularity: TimeGranularity = TimeGranularity.SECONDS,
     header: bool = False,
 ) -> ParseResult:
-    """Parse delimited user/item/tag/time lines into annotations.
+    """Parse delimited user/item/tag/time lines into annotation columns.
 
     Tags are trimmed and lowercased (Unicode-aware); user and item ids are
     trimmed only. Lines with a wrong field count, empty fields, or a
     timestamp that is not a run of ASCII digits are counted as malformed.
     If more than half of the non-blank lines are malformed a FormatError is
-    raised, signalling a wrong delimiter spec. `source` may be a path or
-    any iterable of text lines.
+    raised, signalling a wrong delimiter spec; so is a byte that is not
+    UTF-8, naming its line. `source` may be a path, a text or binary
+    stream, or any iterable of text or bytes lines. A line ends at "\\n",
+    "\\r\\n" or a lone "\\r", as it does when Python reads a text file.
+
+    The input is read CHUNK_LINES lines at a time, and no object is built
+    per line that outlives its chunk.
     """
-    lines, handle = _open_lines(source)
-    annotations: list[Annotation] = []
+    if not delimiter:
+        raise DomainError("the delimiter must not be empty")
+    source, handle = _open_lines(source)
+    # a stream's lines end with their line break; other iterables' need not
+    joiner = "" if isinstance(source, io.IOBase) else "\n"
+    vocabularies = (_Vocabulary(), _Vocabulary(), _Vocabulary())
+    # per column, its parts chunk by chunk: user, item and tag codes, and times
+    columns = tuple([np.zeros(0, dtype=dtype)] for dtype in (np.int32,) * 3 + (np.int64,))
     malformed = 0
-    intern = sys.intern
+    first_line = 1
     try:
-        it = iter(lines)
-        if header:
-            next(it, None)
-        for raw in it:
-            if isinstance(raw, bytes):
-                raw = raw.decode("utf-8")
-            line = raw.rstrip("\n").rstrip("\r")
-            if not line.strip():
-                continue
-            parts = line.split(delimiter)
-            if len(parts) != 4:
-                malformed += 1
-                continue
-            user = parts[0].strip()
-            item = parts[1].strip()
-            tag = parts[2].strip().lower()
-            stamp = parts[3]
-            # ASCII digits only: int() would also take signs, spaces, '_' and other scripts' digits
-            if not user or not item or not tag or not (stamp.isdigit() and stamp.isascii()):
-                malformed += 1
-                continue
-            annotations.append(Annotation(intern(user), intern(item), intern(tag), int(stamp)))
+        it = iter(source)
+        while chunk := list(islice(it, CHUNK_LINES)):
+            text = _decode(chunk, joiner, first_line)
+            # a lone "\r" ends a line too; the empty line after a "\r\n" is blank
+            lines = text.replace("\r", "\n").split("\n")
+            if header and first_line == 1:
+                del lines[0]
+            first_line += len(chunk)
+            malformed += _parse_chunk(lines, delimiter, vocabularies, columns)
     finally:
         if handle is not None:
             handle.close()
-    total = len(annotations) + malformed
+    codes = [np.concatenate(c) for c in columns[:3]]
+    time = _exact_times(np.concatenate(columns[3]))
+    total = len(time) + malformed
     if total > 0 and malformed * 2 > total:
         raise FormatError(
             f"{malformed} of {total} lines malformed; wrong delimiter spec?"
         )
-    return ParseResult(annotations=annotations, malformed=malformed, granularity=granularity)
+    return ParseResult(_renumbered(vocabularies, codes, time), malformed, granularity)
 
 
 def write_annotations(annotations: Iterable[Annotation], dest, delimiter: str = "\t") -> None:
@@ -131,6 +303,12 @@ def write_annotations(annotations: Iterable[Annotation], dest, delimiter: str = 
     if isinstance(dest, (str, Path)):
         with open(dest, "w", encoding="utf-8", newline="") as fh:
             write_annotations(annotations, fh, delimiter)
+        return
+    if isinstance(annotations, AnnotationColumns):
+        for start in range(0, len(annotations), CHUNK_LINES):
+            part = annotations.take(slice(start, start + CHUNK_LINES))
+            fields = zip(*part._names(), map(str, part.time.tolist()))
+            dest.write("\n".join(map(delimiter.join, fields)) + "\n")
         return
     for a in annotations:
         dest.write(f"{a.user}{delimiter}{a.item}{delimiter}{a.tag}{delimiter}{a.time}\n")
@@ -143,28 +321,113 @@ class UserStats:
     distinct_items: int
 
 
-@dataclass(frozen=True)
+class Csr(NamedTuple):
+    """Annotation positions grouped by code: code k has positions[offsets[k]:offsets[k + 1]].
+
+    Each group's positions ascend.
+    """
+
+    offsets: np.ndarray
+    positions: np.ndarray
+
+    @classmethod
+    def of(cls, codes: np.ndarray, n_codes: int) -> "Csr":
+        offsets = np.zeros(n_codes + 1, dtype=np.int64)
+        np.cumsum(np.bincount(codes, minlength=n_codes), out=offsets[1:])
+        return cls(offsets, np.argsort(codes, kind="stable"))
+
+    def counts(self) -> np.ndarray:
+        return np.diff(self.offsets)
+
+    def gather(self, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The positions of the codes, concatenated in the order given, and each code's count."""
+        first, sizes = self.offsets[codes], self.counts()[codes]
+        shift = np.repeat(first - np.cumsum(sizes) + sizes, sizes)
+        return self.positions[np.arange(len(shift)) + shift], sizes
+
+    def first_seen(self) -> list[int]:
+        """The codes in the order of their first position."""
+        return np.argsort(self.positions[self.offsets[:-1]]).tolist()
+
+    def grouped(self, names: Sequence[str]) -> dict[str, tuple[int, ...]]:
+        """{name: its positions}, names in the order of their first position."""
+        positions, offsets = self.positions.tolist(), self.offsets.tolist()
+        return {names[k]: tuple(positions[offsets[k]:offsets[k + 1]]) for k in self.first_seen()}
+
+
+def _run_starts(*keys: np.ndarray) -> np.ndarray:
+    """Mask of the elements of key-sorted arrays that differ from their predecessor."""
+    starts = np.zeros(len(keys[0]), dtype=bool)
+    starts[:1] = True
+    for key in keys:
+        starts[1:] |= key[1:] != key[:-1]
+    return starts
+
+
+@dataclass(frozen=True, eq=False)
 class FolksonomyIndex:
     """Immutable multi-way index over one annotation set.
 
-    Positions in by_user/by_item/by_tag point into `annotations`.
-    item_tag_freq counts distinct users per (item, tag) pair regardless of
-    the dedupe flag used at build time; user_annotation_count reflects the
-    indexed view (raw or deduped).
+    columns holds the indexed annotations (raw or deduped), and user_csr,
+    item_csr and tag_csr group their positions by code. The mapping
+    attributes annotations, by_user, by_item, by_tag, item_tag_freq and
+    user_annotation_count are views of the columns, built on first read and
+    then cached; each lists its keys in the order of their first
+    annotation. Positions in by_user/by_item/by_tag point into
+    `annotations`. item_tag_freq counts distinct users per (item, tag) pair
+    regardless of the dedupe flag used at build time; user_annotation_count
+    reflects the indexed view (raw or deduped).
     """
 
-    annotations: tuple[Annotation, ...]
+    columns: AnnotationColumns
     granularity: TimeGranularity
     deduped: bool
-    by_user: Mapping[str, tuple[int, ...]]
-    by_item: Mapping[str, tuple[int, ...]]
-    by_tag: Mapping[str, tuple[int, ...]]
-    item_tag_freq: Mapping[tuple[str, str], int]
-    user_annotation_count: Mapping[str, int]
+    user_csr: Csr
+    item_csr: Csr
+    tag_csr: Csr
 
     @property
     def n_annotations(self) -> int:
-        return len(self.annotations)
+        return len(self.columns)
+
+    @cached_property
+    def annotations(self) -> tuple[Annotation, ...]:
+        return tuple(self.columns)
+
+    @cached_property
+    def by_user(self) -> Mapping[str, tuple[int, ...]]:
+        return self.user_csr.grouped(self.columns.users)
+
+    @cached_property
+    def by_item(self) -> Mapping[str, tuple[int, ...]]:
+        return self.item_csr.grouped(self.columns.items)
+
+    @cached_property
+    def by_tag(self) -> Mapping[str, tuple[int, ...]]:
+        return self.tag_csr.grouped(self.columns.tags)
+
+    @cached_property
+    def user_annotation_count(self) -> Mapping[str, int]:
+        users, counts = self.columns.users, self.user_csr.counts().tolist()
+        return {users[k]: counts[k] for k in self.user_csr.first_seen()}
+
+    @cached_property
+    def item_tag_freq(self) -> Mapping[tuple[str, str], int]:
+        c = self.columns
+        if not len(c):
+            return {}
+        order = np.lexsort((c.user, c.tag, c.item))
+        item, tag = c.item[order], c.tag[order]
+        starts = np.flatnonzero(_run_starts(item, tag))
+        users = np.add.reduceat(_run_starts(item, tag, c.user[order]), starts)
+        # pairs in the order of their item's first position, then of their own
+        first = np.minimum.reduceat(order, starts)
+        item, tag = item[starts], tag[starts]
+        item_first = self.item_csr.positions[self.item_csr.offsets[item]]
+        keys = np.lexsort((first, item_first))
+        names = zip(map(c.items.__getitem__, item[keys].tolist()),
+                    map(c.tags.__getitem__, tag[keys].tolist()))
+        return dict(zip(names, users[keys].tolist()))
 
     def users(self) -> Iterator[str]:
         return iter(self.by_user)
@@ -176,6 +439,20 @@ class FolksonomyIndex:
         return iter(self.by_tag)
 
 
+def _dedupe(columns: AnnotationColumns) -> AnnotationColumns:
+    """One annotation per (user, item, tag) triple: the first, with the triple's earliest time."""
+    if not len(columns):
+        return columns
+    order = np.lexsort((columns.tag, columns.item, columns.user))
+    starts = np.flatnonzero(_run_starts(columns.user[order], columns.item[order],
+                                        columns.tag[order]))
+    # lexsort is stable: each run starts at the triple's first occurrence
+    first = order[starts]
+    earliest = np.minimum.reduceat(columns.time[order], starts)
+    kept = np.argsort(first)
+    return columns.take(first[kept], earliest[kept])
+
+
 def build_index(
     annotations: Sequence[Annotation],
     dedupe: bool = False,
@@ -183,53 +460,25 @@ def build_index(
 ) -> FolksonomyIndex:
     """Index an annotation collection by user, item, and tag.
 
-    With dedupe=True, duplicate (user, item, tag) triples collapse to the
-    earliest-timestamped instance (first occurrence on timestamp ties),
-    preserving first-occurrence order. Deduplication is idempotent.
+    `annotations` may be AnnotationColumns, used as they are, or any
+    sequence of Annotation. With dedupe=True, duplicate (user, item, tag)
+    triples collapse to the earliest-timestamped instance (first occurrence
+    on timestamp ties), preserving first-occurrence order. Deduplication is
+    idempotent.
     """
-    if dedupe:
-        earliest: dict[tuple[str, str, str], int] = {}
-        order: list[tuple[str, str, str]] = []
-        for a in annotations:
-            key = (a.user, a.item, a.tag)
-            t = earliest.get(key)
-            if t is None:
-                earliest[key] = a.time
-                order.append(key)
-            elif a.time < t:
-                earliest[key] = a.time
-        kept = tuple(Annotation(u, i, tg, earliest[(u, i, tg)]) for u, i, tg in order)
+    if isinstance(annotations, AnnotationColumns):
+        columns = annotations
     else:
-        kept = tuple(annotations)
-
-    by_user: dict[str, list[int]] = {}
-    by_item: dict[str, list[int]] = {}
-    by_tag: dict[str, list[int]] = {}
-    for pos, a in enumerate(kept):
-        by_user.setdefault(a.user, []).append(pos)
-        by_item.setdefault(a.item, []).append(pos)
-        by_tag.setdefault(a.tag, []).append(pos)
-
-    item_tag_freq: dict[tuple[str, str], int] = {}
-    for item, positions in by_item.items():
-        seen: set[tuple[str, str]] = set()
-        for pos in positions:
-            a = kept[pos]
-            pair = (a.tag, a.user)
-            if pair not in seen:
-                seen.add(pair)
-                key = (item, a.tag)
-                item_tag_freq[key] = item_tag_freq.get(key, 0) + 1
-
+        columns = AnnotationColumns.from_annotations(annotations)
+    if dedupe:
+        columns = _dedupe(columns)
     return FolksonomyIndex(
-        annotations=kept,
+        columns=columns,
         granularity=granularity,
         deduped=dedupe,
-        by_user={u: tuple(p) for u, p in by_user.items()},
-        by_item={i: tuple(p) for i, p in by_item.items()},
-        by_tag={t: tuple(p) for t, p in by_tag.items()},
-        item_tag_freq=item_tag_freq,
-        user_annotation_count={u: len(p) for u, p in by_user.items()},
+        user_csr=Csr.of(columns.user, len(columns.users)),
+        item_csr=Csr.of(columns.item, len(columns.items)),
+        tag_csr=Csr.of(columns.tag, len(columns.tags)),
     )
 
 
@@ -264,14 +513,17 @@ def summary(index: FolksonomyIndex) -> DatasetSummary:
     """Dataset-level summary; medians are None for an empty index."""
     if index.n_annotations == 0:
         return DatasetSummary(0, 0, 0, 0, None, None, None)
+    per_user, per_tag, per_item = (
+        csr.counts().tolist() for csr in (index.user_csr, index.tag_csr, index.item_csr)
+    )
     return DatasetSummary(
-        taggers=len(index.by_user),
-        tags=len(index.by_tag),
-        resources=len(index.by_item),
+        taggers=len(per_user),
+        tags=len(per_tag),
+        resources=len(per_item),
         annotations=index.n_annotations,
-        per_user=median_iqr(len(p) for p in index.by_user.values()),
-        per_tag=median_iqr(len(p) for p in index.by_tag.values()),
-        per_item=median_iqr(len(p) for p in index.by_item.values()),
+        per_user=median_iqr(per_user),
+        per_tag=median_iqr(per_tag),
+        per_item=median_iqr(per_item),
     )
 
 

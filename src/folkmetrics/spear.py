@@ -22,7 +22,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .corpus import FolksonomyIndex
+from .corpus import FolksonomyIndex, _run_starts
 from .errors import ConvergenceWarning, DomainError, NotFoundError
 from .stats import BinSpec, BinnedSeries, binned_mean, population_zscores
 
@@ -53,13 +53,13 @@ def eligible_tags(
     min_users: int = DEFAULT_MIN_USERS,
 ) -> set[str]:
     """The top_k most-annotated tags having at least min_users distinct users."""
-    ranked = sorted(index.by_tag, key=lambda t: (-len(index.by_tag[t]), t))[:top_k]
-    eligible = set()
-    for tag in ranked:
-        users = {index.annotations[pos].user for pos in index.by_tag[tag]}
-        if len(users) >= min_users:
-            eligible.add(tag)
-    return eligible
+    columns = index.columns
+    n_users = len(columns.users)
+    # codes follow name order, so a stable sort by count breaks ties by name
+    ranked = np.argsort(-index.tag_csr.counts(), kind="stable")[:top_k]
+    pairs = np.unique(columns.tag.astype(np.int64) * n_users + columns.user)
+    users = np.bincount(pairs // n_users, minlength=len(columns.tags))
+    return {columns.tags[k] for k in ranked[users[ranked] >= min_users].tolist()}
 
 
 @dataclass(frozen=True)
@@ -100,15 +100,6 @@ class CreditBatch:
     credit: np.ndarray
 
 
-def _run_starts(*keys: np.ndarray) -> np.ndarray:
-    """Mask of the elements of key-sorted arrays that differ from their predecessor."""
-    starts = np.zeros(len(keys[0]), dtype=bool)
-    starts[:1] = True
-    for key in keys:
-        starts[1:] |= key[1:] != key[:-1]
-    return starts
-
-
 def _slots(tag: np.ndarray, code: np.ndarray, starts: np.ndarray, n_tags: int):
     """Number the runs of sorted entries: slot per entry, code per slot, slot offsets per tag."""
     return np.cumsum(starts) - 1, code[starts], np.searchsorted(tag[starts], np.arange(n_tags + 1))
@@ -129,35 +120,33 @@ def credit_batch(
     Duplicate (user, item) applications of a tag collapse to the earliest
     timestamp before credits are assigned.
     """
-    missing = [tag for tag in tags if tag not in index.by_tag]
+    columns = index.columns
+    code = {name: k for k, name in enumerate(columns.tags)}
+    missing = [tag for tag in tags if tag not in code]
     if missing:
         raise NotFoundError(f"unknown tag: {missing[0]!r}")
-    positions = [index.by_tag[tag] for tag in tags]
-    rows = [index.annotations[pos] for group in positions for pos in group]
-    users = sorted({a.user for a in rows})
-    items = sorted({a.item for a in rows})
-    user_code = {u: k for k, u in enumerate(users)}
-    item_code = {i: k for k, i in enumerate(items)}
-    tag = np.repeat(np.arange(len(positions), dtype=np.int32), [len(g) for g in positions])
-    user = np.fromiter((user_code[a.user] for a in rows), dtype=np.int32, count=len(rows))
-    item = np.fromiter((item_code[a.item] for a in rows), dtype=np.int32, count=len(rows))
-    # no dtype: a timestamp beyond int64 keeps the whole column exact Python ints
-    time = np.array([a.time for a in rows])
-    del rows, user_code, item_code
+    rows, sizes = index.tag_csr.gather(np.array([code[tag] for tag in tags], dtype=np.int64))
+    tag = np.repeat(np.arange(len(tags), dtype=np.int32), sizes)
+    user_ids, user = np.unique(columns.user[rows], return_inverse=True)
+    item_ids, item = np.unique(columns.item[rows], return_inverse=True)
+    users = [columns.users[k] for k in user_ids.tolist()]
+    items = [columns.items[k] for k in item_ids.tolist()]
+    time = columns.time[rows]
+    del rows
     order = np.lexsort((time, item, user, tag))
     first = order[_run_starts(tag[order], user[order], item[order])]
     del order
     tag, user, item, time = tag[first], user[first], item[first], time[first]
-    user_slot, user_code, user_offsets = _slots(tag, user, _run_starts(tag, user), len(positions))
+    user_slot, user_code, user_offsets = _slots(tag, user, _run_starts(tag, user), len(tags))
     # strictly later taggers of an item: its run's end minus the end of the entry's tie group
     order = np.lexsort((time, item, tag))
     same_item = _run_starts(tag[order], item[order])
     item_slot, later = np.empty_like(order), np.empty_like(order)
     item_slot[order], item_code, item_offsets = _slots(tag[order], item[order], same_item,
-                                                       len(positions))
+                                                       len(tags))
     later[order] = _run_ends(same_item) - _run_ends(same_item | _run_starts(time[order]))
     power = np.array([float(1 + k) ** exponent for k in range(int(later.max(initial=0)) + 1)])
-    offsets = np.searchsorted(tag, np.arange(len(positions) + 1))
+    offsets = np.searchsorted(tag, np.arange(len(tags) + 1))
     return CreditBatch(tuple(tags), tuple(users), tuple(items), user_offsets, user_code,
                        item_offsets, item_code, offsets, user_slot, item_slot, power[later])
 

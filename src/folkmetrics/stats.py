@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .errors import DomainError, UndefinedCorrelationError
 
@@ -21,6 +20,7 @@ __all__ = [
     "BinSpec",
     "BinnedSeries",
     "MedianIQR",
+    "average_ranks",
     "binned_mean",
     "cosine",
     "log_bins",
@@ -31,9 +31,25 @@ __all__ = [
 ]
 
 
+def average_ranks(values: Sequence[float] | np.ndarray) -> np.ndarray:
+    """Ranks 1..n in ascending order, tied values sharing the average of their ranks.
+
+    For values without NaN this equals scipy.stats.rankdata(values,
+    method="average") exactly: every average is a half-integer.
+    """
+    x = np.asarray(values, dtype=float)
+    order = np.argsort(x, kind="stable")
+    ordered = x[order]
+    first = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    sizes = np.diff(np.r_[first, x.size])
+    ranks = np.empty(x.size)
+    ranks[order] = np.repeat(first + (sizes + 1) / 2, sizes)
+    return ranks
+
+
 def rank_descending(values: Sequence[float] | np.ndarray) -> np.ndarray:
     """Rank values so that the largest gets rank 1, averaging ties."""
-    return rankdata(np.negative(np.asarray(values, dtype=float)), method="average")
+    return average_ranks(np.negative(np.asarray(values, dtype=float)))
 
 
 def _pearson(x: np.ndarray, y: np.ndarray) -> float:
@@ -58,7 +74,7 @@ def spearman(x: Sequence[float], y: Sequence[float]) -> float:
         raise DomainError(f"length mismatch: {xa.shape} vs {ya.shape}")
     if xa.size < 2:
         raise UndefinedCorrelationError("need at least two points")
-    return _pearson(rankdata(xa, method="average"), rankdata(ya, method="average"))
+    return _pearson(average_ranks(xa), average_ranks(ya))
 
 
 def cosine(x: Sequence[float], y: Sequence[float]) -> float:

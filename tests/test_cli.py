@@ -2,7 +2,10 @@
 
 import csv
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -106,6 +109,42 @@ class TestIngest:
         result = runner.invoke(main, ["ingest", src, "--delimiter", "|"])
         assert result.exit_code == 0
         assert result.stdout == "u1\ti1\trock\t3\n"
+
+    def test_empty_delimiter_is_a_usage_error(self, runner, tmp_path):
+        src = write_fixture(tmp_path / "raw.tsv")
+        result = runner.invoke(main, ["ingest", src, "--delimiter", ""])
+        assert result.exit_code == 2
+        assert "--delimiter" in result.output and "must not be empty" in result.output
+
+    @pytest.mark.parametrize("from_stdin", [False, True])
+    def test_invalid_utf8_exits_one_naming_the_line(self, runner, tmp_path, from_stdin):
+        data = b"u1\ti1\trock\t3\nu2\ti\xff\tjazz\t4\n"
+        path = tmp_path / "raw.tsv"
+        path.write_bytes(data)
+        if from_stdin:
+            result = runner.invoke(main, ["ingest", "-"], input=data)
+        else:
+            result = runner.invoke(main, ["ingest", str(path)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.stderr == "Error: line 2: invalid UTF-8 byte 0xff\n"
+
+    def test_stdin_reads_crlf_lines(self, runner):
+        data = b"u1\ti1\tRock\t3\r\nu2\ti2\tpop\t4\r\n"
+        result = runner.invoke(main, ["ingest", "-"], input=data)
+        assert result.exit_code == 0, result.output
+        assert result.stdout == "u1\ti1\trock\t3\nu2\ti2\tpop\t4\n"
+
+
+def test_cli_import_leaves_out_scipy_stats():
+    """scipy.stats costs over a second to import; no command needs it."""
+    import folkmetrics
+
+    code = "import sys, folkmetrics.cli; print('scipy.stats' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(Path(folkmetrics.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout == "False\n"
 
 
 class TestSynth:

@@ -23,7 +23,7 @@ from conftest import make_annotations, make_index, random_rows
 class TestParse:
     def test_single_line(self):
         result = parse_annotations(io.StringIO("u1\ti1\trock\t100\n"))
-        assert result.annotations == [Annotation("u1", "i1", "rock", 100)]
+        assert list(result.annotations) == [Annotation("u1", "i1", "rock", 100)]
         assert result.malformed == 0
 
     def test_tag_normalization(self):
@@ -36,7 +36,7 @@ class TestParse:
 
     def test_empty_stream(self):
         result = parse_annotations(io.StringIO(""))
-        assert result.annotations == []
+        assert list(result.annotations) == []
         assert result.malformed == 0
 
     def test_malformed_lines_counted(self):
@@ -52,7 +52,7 @@ class TestParse:
     @pytest.mark.parametrize("stamp", ["1_000", " 5", "5 ", "+5", "\u0665", "\uff15", "\u00b2", ""])
     def test_timestamp_must_be_ascii_digits(self, stamp):
         result = parse_annotations(io.StringIO(f"u1\ti1\trock\t{stamp}\nu2\ti2\tj\t1\n"))
-        assert result.annotations == [Annotation("u2", "i2", "j", 1)]
+        assert list(result.annotations) == [Annotation("u2", "i2", "j", 1)]
         assert result.malformed == 1
 
     def test_blank_lines_skipped(self):
@@ -78,7 +78,7 @@ class TestParse:
 
     def test_byte_stream_accepted(self):
         result = parse_annotations(io.BytesIO("u1\ti1\tRock\t4\n".encode("utf-8")))
-        assert result.annotations == [Annotation("u1", "i1", "rock", 4)]
+        assert list(result.annotations) == [Annotation("u1", "i1", "rock", 4)]
 
     def test_missing_file_raises_oserror(self):
         with pytest.raises(OSError):
@@ -86,7 +86,7 @@ class TestParse:
 
     def test_custom_delimiter(self):
         result = parse_annotations(io.StringIO("u1|i1|rock|3\n"), delimiter="|")
-        assert result.annotations == [Annotation("u1", "i1", "rock", 3)]
+        assert list(result.annotations) == [Annotation("u1", "i1", "rock", 3)]
 
     def test_roundtrip_exact(self):
         rng = np.random.default_rng(2)
@@ -94,7 +94,7 @@ class TestParse:
         buf = io.StringIO()
         write_annotations(annotations, buf)
         reparsed = parse_annotations(io.StringIO(buf.getvalue()))
-        assert reparsed.annotations == annotations
+        assert list(reparsed.annotations) == annotations
         buf2 = io.StringIO()
         write_annotations(reparsed.annotations, buf2)
         assert buf2.getvalue() == buf.getvalue()

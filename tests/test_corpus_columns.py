@@ -1,0 +1,152 @@
+"""The columnar parser and index against the dict-based reference in corpus_oracle."""
+
+import io
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import corpus_oracle
+from folkmetrics import corpus
+from folkmetrics.corpus import build_index, parse_annotations
+from folkmetrics.errors import DomainError, FormatError
+
+from conftest import make_annotations
+
+BIG = [2**63 - 1, 2**63, 2**70, 10**20]
+
+ids = st.sampled_from(["u1", "U1", " u1", "u2 ", "ü", "Ü"])
+# mixed-case Unicode, some of whose lowercase forms coincide or grow longer
+tags = st.sampled_from(["Rock", "rock", " ROCK ", "İ", "i̇", "Straße", "STRASSE", "ǅ", "Σ", "σ"])
+stamps = st.one_of(
+    st.integers(0, 4).map(str),
+    st.sampled_from([str(t) for t in BIG] + ["007", "0" * 20 + "5"]),
+    st.sampled_from(["-1", "", " 5", "x", "1_0", "٥", "²"]),
+)
+delimiters = st.sampled_from(["\t", ",", "||"])
+
+
+@st.composite
+def texts(draw):
+    """(delimiter, header, lines): lines with their own line breaks, the last one maybe without."""
+    delimiter = draw(delimiters)
+    good = st.tuples(ids, ids, tags, stamps).map(delimiter.join)
+    bad = st.lists(ids, min_size=1, max_size=6).filter(lambda f: len(f) != 4).map(delimiter.join)
+    blank = st.sampled_from(["", " ", "\t\t\t", "  \t "])
+    line = st.one_of(good, good, good, bad, blank)
+    body = draw(st.lists(st.tuples(line, st.sampled_from(["\n", "\r\n"])), max_size=30))
+    lines = [text + ending for text, ending in body]
+    if lines and draw(st.booleans()):
+        lines[-1] = body[-1][0]
+    header = draw(st.booleans())
+    if header:
+        lines.insert(0, delimiter.join(["user", "item", "tag", "time"]) + "\n")
+    return delimiter, header, lines
+
+
+def sources(lines):
+    """The same input as a text stream, a binary stream and a list of lines without breaks."""
+    text = "".join(lines)
+    yield io.StringIO(text), io.StringIO(text)
+    yield io.BytesIO(text.encode()), io.BytesIO(text.encode())
+    bare = [line.rstrip("\r\n") for line in lines]
+    yield bare, bare
+
+
+@settings(max_examples=150, deadline=None)
+@given(texts(), st.sampled_from([1, 2, 3, corpus.CHUNK_LINES]))
+def test_parse_matches_the_reference(case, chunk):
+    delimiter, header, lines = case
+    with mock.patch.object(corpus, "CHUNK_LINES", chunk):
+        for source, same in sources(lines):
+            try:
+                expected = corpus_oracle.parse_annotations(same, delimiter, header)
+            except FormatError:
+                with pytest.raises(FormatError):
+                    parse_annotations(source, delimiter, header=header)
+                continue
+            got = parse_annotations(source, delimiter, header=header)
+            assert list(got.annotations) == expected.annotations
+            assert got.malformed == expected.malformed
+            assert len(got.annotations) == len(expected.annotations)
+
+
+rows = st.lists(
+    st.tuples(
+        st.sampled_from(["u0", "u1", "U1", "ü"]),
+        st.sampled_from(["i0", "i1", "i2"]),
+        st.sampled_from(["rock", "jazz", "σ"]),
+        # ties, timestamps out of order, and a few beyond int64
+        st.one_of(st.integers(0, 3), st.sampled_from(BIG)),
+    ),
+    max_size=40,
+)
+
+VIEWS = ("by_user", "by_item", "by_tag", "item_tag_freq", "user_annotation_count")
+
+
+def assert_same_index(index, expected):
+    assert index.annotations == expected.annotations
+    assert index.n_annotations == len(expected.annotations)
+    for view in VIEWS:
+        # equal keys and values, and the keys in the same order
+        assert list(getattr(index, view).items()) == list(getattr(expected, view).items()), view
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows, st.booleans())
+def test_index_matches_the_reference(rows, dedupe):
+    annotations = make_annotations(rows)
+    expected = corpus_oracle.build_index(annotations, dedupe=dedupe)
+    assert_same_index(build_index(annotations, dedupe=dedupe), expected)
+    text = "".join(f"{u}\t{i}\t{t}\t{tm}\n" for u, i, t, tm in rows)
+    parsed = parse_annotations(io.StringIO(text)).annotations
+    assert_same_index(build_index(parsed, dedupe=dedupe), expected)
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows)
+def test_dedupe_is_idempotent(rows):
+    once = build_index(make_annotations(rows), dedupe=True)
+    for source in (once.columns, once.annotations):
+        again = build_index(source, dedupe=True)
+        assert again.annotations == once.annotations
+        for view in VIEWS:
+            assert list(getattr(again, view).items()) == list(getattr(once, view).items())
+
+
+def test_codes_follow_sorted_names():
+    parsed = parse_annotations(io.StringIO("b\ty\tZeta\t1\na\tz\talpha\t2\nb\tx\tzeta\t3\n"))
+    columns = parsed.annotations
+    assert (columns.users, columns.items, columns.tags) == (["a", "b"], ["x", "y", "z"],
+                                                            ["alpha", "zeta"])
+    assert columns.user.dtype == columns.item.dtype == columns.tag.dtype == np.int32
+    assert columns.user.tolist() == [1, 0, 1]
+    assert columns.item.tolist() == [1, 2, 0]
+    assert columns.tag.tolist() == [1, 0, 1]
+    assert columns.time.dtype == np.int64
+
+
+def test_times_beyond_int64_stay_exact():
+    big = parse_annotations(io.StringIO(f"u\ti\tt\t{2**70}\nu\ti\tt\t1\n")).annotations
+    assert big.time.dtype == object
+    assert [a.time for a in big] == [2**70, 1]
+    padded = parse_annotations(io.StringIO("u\ti\tt\t" + "0" * 30 + "7\n")).annotations
+    assert padded.time.dtype == np.int64
+    assert padded[0].time == 7
+
+
+@pytest.mark.parametrize("chunk", [1, 2, corpus.CHUNK_LINES])
+@pytest.mark.parametrize("header", [False, True])
+def test_invalid_utf8_names_its_line(chunk, header):
+    data = b"u\ti\tt\t1\n" * 4 + b"u\t\xc3(\tt\t1\n"
+    with mock.patch.object(corpus, "CHUNK_LINES", chunk):
+        with pytest.raises(FormatError, match=r"^line 5: invalid UTF-8 byte 0xc3$"):
+            parse_annotations(io.BytesIO(data), header=header)
+
+
+def test_empty_delimiter_is_rejected():
+    with pytest.raises(DomainError):
+        parse_annotations(io.StringIO("u\ti\tt\t1\n"), delimiter="")

@@ -4,10 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from folkmetrics.errors import DomainError, UndefinedCorrelationError
 from folkmetrics.stats import (
     BinSpec,
+    average_ranks,
     binned_mean,
     cosine,
     log_bins,
@@ -99,6 +102,32 @@ class TestCosine:
 class TestRankDescending:
     def test_basic(self):
         assert rank_descending([5, 3, 3, 2]).tolist() == [1.0, 2.5, 2.5, 4.0]
+
+
+# few distinct values, so that most draws hold many ties
+tied_floats = st.lists(
+    st.one_of(
+        st.sampled_from([-np.inf, -2.5, -1.0, -0.0, 0.0, 0.5, 1.0, 3.0, 1e300, np.inf]),
+        st.floats(allow_nan=False),
+    ),
+    max_size=80,
+)
+
+
+class TestAverageRanks:
+    @settings(max_examples=300, deadline=None)
+    @given(tied_floats)
+    def test_equal_scipy_rankdata_to_the_bit(self, values):
+        from scipy.stats import rankdata
+
+        got = average_ranks(values)
+        want = rankdata(values, method="average")
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+    def test_brute_force(self):
+        values = [3.0, 1.0, 3.0, 2.0, 3.0, 1.0]
+        assert average_ranks(values).tolist() == brute_force_ranks(values)
 
 
 class TestMedianIQR:
