@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import contextlib
 import functools
+import io
 import json
 import math
 import sys
@@ -123,12 +124,19 @@ def _load_index(source, delimiter, granularity, header, dedupe):
 
 @contextlib.contextmanager
 def _output(path):
-    """A text stream writing to path, or to stdout for None or '-'."""
-    if path is None or path == "-":
-        yield sys.stdout
-    else:
+    """A UTF-8 text stream writing to path, or to stdout (whatever the locale) for None or '-'."""
+    if path is not None and path != "-":
         with open(path, "w", encoding="utf-8", newline="") as stream:
             yield stream
+    elif getattr(sys.stdout, "buffer", None) is None:
+        yield sys.stdout
+    else:
+        sys.stdout.flush()
+        stream = io.TextIOWrapper(sys.stdout.buffer, encoding="utf-8", newline="")
+        try:
+            yield stream
+        finally:
+            stream.detach().flush()
 
 
 def _emit_json(payload, out):
@@ -249,7 +257,8 @@ def similarity(source, delimiter, granularity, header, dedupe, dimension, fracti
     curve = similarity_mod.similarity_curve(
         index, part, dimension, similarity_mod.default_n_grid(max_n)
     )
-    report_mod.write_similarity_csv(out if out != "-" else sys.stdout, curve)
+    with _output(out) as stream:
+        report_mod.write_similarity_csv(stream, curve)
     if curve.core_size is not None:
         click.echo(f"core size: {curve.core_size}", err=True)
 
@@ -271,7 +280,8 @@ def usage_dist(source, delimiter, granularity, header, dedupe, dimension, cumula
         dist = similarity_mod.freq_dist(index, users, dimension)
         if dist.counts:
             series[group] = similarity_mod.usage_distribution(dist, cumulative=cumulative)
-    report_mod.write_usage_csv(out if out != "-" else sys.stdout, series)
+    with _output(out) as stream:
+        report_mod.write_usage_csv(stream, series)
 
 
 def _read_popularity(path, delimiter="\t"):
@@ -306,7 +316,8 @@ def exo_diff(source, delimiter, granularity, header, dedupe, popularity, fractio
     series = similarity_mod.exogenous_popularity_diff(
         index, part, _read_popularity(popularity, delimiter), bins
     )
-    report_mod.write_binned_csv(out if out != "-" else sys.stdout, series, "mean_diff")
+    with _output(out) as stream:
+        report_mod.write_binned_csv(stream, series, "mean_diff")
 
 
 @main.command()
@@ -320,7 +331,8 @@ def consensus(source, delimiter, granularity, header, dedupe, fraction, bins, ou
     index, _ = _load_index(source, delimiter, granularity, header, dedupe)
     part = split_supertaggers(index, fraction)
     series = consensus_mod.consensus_by_bin(index, part, bins)
-    report_mod.write_consensus_csv(out if out != "-" else sys.stdout, series)
+    with _output(out) as stream:
+        report_mod.write_consensus_csv(stream, series)
 
 
 @main.command()
@@ -344,11 +356,9 @@ def motivation(source, delimiter, granularity, header, dedupe, per_user, binned,
             per_user, ["user", "annotations", "tpp", "trr", "orphan_ratio"], rows
         )
     series = motivation_mod.motivation_by_bin(index, bins, orphan_divisor)
-    report_mod.write_labeled_binned_csv(
-        binned if binned != "-" else sys.stdout,
-        "metric",
-        {"tpp": series.tpp, "trr": series.trr, "orphan_ratio": series.orphan_ratio},
-    )
+    with _output(binned) as stream:
+        report_mod.write_labeled_binned_csv(stream, "metric", {
+            "tpp": series.tpp, "trr": series.trr, "orphan_ratio": series.orphan_ratio})
 
 
 @main.command()
@@ -370,7 +380,8 @@ def spear(source, delimiter, granularity, header, dedupe, top_k, min_users, expo
     if per_user:
         _write_per_user(per_user, "mean_z", index, mean_z.get)
     pairs = [(float(index.user_annotation_count[u]), z) for u, z in mean_z.items()]
-    report_mod.write_binned_csv(out if out != "-" else sys.stdout, binned_mean(pairs, bins))
+    with _output(out) as stream:
+        report_mod.write_binned_csv(stream, binned_mean(pairs, bins))
 
 
 @main.group()
@@ -394,7 +405,8 @@ def expertise_consensus(source, delimiter, granularity, header, dedupe, per_user
         _write_per_user(per_user, "expertise", index,
                         lambda user: expertise_mod.user_consensus_expertise(index, user))
     series = expertise_mod.consensus_expertise_by_bin(index, bins, raw_counts=raw_counts)
-    report_mod.write_binned_csv(binned if binned != "-" else sys.stdout, series)
+    with _output(binned) as stream:
+        report_mod.write_binned_csv(stream, series)
 
 
 @expertise.command("depth")
@@ -422,7 +434,8 @@ def expertise_depth(source, delimiter, granularity, header, dedupe, mode, thresh
         _write_per_user(per_user, "depth_expertise", index,
                         lambda user: taxonomy_mod.user_depth_expertise(index, forest, user, mode))
     series = taxonomy_mod.depth_by_bin(index, forest, bins, mode)
-    report_mod.write_binned_csv(binned if binned != "-" else sys.stdout, series)
+    with _output(binned) as stream:
+        report_mod.write_binned_csv(stream, series)
 
 
 @main.command()

@@ -13,6 +13,7 @@ from __future__ import annotations
 import contextlib
 import io
 import sys
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -99,13 +100,9 @@ class AnnotationColumns(Sequence[Annotation]):
                           self.tags[self.tag[k]], int(self.time[k]))
 
     def __iter__(self) -> Iterator[Annotation]:
-        return map(Annotation, *self._names(), self.time.tolist())
-
-    def _names(self) -> tuple[Iterator[str], Iterator[str], Iterator[str]]:
-        """The user, item and tag name of each annotation, in order."""
-        return (map(self.users.__getitem__, self.user.tolist()),
-                map(self.items.__getitem__, self.item.tolist()),
-                map(self.tags.__getitem__, self.tag.tolist()))
+        return map(Annotation, map(self.users.__getitem__, self.user.tolist()),
+                   map(self.items.__getitem__, self.item.tolist()),
+                   map(self.tags.__getitem__, self.tag.tolist()), self.time.tolist())
 
     def take(self, positions: np.ndarray, time: Optional[np.ndarray] = None) -> "AnnotationColumns":
         """The annotations at positions, with the given times if any; the name lists are shared."""
@@ -305,10 +302,18 @@ def write_annotations(annotations: Iterable[Annotation], dest, delimiter: str = 
             write_annotations(annotations, fh, delimiter)
         return
     if isinstance(annotations, AnnotationColumns):
-        for start in range(0, len(annotations), CHUNK_LINES):
-            part = annotations.take(slice(start, start + CHUNK_LINES))
-            fields = zip(*part._names(), map(str, part.time.tolist()))
-            dest.write("\n".join(map(delimiter.join, fields)) + "\n")
+        c = annotations
+        # each name with its delimiter, built once; object arrays, so codes index them
+        names = [np.array([name + delimiter for name in vocab], dtype=object)
+                 for vocab in (c.users, c.items, c.tags)]
+        for start in range(0, len(c), CHUNK_LINES):
+            part = slice(start, start + CHUNK_LINES)
+            times = c.time[part].tolist()
+            fields = np.empty((len(times), 4), dtype=object)
+            for k, (codes, vocab) in enumerate(zip((c.user, c.item, c.tag), names)):
+                fields[:, k] = vocab[codes[part]]
+            fields[:, 3] = [f"{t}\n" for t in times]
+            dest.write("".join(fields.ravel().tolist()))
         return
     for a in annotations:
         dest.write(f"{a.user}{delimiter}{a.item}{delimiter}{a.tag}{delimiter}{a.time}\n")
@@ -368,13 +373,13 @@ def _run_starts(*keys: np.ndarray) -> np.ndarray:
 class FolksonomyIndex:
     """Immutable multi-way index over one annotation set.
 
-    columns holds the indexed annotations (raw or deduped), and user_csr,
-    item_csr and tag_csr group their positions by code. The mapping
-    attributes annotations, by_user, by_item, by_tag, item_tag_freq and
-    user_annotation_count are views of the columns, built on first read and
-    then cached; each lists its keys in the order of their first
-    annotation. Positions in by_user/by_item/by_tag point into
-    `annotations`. item_tag_freq counts distinct users per (item, tag) pair
+    columns holds the indexed annotations (raw or deduped); user_csr,
+    item_csr and tag_csr group their positions by code. The CSRs and the
+    mapping attributes annotations, by_user, by_item, by_tag, item_tag_freq
+    and user_annotation_count are views of the columns, built on first read
+    and then cached, so a command pays only for the ones it reads; each
+    mapping lists its keys in the order of their first annotation.
+    Positions in by_user/by_item/by_tag point into `annotations`. item_tag_freq counts distinct users per (item, tag) pair
     regardless of the dedupe flag used at build time; user_annotation_count
     reflects the indexed view (raw or deduped).
     """
@@ -382,13 +387,22 @@ class FolksonomyIndex:
     columns: AnnotationColumns
     granularity: TimeGranularity
     deduped: bool
-    user_csr: Csr
-    item_csr: Csr
-    tag_csr: Csr
 
     @property
     def n_annotations(self) -> int:
         return len(self.columns)
+
+    @cached_property
+    def user_csr(self) -> Csr:
+        return Csr.of(self.columns.user, len(self.columns.users))
+
+    @cached_property
+    def item_csr(self) -> Csr:
+        return Csr.of(self.columns.item, len(self.columns.items))
+
+    @cached_property
+    def tag_csr(self) -> Csr:
+        return Csr.of(self.columns.tag, len(self.columns.tags))
 
     @cached_property
     def annotations(self) -> tuple[Annotation, ...]:
@@ -472,28 +486,18 @@ def build_index(
         columns = AnnotationColumns.from_annotations(annotations)
     if dedupe:
         columns = _dedupe(columns)
-    return FolksonomyIndex(
-        columns=columns,
-        granularity=granularity,
-        deduped=dedupe,
-        user_csr=Csr.of(columns.user, len(columns.users)),
-        item_csr=Csr.of(columns.item, len(columns.items)),
-        tag_csr=Csr.of(columns.tag, len(columns.tags)),
-    )
+    return FolksonomyIndex(columns=columns, granularity=granularity, deduped=dedupe)
 
 
 def user_stats(index: FolksonomyIndex, user: str) -> UserStats:
     """Annotation, distinct-tag, and distinct-item counts for one user."""
-    positions = index.by_user.get(user)
-    if positions is None:
+    c = index.columns
+    code = bisect_left(c.users, user)
+    if code == len(c.users) or c.users[code] != user:
         raise NotFoundError(f"unknown user: {user!r}")
-    tags = set()
-    items = set()
-    for pos in positions:
-        a = index.annotations[pos]
-        tags.add(a.tag)
-        items.add(a.item)
-    return UserStats(len(positions), len(tags), len(items))
+    offsets, positions = index.user_csr
+    mine = positions[offsets[code]:offsets[code + 1]]
+    return UserStats(len(mine), len(np.unique(c.tag[mine])), len(np.unique(c.item[mine])))
 
 
 @dataclass(frozen=True)
@@ -513,8 +517,10 @@ def summary(index: FolksonomyIndex) -> DatasetSummary:
     """Dataset-level summary; medians are None for an empty index."""
     if index.n_annotations == 0:
         return DatasetSummary(0, 0, 0, 0, None, None, None)
+    c = index.columns
     per_user, per_tag, per_item = (
-        csr.counts().tolist() for csr in (index.user_csr, index.tag_csr, index.item_csr)
+        np.bincount(codes, minlength=len(names)).tolist()
+        for codes, names in ((c.user, c.users), (c.tag, c.tags), (c.item, c.items))
     )
     return DatasetSummary(
         taggers=len(per_user),

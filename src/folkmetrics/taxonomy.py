@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
 
 import numpy as np
-from scipy import sparse
 
 from .corpus import FolksonomyIndex
 from .errors import DomainError, NotFoundError
@@ -62,6 +61,9 @@ def conditional_table(
     distinct items; pairs co-occurring on fewer than min_support items get
     no entry, and self-pairs are excluded.
     """
+    # imported here, not at start-up: only taxonomy induction needs scipy
+    from scipy import sparse
+
     tag_list = sorted(set(tags))
     tag_code = {t: k for k, t in enumerate(tag_list)}
     missing = [t for t in tag_list if t not in index.by_tag]

@@ -1,6 +1,8 @@
 """CLI surface: subcommands, exit codes, output schemas, determinism."""
 
+import contextlib
 import csv
+import io
 import json
 import os
 import re
@@ -135,6 +137,13 @@ class TestIngest:
         assert result.exit_code == 0, result.output
         assert result.stdout == "u1\ti1\trock\t3\nu2\ti2\tpop\t4\n"
 
+    def test_stdout_without_a_byte_buffer(self, tmp_path):
+        """A caller may redirect stdout to a text-only stream."""
+        src = write_fixture(tmp_path / "raw.tsv", "ü\ti1\tRock\t3\n")
+        with contextlib.redirect_stdout(io.StringIO()) as captured:
+            main(["ingest", src], standalone_mode=False)
+        assert captured.getvalue() == "ü\ti1\trock\t3\n"
+
 
 def test_cli_import_leaves_out_scipy_stats():
     """scipy.stats costs over a second to import; no command needs it."""
@@ -145,6 +154,48 @@ def test_cli_import_leaves_out_scipy_stats():
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, check=True)
     assert done.stdout == "False\n"
+
+
+def _python(code, *args, **env):
+    """Run code in a fresh interpreter that imports folkmetrics from this checkout."""
+    import folkmetrics
+
+    env = dict(os.environ, PYTHONPATH=str(Path(folkmetrics.__file__).parents[1]), **env)
+    return subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
+                          check=True)
+
+
+@pytest.mark.parametrize("module", ["folkmetrics", "folkmetrics.cli"])
+def test_import_leaves_out_scipy(module):
+    """scipy is imported only by the taxonomy induction that uses it."""
+    code = f"import sys, {module}; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    assert _python(code).stdout == b"[]\n"
+
+
+def test_taxonomy_command_still_loads_scipy(runner, tmp_path):
+    corpus, out = tmp_path / "corpus.tsv", tmp_path / "forest.json"
+    synth = ["synth", "--users", "300", "--items", "40", "--tags", "15", "--seed", "3"]
+    assert runner.invoke(main, synth + ["--out", str(corpus)]).exit_code == 0
+    code = ("import sys; from folkmetrics.cli import main; "
+            "main(sys.argv[1:], standalone_mode=False); print('scipy.sparse' in sys.modules)")
+    done = _python(code, "taxonomy", str(corpus), "--min-support", "2", "--out", str(out))
+    assert done.stdout == b"True\n"
+    assert json.loads(out.read_text())["nodes"]
+
+
+@pytest.mark.parametrize("encoding", ["latin-1", "ascii"])
+def test_stdout_is_utf8_whatever_the_locale(tmp_path, encoding):
+    """ingest to stdout writes the bytes it writes to a file, which ingest reads back."""
+    src = write_fixture(tmp_path / "raw.tsv", "ü\tΩ-item\tStraße\t3\nu2\ti\t東京\t4\n")
+    out = tmp_path / "clean.tsv"
+    code = "from folkmetrics.cli import main; main()"
+    to_file = _python(code, "ingest", src, "--out", str(out), PYTHONIOENCODING=encoding)
+    assert to_file.stdout == b""
+    to_stdout = _python(code, "ingest", src, PYTHONIOENCODING=encoding)
+    assert to_stdout.stdout == out.read_bytes() == "ü\tΩ-item\tstraße\t3\nu2\ti\t東京\t4\n".encode()
+    (tmp_path / "again.tsv").write_bytes(to_stdout.stdout)
+    again = _python(code, "ingest", str(tmp_path / "again.tsv"), PYTHONIOENCODING=encoding)
+    assert again.stdout == to_stdout.stdout
 
 
 class TestSynth:

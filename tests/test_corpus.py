@@ -190,6 +190,14 @@ class TestSummary:
         assert (s.taggers, s.tags, s.resources, s.annotations) == (0, 0, 0, 0)
         assert s.per_user is None
 
+    def test_builds_no_csr(self):
+        """ingest reads only the summary: its counts must not argsort the columns."""
+        rng = np.random.default_rng(13)
+        for dedupe in (False, True):
+            index = build_index(make_annotations(random_rows(rng)), dedupe=dedupe)
+            summary(index)
+            assert not {"user_csr", "item_csr", "tag_csr"} & set(vars(index))
+
     def test_matches_sort_oracle(self):
         rng = np.random.default_rng(12)
         index = make_index(random_rows(rng))

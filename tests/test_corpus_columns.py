@@ -5,12 +5,12 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import corpus_oracle
 from folkmetrics import corpus
-from folkmetrics.corpus import build_index, parse_annotations
+from folkmetrics.corpus import AnnotationColumns, build_index, parse_annotations, write_annotations
 from folkmetrics.errors import DomainError, FormatError
 
 from conftest import make_annotations
@@ -150,3 +150,24 @@ def test_invalid_utf8_names_its_line(chunk, header):
 def test_empty_delimiter_is_rejected():
     with pytest.raises(DomainError):
         parse_annotations(io.StringIO("u\ti\tt\t1\n"), delimiter="")
+
+
+names = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\t,|\r\n"),
+                min_size=1, max_size=4)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(names, names, names, st.one_of(st.integers(0, 10**6),
+                                                         st.sampled_from(BIG))), max_size=40),
+       st.booleans(), delimiters, st.sampled_from([1, 2, 3, corpus.CHUNK_LINES]))
+@example([], False, "\t", corpus.CHUNK_LINES)
+@example([("ü", "i", "σ", 2**70), ("u", "ĳ", "t", 1)], False, "||", 2)
+def test_columnar_writer_matches_the_annotation_writer(rows, dedupe, delimiter, chunk):
+    columns = build_index(make_annotations(rows), dedupe=dedupe).columns
+    assert isinstance(columns, AnnotationColumns)
+    by_annotation = io.StringIO()
+    write_annotations(list(columns), by_annotation, delimiter)
+    by_column = io.StringIO()
+    with mock.patch.object(corpus, "CHUNK_LINES", chunk):
+        write_annotations(columns, by_column, delimiter)
+    assert by_column.getvalue().encode() == by_annotation.getvalue().encode()
