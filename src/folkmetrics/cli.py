@@ -17,6 +17,7 @@ import sys
 import warnings
 
 import click
+import numpy as np
 
 from . import consensus as consensus_mod
 from . import expertise as expertise_mod
@@ -28,6 +29,8 @@ from . import taxonomy as taxonomy_mod
 from .corpus import (
     SyntheticConfig,
     TimeGranularity,
+    _by_user_count,
+    _user_codes,
     build_index,
     generate_synthetic,
     parse_annotations,
@@ -145,11 +148,16 @@ def _emit_json(payload, out):
         stream.write("\n")
 
 
-def _write_per_user(path, column, index, score):
-    """Per-user CSV of (user, annotations, score) for the users whose score is defined."""
-    rows = ((u, index.user_annotation_count[u], score(u)) for u in index.columns.users)
-    defined = (row for row in rows if row[2] is not None)
-    report_mod._write_csv(path, ["user", "annotations", column], defined)
+def _write_per_user(path, columns, index, scores):
+    """Per-user CSV of user, annotations and the scores, arrays by user code, in user order.
+
+    Users with an undefined (NaN) score are left out.
+    """
+    defined = np.flatnonzero(~np.isnan(scores).any(axis=0))
+    counts = index.user_csr.counts()[defined]
+    rows = zip(map(index.columns.users.__getitem__, defined.tolist()), counts.tolist(),
+               *(score[defined].tolist() for score in scores))
+    report_mod._write_csv(path, ["user", "annotations", *columns], rows)
 
 
 @click.group()
@@ -346,16 +354,11 @@ def motivation(source, delimiter, granularity, header, dedupe, per_user, binned,
                orphan_divisor, bins):
     """Categorizer/describer metrics: TPP, TRR, orphan ratio."""
     index, _ = _load_index(source, delimiter, granularity, header, dedupe)
+    scores = motivation_mod._index_scores(index, orphan_divisor)
     if per_user:
-        rows = []
-        for user in index.columns.users:
-            scores = motivation_mod.user_motivation(index, user, orphan_divisor)
-            rows.append((user, index.user_annotation_count[user], scores.tpp,
-                         scores.trr, scores.orphan_ratio))
-        report_mod._write_csv(
-            per_user, ["user", "annotations", "tpp", "trr", "orphan_ratio"], rows
-        )
-    series = motivation_mod.motivation_by_bin(index, bins, orphan_divisor)
+        _write_per_user(per_user, ["tpp", "trr", "orphan_ratio"], index, np.array(scores))
+    series = motivation_mod.MotivationSeries(
+        *(binned_mean(_by_user_count(index, score), bins) for score in scores))
     with _output(binned) as stream:
         report_mod.write_labeled_binned_csv(stream, "metric", {
             "tpp": series.tpp, "trr": series.trr, "orphan_ratio": series.orphan_ratio})
@@ -377,11 +380,13 @@ def spear(source, delimiter, granularity, header, dedupe, top_k, min_users, expo
     """Standardized SPEAR expertise, binned by user annotation count."""
     index, _ = _load_index(source, delimiter, granularity, header, dedupe)
     mean_z = spear_mod.user_mean_z(index, top_k, min_users, exponent, tolerance, max_iter)
+    codes = _user_codes(index, mean_z)
     if per_user:
-        _write_per_user(per_user, "mean_z", index, mean_z.get)
-    pairs = [(float(index.user_annotation_count[u]), z) for u, z in mean_z.items()]
+        scores = np.full(len(index.columns.users), np.nan)
+        scores[codes] = list(mean_z.values())
+        _write_per_user(per_user, ["mean_z"], index, scores[np.newaxis])
     with _output(out) as stream:
-        report_mod.write_binned_csv(stream, binned_mean(pairs, bins))
+        report_mod.write_binned_csv(stream, spear_mod._binned(index, codes, mean_z.values(), bins))
 
 
 @main.group()
@@ -401,12 +406,11 @@ def expertise_consensus(source, delimiter, granularity, header, dedupe, per_user
                         raw_counts, bins):
     """Item-consensus expertise scores."""
     index, _ = _load_index(source, delimiter, granularity, header, dedupe)
+    scores = expertise_mod._index_scores(index, raw_counts)
     if per_user:
-        _write_per_user(per_user, "expertise", index,
-                        lambda user: expertise_mod.user_consensus_expertise(index, user))
-    series = expertise_mod.consensus_expertise_by_bin(index, bins, raw_counts=raw_counts)
+        _write_per_user(per_user, ["expertise"], index, scores[np.newaxis])
     with _output(binned) as stream:
-        report_mod.write_binned_csv(stream, series)
+        report_mod.write_binned_csv(stream, binned_mean(_by_user_count(index, scores), bins))
 
 
 @expertise.command("depth")
@@ -430,12 +434,11 @@ def expertise_depth(source, delimiter, granularity, header, dedupe, mode, thresh
         raise FolkmetricsError("no eligible tags for taxonomy induction")
     table = taxonomy_mod.conditional_table(index, tags, min_support)
     forest = taxonomy_mod.induce_forest(table, threshold)
+    scores = taxonomy_mod._index_depths(index, forest, mode)
     if per_user:
-        _write_per_user(per_user, "depth_expertise", index,
-                        lambda user: taxonomy_mod.user_depth_expertise(index, forest, user, mode))
-    series = taxonomy_mod.depth_by_bin(index, forest, bins, mode)
+        _write_per_user(per_user, ["depth_expertise"], index, scores[np.newaxis])
     with _output(binned) as stream:
-        report_mod.write_binned_csv(stream, series)
+        report_mod.write_binned_csv(stream, binned_mean(_by_user_count(index, scores), bins))
 
 
 @main.command()

@@ -11,20 +11,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
-from .corpus import FolksonomyIndex
+import numpy as np
+
+from .corpus import FolksonomyIndex, _code, _item_tag_users, _members, _rows, _run_starts
 from .errors import DomainError
 from .partition import Partition
-from .stats import BinSpec, BinnedSeries, binned_mean, cosine, log_bins
+from .stats import BinSpec, BinnedSeries, binned_mean, cosine
 
 __all__ = [
-    "BinSpec",
-    "BinnedSeries",
     "ConsensusSeries",
     "TagDistribution",
     "consensus_by_bin",
     "item_cosine",
     "item_tag_distribution",
-    "log_bins",
     "top_tag_match",
 ]
 
@@ -41,22 +40,17 @@ def item_tag_distribution(
     index: FolksonomyIndex, users: frozenset[str] | set[str], item: str
 ) -> Optional[TagDistribution]:
     """The item's tag distribution restricted to the given users, or None if untagged."""
-    positions = index.by_item.get(item)
-    if positions is None:
+    c = index.columns
+    code = _code(c.items, item)
+    if code < 0:
         return None
-    seen: set[tuple[str, str]] = set()
-    counts: dict[str, int] = {}
-    for pos in positions:
-        a = index.annotations[pos]
-        if a.user not in users:
-            continue
-        pair = (a.tag, a.user)
-        if pair not in seen:
-            seen.add(pair)
-            counts[a.tag] = counts.get(a.tag, 0) + 1
-    if not counts:
+    rows = _rows(index.item_csr, code)
+    rows = rows[_members([c.users[k] for k in c.user[rows].tolist()], users)]
+    _, tags, counts = _item_tag_users(c, rows)
+    if not len(tags):
         return None
-    return TagDistribution(item=item, counts=counts)
+    return TagDistribution(item=item, counts=dict(zip(map(c.tags.__getitem__, tags.tolist()),
+                                                      counts.tolist())))
 
 
 def _top_tag(dist: TagDistribution) -> str:
@@ -91,6 +85,34 @@ def item_cosine(
     )
 
 
+def _groups(c, rows: np.ndarray):
+    """For the annotations at rows: the items, each one's top tag, and the (item, tag, users) entries.
+
+    An item's top tag is its most used, the first by name on ties.
+    """
+    entries = item, tag, users = _item_tag_users(c, rows)
+    starts = np.flatnonzero(_run_starts(item))
+    sizes = np.diff(np.append(starts, len(item)))
+    top = np.flatnonzero(np.repeat(np.maximum.reduceat(users, starts), sizes) == users)
+    top = top[_run_starts(item[top])]
+    return item[starts], tag[top], entries
+
+
+def _cosines(s_entries, o_entries, shared: np.ndarray, n_items: int, n_tags: int) -> np.ndarray:
+    """Per shared item, the cosine between the two groups' distinct-user tag counts."""
+    # the counts are integers, so every sum below is exact in any order
+    (s_item, s_tag, s_users), (o_item, o_tag, o_users) = s_entries, o_entries
+    _, ks, ko = np.intersect1d(s_item.astype(np.int64) * n_tags + s_tag,
+                               o_item.astype(np.int64) * n_tags + o_tag,
+                               assume_unique=True, return_indices=True)
+    dot = np.bincount(s_item[ks], weights=(s_users[ks] * o_users[ko]).astype(float),
+                      minlength=n_items)
+    norm_s, norm_o = (np.sqrt(np.bincount(item, weights=users.astype(float) ** 2,
+                                          minlength=n_items))
+                      for item, _, users in (s_entries, o_entries))
+    return dot[shared] / (norm_s[shared] * norm_o[shared])
+
+
 @dataclass(frozen=True)
 class ConsensusSeries:
     """Binned top-tag match rate and mean per-item cosine over shared items."""
@@ -109,21 +131,21 @@ def consensus_by_bin(
     and one cosine to the bin of its total annotation count across the full
     folksonomy. Raises if no item is shared between the groups.
     """
-    match_pairs: list[tuple[float, float]] = []
-    cos_pairs: list[tuple[float, float]] = []
-    for item, positions in index.by_item.items():
-        s_dist = item_tag_distribution(index, partition.supertaggers, item)
-        o_dist = item_tag_distribution(index, partition.others, item)
-        match = top_tag_match(s_dist, o_dist)
-        if match is None:
-            continue
-        key = float(len(positions))
-        match_pairs.append((key, float(match)))
-        cos_pairs.append((key, item_cosine(s_dist, o_dist)))
-    if not match_pairs:
+    c = index.columns
+    (s_item, s_top, s_entries), (o_item, o_top, o_entries) = (
+        _groups(c, np.flatnonzero(_members(c.users, users)[c.user]))
+        for users in (partition.supertaggers, partition.others))
+    shared = np.intersect1d(s_item, o_item)
+    if not len(shared):
         raise DomainError("no item is tagged in both groups")
+    match = s_top[np.searchsorted(s_item, shared)] == o_top[np.searchsorted(o_item, shared)]
+    cos = _cosines(s_entries, o_entries, shared, len(c.items), len(c.tags))
+    # items in the order of their first annotation, keyed by their annotation count
+    first = index.item_csr.positions[index.item_csr.offsets[shared]]
+    order = np.argsort(first)
+    keys = index.item_csr.counts()[shared[order]].astype(float).tolist()
     return ConsensusSeries(
-        top_match=binned_mean(match_pairs, spec),
-        cosine=binned_mean(cos_pairs, spec),
-        shared_items=len(match_pairs),
+        top_match=binned_mean(zip(keys, match[order].astype(float).tolist()), spec),
+        cosine=binned_mean(zip(keys, cos[order].tolist()), spec),
+        shared_items=len(shared),
     )

@@ -19,7 +19,7 @@ from enum import Enum
 from functools import cached_property
 from itertools import compress, islice, repeat
 from pathlib import Path
-from typing import IO, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
+from typing import IO, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -350,14 +350,9 @@ class Csr(NamedTuple):
         shift = np.repeat(first - np.cumsum(sizes) + sizes, sizes)
         return self.positions[np.arange(len(shift)) + shift], sizes
 
-    def first_seen(self) -> list[int]:
+    def first_seen(self) -> np.ndarray:
         """The codes in the order of their first position."""
-        return np.argsort(self.positions[self.offsets[:-1]]).tolist()
-
-    def grouped(self, names: Sequence[str]) -> dict[str, tuple[int, ...]]:
-        """{name: its positions}, names in the order of their first position."""
-        positions, offsets = self.positions.tolist(), self.offsets.tolist()
-        return {names[k]: tuple(positions[offsets[k]:offsets[k + 1]]) for k in self.first_seen()}
+        return np.argsort(self.positions[self.offsets[:-1]])
 
 
 def _run_starts(*keys: np.ndarray) -> np.ndarray:
@@ -369,19 +364,44 @@ def _run_starts(*keys: np.ndarray) -> np.ndarray:
     return starts
 
 
+def _tally(*keys: np.ndarray) -> tuple[tuple[np.ndarray, ...], np.ndarray, np.ndarray]:
+    """The distinct tuples of the key columns in sorted order, each one's count, and its first index."""
+    order = np.lexsort(keys[::-1])
+    starts = np.flatnonzero(_run_starts(*(key[order] for key in keys)))
+    # lexsort is stable: each run starts at the tuple's first occurrence
+    first = order[starts]
+    return tuple(key[first] for key in keys), np.diff(np.append(starts, len(order))), first
+
+
+def _item_tag_users(columns: "AnnotationColumns", rows=slice(None)):
+    """The distinct (item, tag) pairs of the annotations at rows, sorted, and each one's distinct users."""
+    (item, tag, _), _, _ = _tally(columns.item[rows], columns.tag[rows], columns.user[rows])
+    (item, tag), users, _ = _tally(item, tag)
+    return item, tag, users
+
+
+def _members(names: Sequence[str], wanted) -> np.ndarray:
+    """Mask over the codes of names: whether each name is in the set wanted."""
+    return np.fromiter(map(wanted.__contains__, names), dtype=bool, count=len(names))
+
+
+def _by_user_count(index: "FolksonomyIndex", values: np.ndarray) -> list[tuple[float, float]]:
+    """(annotation count, value) of each user whose value is not NaN, in first-annotation order."""
+    order = index.user_csr.first_seen()
+    order = order[~np.isnan(values[order])]
+    return list(zip(index.user_csr.counts()[order].astype(float).tolist(), values[order].tolist()))
+
+
 @dataclass(frozen=True, eq=False)
 class FolksonomyIndex:
     """Immutable multi-way index over one annotation set.
 
-    columns holds the indexed annotations (raw or deduped); user_csr,
-    item_csr and tag_csr group their positions by code. The CSRs and the
-    mapping attributes annotations, by_user, by_item, by_tag, item_tag_freq
-    and user_annotation_count are views of the columns, built on first read
-    and then cached, so a command pays only for the ones it reads; each
-    mapping lists its keys in the order of their first annotation.
-    Positions in by_user/by_item/by_tag point into `annotations`. item_tag_freq counts distinct users per (item, tag) pair
-    regardless of the dedupe flag used at build time; user_annotation_count
-    reflects the indexed view (raw or deduped).
+    columns holds the indexed annotations (raw or deduped), the one data
+    model every analysis reads; user_csr, item_csr and tag_csr group their
+    positions by code. The CSRs are built on first read and then cached, so
+    a command pays only for the ones it reads. Where an analysis visits
+    users or items one by one, it visits them in the order of their first
+    annotation (Csr.first_seen), so its sums add up in a fixed order.
     """
 
     columns: AnnotationColumns
@@ -403,54 +423,6 @@ class FolksonomyIndex:
     @cached_property
     def tag_csr(self) -> Csr:
         return Csr.of(self.columns.tag, len(self.columns.tags))
-
-    @cached_property
-    def annotations(self) -> tuple[Annotation, ...]:
-        return tuple(self.columns)
-
-    @cached_property
-    def by_user(self) -> Mapping[str, tuple[int, ...]]:
-        return self.user_csr.grouped(self.columns.users)
-
-    @cached_property
-    def by_item(self) -> Mapping[str, tuple[int, ...]]:
-        return self.item_csr.grouped(self.columns.items)
-
-    @cached_property
-    def by_tag(self) -> Mapping[str, tuple[int, ...]]:
-        return self.tag_csr.grouped(self.columns.tags)
-
-    @cached_property
-    def user_annotation_count(self) -> Mapping[str, int]:
-        users, counts = self.columns.users, self.user_csr.counts().tolist()
-        return {users[k]: counts[k] for k in self.user_csr.first_seen()}
-
-    @cached_property
-    def item_tag_freq(self) -> Mapping[tuple[str, str], int]:
-        c = self.columns
-        if not len(c):
-            return {}
-        order = np.lexsort((c.user, c.tag, c.item))
-        item, tag = c.item[order], c.tag[order]
-        starts = np.flatnonzero(_run_starts(item, tag))
-        users = np.add.reduceat(_run_starts(item, tag, c.user[order]), starts)
-        # pairs in the order of their item's first position, then of their own
-        first = np.minimum.reduceat(order, starts)
-        item, tag = item[starts], tag[starts]
-        item_first = self.item_csr.positions[self.item_csr.offsets[item]]
-        keys = np.lexsort((first, item_first))
-        names = zip(map(c.items.__getitem__, item[keys].tolist()),
-                    map(c.tags.__getitem__, tag[keys].tolist()))
-        return dict(zip(names, users[keys].tolist()))
-
-    def users(self) -> Iterator[str]:
-        return iter(self.by_user)
-
-    def items(self) -> Iterator[str]:
-        return iter(self.by_item)
-
-    def tags(self) -> Iterator[str]:
-        return iter(self.by_tag)
 
 
 def _dedupe(columns: AnnotationColumns) -> AnnotationColumns:
@@ -489,14 +461,35 @@ def build_index(
     return FolksonomyIndex(columns=columns, granularity=granularity, deduped=dedupe)
 
 
+def _code(names: Sequence[str], name: str) -> int:
+    """The code of name in the sorted names, or -1 if it is not one of them."""
+    code = bisect_left(names, name)
+    return code if code < len(names) and names[code] == name else -1
+
+
+def _rows(csr: Csr, code: int) -> np.ndarray:
+    """The positions of one code's annotations."""
+    return csr.positions[csr.offsets[code]:csr.offsets[code + 1]]
+
+
+def _user_rows(index: FolksonomyIndex, user: str) -> np.ndarray:
+    """The positions of the user's annotations; raises NotFoundError for an unknown user."""
+    code = _code(index.columns.users, user)
+    if code < 0:
+        raise NotFoundError(f"unknown user: {user!r}")
+    return _rows(index.user_csr, code)
+
+
+def _user_codes(index: FolksonomyIndex, users: Iterable[str]) -> np.ndarray:
+    """The codes of users, all of them names in the index."""
+    code = {name: k for k, name in enumerate(index.columns.users)}
+    return np.fromiter(map(code.__getitem__, users), dtype=np.intp)
+
+
 def user_stats(index: FolksonomyIndex, user: str) -> UserStats:
     """Annotation, distinct-tag, and distinct-item counts for one user."""
     c = index.columns
-    code = bisect_left(c.users, user)
-    if code == len(c.users) or c.users[code] != user:
-        raise NotFoundError(f"unknown user: {user!r}")
-    offsets, positions = index.user_csr
-    mine = positions[offsets[code]:offsets[code + 1]]
+    mine = _user_rows(index, user)
     return UserStats(len(mine), len(np.unique(c.tag[mine])), len(np.unique(c.item[mine])))
 
 

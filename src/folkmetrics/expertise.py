@@ -11,9 +11,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import NamedTuple, Optional
 
-from .corpus import FolksonomyIndex
+import numpy as np
+
+from .corpus import (FolksonomyIndex, _by_user_count, _code, _item_tag_users, _run_starts,
+                     _tally, _user_rows)
 from .errors import NotFoundError
 from .stats import BinSpec, BinnedSeries, binned_mean
 
@@ -36,57 +39,86 @@ class AnnotationScore:
     weight: float
 
 
-class _ItemStats:
-    """Per-item tag frequencies F, their max, and the item's total F mass."""
+class _Pairs(NamedTuple):
+    """Distinct (user, item, tag) codes in sorted order, each with its consensus score, the
+    weight of its (user, item) (NaN for an excluded item) and the index of its first annotation."""
 
-    __slots__ = ("freq", "max_freq", "total")
+    user: np.ndarray
+    item: np.ndarray
+    tag: np.ndarray
+    score: np.ndarray
+    weight: np.ndarray
+    first: np.ndarray
 
-    def __init__(self, freq: dict[str, int]):
-        self.freq = freq
-        self.max_freq = max(freq.values())
-        self.total = sum(freq.values())
 
+def _pairs(index: FolksonomyIndex, rows, item_rows, raw_counts: bool = False) -> _Pairs:
+    """The pairs of the annotations at rows, scored against the annotations at item_rows.
 
-def _item_stats(index: FolksonomyIndex, raw_counts: bool = False) -> dict[str, _ItemStats]:
-    per_item: dict[str, dict[str, int]] = {}
+    item_rows must hold every annotation of the items at rows. F is the
+    distinct-user count per (item, tag), or the raw count with raw_counts.
+    """
+    c = index.columns
     if raw_counts:
-        for item, positions in index.by_item.items():
-            freq: dict[str, int] = {}
-            for pos in positions:
-                tag = index.annotations[pos].tag
-                freq[tag] = freq.get(tag, 0) + 1
-            per_item[item] = freq
+        (item, tag), freq, _ = _tally(c.item[item_rows], c.tag[item_rows])
     else:
-        for (item, tag), count in index.item_tag_freq.items():
-            per_item.setdefault(item, {})[tag] = count
-    return {item: _ItemStats(freq) for item, freq in per_item.items()}
+        item, tag, freq = _item_tag_users(c, item_rows)
+    starts = np.flatnonzero(_run_starts(item))
+    sizes = np.diff(np.append(starts, len(item)))
+    max_freq = np.repeat(np.maximum.reduceat(freq, starts), sizes)
+    total = np.repeat(np.add.reduceat(freq, starts), sizes)
+    # a tag tied for most popular scores 1; the others discount the scorer's own use
+    score = np.where(freq == max_freq, 1.0, (freq - 1) / max_freq)
+    key = item.astype(np.int64) * len(c.tags) + tag
 
-
-def _user_items(index: FolksonomyIndex, user: str) -> dict[str, list[str]]:
-    """The user's raw tag applications grouped by item."""
-    positions = index.by_user.get(user)
-    if positions is None:
-        raise NotFoundError(f"unknown user: {user!r}")
-    items: dict[str, list[str]] = {}
-    for pos in positions:
-        a = index.annotations[pos]
-        items.setdefault(a.item, []).append(a.tag)
-    return items
-
-
-def _score(stats: _ItemStats, tag: str) -> float:
-    f = stats.freq[tag]
-    if f == stats.max_freq:
-        return 1.0
-    return (f - 1) / stats.max_freq
-
-
-def _weight(stats: _ItemStats, own: int) -> Optional[float]:
+    (user, item, tag), count, first = _tally(c.user[rows], c.item[rows], c.tag[rows])
+    at = np.searchsorted(key, item.astype(np.int64) * len(c.tags) + tag)
+    starts = np.flatnonzero(_run_starts(user, item))
+    sizes = np.diff(np.append(starts, len(user)))
+    own = np.add.reduceat(count, starts) if raw_counts else sizes
     # others' share of the item's tagging; 0 others -> item excluded
-    argument = stats.total - own
-    if argument <= 0:
-        return None
-    return math.log10(argument)
+    arguments, inverse = np.unique(total[at[starts]] - own, return_inverse=True)
+    logs = np.array([math.log10(a) if a > 0 else math.nan for a in arguments.tolist()])
+    weight = np.repeat(logs[inverse], sizes)
+    return _Pairs(user, item, tag, score[at], weight, first)
+
+
+def _user_pairs(index: FolksonomyIndex, user: str) -> _Pairs:
+    rows = _user_rows(index, user)
+    items = np.unique(index.columns.item[rows])
+    return _pairs(index, rows, index.item_csr.gather(items)[0])
+
+
+def _weighted_means(pairs: _Pairs, n_users: int) -> np.ndarray:
+    """Per user code, the weighted mean over items of the best score, or NaN if undefined."""
+    starts = np.flatnonzero(_run_starts(pairs.user, pairs.item))
+    best = np.maximum.reduceat(pairs.score, starts)
+    user, weight = pairs.user[starts], pairs.weight[starts]
+    first = np.minimum.reduceat(pairs.first, starts)
+    # each user's items in the order of their first annotation: bincount adds in that order
+    kept = np.flatnonzero(~np.isnan(weight))
+    kept = kept[np.argsort(first[kept])]
+    weighted = np.bincount(user[kept], weights=best[kept] * weight[kept], minlength=n_users)
+    weights = np.bincount(user[kept], weights=weight[kept], minlength=n_users)
+    means = np.full(n_users, np.nan)
+    defined = weights != 0.0
+    means[defined] = weighted[defined] / weights[defined]
+    return means
+
+
+def _index_scores(index: FolksonomyIndex, raw_counts: bool = False) -> np.ndarray:
+    """Consensus expertise of every user, by user code; NaN where undefined."""
+    everything = slice(None)
+    return _weighted_means(_pairs(index, everything, everything, raw_counts),
+                           len(index.columns.users))
+
+
+def _find(pairs: _Pairs, index: FolksonomyIndex, item: str, tag: Optional[str] = None) -> int:
+    """The first of the pairs with the item (and the tag, if given), or -1."""
+    c = index.columns
+    found = pairs.item == _code(c.items, item)
+    if tag is not None:
+        found &= pairs.tag == _code(c.tags, tag)
+    return int(np.argmax(found)) if found.any() else -1
 
 
 def annotation_score(index: FolksonomyIndex, user: str, item: str, tag: str) -> float:
@@ -96,26 +128,11 @@ def annotation_score(index: FolksonomyIndex, user: str, item: str, tag: str) -> 
     score is (F(tag, item) - 1) / max_x F(x, item), discounting the scoring
     user's own contribution from the numerator only.
     """
-    user_items = _user_items(index, user)
-    if item not in user_items or tag not in set(user_items[item]):
+    pairs = _user_pairs(index, user)
+    at = _find(pairs, index, item, tag)
+    if at < 0:
         raise NotFoundError(f"no annotation ({user!r}, {item!r}, {tag!r})")
-    stats = _item_stats_for(index, item)
-    return _score(stats, tag)
-
-
-def _item_stats_for(index: FolksonomyIndex, item: str) -> _ItemStats:
-    positions = index.by_item.get(item)
-    if positions is None:
-        raise NotFoundError(f"unknown item: {item!r}")
-    seen: set[tuple[str, str]] = set()
-    freq: dict[str, int] = {}
-    for pos in positions:
-        a = index.annotations[pos]
-        pair = (a.tag, a.user)
-        if pair not in seen:
-            seen.add(pair)
-            freq[a.tag] = freq.get(a.tag, 0) + 1
-    return _ItemStats(freq)
+    return float(pairs.score[at])
 
 
 def annotation_weight(index: FolksonomyIndex, user: str, item: str) -> Optional[float]:
@@ -124,51 +141,21 @@ def annotation_weight(index: FolksonomyIndex, user: str, item: str) -> Optional[
     Returns 0.0 when exactly one outside annotation exists and None when
     there are none at all (the item is excluded from the user's mean).
     """
-    user_items = _user_items(index, user)
-    if item not in user_items:
+    pairs = _user_pairs(index, user)
+    at = _find(pairs, index, item)
+    if at < 0:
         raise NotFoundError(f"user {user!r} did not tag item {item!r}")
-    stats = _item_stats_for(index, item)
-    return _weight(stats, own=len(set(user_items[item])))
-
-
-def _user_score(
-    user_items: dict[str, list[str]],
-    stats_by_item: Mapping[str, _ItemStats],
-    raw_counts: bool = False,
-) -> Optional[float]:
-    weighted = 0.0
-    weight_sum = 0.0
-    defined = False
-    for item, tag_list in user_items.items():
-        stats = stats_by_item[item]
-        tags = set(tag_list)
-        own = len(tag_list) if raw_counts else len(tags)
-        w = _weight(stats, own=own)
-        if w is None:
-            continue
-        defined = True
-        best = max(_score(stats, tag) for tag in tags)
-        weighted += best * w
-        weight_sum += w
-    if not defined or weight_sum == 0.0:
-        return None
-    return weighted / weight_sum
+    weight = float(pairs.weight[at])
+    return None if math.isnan(weight) else weight
 
 
 def user_annotation_scores(index: FolksonomyIndex, user: str) -> list[AnnotationScore]:
     """Score and weight for each of the user's distinct (item, tag) pairs."""
-    user_items = _user_items(index, user)
-    stats_by_item = _item_stats(index)
-    rows = []
-    for item in sorted(user_items):
-        stats = stats_by_item[item]
-        tags = set(user_items[item])
-        w = _weight(stats, own=len(tags))
-        for tag in sorted(tags):
-            rows.append(
-                AnnotationScore(user, item, tag, _score(stats, tag), w if w is not None else 0.0)
-            )
-    return rows
+    pairs = _user_pairs(index, user)
+    c = index.columns
+    return [AnnotationScore(user, c.items[item], c.tags[tag], score, 0.0 if math.isnan(w) else w)
+            for item, tag, score, w in zip(pairs.item.tolist(), pairs.tag.tolist(),
+                                           pairs.score.tolist(), pairs.weight.tolist())]
 
 
 def user_consensus_expertise(index: FolksonomyIndex, user: str) -> Optional[float]:
@@ -178,7 +165,9 @@ def user_consensus_expertise(index: FolksonomyIndex, user: str) -> Optional[floa
     tagging are excluded, and a user whose every item is excluded (or whose
     retained weights are all zero) has no defined score.
     """
-    return _user_score(_user_items(index, user), _item_stats(index))
+    pairs = _user_pairs(index, user)
+    score = float(_weighted_means(pairs, len(index.columns.users))[pairs.user[0]])
+    return None if math.isnan(score) else score
 
 
 def consensus_expertise_by_bin(
@@ -190,11 +179,4 @@ def consensus_expertise_by_bin(
     frequency view from distinct users to raw annotation counts (both F and
     the user's own deduction) for sensitivity checks.
     """
-    stats_by_item = _item_stats(index, raw_counts=raw_counts)
-    pairs = []
-    for user in index.by_user:
-        score = _user_score(_user_items(index, user), stats_by_item, raw_counts=raw_counts)
-        if score is None:
-            continue
-        pairs.append((float(index.user_annotation_count[user]), score))
-    return binned_mean(pairs, spec)
+    return binned_mean(_by_user_count(index, _index_scores(index, raw_counts)), spec)

@@ -9,11 +9,11 @@ the same triple do not change them.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-from .corpus import FolksonomyIndex
-from .errors import NotFoundError
+import numpy as np
+
+from .corpus import FolksonomyIndex, _by_user_count, _tally, _user_rows
 from .stats import BinSpec, BinnedSeries, binned_mean
 
 __all__ = [
@@ -37,41 +37,47 @@ class MotivationScores:
     orphan_ratio: float
 
 
-def _user_profile(index: FolksonomyIndex, user: str):
-    """Distinct (item, tag) pairs, item set, and per-tag distinct-item usage."""
-    positions = index.by_user.get(user)
-    if positions is None:
-        raise NotFoundError(f"unknown user: {user!r}")
-    pairs: set[tuple[str, str]] = set()
-    items: set[str] = set()
-    usage: dict[str, set[str]] = {}
-    for pos in positions:
-        a = index.annotations[pos]
-        pairs.add((a.item, a.tag))
-        items.add(a.item)
-        usage.setdefault(a.tag, set()).add(a.item)
-    return pairs, items, usage
+def _scores(user: np.ndarray, item: np.ndarray, tag: np.ndarray, n_users: int,
+            divisor: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """TPP, TRR and orphan ratio per user code of the annotations given as columns."""
+    (pair_user, _, pair_tag), _, _ = _tally(user, item, tag)
+    (usage_user, _), usage, _ = _tally(pair_user, pair_tag)
+    items = np.bincount(_tally(user, item)[0][0], minlength=n_users)
+    vocabulary = np.bincount(usage_user, minlength=n_users)
+    # usage is the number of distinct items a user applied a tag to
+    top = np.zeros(n_users, dtype=usage.dtype)
+    np.maximum.at(top, usage_user, usage)
+    seldom = np.bincount(usage_user, weights=usage <= np.ceil(top / divisor)[usage_user],
+                         minlength=n_users)
+    # a vocabulary whose most-used tag covers at most divisor items is all orphans
+    orphan = np.where(top <= divisor, 1.0, seldom / vocabulary)
+    return np.bincount(pair_user, minlength=n_users) / items, vocabulary / items, orphan
+
+
+def _index_scores(index: FolksonomyIndex, divisor: int):
+    """TPP, TRR and orphan ratio of every user, by user code."""
+    c = index.columns
+    return _scores(c.user, c.item, c.tag, len(c.users), divisor)
+
+
+def user_motivation(
+    index: FolksonomyIndex, user: str, divisor: int = DEFAULT_ORPHAN_DIVISOR
+) -> MotivationScores:
+    """All three motivation scores for one user in a single pass."""
+    c = index.columns
+    rows = _user_rows(index, user)
+    scores = _scores(np.zeros(len(rows), dtype=np.intp), c.item[rows], c.tag[rows], 1, divisor)
+    return MotivationScores(user, *(float(score[0]) for score in scores))
 
 
 def tpp(index: FolksonomyIndex, user: str) -> float:
     """Tags per post: distinct (item, tag) pairs over distinct items tagged."""
-    pairs, items, _ = _user_profile(index, user)
-    return len(pairs) / len(items)
+    return user_motivation(index, user).tpp
 
 
 def trr(index: FolksonomyIndex, user: str) -> float:
     """Tag-resource ratio: vocabulary size over distinct items tagged."""
-    _, items, usage = _user_profile(index, user)
-    return len(usage) / len(items)
-
-
-def _orphan_share(sizes: list[int], divisor: int) -> float:
-    # max usage within the divisor -> every tag is seldom-used by definition
-    top = max(sizes)
-    if top <= divisor:
-        return 1.0
-    threshold = math.ceil(top / divisor)
-    return sum(1 for s in sizes if s <= threshold) / len(sizes)
+    return user_motivation(index, user).trr
 
 
 def orphan_ratio(
@@ -84,21 +90,7 @@ def orphan_ratio(
     vocabulary whose most-used tag covers at most divisor items is all
     orphans (OR = 1).
     """
-    _, _, usage = _user_profile(index, user)
-    return _orphan_share([len(items) for items in usage.values()], divisor)
-
-
-def user_motivation(
-    index: FolksonomyIndex, user: str, divisor: int = DEFAULT_ORPHAN_DIVISOR
-) -> MotivationScores:
-    """All three motivation scores for one user in a single pass."""
-    pairs, items, usage = _user_profile(index, user)
-    return MotivationScores(
-        user=user,
-        tpp=len(pairs) / len(items),
-        trr=len(usage) / len(items),
-        orphan_ratio=_orphan_share([len(i) for i in usage.values()], divisor),
-    )
+    return user_motivation(index, user, divisor).orphan_ratio
 
 
 @dataclass(frozen=True)
@@ -112,17 +104,5 @@ def motivation_by_bin(
     index: FolksonomyIndex, spec: BinSpec, divisor: int = DEFAULT_ORPHAN_DIVISOR
 ) -> MotivationSeries:
     """Binned mean/stderr of TPP, TRR, and OR keyed by user annotation count."""
-    tpp_pairs = []
-    trr_pairs = []
-    orphan_pairs = []
-    for user in index.by_user:
-        scores = user_motivation(index, user, divisor)
-        key = float(index.user_annotation_count[user])
-        tpp_pairs.append((key, scores.tpp))
-        trr_pairs.append((key, scores.trr))
-        orphan_pairs.append((key, scores.orphan_ratio))
-    return MotivationSeries(
-        tpp=binned_mean(tpp_pairs, spec),
-        trr=binned_mean(trr_pairs, spec),
-        orphan_ratio=binned_mean(orphan_pairs, spec),
-    )
+    return MotivationSeries(*(binned_mean(_by_user_count(index, scores), spec)
+                              for scores in _index_scores(index, divisor)))

@@ -13,7 +13,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .corpus import FolksonomyIndex
+from .corpus import FolksonomyIndex, _members, _tally
 from .errors import DomainError
 from .stats import MedianIQR, median_iqr
 
@@ -51,8 +51,14 @@ def gini(values: Iterable[float]) -> float:
 
 def rank_users(index: FolksonomyIndex) -> list[str]:
     """Users in descending annotation-count order, ties broken lexicographically."""
-    counts = index.user_annotation_count
-    return sorted(counts, key=lambda u: (-counts[u], u))
+    # codes follow name order, so a stable sort by count breaks ties by name
+    ranked = np.argsort(-index.user_csr.counts(), kind="stable")
+    return [index.columns.users[k] for k in ranked.tolist()]
+
+
+def _ranked_counts(index: FolksonomyIndex) -> np.ndarray:
+    """The users' annotation counts in rank_users order."""
+    return np.sort(index.user_csr.counts())[::-1]
 
 
 @dataclass(frozen=True)
@@ -77,19 +83,13 @@ def split_supertaggers(index: FolksonomyIndex, target_fraction: float = 0.5) -> 
         raise DomainError(f"target fraction must be in (0, 1], got {target_fraction}")
     if index.n_annotations == 0:
         raise DomainError("cannot partition an empty index")
-    ranked = rank_users(index)
+    ranked, counts = rank_users(index), _ranked_counts(index)
     target = target_fraction * index.n_annotations
-    running = 0
-    cut = 0
-    for cut, user in enumerate(ranked, start=1):
-        running += index.user_annotation_count[user]
-        if running >= target:
-            break
-    supertaggers = frozenset(ranked[:cut])
+    cut = min(int(np.searchsorted(np.cumsum(counts), target)) + 1, len(ranked))
     return Partition(
-        supertaggers=supertaggers,
+        supertaggers=frozenset(ranked[:cut]),
         others=frozenset(ranked[cut:]),
-        annotation_threshold=index.user_annotation_count[ranked[cut - 1]],
+        annotation_threshold=int(counts[cut - 1]),
         target_fraction=target_fraction,
     )
 
@@ -110,7 +110,7 @@ def pareto_curve(index: FolksonomyIndex, resolution: Optional[int] = None) -> Pa
     if index.n_annotations == 0:
         raise DomainError("pareto curve of an empty index")
     ranked = rank_users(index)
-    counts = np.array([index.user_annotation_count[u] for u in ranked], dtype=float)
+    counts = _ranked_counts(index).astype(float)
     shares = np.cumsum(counts) / counts.sum()
     n = len(ranked)
     if resolution is None or resolution >= n:
@@ -144,45 +144,22 @@ class PartitionSummary:
 
 
 def _group_summary(
-    index: FolksonomyIndex, users: frozenset[str], other_tags: set, other_items: set,
-    tags: set, items: set,
+    members: np.ndarray, per_user: list[np.ndarray], tags: np.ndarray, other_tags: np.ndarray,
+    items: np.ndarray, other_items: np.ndarray,
 ) -> GroupSummary:
-    ann_counts = []
-    tag_counts = []
-    item_counts = []
-    for user in users:
-        u_tags = set()
-        u_items = set()
-        positions = index.by_user[user]
-        for pos in positions:
-            a = index.annotations[pos]
-            u_tags.add(a.tag)
-            u_items.add(a.item)
-        ann_counts.append(len(positions))
-        tag_counts.append(len(u_tags))
-        item_counts.append(len(u_items))
+    """members masks the group's user codes; tags and items mask the codes it used."""
+    ann_counts, tag_counts, item_counts = (counts[members].tolist() for counts in per_user)
     return GroupSummary(
-        users=len(users),
+        users=len(ann_counts),
         annotations=sum(ann_counts),
-        total_tags=len(tags),
-        unique_tags=len(tags - other_tags),
-        total_items=len(items),
-        unique_items=len(items - other_items),
+        total_tags=int(np.count_nonzero(tags)),
+        unique_tags=int(np.count_nonzero(tags & ~other_tags)),
+        total_items=int(np.count_nonzero(items)),
+        unique_items=int(np.count_nonzero(items & ~other_items)),
         annotations_per_user=median_iqr(ann_counts) if ann_counts else None,
         tags_per_user=median_iqr(tag_counts) if tag_counts else None,
         items_per_user=median_iqr(item_counts) if item_counts else None,
     )
-
-
-def _group_vocab(index: FolksonomyIndex, users: frozenset[str]) -> tuple[set, set]:
-    tags: set = set()
-    items: set = set()
-    for user in users:
-        for pos in index.by_user[user]:
-            a = index.annotations[pos]
-            tags.add(a.tag)
-            items.add(a.item)
-    return tags, items
 
 
 def partition_summary(index: FolksonomyIndex, partition: Partition) -> PartitionSummary:
@@ -191,15 +168,24 @@ def partition_summary(index: FolksonomyIndex, partition: Partition) -> Partition
     A group's total tags are the distinct tags it used at least once;
     unique tags appear in that group only, shared tags in both.
     """
-    if partition.supertaggers | partition.others != set(index.by_user) or (
-        partition.supertaggers & partition.others
-    ):
+    c = index.columns
+    s_users = _members(c.users, partition.supertaggers)
+    o_users = _members(c.users, partition.others)
+    if (np.count_nonzero(s_users) != len(partition.supertaggers)
+            or np.count_nonzero(o_users) != len(partition.others)
+            or (s_users & o_users).any() or not (s_users | o_users).all()):
         raise DomainError("partition does not match index users")
-    s_tags, s_items = _group_vocab(index, partition.supertaggers)
-    o_tags, o_items = _group_vocab(index, partition.others)
+    s_rows = s_users[c.user]
+    s_tags, o_tags = (np.bincount(c.tag[rows], minlength=len(c.tags)) > 0
+                      for rows in (s_rows, ~s_rows))
+    s_items, o_items = (np.bincount(c.item[rows], minlength=len(c.items)) > 0
+                        for rows in (s_rows, ~s_rows))
+    # annotations, distinct tags and distinct items per user
+    per_user = [np.bincount(user, minlength=len(c.users))
+                for user in (c.user, _tally(c.user, c.tag)[0][0], _tally(c.user, c.item)[0][0])]
     return PartitionSummary(
-        supertaggers=_group_summary(index, partition.supertaggers, o_tags, o_items, s_tags, s_items),
-        others=_group_summary(index, partition.others, s_tags, s_items, o_tags, o_items),
-        shared_tags=len(s_tags & o_tags),
-        shared_items=len(s_items & o_items),
+        supertaggers=_group_summary(s_users, per_user, s_tags, o_tags, s_items, o_items),
+        others=_group_summary(o_users, per_user, o_tags, s_tags, o_items, s_items),
+        shared_tags=int(np.count_nonzero(s_tags & o_tags)),
+        shared_items=int(np.count_nonzero(s_items & o_items)),
     )

@@ -31,7 +31,8 @@ def _fmt(value) -> str:
     if isinstance(value, bool):
         return str(int(value))
     if isinstance(value, float):
-        return repr(value)
+        # float() first: a numpy float is a float whose repr names its type
+        return repr(float(value))
     return str(value)
 
 

@@ -14,7 +14,7 @@ from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .corpus import FolksonomyIndex
+from .corpus import FolksonomyIndex, _members
 from .errors import DomainError, UndefinedCorrelationError
 from .partition import Partition
 from .stats import BinSpec, BinnedSeries, binned_mean, cosine, rank_descending
@@ -47,16 +47,17 @@ def freq_dist(index: FolksonomyIndex, users: Iterable[str], dimension: str) -> F
     """Count annotations by the given users, keyed by tag or item."""
     if dimension not in _DIMENSIONS:
         raise DomainError(f"dimension must be one of {_DIMENSIONS}, got {dimension!r}")
-    counts: dict[str, int] = {}
-    for user in users:
-        positions = index.by_user.get(user)
-        if positions is None:
-            raise DomainError(f"user {user!r} not in index")
-        for pos in positions:
-            a = index.annotations[pos]
-            key = a.tag if dimension == "tag" else a.item
-            counts[key] = counts.get(key, 0) + 1
-    return FreqDist(dimension=dimension, counts=counts)
+    c = index.columns
+    users = set(users)
+    members = _members(c.users, users)
+    if np.count_nonzero(members) != len(users):
+        missing = min(users.difference(c.users))
+        raise DomainError(f"user {missing!r} not in index")
+    codes, names = (c.tag, c.tags) if dimension == "tag" else (c.item, c.items)
+    counts = np.bincount(codes[members[c.user]], minlength=len(names))
+    used = np.flatnonzero(counts)
+    return FreqDist(dimension, dict(zip(map(names.__getitem__, used.tolist()),
+                                        counts[used].tolist())))
 
 
 def usage_distribution(dist: FreqDist, cumulative: bool = False) -> list[tuple[int, float]]:
@@ -83,30 +84,48 @@ def usage_distribution(dist: FreqDist, cumulative: bool = False) -> list[tuple[i
     return series
 
 
-def _sorted_keys(dist: FreqDist) -> list[str]:
-    counts = dist.counts
-    return sorted(counts, key=lambda k: (-counts[k], k))
+class _Ranking(NamedTuple):
+    """One side's keys as codes, most used first (ties in code order), and their counts."""
+
+    keys: np.ndarray
+    counts: np.ndarray
+
+    @classmethod
+    def of(cls, dist: FreqDist, code: Mapping[str, int]) -> "_Ranking":
+        keys = np.fromiter(map(code.__getitem__, dist.counts), dtype=np.intp,
+                           count=len(dist.counts))
+        counts = np.array(list(dist.counts.values()))
+        order = np.lexsort((keys, -counts))
+        return cls(keys[order], counts[order])
 
 
-def _top_n(dist: FreqDist, n: int) -> list[str]:
-    return _sorted_keys(dist)[:n]
+def _rankings(dist_a: FreqDist, dist_b: FreqDist) -> tuple[_Ranking, _Ranking, int]:
+    """Both sides ranked over their joint keys, coded in sorted order, and the number of keys."""
+    code = {key: k for k, key in enumerate(sorted(dist_a.counts.keys() | dist_b.counts.keys()))}
+    return _Ranking.of(dist_a, code), _Ranking.of(dist_b, code), len(code)
 
 
-def _spearman_tops(
-    top_a: Sequence[str],
-    vals_a: Sequence[int],
-    top_b: Sequence[str],
-    vals_b: Sequence[int],
-    n: int,
-) -> float:
-    union = sorted(set(top_a) | set(top_b))
+def _spread(ranking: _Ranking, values, n: int, n_keys: int, absent: float) -> np.ndarray:
+    """values of the top-n keys placed at their codes; every other code holds absent."""
+    full = np.full(n_keys, absent)
+    full[ranking.keys[:n]] = values
+    return full
+
+
+def _union(a: _Ranking, b: _Ranking, n_keys: int, n: int) -> np.ndarray:
+    """The codes in either top-n, ascending: the keys in sorted order."""
+    either = np.zeros(n_keys, dtype=bool)
+    either[a.keys[:n]] = either[b.keys[:n]] = True
+    return np.flatnonzero(either)
+
+
+def _spearman_tops(a: _Ranking, b: _Ranking, n_keys: int, n: int) -> float:
+    union = _union(a, b, n_keys, n)
     if len(union) < 2:
         raise UndefinedCorrelationError("top-N union has fewer than two keys")
-    ranks_a = dict(zip(top_a, rank_descending(vals_a)))
-    ranks_b = dict(zip(top_b, rank_descending(vals_b)))
-    absent = float(n + 1)
-    vec_a = np.array([ranks_a.get(k, absent) for k in union])
-    vec_b = np.array([ranks_b.get(k, absent) for k in union])
+    # ranks 1..N by count within each top-N; keys outside it take rank N+1
+    vec_a = _spread(a, rank_descending(a.counts[:n]), n, n_keys, float(n + 1))[union]
+    vec_b = _spread(b, rank_descending(b.counts[:n]), n, n_keys, float(n + 1))[union]
     if np.ptp(vec_a) == 0.0 or np.ptp(vec_b) == 0.0:
         raise UndefinedCorrelationError("constant rank vector")
     if np.array_equal(vec_a, vec_b):
@@ -114,18 +133,10 @@ def _spearman_tops(
     return float(np.corrcoef(vec_a, vec_b)[0, 1])
 
 
-def _cosine_tops(
-    top_a: Sequence[str],
-    counts_a: Mapping[str, int],
-    top_b: Sequence[str],
-    counts_b: Mapping[str, int],
-) -> float:
-    set_a = set(top_a)
-    set_b = set(top_b)
-    union = sorted(set_a | set_b)
-    vec_a = [counts_a[k] if k in set_a else 0 for k in union]
-    vec_b = [counts_b[k] if k in set_b else 0 for k in union]
-    return cosine(vec_a, vec_b)
+def _cosine_tops(a: _Ranking, b: _Ranking, n_keys: int, n: int) -> float:
+    union = _union(a, b, n_keys, n)
+    return cosine(_spread(a, a.counts[:n], n, n_keys, 0.0)[union],
+                  _spread(b, b.counts[:n], n, n_keys, 0.0)[union])
 
 
 def spearman_topn(dist_a: FreqDist, dist_b: FreqDist, n: int) -> float:
@@ -137,15 +148,7 @@ def spearman_topn(dist_a: FreqDist, dist_b: FreqDist, n: int) -> float:
     """
     if n < 1:
         raise DomainError(f"N must be >= 1, got {n}")
-    top_a = _top_n(dist_a, n)
-    top_b = _top_n(dist_b, n)
-    return _spearman_tops(
-        top_a,
-        [dist_a.counts[k] for k in top_a],
-        top_b,
-        [dist_b.counts[k] for k in top_b],
-        n,
-    )
+    return _spearman_tops(*_rankings(dist_a, dist_b), n)
 
 
 def cosine_topn(dist_a: FreqDist, dist_b: FreqDist, n: int) -> float:
@@ -155,7 +158,7 @@ def cosine_topn(dist_a: FreqDist, dist_b: FreqDist, n: int) -> float:
     """
     if n < 1:
         raise DomainError(f"N must be >= 1, got {n}")
-    return _cosine_tops(_top_n(dist_a, n), dist_a.counts, _top_n(dist_b, n), dist_b.counts)
+    return _cosine_tops(*_rankings(dist_a, dist_b), n)
 
 
 class CurvePoint(NamedTuple):
@@ -207,37 +210,27 @@ def similarity_curve(
     if any(n < 1 for n in n_values):
         raise DomainError("N values must be >= 1")
 
-    full_counts: Mapping[str, tuple[int, ...]] = (
-        index.by_tag if dimension == "tag" else index.by_item
-    )
-    total = index.n_annotations
-    sorted_s = _sorted_keys(dist_s)
-    sorted_o = _sorted_keys(dist_o)
-    vals_s = np.array([dist_s.counts[k] for k in sorted_s], dtype=float)
-    vals_o = np.array([dist_o.counts[k] for k in sorted_o], dtype=float)
-
-    covered: set[str] = set()
+    c = index.columns
+    codes, names = (c.tag, c.tags) if dimension == "tag" else (c.item, c.items)
+    code = {name: k for k, name in enumerate(names)}
+    s_ranked, o_ranked = _Ranking.of(dist_s, code), _Ranking.of(dist_o, code)
+    full = np.bincount(codes, minlength=len(names))
+    covered = np.zeros(len(names), dtype=bool)
     covered_annotations = 0
     prev_n = 0
     points: list[CurvePoint] = []
     for n in n_values:
-        for key in sorted_s[prev_n:n]:
-            if key not in covered:
-                covered.add(key)
-                covered_annotations += len(full_counts.get(key, ()))
-        for key in sorted_o[prev_n:n]:
-            if key not in covered:
-                covered.add(key)
-                covered_annotations += len(full_counts.get(key, ()))
+        new = np.concatenate((s_ranked.keys[prev_n:n], o_ranked.keys[prev_n:n]))
+        new = np.unique(new[~covered[new]])
+        covered[new] = True
+        covered_annotations += int(full[new].sum())
         prev_n = n
-        top_s = sorted_s[:n]
-        top_o = sorted_o[:n]
         try:
-            rho = _spearman_tops(top_s, vals_s[:n], top_o, vals_o[:n], n)
+            rho = _spearman_tops(s_ranked, o_ranked, len(names), n)
         except UndefinedCorrelationError:
             continue
-        cos = _cosine_tops(top_s, dist_s.counts, top_o, dist_o.counts)
-        points.append(CurvePoint(n, rho, cos, covered_annotations / total))
+        cos = _cosine_tops(s_ranked, o_ranked, len(names), n)
+        points.append(CurvePoint(n, rho, cos, covered_annotations / index.n_annotations))
 
     core_size = None
     if points:
@@ -258,15 +251,15 @@ def exogenous_popularity_diff(
     reports the paired mean difference with its standard error per
     logarithmic popularity bin.
     """
-    supertaggers = partition.supertaggers
+    c = index.columns
+    in_s = _members(c.users, partition.supertaggers)[c.user]
+    # S minus not-S annotations per item
+    diff = 2 * np.bincount(c.item[in_s], minlength=len(c.items)) - index.item_csr.counts()
     pairs = []
-    for item, positions in index.by_item.items():
-        pop = popularity.get(item)
-        if pop is None:
-            continue
-        s_count = sum(1 for pos in positions if index.annotations[pos].user in supertaggers)
-        o_count = len(positions) - s_count
-        pairs.append((float(pop), float(s_count - o_count)))
+    for k in index.item_csr.first_seen().tolist():
+        pop = popularity.get(c.items[k])
+        if pop is not None:
+            pairs.append((float(pop), float(diff[k])))
     if not pairs:
         raise DomainError("no indexed item has an external popularity value")
     return binned_mean(pairs, spec)

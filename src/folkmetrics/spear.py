@@ -22,7 +22,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .corpus import FolksonomyIndex, _run_starts
+from .corpus import FolksonomyIndex, _run_starts, _user_codes
 from .errors import ConvergenceWarning, DomainError, NotFoundError
 from .stats import BinSpec, BinnedSeries, binned_mean, population_zscores
 
@@ -342,5 +342,11 @@ def spear_by_bin(
     passes the eligibility filter.
     """
     mean_z = user_mean_z(index, top_k, min_users, exponent, tolerance, max_iter)
-    pairs = ((float(index.user_annotation_count[user]), z) for user, z in mean_z.items())
-    return binned_mean(pairs, spec)
+    return _binned(index, _user_codes(index, mean_z), mean_z.values(), spec)
+
+
+def _binned(index: FolksonomyIndex, codes: np.ndarray, values: Iterable[float],
+            spec: BinSpec) -> BinnedSeries:
+    """The values of the users with these codes, binned by their annotation counts, in order."""
+    counts = index.user_csr.counts()[codes].astype(float).tolist()
+    return binned_mean(zip(counts, values), spec)

@@ -11,12 +11,12 @@ tags they use (per annotation) or know (per vocabulary entry).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .corpus import FolksonomyIndex
-from .errors import DomainError, NotFoundError
+from .corpus import FolksonomyIndex, _by_user_count, _code, _members, _tally, _user_rows
+from .errors import DomainError
 from .stats import BinSpec, BinnedSeries, binned_mean
 
 __all__ = [
@@ -64,35 +64,27 @@ def conditional_table(
     # imported here, not at start-up: only taxonomy induction needs scipy
     from scipy import sparse
 
+    c = index.columns
     tag_list = sorted(set(tags))
-    tag_code = {t: k for k, t in enumerate(tag_list)}
-    missing = [t for t in tag_list if t not in index.by_tag]
-    if missing:
+    codes = np.array([_code(c.tags, t) for t in tag_list], dtype=np.int64)
+    if (codes < 0).any():
+        missing = [t for t, k in zip(tag_list, codes.tolist()) if k < 0]
         raise DomainError(f"tags not in index: {missing[:5]!r}")
 
     n_tags = len(tag_list)
-    total = sum(len(index.by_tag[t]) for t in tag_list)
-    if total == 0:
+    rows, sizes = index.tag_csr.gather(codes)
+    if not len(rows):
         return ConditionalTable(frozenset(tag_list), {}, {}, {t: 0 for t in tag_list})
-    item_code: dict[str, int] = {}
-    keys = np.empty(total, dtype=np.int64)
-    k = 0
-    for tag in tag_list:
-        code = tag_code[tag]
-        for pos in index.by_tag[tag]:
-            item = index.annotations[pos].item
-            row = item_code.setdefault(item, len(item_code))
-            keys[k] = row * n_tags + code
-            k += 1
-    keys = np.unique(keys)
+    # one row per item code, one column per listed tag
+    keys = np.unique(c.item[rows].astype(np.int64) * n_tags + np.repeat(np.arange(n_tags), sizes))
 
     matrix = sparse.csr_matrix(
         (np.ones(keys.size, dtype=np.int64), (keys // n_tags, keys % n_tags)),
-        shape=(len(item_code), n_tags),
+        shape=(len(c.items), n_tags),
     )
     cooc = (matrix.T @ matrix).tocoo()
     col_sums = np.asarray(matrix.sum(axis=0)).ravel()
-    tag_items = {t: int(col_sums[tag_code[t]]) for t in tag_list}
+    tag_items = dict(zip(tag_list, col_sums.tolist()))
 
     keep = (cooc.row < cooc.col) & (cooc.data >= min_support)
     probs: dict[tuple[str, str], float] = {}
@@ -190,8 +182,35 @@ def annotation_coverage(index: FolksonomyIndex, forest: TaxonomyForest) -> float
     """Fraction of all annotations whose tag is a connected forest node."""
     if index.n_annotations == 0:
         return 0.0
-    covered = sum(len(index.by_tag[t]) for t in forest.nodes if t in index.by_tag)
-    return covered / index.n_annotations
+    c = index.columns
+    covered = index.tag_csr.counts()[_members(c.tags, forest.nodes)].sum()
+    return int(covered) / index.n_annotations
+
+
+def _depths(user: np.ndarray, tag: np.ndarray, n_users: int, forest: TaxonomyForest,
+            tags: Sequence[str], mode: str) -> np.ndarray:
+    """Mean normalized depth per user code of the annotations given as columns; NaN if none.
+
+    Each user's depths add up in annotation order, or in tag-name order
+    for the vocabulary mode.
+    """
+    if mode not in _MODES:
+        raise DomainError(f"mode must be one of {_MODES}, got {mode!r}")
+    depth = np.array([forest.norm_depth.get(t, np.nan) for t in tags])
+    if mode == "vocabulary":
+        (user, tag), _, _ = _tally(user, tag)
+    scored = ~np.isnan(depth[tag])
+    counts = np.bincount(user[scored], minlength=n_users)
+    sums = np.bincount(user[scored], weights=depth[tag[scored]], minlength=n_users)
+    means = np.full(n_users, np.nan)
+    means[counts > 0] = sums[counts > 0] / counts[counts > 0]
+    return means
+
+
+def _index_depths(index: FolksonomyIndex, forest: TaxonomyForest, mode: str) -> np.ndarray:
+    """Depth expertise of every user, by user code; NaN where nothing is scoreable."""
+    c = index.columns
+    return _depths(c.user, c.tag, len(c.users), forest, c.tags, mode)
 
 
 def user_depth_expertise(
@@ -200,36 +219,17 @@ def user_depth_expertise(
     """Mean normalized tag depth for one user, or None if nothing is scoreable.
 
     Annotation mode averages over every use of a connected tag; vocabulary
-    mode averages each distinct connected tag once.
+    mode averages each distinct connected tag once, summing in tag-name order.
     """
-    if mode not in _MODES:
-        raise DomainError(f"mode must be one of {_MODES}, got {mode!r}")
-    positions = index.by_user.get(user)
-    if positions is None:
-        raise NotFoundError(f"unknown user: {user!r}")
-    depths = forest.norm_depth
-    if mode == "annotation":
-        scores = [
-            depths[index.annotations[pos].tag]
-            for pos in positions
-            if index.annotations[pos].tag in depths
-        ]
-    else:
-        vocab = {index.annotations[pos].tag for pos in positions}
-        scores = [depths[t] for t in vocab if t in depths]
-    if not scores:
-        return None
-    return sum(scores) / len(scores)
+    c = index.columns
+    rows = _user_rows(index, user)
+    score = float(_depths(np.zeros(len(rows), dtype=np.intp), c.tag[rows], 1, forest, c.tags,
+                          mode)[0])
+    return None if np.isnan(score) else score
 
 
 def depth_by_bin(
     index: FolksonomyIndex, forest: TaxonomyForest, spec: BinSpec, mode: str = "vocabulary"
 ) -> BinnedSeries:
     """Binned mean term-depth expertise keyed by user total annotation count."""
-    pairs = []
-    for user in index.by_user:
-        score = user_depth_expertise(index, forest, user, mode)
-        if score is None:
-            continue
-        pairs.append((float(index.user_annotation_count[user]), score))
-    return binned_mean(pairs, spec)
+    return binned_mean(_by_user_count(index, _index_depths(index, forest, mode)), spec)

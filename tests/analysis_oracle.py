@@ -1,0 +1,264 @@
+"""Dict-based analyses: the loop implementations the columnar ones replaced.
+
+Each function reads the dict views of an index (`corpus_oracle.views`) and
+visits users and items in the order of their first annotation, as the
+columnar code does, so both add up their floats in the same order and must
+agree exactly. Sums are plain loops, not `sum()`, whose float summation
+differs between Python versions; vocabulary-mode depth adds a user's tags
+in name order.
+"""
+
+import math
+
+import numpy as np
+
+from corpus_oracle import views
+from folkmetrics.consensus import ConsensusSeries, TagDistribution, item_cosine, top_tag_match
+from folkmetrics.motivation import MotivationSeries
+from folkmetrics.partition import GroupSummary, Partition, PartitionSummary
+from folkmetrics.similarity import CurvePoint, FreqDist, SimilarityCurve
+from folkmetrics.stats import binned_mean, cosine, median_iqr, rank_descending
+from folkmetrics.taxonomy import ConditionalTable
+from folkmetrics.errors import UndefinedCorrelationError
+
+
+def _sum(values):
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
+def rank_users(index):
+    counts = views(index).user_annotation_count
+    return sorted(counts, key=lambda u: (-counts[u], u))
+
+
+def split_supertaggers(index, target_fraction):
+    counts = views(index).user_annotation_count
+    ranked = rank_users(index)
+    target = target_fraction * index.n_annotations
+    running = cut = 0
+    for cut, user in enumerate(ranked, start=1):
+        running += counts[user]
+        if running >= target:
+            break
+    return Partition(frozenset(ranked[:cut]), frozenset(ranked[cut:]),
+                     counts[ranked[cut - 1]], target_fraction)
+
+
+def partition_summary(index, partition):
+    v = views(index)
+
+    def vocab(users):
+        tags, items = set(), set()
+        for user in users:
+            for pos in v.by_user[user]:
+                tags.add(v.annotations[pos].tag)
+                items.add(v.annotations[pos].item)
+        return tags, items
+
+    def group(users, tags, items, other_tags, other_items):
+        per_user = [(len(v.by_user[u]), len({v.annotations[p].tag for p in v.by_user[u]}),
+                     len({v.annotations[p].item for p in v.by_user[u]})) for u in users]
+        medians = [median_iqr(column) if per_user else None for column in zip(*per_user)]
+        return GroupSummary(len(users), sum(n for n, _, _ in per_user), len(tags),
+                            len(tags - other_tags), len(items), len(items - other_items),
+                            *(medians or [None] * 3))
+
+    s_tags, s_items = vocab(partition.supertaggers)
+    o_tags, o_items = vocab(partition.others)
+    return PartitionSummary(group(partition.supertaggers, s_tags, s_items, o_tags, o_items),
+                            group(partition.others, o_tags, o_items, s_tags, s_items),
+                            len(s_tags & o_tags), len(s_items & o_items))
+
+
+def freq_dist(index, users, dimension):
+    v = views(index)
+    counts = {}
+    for user in users:
+        for pos in v.by_user[user]:
+            a = v.annotations[pos]
+            key = a.tag if dimension == "tag" else a.item
+            counts[key] = counts.get(key, 0) + 1
+    return FreqDist(dimension, counts)
+
+
+def _sorted_keys(dist):
+    return sorted(dist.counts, key=lambda k: (-dist.counts[k], k))
+
+
+def _spearman_tops(top_a, vals_a, top_b, vals_b, n):
+    union = sorted(set(top_a) | set(top_b))
+    if len(union) < 2:
+        raise UndefinedCorrelationError("top-N union has fewer than two keys")
+    ranks_a = dict(zip(top_a, rank_descending(vals_a)))
+    ranks_b = dict(zip(top_b, rank_descending(vals_b)))
+    vec_a = np.array([ranks_a.get(k, float(n + 1)) for k in union])
+    vec_b = np.array([ranks_b.get(k, float(n + 1)) for k in union])
+    if np.ptp(vec_a) == 0.0 or np.ptp(vec_b) == 0.0:
+        raise UndefinedCorrelationError("constant rank vector")
+    if np.array_equal(vec_a, vec_b):
+        return 1.0
+    return float(np.corrcoef(vec_a, vec_b)[0, 1])
+
+
+def _cosine_tops(top_a, counts_a, top_b, counts_b):
+    union = sorted(set(top_a) | set(top_b))
+    return cosine([counts_a[k] if k in set(top_a) else 0 for k in union],
+                  [counts_b[k] if k in set(top_b) else 0 for k in union])
+
+
+def spearman_topn(dist_a, dist_b, n):
+    top_a, top_b = _sorted_keys(dist_a)[:n], _sorted_keys(dist_b)[:n]
+    return _spearman_tops(top_a, [dist_a.counts[k] for k in top_a],
+                          top_b, [dist_b.counts[k] for k in top_b], n)
+
+
+def cosine_topn(dist_a, dist_b, n):
+    return _cosine_tops(_sorted_keys(dist_a)[:n], dist_a.counts,
+                        _sorted_keys(dist_b)[:n], dist_b.counts)
+
+
+def similarity_curve(index, partition, dimension, n_values):
+    v = views(index)
+    dist_s = freq_dist(index, partition.supertaggers, dimension)
+    dist_o = freq_dist(index, partition.others, dimension)
+    full = v.by_tag if dimension == "tag" else v.by_item
+    sorted_s, sorted_o = _sorted_keys(dist_s), _sorted_keys(dist_o)
+    covered, covered_annotations, prev_n, points = set(), 0, 0, []
+    for n in sorted(set(n_values)):
+        for key in sorted_s[prev_n:n] + sorted_o[prev_n:n]:
+            if key not in covered:
+                covered.add(key)
+                covered_annotations += len(full[key])
+        prev_n = n
+        try:
+            rho = spearman_topn(dist_s, dist_o, n)
+        except UndefinedCorrelationError:
+            continue
+        points.append(CurvePoint(n, rho, cosine_topn(dist_s, dist_o, n),
+                                 covered_annotations / index.n_annotations))
+    core = None
+    if points:
+        best = max(p.rho for p in points)
+        core = next(p.n for p in points if p.rho == best)
+    return SimilarityCurve(dimension, tuple(points), core)
+
+
+def exogenous_popularity_diff(index, partition, popularity, spec):
+    v = views(index)
+    pairs = []
+    for item, positions in v.by_item.items():
+        if item in popularity:
+            s = sum(1 for pos in positions if v.annotations[pos].user in partition.supertaggers)
+            pairs.append((float(popularity[item]), float(s - (len(positions) - s))))
+    return binned_mean(pairs, spec)
+
+
+def item_tag_distribution(index, users, item):
+    v = views(index)
+    seen, counts = set(), {}
+    for pos in v.by_item.get(item, ()):
+        a = v.annotations[pos]
+        if a.user in users and (a.tag, a.user) not in seen:
+            seen.add((a.tag, a.user))
+            counts[a.tag] = counts.get(a.tag, 0) + 1
+    return TagDistribution(item, counts) if counts else None
+
+
+def consensus_by_bin(index, partition, spec):
+    v = views(index)
+    match_pairs, cos_pairs = [], []
+    for item, positions in v.by_item.items():
+        s_dist = item_tag_distribution(index, partition.supertaggers, item)
+        o_dist = item_tag_distribution(index, partition.others, item)
+        match = top_tag_match(s_dist, o_dist)
+        if match is not None:
+            match_pairs.append((float(len(positions)), float(match)))
+            cos_pairs.append((float(len(positions)), item_cosine(s_dist, o_dist)))
+    return ConsensusSeries(binned_mean(match_pairs, spec), binned_mean(cos_pairs, spec),
+                           len(match_pairs))
+
+
+def motivation_by_bin(index, spec, divisor):
+    v = views(index)
+    series = ([], [], [])
+    for user, positions in v.by_user.items():
+        pairs, items, usage = set(), set(), {}
+        for pos in positions:
+            a = v.annotations[pos]
+            pairs.add((a.item, a.tag))
+            items.add(a.item)
+            usage.setdefault(a.tag, set()).add(a.item)
+        sizes = [len(i) for i in usage.values()]
+        top = max(sizes)
+        orphan = 1.0 if top <= divisor else (
+            sum(1 for s in sizes if s <= math.ceil(top / divisor)) / len(sizes))
+        key = float(len(positions))
+        for values, score in zip(series, (len(pairs) / len(items), len(usage) / len(items),
+                                          orphan)):
+            values.append((key, score))
+    return MotivationSeries(*(binned_mean(values, spec) for values in series))
+
+
+def consensus_expertise_by_bin(index, spec, raw_counts=False):
+    v = views(index)
+    freq = {}
+    for item, positions in v.by_item.items():
+        f, seen = {}, set()
+        for pos in positions:
+            a = v.annotations[pos]
+            if raw_counts or (a.tag, a.user) not in seen:
+                seen.add((a.tag, a.user))
+                f[a.tag] = f.get(a.tag, 0) + 1
+        freq[item] = f
+    pairs = []
+    for user, positions in v.by_user.items():
+        user_items = {}
+        for pos in positions:
+            user_items.setdefault(v.annotations[pos].item, []).append(v.annotations[pos].tag)
+        weighted = weight_sum = 0.0
+        for item, tag_list in user_items.items():
+            f = freq[item]
+            best_f, total = max(f.values()), sum(f.values())
+            argument = total - (len(tag_list) if raw_counts else len(set(tag_list)))
+            if argument <= 0:
+                continue
+            w = math.log10(argument)
+            best = max(1.0 if f[t] == best_f else (f[t] - 1) / best_f for t in set(tag_list))
+            weighted += best * w
+            weight_sum += w
+        if weight_sum != 0.0:
+            pairs.append((float(len(positions)), weighted / weight_sum))
+    return binned_mean(pairs, spec)
+
+
+def conditional_table(index, tags, min_support):
+    v = views(index)
+    tag_list = sorted(set(tags))
+    items = {t: {v.annotations[p].item for p in v.by_tag[t]} for t in tag_list}
+    probs, support = {}, {}
+    for k, a in enumerate(tag_list):
+        for b in tag_list[k + 1:]:
+            both = len(items[a] & items[b])
+            if both >= min_support:
+                support[(a, b)] = both
+                probs[(a, b)] = both / len(items[b])
+                probs[(b, a)] = both / len(items[a])
+    return ConditionalTable(frozenset(tag_list), probs, support,
+                            {t: len(items[t]) for t in tag_list})
+
+
+def depth_by_bin(index, forest, spec, mode):
+    v = views(index)
+    depths = forest.norm_depth
+    pairs = []
+    for user, positions in v.by_user.items():
+        tags = [v.annotations[pos].tag for pos in positions]
+        if mode == "vocabulary":
+            tags = sorted(set(tags))
+        scores = [depths[t] for t in tags if t in depths]
+        if scores:
+            pairs.append((float(len(positions)), _sum(scores) / len(scores)))
+    return binned_mean(pairs, spec)

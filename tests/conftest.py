@@ -1,6 +1,6 @@
 import pytest
 
-from folkmetrics.corpus import Annotation, TimeGranularity, build_index
+from folkmetrics.corpus import Annotation, TimeGranularity, _item_tag_users, build_index
 
 
 def make_annotations(rows):
@@ -10,6 +10,13 @@ def make_annotations(rows):
 
 def make_index(rows, dedupe=False, granularity=TimeGranularity.SECONDS):
     return build_index(make_annotations(rows), dedupe=dedupe, granularity=granularity)
+
+
+def item_tag_freq(index):
+    """{(item, tag): distinct users} as the analyses count them."""
+    c = index.columns
+    item, tag, users = _item_tag_users(c)
+    return {(c.items[i], c.tags[t]): n for i, t, n in zip(item.tolist(), tag.tolist(), users.tolist())}
 
 
 @pytest.fixture

@@ -2,7 +2,8 @@
 
 `parse_annotations` builds one `Annotation` per line; `build_index` dedupes
 with a dict of earliest times and groups positions in dicts of lists. Tests
-compare the columnar `folkmetrics.corpus` against both.
+compare the columnar `folkmetrics.corpus` against both, and read the dict
+views of an index through `views`.
 """
 
 from dataclasses import dataclass
@@ -99,3 +100,8 @@ def build_index(annotations, dedupe=False):
         item_tag_freq=item_tag_freq,
         user_annotation_count={u: len(p) for u, p in by_user.items()},
     )
+
+
+def views(index):
+    """The dict views of a FolksonomyIndex, grouped by the reference over its annotations."""
+    return build_index(list(index.columns))

@@ -9,11 +9,13 @@ from bisect import bisect_right
 
 import numpy as np
 
+from corpus_oracle import views
 from folkmetrics.spear import CreditMatrix, SpearResult
 
 
 def credit_matrix(index, tag, exponent=0.5):
     earliest = {}
+    index = views(index)
     for pos in index.by_tag[tag]:
         a = index.annotations[pos]
         key = (a.user, a.item)

@@ -36,6 +36,7 @@ from folkmetrics.partition import Partition
 from folkmetrics.taxonomy import conditional_table, induce_forest, depth_by_bin
 
 from conftest import make_index
+from corpus_oracle import views
 from test_similarity import brute_cosine_topn, brute_spearman_topn, shared_top5_index
 from test_spear import brute_force_hits
 from test_taxonomy import items_with_tags
@@ -71,20 +72,21 @@ def test_c02_partition_properties_on_random_corpora():
         index = build_index(generate_synthetic(config))
         fraction = float(rng.choice([0.25, 0.5, 0.75]))
         part = split_supertaggers(index, fraction)
-        s_total = sum(index.user_annotation_count[u] for u in part.supertaggers)
-        o_total = sum(index.user_annotation_count[u] for u in part.others)
+        count = views(index).user_annotation_count
+        s_total = sum(count[u] for u in part.supertaggers)
+        o_total = sum(count[u] for u in part.others)
         assert s_total + o_total == index.n_annotations
         assert s_total >= fraction * index.n_annotations
         if len(part.supertaggers) > 1:
             ranked = rank_users(index)
             last = ranked[len(part.supertaggers) - 1]
-            assert s_total - index.user_annotation_count[last] < fraction * index.n_annotations
+            assert s_total - count[last] < fraction * index.n_annotations
 
     config = SyntheticConfig(n_users=10_000, n_items=500, n_tags=100,
                              activity_exponent=2.0, seed=77)
     index = build_index(generate_synthetic(config))
     part = split_supertaggers(index, 0.5)
-    user_fraction = len(part.supertaggers) / len(index.by_user)
+    user_fraction = len(part.supertaggers) / len(views(index).by_user)
     assert user_fraction < 0.2
 
 
@@ -171,7 +173,7 @@ def test_c05_motivation_hand_values_and_orphan_invariant():
                 for _ in range(int(rng.integers(1, 120)))]
         index = make_index(rows)
         usage = {}
-        for a in index.annotations:
+        for a in views(index).annotations:
             usage.setdefault(a.tag, set()).add(a.item)
         if max(len(v) for v in usage.values()) <= 100:
             assert orphan_ratio(index, "u") == 1.0
@@ -221,7 +223,7 @@ def test_c07_consensus_expertise_fixtures_and_weight_edges():
     rows = [(f"u{rng.integers(12)}", f"i{rng.integers(8)}", f"t{rng.integers(5)}", 0)
             for _ in range(300)]
     index = make_index(rows)
-    for user in index.by_user:
+    for user in views(index).by_user:
         score = user_consensus_expertise(index, user)
         if score is not None:
             assert 0.0 <= score <= 1.0
@@ -265,7 +267,7 @@ def test_c08_taxonomy_fixture_edges_acyclicity_and_depth_contrast():
                  f"t{rng.integers(3, 11)}", 0)
                 for _ in range(int(rng.integers(40, 220)))]
         index = make_index(rows)
-        rtable = conditional_table(index, sorted(index.by_tag), min_support=1)
+        rtable = conditional_table(index, sorted(views(index).by_tag), min_support=1)
         rforest = induce_forest(rtable, threshold=0.6)
         for node in rforest.nodes:
             hops = 0

@@ -1,0 +1,92 @@
+"""The columnar analyses against the dict-based reference in analysis_oracle.
+
+Both visit users and items in first-annotation order and add their floats
+in the same order, so every result must be equal, not merely close.
+"""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import analysis_oracle as oracle
+from folkmetrics import consensus, expertise, motivation, partition, similarity, taxonomy
+from folkmetrics.errors import DomainError
+from folkmetrics.stats import BinSpec
+from folkmetrics.taxonomy import TaxonomyForest
+
+from conftest import make_index
+
+SPEC = BinSpec(base=2.0, exponent_step=0.5, max_exponent=6.0)
+
+rows = st.lists(
+    st.tuples(
+        st.sampled_from([f"u{k}" for k in range(8)]),
+        st.sampled_from([f"i{k}" for k in range(6)]),
+        st.sampled_from(["rock", "jazz", "pop", "σ", "folk"]),
+        st.integers(0, 3),
+    ),
+    min_size=1,
+    max_size=60,
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(rows, st.booleans(), st.sampled_from([0.25, 0.5, 0.9, 1.0]))
+def test_partition_and_similarity_match_the_reference(rows, dedupe, fraction):
+    index = make_index(rows, dedupe=dedupe)
+    assert partition.rank_users(index) == oracle.rank_users(index)
+    part = partition.split_supertaggers(index, fraction)
+    assert part == oracle.split_supertaggers(index, fraction)
+    assert partition.partition_summary(index, part) == oracle.partition_summary(index, part)
+    for dimension in ("tag", "item"):
+        for users in (part.supertaggers, part.others):
+            assert similarity.freq_dist(index, users, dimension) == oracle.freq_dist(
+                index, users, dimension)
+        if part.others:
+            n_values = range(1, 9)
+            assert similarity.similarity_curve(index, part, dimension, n_values) == (
+                oracle.similarity_curve(index, part, dimension, n_values))
+    items = index.columns.items
+    popularity = {item: float(k * 3 % 7) for k, item in enumerate(items) if k % 3}
+    if popularity:
+        assert similarity.exogenous_popularity_diff(index, part, popularity, SPEC) == (
+            oracle.exogenous_popularity_diff(index, part, popularity, SPEC))
+
+
+@settings(max_examples=120, deadline=None)
+@given(rows, st.booleans(), st.sampled_from([1, 2, 100]))
+def test_per_user_and_per_item_series_match_the_reference(rows, dedupe, divisor):
+    index = make_index(rows, dedupe=dedupe)
+    part = partition.split_supertaggers(index, 0.5)
+    expected = oracle.consensus_by_bin(index, part, SPEC)
+    if expected.shared_items:
+        assert consensus.consensus_by_bin(index, part, SPEC) == expected
+    else:
+        with pytest.raises(DomainError):
+            consensus.consensus_by_bin(index, part, SPEC)
+    for item in index.columns.items + ["nowhere"]:
+        for users in (part.supertaggers, part.others):
+            assert consensus.item_tag_distribution(index, users, item) == (
+                oracle.item_tag_distribution(index, users, item))
+    assert motivation.motivation_by_bin(index, SPEC, divisor) == (
+        oracle.motivation_by_bin(index, SPEC, divisor))
+    for raw_counts in (False, True):
+        assert expertise.consensus_expertise_by_bin(index, SPEC, raw_counts) == (
+            oracle.consensus_expertise_by_bin(index, SPEC, raw_counts))
+
+
+@settings(max_examples=120, deadline=None)
+@given(rows, st.booleans(), st.sampled_from([1, 2]))
+def test_taxonomy_matches_the_reference(rows, dedupe, min_support):
+    index = make_index(rows, dedupe=dedupe)
+    tags = index.columns.tags
+    table = taxonomy.conditional_table(index, tags, min_support)
+    assert table == oracle.conditional_table(index, tags, min_support)
+    # a chain over the tags too: depths k / 7 add up differently in another order
+    chain = TaxonomyForest(frozenset(tags), dict(zip(tags, [None] + tags[:-1])),
+                           {t: k for k, t in enumerate(tags)},
+                           {t: k / 7 for k, t in enumerate(tags)}, frozenset())
+    for forest in (taxonomy.induce_forest(table, threshold=0.5), chain):
+        for mode in ("annotation", "vocabulary"):
+            assert taxonomy.depth_by_bin(index, forest, SPEC, mode) == (
+                oracle.depth_by_bin(index, forest, SPEC, mode))

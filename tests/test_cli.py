@@ -145,17 +145,6 @@ class TestIngest:
         assert captured.getvalue() == "ü\ti1\trock\t3\n"
 
 
-def test_cli_import_leaves_out_scipy_stats():
-    """scipy.stats costs over a second to import; no command needs it."""
-    import folkmetrics
-
-    code = "import sys, folkmetrics.cli; print('scipy.stats' in sys.modules)"
-    env = dict(os.environ, PYTHONPATH=str(Path(folkmetrics.__file__).parents[1]))
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, check=True)
-    assert done.stdout == "False\n"
-
-
 def _python(code, *args, **env):
     """Run code in a fresh interpreter that imports folkmetrics from this checkout."""
     import folkmetrics
@@ -458,3 +447,58 @@ class TestReportBundle:
         )
         assert result.exit_code == 0, result.output
         assert {p.name for p in out_dir.iterdir()} == self.EXPECTED_FILES
+
+
+def test_csv_cells_of_numpy_scalars_read_as_plain_numbers():
+    """A numpy float is a float, but its repr names its type; the CSV must not."""
+    import numpy as np
+
+    from folkmetrics.report import _write_csv
+
+    buf = io.StringIO()
+    _write_csv(buf, ["a", "b", "c"], [(np.float64(0.1), np.int64(7), 0.25)])
+    assert buf.getvalue() == "a,b,c\n0.1,7,0.25\n"
+
+
+def test_per_user_outputs_match_the_single_user_functions(runner, tmp_path):
+    """The --per-user CSVs come from one all-users pass; each row equals the one-user call."""
+    import numpy as np
+
+    from folkmetrics.corpus import build_index, parse_annotations
+    from folkmetrics.expertise import user_consensus_expertise
+    from folkmetrics.motivation import user_motivation
+    from folkmetrics.spear import eligible_tags
+    from folkmetrics.taxonomy import conditional_table, induce_forest, user_depth_expertise
+
+    rng = np.random.default_rng(23)
+    # duplicates and users whose items nobody else tagged, so some scores are undefined
+    lines = [f"u{rng.integers(40)}\ti{rng.integers(30)}\tt{rng.integers(12)}\t{k}\n"
+             for k in range(600)]
+    lines += [f"lone\tonly{k}\tzzz\t0\n" for k in range(3)]
+    src = write_fixture(tmp_path / "corpus.tsv", "".join(lines))
+    index = build_index(parse_annotations(src).annotations)
+    users = index.columns.users
+    forest = induce_forest(conditional_table(index, eligible_tags(index, min_users=3), 2))
+
+    def rows(args):
+        out = tmp_path / "per_user.csv"
+        result = runner.invoke(main, args + [src, "--per-user", str(out),
+                                             "--binned", str(tmp_path / "binned.csv")])
+        assert result.exit_code == 0, result.output
+        return list(csv.reader(out.open()))[1:]
+
+    expected = [[u, str(n)] for u, n in zip(users, index.user_csr.counts().tolist())]
+    scores = [user_motivation(index, u) for u in users]
+    assert rows(["motivation"]) == [
+        e + [repr(s.tpp), repr(s.trr), repr(s.orphan_ratio)] for e, s in zip(expected, scores)]
+    for args, score in (
+        (["expertise", "consensus"], lambda u: user_consensus_expertise(index, u)),
+        (["expertise", "depth", "--min-users", "3", "--min-support", "2", "--mode", "annotation"],
+         lambda u: user_depth_expertise(index, forest, u, "annotation")),
+        (["expertise", "depth", "--min-users", "3", "--min-support", "2"],
+         lambda u: user_depth_expertise(index, forest, u, "vocabulary")),
+    ):
+        got = rows(args)
+        want = [e + [repr(s)] for e, s in zip(expected, map(score, users)) if s is not None]
+        assert got == want, args
+        assert len(want) < len(users), args

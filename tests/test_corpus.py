@@ -17,7 +17,8 @@ from folkmetrics.corpus import (
 )
 from folkmetrics.errors import DomainError, FormatError, NotFoundError
 
-from conftest import make_annotations, make_index, random_rows
+from conftest import item_tag_freq, make_annotations, make_index, random_rows
+from corpus_oracle import views
 
 
 class TestParse:
@@ -104,44 +105,44 @@ class TestBuildIndex:
     def test_dedupe_collapses_to_earliest(self):
         index = make_index([("u1", "i1", "rock", 5), ("u1", "i1", "rock", 9)], dedupe=True)
         assert index.n_annotations == 1
-        assert index.annotations[0].time == 5
-        assert index.item_tag_freq[("i1", "rock")] == 1
+        assert index.columns[0].time == 5
+        assert item_tag_freq(index)[("i1", "rock")] == 1
 
     def test_two_distinct_users(self):
         index = make_index([("u1", "i1", "rock", 5), ("u2", "i1", "rock", 9)])
-        assert index.item_tag_freq[("i1", "rock")] == 2
+        assert item_tag_freq(index)[("i1", "rock")] == 2
 
     def test_fan_out(self):
         index = make_index([("u1", "i1", "rock", 5), ("u1", "i2", "jazz", 6)])
-        assert index.user_annotation_count["u1"] == 2
+        assert user_stats(index, "u1").annotations == 2
         assert user_stats(index, "u1").distinct_tags == 2
 
     def test_counts_sum_to_total(self):
         rng = np.random.default_rng(4)
         index = make_index(random_rows(rng))
-        assert sum(index.user_annotation_count.values()) == index.n_annotations
+        assert index.user_csr.counts().sum() == index.n_annotations
 
     def test_dedupe_idempotent(self):
         rng = np.random.default_rng(6)
         rows = random_rows(rng, n_users=5, n_items=5, n_tags=3, n_annotations=200)
         once = build_index(make_annotations(rows), dedupe=True)
-        twice = build_index(once.annotations, dedupe=True)
-        assert once.annotations == twice.annotations
-        assert once.item_tag_freq == twice.item_tag_freq
-        assert once.by_user == twice.by_user
+        twice = build_index(list(once.columns), dedupe=True)
+        assert list(once.columns) == list(twice.columns)
+        assert item_tag_freq(once) == item_tag_freq(twice)
+        assert views(once).by_user == views(twice).by_user
 
     def test_item_tag_freq_matches_scan_oracle(self):
         rng = np.random.default_rng(8)
         rows = random_rows(rng, n_users=10, n_items=8, n_tags=4, n_annotations=300)
         index = make_index(rows)
-        for (item, tag), count in index.item_tag_freq.items():
+        for (item, tag), count in item_tag_freq(index).items():
             users = {u for u, i, t, _ in rows if i == item and t == tag}
             assert count == len(users)
 
     def test_raw_view_keeps_duplicates(self):
         index = make_index([("u1", "i1", "rock", 5), ("u1", "i1", "rock", 9)])
         assert index.n_annotations == 2
-        assert index.item_tag_freq[("i1", "rock")] == 1
+        assert item_tag_freq(index)[("i1", "rock")] == 1
 
 
 class TestUserStats:
@@ -164,7 +165,7 @@ class TestUserStats:
         rng = np.random.default_rng(10)
         rows = random_rows(rng)
         index = make_index(rows)
-        for user in index.by_user:
+        for user in index.columns.users:
             mine = [r for r in rows if r[0] == user]
             stats = user_stats(index, user)
             assert stats.annotations == len(mine)
@@ -202,7 +203,7 @@ class TestSummary:
         rng = np.random.default_rng(12)
         index = make_index(random_rows(rng))
         s = summary(index)
-        counts = sorted(len(p) for p in index.by_user.values())
+        counts = sorted(len(p) for p in views(index).by_user.values())
         n = len(counts)
         assert s.per_user.median == counts[(n - 1) // 2]
         assert s.taggers == n

@@ -16,6 +16,7 @@ from folkmetrics.expertise import (
 from folkmetrics.stats import BinSpec
 
 from conftest import make_index, random_rows
+from corpus_oracle import views
 
 
 def rock_jazz_index():
@@ -140,7 +141,7 @@ class TestUserConsensusExpertise:
         rng = np.random.default_rng(181)
         rows = random_rows(rng, n_users=15, n_items=8, n_tags=4, n_annotations=300)
         index = make_index(rows)
-        for user in index.by_user:
+        for user in views(index).by_user:
             score = user_consensus_expertise(index, user)
             if score is not None:
                 assert 0.0 <= score <= 1.0
@@ -151,7 +152,7 @@ class TestUserConsensusExpertise:
         shifted = [(u, i, t, tm + 7) for u, i, t, tm in rows]
         index_a = make_index(rows)
         index_b = make_index(shifted)
-        for user in index_a.by_user:
+        for user in views(index_a).by_user:
             assert user_consensus_expertise(index_a, user) == user_consensus_expertise(
                 index_b, user
             )
@@ -214,9 +215,9 @@ class TestConsensusExpertiseByBin:
         from folkmetrics.stats import binned_mean
 
         pairs = []
-        for user in index.by_user:
+        for user in views(index).by_user:
             score = user_consensus_expertise(index, user)
             if score is None:
                 continue
-            pairs.append((float(index.user_annotation_count[user]), score))
+            pairs.append((float(views(index).user_annotation_count[user]), score))
         assert series == binned_mean(pairs, spec)

@@ -14,6 +14,7 @@ from folkmetrics.motivation import (
 from folkmetrics.stats import BinSpec
 
 from conftest import make_index, random_rows
+from corpus_oracle import views
 
 
 class TestTPP:
@@ -52,7 +53,7 @@ class TestTRR:
         rng = np.random.default_rng(113)
         rows = random_rows(rng)
         index = make_index(rows)
-        for user in index.by_user:
+        for user in views(index).by_user:
             mine = [r for r in rows if r[0] == user]
             expected = len({r[2] for r in mine}) / len({r[1] for r in mine})
             assert trr(index, user) == pytest.approx(expected)
@@ -78,7 +79,7 @@ class TestOrphanRatio:
         rng = np.random.default_rng(127)
         rows = random_rows(rng, n_users=10, n_items=60, n_tags=8, n_annotations=250)
         index = make_index(rows)
-        for user in index.by_user:
+        for user in views(index).by_user:
             usage = {}
             for r in rows:
                 if r[0] == user:
@@ -101,7 +102,7 @@ class TestInvariants:
         rng = np.random.default_rng(131)
         rows = random_rows(rng)
         index = make_index(rows)
-        for user in index.by_user:
+        for user in views(index).by_user:
             scores = user_motivation(index, user)
             vocab = len({r[2] for r in rows if r[0] == user})
             assert 1.0 <= scores.tpp <= vocab
@@ -149,8 +150,8 @@ class TestMotivationByBin:
         spec = BinSpec()
         series = motivation_by_bin(index, spec)
         pairs = [
-            (float(index.user_annotation_count[u]), user_motivation(index, u).tpp)
-            for u in index.by_user
+            (float(views(index).user_annotation_count[u]), user_motivation(index, u).tpp)
+            for u in views(index).by_user
         ]
         from folkmetrics.stats import binned_mean
 

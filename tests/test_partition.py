@@ -14,6 +14,7 @@ from folkmetrics.partition import (
 )
 
 from conftest import make_index, random_rows
+from corpus_oracle import views
 
 
 def gini_pairwise(values):
@@ -80,7 +81,7 @@ class TestRankUsers:
     def test_matches_sort_oracle(self):
         rng = np.random.default_rng(31)
         index = make_index(random_rows(rng))
-        counts = index.user_annotation_count
+        counts = views(index).user_annotation_count
         expected = sorted(counts, key=lambda u: (-counts[u], u))
         assert rank_users(index) == expected
 
@@ -109,16 +110,17 @@ class TestSplitSupertaggers:
             fraction = float(rng.uniform(0.1, 1.0))
             part = split_supertaggers(index, fraction)
             ranked = rank_users(index)
+            counts = views(index).user_annotation_count
             total = index.n_annotations
             running = 0
             expected = []
             for user in ranked:
                 expected.append(user)
-                running += index.user_annotation_count[user]
+                running += counts[user]
                 if running >= fraction * total:
                     break
             assert part.supertaggers == set(expected)
-            assert part.annotation_threshold == index.user_annotation_count[expected[-1]]
+            assert part.annotation_threshold == counts[expected[-1]]
 
     def test_share_and_minimality(self):
         rng = np.random.default_rng(41)
@@ -126,16 +128,17 @@ class TestSplitSupertaggers:
             index = make_index(random_rows(rng, n_users=int(rng.integers(3, 30))))
             part = split_supertaggers(index, 0.5)
             total = index.n_annotations
-            s_total = sum(index.user_annotation_count[u] for u in part.supertaggers)
-            o_total = sum(index.user_annotation_count[u] for u in part.others)
+            counts = views(index).user_annotation_count
+            s_total = sum(counts[u] for u in part.supertaggers)
+            o_total = sum(counts[u] for u in part.others)
             assert s_total + o_total == total
             assert s_total >= 0.5 * total
             if len(part.supertaggers) > 1:
                 least = min(
                     part.supertaggers,
-                    key=lambda u: (index.user_annotation_count[u], u),
+                    key=lambda u: (counts[u], u),
                 )
-                assert s_total - index.user_annotation_count[least] < 0.5 * total
+                assert s_total - counts[least] < 0.5 * total
 
     def test_bad_fraction(self, four_user_index):
         for fraction in (0.0, -0.1, 1.5):

@@ -20,6 +20,7 @@ from folkmetrics.similarity import (
 from folkmetrics.stats import BinSpec
 
 from conftest import make_index, random_rows
+from corpus_oracle import views
 
 
 def brute_pearson(x, y):
@@ -85,7 +86,7 @@ class TestFreqDist:
         rng = np.random.default_rng(61)
         rows = random_rows(rng)
         index = make_index(rows)
-        users = set(list(index.by_user)[:10])
+        users = set(list(views(index).by_user)[:10])
         for dimension, col in (("tag", 2), ("item", 1)):
             dist = freq_dist(index, users, dimension)
             expected = {}

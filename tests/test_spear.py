@@ -17,6 +17,7 @@ from folkmetrics.spear import (
 from folkmetrics.stats import BinSpec
 
 from conftest import make_index, random_rows
+from corpus_oracle import views
 
 
 def brute_force_hits(entries, iterations=2000):
@@ -106,7 +107,7 @@ class TestCreditMatrix:
         rng = np.random.default_rng(149)
         rows = random_rows(rng, n_users=15, n_items=10, n_tags=4, n_annotations=250, time_span=6)
         index = make_index(rows)
-        for tag in index.by_tag:
+        for tag in views(index).by_tag:
             credit = credit_matrix(index, tag, exponent=0.5)
             earliest = {}
             for u, i, t, tm in rows:
@@ -152,7 +153,7 @@ class TestSpearScores:
     def test_l1_normalized(self):
         rng = np.random.default_rng(151)
         index = make_index(random_rows(rng, n_annotations=200))
-        for tag in sorted(index.by_tag)[:3]:
+        for tag in sorted(views(index).by_tag)[:3]:
             result = spear_scores(credit_matrix(index, tag))
             assert sum(result.user_scores.values()) == pytest.approx(1.0, abs=1e-9)
             assert all(v >= 0 for v in result.user_scores.values())
@@ -175,7 +176,7 @@ class TestSpearScores:
         rng = np.random.default_rng(163)
         rows = random_rows(rng, n_users=12, n_items=8, n_tags=2, n_annotations=150)
         index = make_index(rows)
-        for tag in index.by_tag:
+        for tag in views(index).by_tag:
             credit = credit_matrix(index, tag, exponent=0.0)
             result = spear_scores(credit, tolerance=1e-12, max_iter=2000)
             expected_e, expected_q = brute_force_hits(credit.entries)
@@ -219,7 +220,7 @@ class TestStandardize:
         rng = np.random.default_rng(167)
         rows = random_rows(rng, n_annotations=300)
         index = make_index(rows)
-        for tag in sorted(index.by_tag)[:5]:
+        for tag in sorted(views(index).by_tag)[:5]:
             result = spear_scores(credit_matrix(index, tag))
             scores = np.array(sorted(result.user_scores.values()))
             if scores.std() == 0:
@@ -275,7 +276,7 @@ class TestSpearByBin:
         from folkmetrics.stats import binned_mean
 
         pairs = [
-            (float(index.user_annotation_count[u]), float(np.mean(zs)))
+            (float(views(index).user_annotation_count[u]), float(np.mean(zs)))
             for u, zs in sorted(per_user.items())
         ]
         assert series == binned_mean(pairs, spec)

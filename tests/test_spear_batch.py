@@ -8,6 +8,7 @@ import spear_oracle
 from folkmetrics.spear import credit_batch, spear_scores
 
 from conftest import make_index
+from corpus_oracle import views
 
 corpora = st.lists(
     st.tuples(
@@ -45,7 +46,7 @@ def per_tag(scored):
 def test_batch_matches_per_tag_reference(rows, limit):
     tolerance, max_iter = limit
     index = make_index(rows)
-    tags = sorted(index.by_tag)
+    tags = sorted(views(index).by_tag)
     scored = per_tag(spear_scores(credit_batch(index, tags), tolerance, max_iter))
     for tag in tags:
         expected = spear_oracle.spear_scores(
@@ -64,7 +65,7 @@ def test_batch_matches_per_tag_reference(rows, limit):
 @given(corpora, limits, st.data())
 def test_scores_do_not_depend_on_the_rest_of_the_batch(rows, limit, data):
     index = make_index(rows)
-    tags = sorted(index.by_tag)
+    tags = sorted(views(index).by_tag)
     subset = data.draw(st.permutations(tags))[: data.draw(st.integers(1, len(tags)))]
     full = per_tag(spear_scores(credit_batch(index, tags), *limit))
     part = per_tag(spear_scores(credit_batch(index, subset), *limit))
@@ -76,7 +77,7 @@ def test_scores_do_not_depend_on_the_rest_of_the_batch(rows, limit, data):
 @given(corpora, st.sampled_from([0.0, 0.5, 1.0, 1.7]))
 def test_credits_equal_the_counting_reference(rows, exponent):
     index = make_index(rows)
-    tags = sorted(index.by_tag)
+    tags = sorted(views(index).by_tag)
     batch = credit_batch(index, tags, exponent)
     for k, tag in enumerate(tags):
         span = slice(batch.offsets[k], batch.offsets[k + 1])

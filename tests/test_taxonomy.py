@@ -1,7 +1,14 @@
 """Taxonomy induction, depth normalization, and term-depth expertise."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+import folkmetrics
 
 from folkmetrics.errors import DomainError, NotFoundError
 from folkmetrics.stats import BinSpec
@@ -14,6 +21,7 @@ from folkmetrics.taxonomy import (
 )
 
 from conftest import make_index, random_rows
+from corpus_oracle import views
 
 
 def rock_fixture_index():
@@ -97,7 +105,7 @@ class TestConditionalTable:
         rng = np.random.default_rng(197)
         rows = random_rows(rng, n_users=6, n_items=12, n_tags=6, n_annotations=150)
         index = make_index(rows)
-        tags = sorted(index.by_tag)
+        tags = sorted(views(index).by_tag)
         table = conditional_table(index, tags, min_support=1)
         items_of = {t: {r[1] for r in rows if r[2] == t} for t in tags}
         for a in tags:
@@ -168,7 +176,7 @@ class TestInduceForest:
                 n_annotations=int(rng.integers(30, 200)),
             )
             index = make_index(rows)
-            table = conditional_table(index, sorted(index.by_tag), min_support=1)
+            table = conditional_table(index, sorted(views(index).by_tag), min_support=1)
             forest = induce_forest(table, threshold=0.6)
             assert forest.nodes | forest.disconnected == table.tags
             assert not forest.nodes & forest.disconnected
@@ -240,6 +248,26 @@ class TestUserDepthExpertise:
         with pytest.raises(DomainError):
             user_depth_expertise(scored_user_index(), forest, "rooty", "both")
 
+    def test_vocabulary_sum_does_not_depend_on_hash_order(self):
+        """Depths add up in tag-name order, whatever order PYTHONHASHSEED gives a set."""
+        code = (
+            "from folkmetrics.corpus import Annotation, build_index\n"
+            "from folkmetrics.taxonomy import TaxonomyForest, user_depth_expertise\n"
+            "chain = [f't{k}' for k in range(11)]\n"
+            "forest = TaxonomyForest(frozenset(chain), dict(zip(chain, [None] + chain[:-1])),\n"
+            "    {t: k for k, t in enumerate(chain)}, {t: k / 10 for k, t in enumerate(chain)},\n"
+            "    frozenset())\n"
+            "tags = ['t1', 't2', 't3', 't6', 't7']\n"
+            "index = build_index([Annotation('u', 'i', t, 0) for t in tags])\n"
+            "print(repr(user_depth_expertise(index, forest, 'u')))\n"
+        )
+        src = str(Path(folkmetrics.__file__).parents[1])
+        for seed in range(10):
+            env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=str(seed))
+            done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                                  text=True, check=True)
+            assert done.stdout == "0.38\n", seed
+
 
 class TestCoverage:
     def test_fraction_of_connected_annotations(self):
@@ -309,7 +337,7 @@ class TestDepthByBin:
         rows += [(f"u{k % 10}", f"c{k}", t, k) for k in range(10) for t in ("a", "b")]
         rows += [(f"u{k % 10}", f"d{k}", "a", k) for k in range(20)]
         index = make_index(rows)
-        table = conditional_table(index, sorted(index.by_tag), min_support=1)
+        table = conditional_table(index, sorted(views(index).by_tag), min_support=1)
         forest = induce_forest(table, threshold=0.5)
         assert forest.nodes
         spec = BinSpec()
@@ -318,8 +346,8 @@ class TestDepthByBin:
         for mode in ("annotation", "vocabulary"):
             series = depth_by_bin(index, forest, spec, mode)
             pairs = []
-            for user in index.by_user:
+            for user in views(index).by_user:
                 score = user_depth_expertise(index, forest, user, mode)
                 if score is not None:
-                    pairs.append((float(index.user_annotation_count[user]), score))
+                    pairs.append((float(views(index).user_annotation_count[user]), score))
             assert series == binned_mean(pairs, spec)
