@@ -22,6 +22,7 @@ from pathlib import Path
 from typing import IO, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DomainError, FormatError, NotFoundError
 from .stats import MedianIQR, median_iqr
@@ -130,6 +131,51 @@ class _Vocabulary:
         renumber = np.empty(len(names), dtype=np.int32)
         renumber[order] = np.arange(len(names), dtype=np.int32)
         return [names[k] for k in order], renumber
+
+
+class _RawNames:
+    """Provisional codes of the raw names (a field's bytes) one parse has seen.
+
+    The raw names are kept per key width as sorted keys beside their codes,
+    so a chunk looks up its distinct names with one searchsorted, and only
+    names no earlier chunk held are decoded and normalized. Raw names that
+    normalize alike share the code the vocabulary gives their normal form.
+    """
+
+    def __init__(self, vocabulary: _Vocabulary, normalize):
+        self.vocabulary, self.normalize = vocabulary, normalize
+        self.keys: dict[int, np.ndarray] = {}
+        self.codes: dict[int, np.ndarray] = {}
+
+    def lookup(self, width: int, keys: np.ndarray):
+        """For sorted distinct keys: where each would go, whether it is known, and the new names.
+
+        Raises UnicodeDecodeError for a new name that is not UTF-8, and
+        ValueError for one that is empty once normalized; changes nothing.
+        """
+        known = self.keys.get(width, keys[:0])
+        at = np.searchsorted(known, keys)
+        found = np.zeros(len(keys), dtype=bool)
+        if len(known):
+            found = known[np.minimum(at, len(known) - 1)] == keys
+        new = keys[~found]
+        raw = (new.astype(">u8").view("S8") if width == 8 else new).tolist()
+        names = list(map(self.normalize, map(bytes.decode, raw)))
+        if not all(names):
+            raise ValueError("a name is empty")
+        return at, found, new, names
+
+    def codes_of(self, width: int, keys: np.ndarray, looked_up) -> np.ndarray:
+        """The codes of the keys looked up, adding the new names to the vocabulary."""
+        at, found, new, names = looked_up
+        codes = np.empty(len(keys), dtype=np.int32)
+        known_codes = self.codes.get(width, codes[:0])
+        codes[found] = known_codes[at[found]]
+        codes[~found] = new_codes = self.vocabulary.encode(names)
+        # new keys go where searchsorted put them, so the keys stay sorted
+        self.keys[width] = np.insert(self.keys.get(width, keys[:0]), at[~found], new)
+        self.codes[width] = np.insert(known_codes, at[~found], new_codes)
+        return codes
 
 
 def _exact_times(time: np.ndarray) -> np.ndarray:
@@ -242,6 +288,123 @@ def _parse_chunk(lines: list[str], delimiter: str, vocabularies, columns) -> int
     return malformed
 
 
+def _chunk_bytes(chunk: list, joiner: str) -> Optional[bytes]:
+    """The chunk's lines joined as UTF-8, or None for mixed lines or text that does not encode."""
+    try:
+        return joiner.encode().join(chunk)
+    except TypeError:
+        pass
+    try:
+        return joiner.join(chunk).encode("utf-8")
+    except (TypeError, UnicodeEncodeError):
+        return None
+
+
+_POW10 = 10 ** np.arange(_INT64_DIGITS + 1, dtype=np.int64)
+# _PREFIXES[k] keeps the first k bytes of a big-endian uint64
+_PREFIXES = np.array([(1 << 64) - (1 << (64 - 8 * k)) for k in range(9)], dtype=np.uint64)
+
+
+def _key_widths(lengths: np.ndarray) -> np.ndarray:
+    """Each name's key width: 8 bytes, or the power of two at or above its length.
+
+    A key is at most twice as wide as its name, so the keys of one width
+    take at most twice the bytes of their names, however long the widest.
+    """
+    return np.left_shift(np.int64(1), np.frexp(np.maximum(lengths - 1, 7))[1])
+
+
+def _name_keys(padded: np.ndarray, starts: np.ndarray, lengths: np.ndarray):
+    """Per key width: the rows of the names that width, their distinct keys and each row's key.
+
+    A key is the name's bytes zero-padded to the width; names hold no NUL,
+    so equal keys are equal names. Width 8 keys are big-endian uint64s.
+    """
+    if lengths.max() <= 8:
+        classes = [(8, slice(None))]
+    else:
+        widths = _key_widths(lengths)
+        classes = [(width, np.flatnonzero(widths == width)) for width in np.unique(widths).tolist()]
+    for width, rows in classes:
+        if width == 8:
+            # the 8 bytes from each start, as one number, cut to the name's length
+            words = sliding_window_view(padded, 8).view(">u8")[starts[rows], 0]
+            keys = words.astype(np.uint64) & _PREFIXES[lengths[rows]]
+        else:
+            keys = sliding_window_view(padded, width)[starts[rows]]
+            keys[np.arange(width) >= lengths[rows, None]] = 0
+            keys = keys.view(f"S{width}")[:, 0]
+        yield (width, rows, *np.unique(keys, return_inverse=True))
+
+
+def _normal_tag(name: str) -> str:
+    return name.strip().lower()
+
+
+def _parse_bytes(chunk: list, joiner: str, skip_header: bool, delimiter: int, raw_names,
+                 columns) -> bool:
+    """Append a well-formed chunk's codes and times to columns and return True.
+
+    Return False, changing nothing, for a chunk of mixed or unencodable
+    lines, with a NUL byte, a non-empty line that is not three delimiters
+    between four non-empty fields, a timestamp that is not 1 to 18 ASCII
+    digits, or a name that is not UTF-8 or is empty once normalized: the
+    general path decides those lines. No object is built per line or field.
+    """
+    data = _chunk_bytes(chunk, joiner)
+    if data is None:
+        return False
+    data = data.replace(b"\r", b"\n")
+    if skip_header:
+        head, _, data = data.partition(b"\n")
+        try:
+            head.decode("utf-8")
+        except UnicodeDecodeError:
+            return False
+    if b"\0" in data:
+        return False
+    buf = np.frombuffer(data, dtype=np.uint8)
+    breaks = np.flatnonzero(buf == ord("\n"))
+    starts, ends = np.append(0, breaks + 1), np.append(breaks, len(buf))
+    lines = ends > starts
+    marks = np.flatnonzero(buf == delimiter)
+    if len(marks) != 3 * np.count_nonzero(lines):
+        return False
+    if not len(marks):  # no line but empty ones
+        return True
+    # field k of a line spans bounds[k] + 1 .. bounds[k + 1]; all of them
+    # non-empty means the line's three delimiters are its own
+    bounds = np.column_stack((starts[lines] - 1, marks.reshape(-1, 3), ends[lines]))
+    firsts, lengths = bounds[:, :4] + 1, np.diff(bounds) - 1
+    if lengths.min() < 1 or lengths[:, 3].max() > _INT64_DIGITS:
+        return False
+    widest = max(_INT64_DIGITS, int(_key_widths(lengths[:, :3].max())))
+    padded = np.zeros(len(buf) + widest, dtype=np.uint8)
+    padded[:len(buf)] = buf
+    stamp_width = int(lengths[:, 3].max())
+    digits = sliding_window_view(padded, stamp_width)[firsts[:, 3]] - np.uint8(ord("0"))
+    digits[np.arange(stamp_width) >= lengths[:, 3, None]] = 0
+    if digits.max() > 9:
+        return False
+    keyed = [list(_name_keys(padded, firsts[:, k], lengths[:, k])) for k in range(3)]
+    try:
+        looked_up = [[names.lookup(width, keys) for width, _, keys, _ in column]
+                     for names, column in zip(raw_names, keyed)]
+    except (UnicodeDecodeError, ValueError):
+        return False
+    for names, column, lookups, codes in zip(raw_names, keyed, looked_up, columns):
+        code = np.empty(len(bounds), dtype=np.int32)
+        for (width, rows, keys, inverse), looked in zip(column, lookups):
+            code[rows] = names.codes_of(width, keys, looked)[inverse]
+        codes.append(code)
+    # the digits padded with zeros to stamp_width, read as a number; then the padding divided out
+    time = np.zeros(len(bounds), dtype=np.int64)
+    for column in digits.T:
+        time = time * 10 + column
+    columns[3].append(time // _POW10[stamp_width - lengths[:, 3]])
+    return True
+
+
 def parse_annotations(
     source,
     delimiter: str = "\t",
@@ -260,7 +423,15 @@ def parse_annotations(
     "\\r\\n" or a lone "\\r", as it does when Python reads a text file.
 
     The input is read CHUNK_LINES lines at a time, and no object is built
-    per line that outlives its chunk.
+    per line that outlives its chunk. With a one-byte (ASCII) delimiter, a
+    chunk takes a byte-level path that builds no object per line or field
+    and decodes each distinct raw name once per parse: its lines are
+    joined as UTF-8 bytes, and numpy finds and checks the fields and codes
+    the names. A chunk with a malformed or whitespace-only line, a NUL
+    byte, a timestamp of more than 18 digits, a name that is empty once
+    stripped, or bytes that are not UTF-8 takes the general path instead,
+    which splits the decoded text; so does every chunk when the delimiter
+    is longer than one byte. Both give the same annotations.
     """
     if not delimiter:
         raise DomainError("the delimiter must not be empty")
@@ -268,6 +439,9 @@ def parse_annotations(
     # a stream's lines end with their line break; other iterables' need not
     joiner = "" if isinstance(source, io.IOBase) else "\n"
     vocabularies = (_Vocabulary(), _Vocabulary(), _Vocabulary())
+    raw_names = [_RawNames(vocab, normalize) for vocab, normalize
+                 in zip(vocabularies, (str.strip, str.strip, _normal_tag))]
+    byte_delimiter = ord(delimiter) if len(delimiter) == 1 and delimiter.isascii() else None
     # per column, its parts chunk by chunk: user, item and tag codes, and times
     columns = tuple([np.zeros(0, dtype=dtype)] for dtype in (np.int32,) * 3 + (np.int64,))
     malformed = 0
@@ -275,13 +449,16 @@ def parse_annotations(
     try:
         it = iter(source)
         while chunk := list(islice(it, CHUNK_LINES)):
-            text = _decode(chunk, joiner, first_line)
-            # a lone "\r" ends a line too; the empty line after a "\r\n" is blank
-            lines = text.replace("\r", "\n").split("\n")
-            if header and first_line == 1:
-                del lines[0]
+            skip_header = header and first_line == 1
+            if byte_delimiter is None or not _parse_bytes(chunk, joiner, skip_header,
+                                                          byte_delimiter, raw_names, columns):
+                text = _decode(chunk, joiner, first_line)
+                # a lone "\r" ends a line too; the empty line after a "\r\n" is blank
+                lines = text.replace("\r", "\n").split("\n")
+                if skip_header:
+                    del lines[0]
+                malformed += _parse_chunk(lines, delimiter, vocabularies, columns)
             first_line += len(chunk)
-            malformed += _parse_chunk(lines, delimiter, vocabularies, columns)
     finally:
         if handle is not None:
             handle.close()

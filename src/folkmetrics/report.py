@@ -13,6 +13,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO, Mapping, Optional
 
+import numpy as np
+
 from . import consensus as consensus_mod
 from . import expertise as expertise_mod
 from . import motivation as motivation_mod
@@ -28,7 +30,7 @@ __all__ = ["ReportConfig", "write_report"]
 
 
 def _fmt(value) -> str:
-    if isinstance(value, bool):
+    if isinstance(value, (bool, np.bool_)):
         return str(int(value))
     if isinstance(value, float):
         # float() first: a numpy float is a float whose repr names its type

@@ -17,7 +17,7 @@ import numpy as np
 from .corpus import FolksonomyIndex, _members
 from .errors import DomainError, UndefinedCorrelationError
 from .partition import Partition
-from .stats import BinSpec, BinnedSeries, binned_mean, cosine, rank_descending
+from .stats import BinSpec, BinnedSeries, binned_mean, rank_descending
 
 __all__ = [
     "CurvePoint",
@@ -135,8 +135,15 @@ def _spearman_tops(a: _Ranking, b: _Ranking, n_keys: int, n: int) -> float:
 
 def _cosine_tops(a: _Ranking, b: _Ranking, n_keys: int, n: int) -> float:
     union = _union(a, b, n_keys, n)
-    return cosine(_spread(a, a.counts[:n], n, n_keys, 0.0)[union],
-                  _spread(b, b.counts[:n], n, n_keys, 0.0)[union])
+    x = _spread(a, a.counts[:n], n, n_keys, 0)[union]
+    y = _spread(b, b.counts[:n], n, n_keys, 0)[union]
+    # Integer counts give exact integer dot products, so this is stats.cosine
+    # bit for bit (its float sums of integers below 2**53 are exact too),
+    # without the BLAS call that wakes its threads on every product.
+    xx, yy = float(x @ x), float(y @ y)
+    if xx == 0.0 or yy == 0.0:
+        raise DomainError("cosine undefined for a zero vector")
+    return float(x @ y) / (math.sqrt(xx) * math.sqrt(yy))
 
 
 def spearman_topn(dist_a: FreqDist, dist_b: FreqDist, n: int) -> float:

@@ -450,14 +450,18 @@ class TestReportBundle:
 
 
 def test_csv_cells_of_numpy_scalars_read_as_plain_numbers():
-    """A numpy float is a float, but its repr names its type; the CSV must not."""
+    """A numpy float is a float, but its repr names its type; the CSV must not.
+
+    A numpy bool is no bool: it writes 1 or 0, as a Python bool does.
+    """
     import numpy as np
 
     from folkmetrics.report import _write_csv
 
     buf = io.StringIO()
-    _write_csv(buf, ["a", "b", "c"], [(np.float64(0.1), np.int64(7), 0.25)])
-    assert buf.getvalue() == "a,b,c\n0.1,7,0.25\n"
+    _write_csv(buf, ["a", "b", "c"], [(np.float64(0.1), np.int64(7), 0.25),
+                                      (np.True_, np.False_, True)])
+    assert buf.getvalue() == "a,b,c\n0.1,7,0.25\n1,0,1\n"
 
 
 def test_per_user_outputs_match_the_single_user_functions(runner, tmp_path):

@@ -1,6 +1,7 @@
 """The columnar parser and index against the dict-based reference in corpus_oracle."""
 
 import io
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -10,22 +11,31 @@ from hypothesis import strategies as st
 
 import corpus_oracle
 from folkmetrics import corpus
-from folkmetrics.corpus import AnnotationColumns, build_index, parse_annotations, write_annotations
+from folkmetrics.corpus import (
+    Annotation,
+    AnnotationColumns,
+    build_index,
+    parse_annotations,
+    write_annotations,
+)
 from folkmetrics.errors import DomainError, FormatError
 
 from conftest import item_tag_freq, make_annotations
 
 BIG = [2**63 - 1, 2**63, 2**70, 10**20]
 
-ids = st.sampled_from(["u1", "U1", " u1", "u2 ", "ü", "Ü"])
+# padding str.strip removes and bytes.strip keeps, names past 8 bytes, a NUL
+ids = st.sampled_from(["u1", "U1", " u1", "u2 ", "ü", "Ü", "\x1cu1\x1f", "u2\x85", "\xa0u1",
+                       "\x85", "u-longer-than-8", "\x00u"])
 # mixed-case Unicode, some of whose lowercase forms coincide or grow longer
-tags = st.sampled_from(["Rock", "rock", " ROCK ", "İ", "i̇", "Straße", "STRASSE", "ǅ", "Σ", "σ"])
+tags = st.sampled_from(["Rock", "rock", " ROCK ", "İ", "i̇", "Straße", "STRASSE", "ǅ", "Σ", "σ",
+                        "\x1dRock\x1e", "Straße-Und-Weg"])
 stamps = st.one_of(
     st.integers(0, 4).map(str),
-    st.sampled_from([str(t) for t in BIG] + ["007", "0" * 20 + "5"]),
+    st.sampled_from([str(t) for t in BIG] + ["007", "0" * 20 + "5", "9" * 18, "1" * 19]),
     st.sampled_from(["-1", "", " 5", "x", "1_0", "٥", "²"]),
 )
-delimiters = st.sampled_from(["\t", ",", "||"])
+delimiters = st.sampled_from(["\t", ",", "||", "·"])
 
 
 @st.composite
@@ -71,6 +81,59 @@ def test_parse_matches_the_reference(case, chunk):
             assert list(got.annotations) == expected.annotations
             assert got.malformed == expected.malformed
             assert len(got.annotations) == len(expected.annotations)
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, corpus.CHUNK_LINES])
+@pytest.mark.parametrize("delimiter, lines", [
+    # padding that str.strip removes and bytes.strip keeps
+    ("\t", ["\x1cu1\x1f\t\x85i\xa0\tROCK\x1e\t1\n", "u1\ti\t\x1drock\t2\n", "u1\ti\trock\t3\n"]),
+    ("\t", ["a-user-longer-than-8\ti\tTag-Longer-Than-8\t1\n", "u\tan-item-ü-longer\tt\t2\n",
+            "u\ti\ttag-longer-than-8\t3\n"]),
+    ("\t", ["u\ti\tt\t" + "9" * 18 + "\n", "u\ti\tt\t" + "9" * 19 + "\n", "u\ti\tt\t1\n"]),
+    ("\t", ["u\x00\ti\tt\t1\n", "u\ti\tt\t2\n"]),
+    ("\t", ["u\t \tt\t1\n", "u\ti\t\xa0\t2\n", "u\ti\tt\t3\n", "u\ti\tt\t4\n", "u\ti\tt\t5\n"]),
+    ("·", ["u·i·t·1\n", "ü·i·t·2\n"]),
+    ("\t", ["u\ti\tt\t1\n", "u\ti\tt\t2"]),
+])
+def test_parse_edge_cases_match_the_reference(delimiter, lines, chunk):
+    with mock.patch.object(corpus, "CHUNK_LINES", chunk):
+        for source, same in sources(lines):
+            expected = corpus_oracle.parse_annotations(same, delimiter)
+            got = parse_annotations(source, delimiter)
+            assert list(got.annotations) == expected.annotations
+            assert got.malformed == expected.malformed
+
+
+def test_well_formed_chunks_skip_the_general_parser():
+    lines = [b"u%d\ti%d\tT%d\t%d\n" % (k % 7, k % 5, k % 3, k) for k in range(10)]
+    with mock.patch.object(corpus, "CHUNK_LINES", 4), \
+            mock.patch.object(corpus, "_parse_chunk", wraps=corpus._parse_chunk) as general:
+        clean = parse_annotations(io.BytesIO(b"".join(lines)))
+        assert general.call_count == 0
+        assert list(clean.annotations) == corpus_oracle.parse_annotations(lines).annotations
+        lines[5] = b"u1\ti1\tt1\tx\n"
+        dirty = parse_annotations(io.BytesIO(b"".join(lines)))
+        # only the second chunk, lines 5 to 8, holds the bad line
+        assert general.call_count == 1
+        assert general.call_args.args[0][:4] == [line.decode()[:-1] for line in lines[4:8]]
+        expected = corpus_oracle.parse_annotations(lines)
+        assert (list(dirty.annotations), dirty.malformed) == (expected.annotations, 1)
+
+
+def test_a_megabyte_name_in_a_chunk_of_short_ones():
+    name = "n" * 10**6
+    lines = [f"u{k}\ti\tt\t{k}\n" for k in range(200)] + [f"u\t{name}\tT\t7\n"]
+    source = io.BytesIO("".join(lines).encode())
+    tracemalloc.start()
+    try:
+        got = parse_annotations(source)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got.annotations[200] == Annotation("u", name, "t", 7)
+    assert list(got.annotations) == corpus_oracle.parse_annotations(lines).annotations
+    # keys as wide as the widest name for all 201 lines would take over 200 MB
+    assert peak < 40 * 10**6
 
 
 rows = st.lists(
@@ -149,6 +212,11 @@ def test_invalid_utf8_names_its_line(chunk, header):
     with mock.patch.object(corpus, "CHUNK_LINES", chunk):
         with pytest.raises(FormatError, match=r"^line 5: invalid UTF-8 byte 0xc3$"):
             parse_annotations(io.BytesIO(data), header=header)
+
+
+def test_invalid_utf8_in_the_header_names_line_1():
+    with pytest.raises(FormatError, match=r"^line 1: invalid UTF-8 byte 0xff$"):
+        parse_annotations(io.BytesIO(b"\xffuser\titem\ttag\ttime\nu\ti\tt\t1\n"), header=True)
 
 
 def test_empty_delimiter_is_rejected():

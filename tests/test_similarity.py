@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from folkmetrics.errors import DomainError, UndefinedCorrelationError
 from folkmetrics.partition import Partition, split_supertaggers
@@ -17,7 +19,7 @@ from folkmetrics.similarity import (
     spearman_topn,
     usage_distribution,
 )
-from folkmetrics.stats import BinSpec
+from folkmetrics.stats import BinSpec, cosine
 
 from conftest import make_index, random_rows
 from corpus_oracle import views
@@ -197,6 +199,21 @@ class TestCosineTopN:
             n = int(rng.integers(1, 51))
             expected = brute_cosine_topn(da.counts, db.counts, n)
             assert cosine_topn(da, db, n) == pytest.approx(expected, abs=1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.dictionaries(st.sampled_from([f"k{j}" for j in range(12)]),
+                                    st.integers(1, 10**6), min_size=1), min_size=2, max_size=2),
+           st.integers(1, 13))
+    def test_equals_the_float_cosine_exactly(self, counts, n):
+        """Integer dot products give stats.cosine's value on the float vectors, bit for bit."""
+        def top(c):
+            return set(sorted(c, key=lambda k: (-c[k], k))[:n])
+
+        tops = [top(c) for c in counts]
+        union = sorted(tops[0] | tops[1])
+        vectors = [[float(c[k]) if k in t else 0.0 for k in union] for c, t in zip(counts, tops)]
+        got = cosine_topn(FreqDist("tag", counts[0]), FreqDist("tag", counts[1]), n)
+        assert got == cosine(*vectors)
 
     def test_symmetric(self):
         rng = np.random.default_rng(89)
