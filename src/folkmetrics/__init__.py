@@ -79,15 +79,11 @@ from .similarity import (
 )
 from .spear import (
     CreditBatch,
-    CreditMatrix,
     SpearBatch,
-    SpearResult,
     credit_batch,
-    credit_matrix,
     eligible_tags,
     spear_by_bin,
     spear_scores,
-    standardize_and_average,
     user_mean_z,
 )
 from .stats import (
@@ -108,6 +104,7 @@ from .taxonomy import (
     conditional_table,
     depth_by_bin,
     induce_forest,
+    induce_taxonomy,
     user_depth_expertise,
 )
 

@@ -8,13 +8,12 @@ with status 2.
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import io
-import json
 import math
 import sys
 import warnings
+from pathlib import Path
 
 import click
 import numpy as np
@@ -30,7 +29,6 @@ from .corpus import (
     SyntheticConfig,
     TimeGranularity,
     _by_user_count,
-    _user_codes,
     build_index,
     generate_synthetic,
     parse_annotations,
@@ -125,29 +123,6 @@ def _load_index(source, delimiter, granularity, header, dedupe):
     return build_index(parsed.annotations, dedupe=(dedupe == "on"), granularity=gran), parsed
 
 
-@contextlib.contextmanager
-def _output(path):
-    """A UTF-8 text stream writing to path, or to stdout (whatever the locale) for None or '-'."""
-    if path is not None and path != "-":
-        with open(path, "w", encoding="utf-8", newline="") as stream:
-            yield stream
-    elif getattr(sys.stdout, "buffer", None) is None:
-        yield sys.stdout
-    else:
-        sys.stdout.flush()
-        stream = io.TextIOWrapper(sys.stdout.buffer, encoding="utf-8", newline="")
-        try:
-            yield stream
-        finally:
-            stream.detach().flush()
-
-
-def _emit_json(payload, out):
-    with _output(out) as stream:
-        json.dump(payload, stream, indent=2, sort_keys=True)
-        stream.write("\n")
-
-
 def _write_per_user(path, columns, index, scores):
     """Per-user CSV of user, annotations and the scores, arrays by user code, in user order.
 
@@ -180,7 +155,7 @@ def main(ctx, threads):
 def ingest(source, delimiter, granularity, header, dedupe, out, summary_out):
     """Parse, validate, optionally dedupe, and re-emit a dataset."""
     index, parsed = _load_index(source, delimiter, granularity, header, dedupe)
-    with _output(out) as stream:
+    with report_mod._output(out) as stream:
         write_annotations(index.columns, stream)
     payload = report_mod.summary_json(index)
     payload["malformed_lines"] = parsed.malformed
@@ -214,7 +189,7 @@ def synth(users, items, tags, activity_exponent, item_exponent, tag_exponent, se
         seed=seed,
     )
     annotations = generate_synthetic(config)
-    with _output(out) as stream:
+    with report_mod._output(out) as stream:
         write_annotations(annotations, stream)
 
 
@@ -242,7 +217,7 @@ def partition(source, delimiter, granularity, header, dedupe, fraction, out, tab
             with open(f"{users_out}{name}.txt", "w", encoding="utf-8", newline="") as fh:
                 fh.writelines(f"{user}\n" for user in sorted(users))
         omit_users = True
-    _emit_json(report_mod.partition_json(part, include_users=not omit_users), out)
+    report_mod.write_json(out, report_mod.partition_json(part, include_users=not omit_users))
     if tables:
         rows = report_mod.partition_summary_rows(partition_summary(index, part))
         report_mod._write_csv(tables, report_mod.PARTITION_SUMMARY_HEADER, rows)
@@ -255,7 +230,7 @@ def partition(source, delimiter, granularity, header, dedupe, fraction, out, tab
 @input_options
 @click.option("--dimension", type=click.Choice(["tag", "item"]), default="tag", show_default=True)
 @click.option("--fraction", type=float, default=0.5, show_default=True)
-@click.option("--max-n", type=int, default=100_000, show_default=True)
+@click.option("--max-n", type=click.IntRange(1), default=100_000, show_default=True)
 @click.option("--out", default="-", help="curve CSV (default: stdout)")
 @_fail_on_domain_errors
 def similarity(source, delimiter, granularity, header, dedupe, dimension, fraction, max_n, out):
@@ -265,8 +240,7 @@ def similarity(source, delimiter, granularity, header, dedupe, dimension, fracti
     curve = similarity_mod.similarity_curve(
         index, part, dimension, similarity_mod.default_n_grid(max_n)
     )
-    with _output(out) as stream:
-        report_mod.write_similarity_csv(stream, curve)
+    report_mod.write_similarity_csv(out, curve)
     if curve.core_size is not None:
         click.echo(f"core size: {curve.core_size}", err=True)
 
@@ -283,30 +257,31 @@ def usage_dist(source, delimiter, granularity, header, dedupe, dimension, cumula
     """Per-group usage distribution over key popularity."""
     index, _ = _load_index(source, delimiter, granularity, header, dedupe)
     part = split_supertaggers(index, fraction)
-    series = {}
-    for group, users in (("S", part.supertaggers), ("not_S", part.others)):
-        dist = similarity_mod.freq_dist(index, users, dimension)
-        if dist.counts:
-            series[group] = similarity_mod.usage_distribution(dist, cumulative=cumulative)
-    with _output(out) as stream:
-        report_mod.write_usage_csv(stream, series)
+    report_mod.write_usage_csv(out, report_mod._usage_by_group(index, part, dimension, cumulative))
 
 
 def _read_popularity(path, delimiter="\t"):
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise FolkmetricsError(
+            f"popularity line {line}: invalid UTF-8 byte {data[exc.start]:#04x}") from None
     popularity = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.rstrip("\n").rstrip("\r")
-            if not line.strip():
-                continue
-            item, _, raw = line.partition(delimiter)
-            try:
-                count = float(raw)
-            except ValueError:
-                count = math.nan
-            if not (math.isfinite(count) and count >= 0):
-                raise FolkmetricsError(f"bad popularity line: {line!r}")
-            popularity[item.strip()] = count
+    # universal newlines, as a file opened in text mode reads them
+    for line in io.StringIO(text, newline=None):
+        line = line.rstrip("\n")
+        if not line.strip():
+            continue
+        item, _, raw = line.partition(delimiter)
+        try:
+            count = float(raw)
+        except ValueError:
+            count = math.nan
+        if not (math.isfinite(count) and count >= 0):
+            raise FolkmetricsError(f"bad popularity line: {line!r}")
+        popularity[item.strip()] = count
     return popularity
 
 
@@ -324,8 +299,7 @@ def exo_diff(source, delimiter, granularity, header, dedupe, popularity, fractio
     series = similarity_mod.exogenous_popularity_diff(
         index, part, _read_popularity(popularity, delimiter), bins
     )
-    with _output(out) as stream:
-        report_mod.write_binned_csv(stream, series, "mean_diff")
+    report_mod.write_binned_csv(out, series, "mean_diff")
 
 
 @main.command()
@@ -339,15 +313,14 @@ def consensus(source, delimiter, granularity, header, dedupe, fraction, bins, ou
     index, _ = _load_index(source, delimiter, granularity, header, dedupe)
     part = split_supertaggers(index, fraction)
     series = consensus_mod.consensus_by_bin(index, part, bins)
-    with _output(out) as stream:
-        report_mod.write_consensus_csv(stream, series)
+    report_mod.write_consensus_csv(out, series)
 
 
 @main.command()
 @input_options
 @click.option("--per-user", default=None, help="write per-user scores CSV here")
 @click.option("--binned", default="-", help="binned series CSV (default: stdout)")
-@click.option("--orphan-divisor", type=int, default=100, show_default=True)
+@click.option("--orphan-divisor", type=click.IntRange(1), default=100, show_default=True)
 @bins_option
 @_fail_on_domain_errors
 def motivation(source, delimiter, granularity, header, dedupe, per_user, binned,
@@ -357,16 +330,12 @@ def motivation(source, delimiter, granularity, header, dedupe, per_user, binned,
     scores = motivation_mod._index_scores(index, orphan_divisor)
     if per_user:
         _write_per_user(per_user, ["tpp", "trr", "orphan_ratio"], index, np.array(scores))
-    series = motivation_mod.MotivationSeries(
-        *(binned_mean(_by_user_count(index, score), bins) for score in scores))
-    with _output(binned) as stream:
-        report_mod.write_labeled_binned_csv(stream, "metric", {
-            "tpp": series.tpp, "trr": series.trr, "orphan_ratio": series.orphan_ratio})
+    report_mod.write_motivation_csv(binned, motivation_mod._binned(index, scores, bins))
 
 
 @main.command()
 @input_options
-@click.option("--top-k", type=int, default=spear_mod.DEFAULT_TOP_K, show_default=True)
+@click.option("--top-k", type=click.IntRange(1), default=spear_mod.DEFAULT_TOP_K, show_default=True)
 @click.option("--min-users", type=int, default=spear_mod.DEFAULT_MIN_USERS, show_default=True)
 @click.option("--exponent", type=float, default=spear_mod.DEFAULT_EXPONENT, show_default=True)
 @click.option("--tolerance", type=float, default=spear_mod.DEFAULT_TOLERANCE, show_default=True)
@@ -380,13 +349,9 @@ def spear(source, delimiter, granularity, header, dedupe, top_k, min_users, expo
     """Standardized SPEAR expertise, binned by user annotation count."""
     index, _ = _load_index(source, delimiter, granularity, header, dedupe)
     mean_z = spear_mod.user_mean_z(index, top_k, min_users, exponent, tolerance, max_iter)
-    codes = _user_codes(index, mean_z)
     if per_user:
-        scores = np.full(len(index.columns.users), np.nan)
-        scores[codes] = list(mean_z.values())
-        _write_per_user(per_user, ["mean_z"], index, scores[np.newaxis])
-    with _output(out) as stream:
-        report_mod.write_binned_csv(stream, spear_mod._binned(index, codes, mean_z.values(), bins))
+        _write_per_user(per_user, ["mean_z"], index, mean_z[np.newaxis])
+    report_mod.write_binned_csv(out, binned_mean(_by_user_count(index, mean_z), bins))
 
 
 @main.group()
@@ -409,8 +374,15 @@ def expertise_consensus(source, delimiter, granularity, header, dedupe, per_user
     scores = expertise_mod._index_scores(index, raw_counts)
     if per_user:
         _write_per_user(per_user, ["expertise"], index, scores[np.newaxis])
-    with _output(binned) as stream:
-        report_mod.write_binned_csv(stream, binned_mean(_by_user_count(index, scores), bins))
+    report_mod.write_binned_csv(binned, binned_mean(_by_user_count(index, scores), bins))
+
+
+def _forest(index, top_k, min_users, min_support, threshold):
+    """The induced forest; raises if no tag is eligible, as then there is nothing to induce."""
+    forest = taxonomy_mod.induce_taxonomy(index, top_k, min_users, min_support, threshold)
+    if not (forest.nodes or forest.disconnected):
+        raise FolkmetricsError("no eligible tags for taxonomy induction")
+    return forest
 
 
 @expertise.command("depth")
@@ -419,7 +391,7 @@ def expertise_consensus(source, delimiter, granularity, header, dedupe, per_user
               default="vocabulary", show_default=True)
 @click.option("--threshold", type=float, default=taxonomy_mod.DEFAULT_THRESHOLD, show_default=True)
 @click.option("--min-support", type=int, default=taxonomy_mod.DEFAULT_MIN_SUPPORT, show_default=True)
-@click.option("--top-k", type=int, default=spear_mod.DEFAULT_TOP_K, show_default=True)
+@click.option("--top-k", type=click.IntRange(1), default=spear_mod.DEFAULT_TOP_K, show_default=True)
 @click.option("--min-users", type=int, default=spear_mod.DEFAULT_MIN_USERS, show_default=True)
 @click.option("--binned", default="-", help="binned series CSV (default: stdout)")
 @click.option("--per-user", default=None, help="write per-user scores CSV here")
@@ -429,23 +401,18 @@ def expertise_depth(source, delimiter, granularity, header, dedupe, mode, thresh
                     min_support, top_k, min_users, binned, per_user, bins):
     """Term-depth expertise over the induced taxonomy."""
     index, _ = _load_index(source, delimiter, granularity, header, dedupe)
-    tags = spear_mod.eligible_tags(index, top_k=top_k, min_users=min_users)
-    if not tags:
-        raise FolkmetricsError("no eligible tags for taxonomy induction")
-    table = taxonomy_mod.conditional_table(index, tags, min_support)
-    forest = taxonomy_mod.induce_forest(table, threshold)
+    forest = _forest(index, top_k, min_users, min_support, threshold)
     scores = taxonomy_mod._index_depths(index, forest, mode)
     if per_user:
         _write_per_user(per_user, ["depth_expertise"], index, scores[np.newaxis])
-    with _output(binned) as stream:
-        report_mod.write_binned_csv(stream, binned_mean(_by_user_count(index, scores), bins))
+    report_mod.write_binned_csv(binned, binned_mean(_by_user_count(index, scores), bins))
 
 
 @main.command()
 @input_options
 @click.option("--threshold", type=float, default=taxonomy_mod.DEFAULT_THRESHOLD, show_default=True)
 @click.option("--min-support", type=int, default=taxonomy_mod.DEFAULT_MIN_SUPPORT, show_default=True)
-@click.option("--top-k", type=int, default=spear_mod.DEFAULT_TOP_K, show_default=True)
+@click.option("--top-k", type=click.IntRange(1), default=spear_mod.DEFAULT_TOP_K, show_default=True)
 @click.option("--min-users", type=int, default=spear_mod.DEFAULT_MIN_USERS, show_default=True)
 @click.option("--out", default="-", help="forest JSON (default: stdout)")
 @_fail_on_domain_errors
@@ -453,13 +420,9 @@ def taxonomy(source, delimiter, granularity, header, dedupe, threshold, min_supp
              top_k, min_users, out):
     """Induce the tag taxonomy forest and emit it with depth scores."""
     index, _ = _load_index(source, delimiter, granularity, header, dedupe)
-    tags = spear_mod.eligible_tags(index, top_k=top_k, min_users=min_users)
-    if not tags:
-        raise FolkmetricsError("no eligible tags for taxonomy induction")
-    table = taxonomy_mod.conditional_table(index, tags, min_support)
-    forest = taxonomy_mod.induce_forest(table, threshold)
+    forest = _forest(index, top_k, min_users, min_support, threshold)
     coverage = taxonomy_mod.annotation_coverage(index, forest)
-    _emit_json(report_mod.forest_json(forest, coverage), out)
+    report_mod.write_json(out, report_mod.forest_json(forest, coverage))
 
 
 @main.command()
@@ -467,14 +430,14 @@ def taxonomy(source, delimiter, granularity, header, dedupe, threshold, min_supp
 @click.option("--out-dir", required=True, help="bundle output directory")
 @click.option("--fraction", type=float, default=0.5, show_default=True)
 @bins_option
-@click.option("--max-n", type=int, default=100_000, show_default=True)
+@click.option("--max-n", type=click.IntRange(1), default=100_000, show_default=True)
 @click.option("--pareto-resolution", type=int, default=1000, show_default=True)
-@click.option("--top-k", type=int, default=spear_mod.DEFAULT_TOP_K, show_default=True)
+@click.option("--top-k", type=click.IntRange(1), default=spear_mod.DEFAULT_TOP_K, show_default=True)
 @click.option("--min-users", type=int, default=spear_mod.DEFAULT_MIN_USERS, show_default=True)
 @click.option("--exponent", type=float, default=spear_mod.DEFAULT_EXPONENT, show_default=True)
 @click.option("--threshold", type=float, default=taxonomy_mod.DEFAULT_THRESHOLD, show_default=True)
 @click.option("--min-support", type=int, default=taxonomy_mod.DEFAULT_MIN_SUPPORT, show_default=True)
-@click.option("--orphan-divisor", type=int, default=100, show_default=True)
+@click.option("--orphan-divisor", type=click.IntRange(1), default=100, show_default=True)
 @click.option("--popularity", default=None, help="optional exogenous popularity sidecar")
 @_fail_on_domain_errors
 def report(source, delimiter, granularity, header, dedupe, out_dir, fraction, bins, max_n,

@@ -657,12 +657,6 @@ def _user_rows(index: FolksonomyIndex, user: str) -> np.ndarray:
     return _rows(index.user_csr, code)
 
 
-def _user_codes(index: FolksonomyIndex, users: Iterable[str]) -> np.ndarray:
-    """The codes of users, all of them names in the index."""
-    code = {name: k for k, name in enumerate(index.columns.users)}
-    return np.fromiter(map(code.__getitem__, users), dtype=np.intp)
-
-
 def user_stats(index: FolksonomyIndex, user: str) -> UserStats:
     """Annotation, distinct-tag, and distinct-item counts for one user."""
     c = index.columns

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import FolksonomyIndex, _by_user_count, _tally, _user_rows
+from .errors import DomainError
 from .stats import BinSpec, BinnedSeries, binned_mean
 
 __all__ = [
@@ -40,6 +41,8 @@ class MotivationScores:
 def _scores(user: np.ndarray, item: np.ndarray, tag: np.ndarray, n_users: int,
             divisor: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """TPP, TRR and orphan ratio per user code of the annotations given as columns."""
+    if divisor < 1:
+        raise DomainError(f"orphan divisor must be at least 1, got {divisor}")
     (pair_user, _, pair_tag), _, _ = _tally(user, item, tag)
     (usage_user, _), usage, _ = _tally(pair_user, pair_tag)
     items = np.bincount(_tally(user, item)[0][0], minlength=n_users)
@@ -104,5 +107,9 @@ def motivation_by_bin(
     index: FolksonomyIndex, spec: BinSpec, divisor: int = DEFAULT_ORPHAN_DIVISOR
 ) -> MotivationSeries:
     """Binned mean/stderr of TPP, TRR, and OR keyed by user annotation count."""
-    return MotivationSeries(*(binned_mean(_by_user_count(index, scores), spec)
-                              for scores in _index_scores(index, divisor)))
+    return _binned(index, _index_scores(index, divisor), spec)
+
+
+def _binned(index: FolksonomyIndex, scores, spec: BinSpec) -> MotivationSeries:
+    """The series of the three score arrays by user code, binned by user annotation count."""
+    return MotivationSeries(*(binned_mean(_by_user_count(index, s), spec) for s in scores))

@@ -7,11 +7,14 @@ byte-identical files.
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import io
 import json
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO, Mapping, Optional
+from typing import Mapping, Optional
 
 import numpy as np
 
@@ -38,20 +41,30 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _open_out(path) -> IO[str]:
-    return open(path, "w", encoding="utf-8", newline="")
+@contextlib.contextmanager
+def _output(path):
+    """A UTF-8 text stream writing to path, or to stdout (whatever the locale) for None or '-'."""
+    if path is not None and path != "-":
+        with open(path, "w", encoding="utf-8", newline="") as stream:
+            yield stream
+    elif getattr(sys.stdout, "buffer", None) is None:
+        yield sys.stdout
+    else:
+        sys.stdout.flush()
+        stream = io.TextIOWrapper(sys.stdout.buffer, encoding="utf-8", newline="")
+        try:
+            yield stream
+        finally:
+            stream.detach().flush()
 
 
-def _write_csv(dest, header: list[str], rows) -> None:
-    """Write one CSV table to a path or an open text stream."""
-    if hasattr(dest, "write"):
-        writer = csv.writer(dest, lineterminator="\n")
+def _write_csv(path, header: list[str], rows) -> None:
+    """Write one CSV table to a path, or to stdout for None or '-'."""
+    with _output(path) as stream:
+        writer = csv.writer(stream, lineterminator="\n")
         writer.writerow(header)
         for row in rows:
             writer.writerow([_fmt(v) for v in row])
-        return
-    with _open_out(dest) as fh:
-        _write_csv(fh, header, rows)
 
 
 def write_binned_csv(path, series: BinnedSeries, value_name: str = "mean") -> None:
@@ -68,6 +81,11 @@ def write_labeled_binned_csv(path, label_name: str, series_by_label: Mapping[str
         for r in series_by_label[label].rows:
             rows.append((label, r.bin_low, r.bin_high, r.mean, r.stderr, r.n))
     _write_csv(path, [label_name, "bin_low", "bin_high", "mean", "stderr", "n"], rows)
+
+
+def write_motivation_csv(path, series: motivation_mod.MotivationSeries) -> None:
+    write_labeled_binned_csv(path, "metric", {
+        "tpp": series.tpp, "trr": series.trr, "orphan_ratio": series.orphan_ratio})
 
 
 def write_similarity_csv(path, curve: similarity_mod.SimilarityCurve) -> None:
@@ -100,6 +118,17 @@ def write_usage_csv(path, series_by_group: Mapping[str, list[tuple[int, float]]]
     _write_csv(path, ["group", "N", "proportion"], rows)
 
 
+def _usage_by_group(index: FolksonomyIndex, part: Partition, dimension: str,
+                    cumulative: bool) -> dict[str, list[tuple[int, float]]]:
+    """Each group's usage distribution over the dimension; a group with no annotations is left out."""
+    series = {}
+    for group, users in (("S", part.supertaggers), ("not_S", part.others)):
+        dist = similarity_mod.freq_dist(index, users, dimension)
+        if dist.counts:
+            series[group] = similarity_mod.usage_distribution(dist, cumulative=cumulative)
+    return series
+
+
 def write_pareto_csv(path, curve) -> None:
     _write_csv(path, ["fraction_users", "fraction_annotations"], curve.points)
 
@@ -111,9 +140,9 @@ def _median_iqr_json(m) -> Optional[dict]:
 
 
 def write_json(path, payload) -> None:
-    with _open_out(path) as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    with _output(path) as stream:
+        json.dump(payload, stream, indent=2, sort_keys=True)
+        stream.write("\n")
 
 
 def summary_json(index: FolksonomyIndex) -> dict:
@@ -240,18 +269,8 @@ def write_report(
 
     n_values = similarity_mod.default_n_grid(config.max_n)
     for dimension, cumulative in (("tag", False), ("item", True)):
-        dists = {
-            "S": similarity_mod.freq_dist(index, part.supertaggers, dimension),
-            "not_S": similarity_mod.freq_dist(index, part.others, dimension),
-        }
-        write_usage_csv(
-            emit(f"{dimension}_usage_dist.csv"),
-            {
-                group: similarity_mod.usage_distribution(dist, cumulative=cumulative)
-                for group, dist in dists.items()
-                if dist.counts
-            },
-        )
+        write_usage_csv(emit(f"{dimension}_usage_dist.csv"),
+                        _usage_by_group(index, part, dimension, cumulative))
         curve = similarity_mod.similarity_curve(index, part, dimension, n_values)
         write_similarity_csv(emit(f"{dimension}_similarity.csv"), curve)
 
@@ -263,17 +282,9 @@ def write_report(
         )
     write_consensus_csv(emit("consensus.csv"), consensus_series)
 
-    motivation_series = motivation_mod.motivation_by_bin(
-        index, config.bins, config.orphan_divisor
-    )
-    write_labeled_binned_csv(
+    write_motivation_csv(
         emit("motivation_binned.csv"),
-        "metric",
-        {
-            "tpp": motivation_series.tpp,
-            "trr": motivation_series.trr,
-            "orphan_ratio": motivation_series.orphan_ratio,
-        },
+        motivation_mod.motivation_by_bin(index, config.bins, config.orphan_divisor),
     )
 
     try:
@@ -295,14 +306,8 @@ def write_report(
         expertise_mod.consensus_expertise_by_bin(index, config.bins),
     )
 
-    eligible = spear_mod.eligible_tags(index, top_k=config.top_k, min_users=config.min_users)
-    if eligible:
-        table = taxonomy_mod.conditional_table(index, eligible, config.min_support)
-        forest = taxonomy_mod.induce_forest(table, config.taxonomy_threshold)
-    else:
-        forest = taxonomy_mod.TaxonomyForest(
-            frozenset(), {}, {}, {}, disconnected=frozenset()
-        )
+    forest = taxonomy_mod.induce_taxonomy(index, config.top_k, config.min_users,
+                                          config.min_support, config.taxonomy_threshold)
     write_json(
         emit("taxonomy.json"),
         forest_json(forest, taxonomy_mod.annotation_coverage(index, forest)),

@@ -17,6 +17,7 @@ import numpy as np
 
 from .corpus import FolksonomyIndex, _by_user_count, _code, _members, _tally, _user_rows
 from .errors import DomainError
+from .spear import DEFAULT_MIN_USERS, DEFAULT_TOP_K, eligible_tags
 from .stats import BinSpec, BinnedSeries, binned_mean
 
 __all__ = [
@@ -26,6 +27,7 @@ __all__ = [
     "conditional_table",
     "depth_by_bin",
     "induce_forest",
+    "induce_taxonomy",
     "user_depth_expertise",
 ]
 
@@ -176,6 +178,22 @@ def induce_forest(table: ConditionalTable, threshold: float = DEFAULT_THRESHOLD)
         norm_depth=norm_depth,
         disconnected=frozenset(table.tags - nodes),
     )
+
+
+def induce_taxonomy(
+    index: FolksonomyIndex,
+    top_k: int = DEFAULT_TOP_K,
+    min_users: int = DEFAULT_MIN_USERS,
+    min_support: int = DEFAULT_MIN_SUPPORT,
+    threshold: float = DEFAULT_THRESHOLD,
+) -> TaxonomyForest:
+    """The forest induced over the eligible tags (spear.eligible_tags).
+
+    With no eligible tag the forest is empty: it has no nodes and no
+    disconnected tags.
+    """
+    table = conditional_table(index, eligible_tags(index, top_k, min_users), min_support)
+    return induce_forest(table, threshold)
 
 
 def annotation_coverage(index: FolksonomyIndex, forest: TaxonomyForest) -> float:

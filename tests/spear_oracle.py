@@ -3,14 +3,74 @@
 `credit_matrix` counts later taggers with a bisect over each item's sorted
 timestamps; `spear_scores` runs one tag's power iteration with whole-vector
 `np.sum` normalization. Tests compare the batched kernel against both.
+`batch_of`, `entries` and `results` translate between these dict views and
+the batch API.
 """
 
 from bisect import bisect_right
+from dataclasses import dataclass
+from typing import Mapping
 
 import numpy as np
 
 from corpus_oracle import views
-from folkmetrics.spear import CreditMatrix, SpearResult
+from folkmetrics.spear import CreditBatch
+
+
+@dataclass(frozen=True)
+class CreditMatrix:
+    """Discoverer credit per (user, item) for one tag."""
+
+    tag: str
+    exponent: float
+    entries: Mapping[tuple[str, str], float]
+
+
+@dataclass(frozen=True)
+class SpearResult:
+    """Fixed point of the mutual-reinforcement iteration for one tag."""
+
+    tag: str
+    user_scores: Mapping[str, float]
+    item_scores: Mapping[str, float]
+    iterations: int
+    converged: bool
+
+
+def batch_of(entries, tag="t"):
+    """A one-tag CreditBatch of {(user, item): credit}, whatever order the entries come in."""
+    users = sorted({u for u, _ in entries})
+    items = sorted({i for _, i in entries})
+    u_idx = {u: k for k, u in enumerate(users)}
+    i_idx = {i: k for k, i in enumerate(items)}
+    cells = sorted((u_idx[u], i_idx[i], c) for (u, i), c in entries.items())
+    uu, ii, cc = (np.array(column) for column in zip(*cells))
+    return CreditBatch((tag,), users, items, np.array([0, len(users)]), np.arange(len(users)),
+                       np.array([0, len(items)]), np.arange(len(items)),
+                       np.array([0, len(cells)]), uu, ii, cc)
+
+
+def entries(batch, k=0):
+    """{(user, item): credit} of the batch's k-th tag, in the batch's entry order."""
+    span = slice(batch.offsets[k], batch.offsets[k + 1])
+    users = [batch.users[c] for c in batch.user_code[batch.user[span]]]
+    items = [batch.items[c] for c in batch.item_code[batch.item[span]]]
+    return dict(zip(zip(users, items), batch.credit[span].tolist()))
+
+
+def results(scored):
+    """{tag: SpearResult} of a SpearBatch."""
+    credits = scored.credits
+    users = [credits.users[c] for c in credits.user_code]
+    items = [credits.items[c] for c in credits.item_code]
+    out = {}
+    for k, tag in enumerate(credits.tags):
+        u = slice(credits.user_offsets[k], credits.user_offsets[k + 1])
+        i = slice(credits.item_offsets[k], credits.item_offsets[k + 1])
+        out[tag] = SpearResult(tag, dict(zip(users[u], scored.user_score[u].tolist())),
+                               dict(zip(items[i], scored.item_score[i].tolist())),
+                               int(scored.tag_iterations[k]), bool(scored.tag_converged[k]))
+    return out
 
 
 def credit_matrix(index, tag, exponent=0.5):
@@ -69,3 +129,17 @@ def spear_scores(credit, tolerance=1e-8, max_iter=250):
         iterations=iterations,
         converged=converged,
     )
+
+
+def mean_z(index, tags, exponent=0.5, tolerance=1e-8, max_iter=250):
+    """{user: mean of the user's per-tag population z-scores} over the tags, tag by tag."""
+    per_user = {}
+    for tag in tags:
+        result = spear_scores(credit_matrix(index, tag, exponent), tolerance, max_iter)
+        users = sorted(result.user_scores)
+        scores = np.array([result.user_scores[u] for u in users])
+        sd = scores.std(ddof=0)
+        z = np.zeros_like(scores) if sd == 0 else (scores - scores.mean()) / sd
+        for user, value in zip(users, z.tolist()):
+            per_user.setdefault(user, []).append(value)
+    return {user: float(np.mean(values)) for user, values in per_user.items()}

@@ -30,7 +30,7 @@ from folkmetrics.expertise import (
 from folkmetrics.motivation import orphan_ratio, tpp, trr
 from folkmetrics.partition import gini, rank_users, split_supertaggers
 from folkmetrics.similarity import FreqDist, cosine_topn, similarity_curve, spearman_topn
-from folkmetrics.spear import CreditMatrix, credit_matrix, spear_scores
+from folkmetrics.spear import credit_batch
 from folkmetrics.stats import BinSpec, log_bins, population_zscores
 from folkmetrics.partition import Partition
 from folkmetrics.taxonomy import conditional_table, induce_forest, depth_by_bin
@@ -38,7 +38,8 @@ from folkmetrics.taxonomy import conditional_table, induce_forest, depth_by_bin
 from conftest import make_index
 from corpus_oracle import views
 from test_similarity import brute_cosine_topn, brute_spearman_topn, shared_top5_index
-from test_spear import brute_force_hits
+from spear_oracle import batch_of, entries
+from test_spear import brute_force_hits, scored
 from test_taxonomy import items_with_tags
 
 
@@ -185,27 +186,27 @@ def test_c06_spear_convergence_hits_oracle_ordering_and_zscores():
     for _ in range(15):
         n_users = int(rng.integers(2, 101))
         n_items = int(rng.integers(1, 40))
-        entries = {}
+        credits = {}
         for u in range(n_users):
             picks = rng.choice(n_items, size=min(n_items, int(rng.integers(1, 4))),
                                replace=False)
             for i in picks:
-                entries[(f"u{u:03d}", f"i{i:03d}")] = float(rng.integers(1, 6)) ** 0.5
-        result = spear_scores(CreditMatrix("t", 0.5, entries), tolerance=1e-8, max_iter=250)
+                credits[(f"u{u:03d}", f"i{i:03d}")] = float(rng.integers(1, 6)) ** 0.5
+        result = scored(batch_of(credits), tolerance=1e-8, max_iter=250)
         assert result.converged and result.iterations <= 250
 
     hits_index = make_index(
         [(f"u{k}", f"i{k % 5}", "shared", k % 7) for k in range(40)]
         + [(f"u{k}", f"j{k % 3}", "shared", k % 5) for k in range(25)]
     )
-    credit = credit_matrix(hits_index, "shared", exponent=0.0)
-    result = spear_scores(credit, tolerance=1e-12, max_iter=2000)
-    expected_e, _ = brute_force_hits(credit.entries)
+    credit = credit_batch(hits_index, ["shared"], exponent=0.0)
+    result = scored(credit, tolerance=1e-12, max_iter=2000)
+    expected_e, _ = brute_force_hits(entries(credit))
     for user, score in result.user_scores.items():
         assert score == pytest.approx(expected_e[user], abs=1e-6)
 
     seq = make_index([("early", "i", "rock", 1), ("late", "i", "rock", 2)])
-    seq_result = spear_scores(credit_matrix(seq, "rock"))
+    seq_result = scored(credit_batch(seq, ["rock"]))
     assert seq_result.user_scores["early"] > seq_result.user_scores["late"]
 
     for _ in range(10):

@@ -24,6 +24,10 @@ FOUR_USER_TSV = "".join(
 )
 
 
+# two users, disjoint items and tags: no shared items, no eligible tags
+DEGENERATE_TSV = "a\ti1\tx\t0\na\ti2\tx\t1\nb\tj1\ty\t0\n"
+
+
 @pytest.fixture
 def runner():
     return CliRunner()
@@ -326,6 +330,40 @@ class TestAnalysisCommands:
         assert payload["nodes"]["classic rock"]["norm_depth"] == 1.0
         assert "annotation_coverage" in payload
 
+    @pytest.mark.parametrize("command", [["taxonomy"], ["expertise", "depth"]])
+    def test_no_eligible_tags_for_taxonomy_exits_one(self, runner, tmp_path, command):
+        src = write_fixture(tmp_path / "corpus.tsv", DEGENERATE_TSV)
+        result = runner.invoke(main, command + [src])
+        assert result.exit_code == 1
+        assert result.stderr == "Error: no eligible tags for taxonomy induction\n"
+
+    @pytest.mark.parametrize("args", [
+        ["spear", "--top-k", "-1"], ["spear", "--top-k", "0"], ["taxonomy", "--top-k", "-1"],
+        ["expertise", "depth", "--top-k", "0"], ["report", "--top-k", "-1"],
+        ["motivation", "--orphan-divisor", "0"], ["motivation", "--orphan-divisor", "-3"],
+        ["report", "--orphan-divisor", "0"],
+        ["similarity", "--max-n", "0"], ["report", "--max-n", "0"],
+    ])
+    def test_count_options_below_one_are_usage_errors(self, runner, tmp_path, args):
+        src = write_fixture(tmp_path / "corpus.tsv")
+        out = ["--out-dir", str(tmp_path / "bundle")] if args[0] == "report" else []
+        result = runner.invoke(main, args + [src] + out)
+        assert result.exit_code == 2, result.output
+        assert args[-2] in result.output and "x>=1" in result.output
+        assert not (tmp_path / "bundle").exists()
+
+    @pytest.mark.parametrize("command", ["exo-diff", "report"])
+    def test_popularity_sidecar_not_utf8_exits_one_naming_the_line(self, runner, tmp_path,
+                                                                    command):
+        src = write_fixture(tmp_path / "corpus.tsv")
+        sidecar = tmp_path / "pop.tsv"
+        sidecar.write_bytes(b"i0\t10\ni\xff1\t3\n")
+        out = ["--out-dir", str(tmp_path / "bundle")] if command == "report" else []
+        result = runner.invoke(main, [command, src, "--popularity", str(sidecar)] + out)
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.stderr == "Error: popularity line 2: invalid UTF-8 byte 0xff\n"
+
     def test_threads_flag_accepted(self, runner, tmp_path):
         src = write_fixture(tmp_path / "corpus.tsv")
         result = runner.invoke(main, ["--threads", "4", "partition", src, "--omit-users"])
@@ -415,11 +453,7 @@ class TestReportBundle:
             assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes(), name
 
     def test_degenerate_corpus_yields_header_only_series(self, runner, tmp_path):
-        # two users, disjoint items and tags: no shared items, no eligible tags
-        src = write_fixture(
-            tmp_path / "corpus.tsv",
-            "a\ti1\tx\t0\na\ti2\tx\t1\nb\tj1\ty\t0\n",
-        )
+        src = write_fixture(tmp_path / "corpus.tsv", DEGENERATE_TSV)
         out_dir = tmp_path / "bundle"
         result = runner.invoke(main, ["report", src, "--out-dir", str(out_dir)])
         assert result.exit_code == 0, result.output
@@ -449,7 +483,7 @@ class TestReportBundle:
         assert {p.name for p in out_dir.iterdir()} == self.EXPECTED_FILES
 
 
-def test_csv_cells_of_numpy_scalars_read_as_plain_numbers():
+def test_csv_cells_of_numpy_scalars_read_as_plain_numbers(tmp_path):
     """A numpy float is a float, but its repr names its type; the CSV must not.
 
     A numpy bool is no bool: it writes 1 or 0, as a Python bool does.
@@ -458,10 +492,10 @@ def test_csv_cells_of_numpy_scalars_read_as_plain_numbers():
 
     from folkmetrics.report import _write_csv
 
-    buf = io.StringIO()
-    _write_csv(buf, ["a", "b", "c"], [(np.float64(0.1), np.int64(7), 0.25),
-                                      (np.True_, np.False_, True)])
-    assert buf.getvalue() == "a,b,c\n0.1,7,0.25\n1,0,1\n"
+    path = tmp_path / "cells.csv"
+    _write_csv(path, ["a", "b", "c"], [(np.float64(0.1), np.int64(7), 0.25),
+                                       (np.True_, np.False_, True)])
+    assert path.read_text(encoding="utf-8") == "a,b,c\n0.1,7,0.25\n1,0,1\n"
 
 
 def test_per_user_outputs_match_the_single_user_functions(runner, tmp_path):
@@ -506,3 +540,30 @@ def test_per_user_outputs_match_the_single_user_functions(runner, tmp_path):
         want = [e + [repr(s)] for e, s in zip(expected, map(score, users)) if s is not None]
         assert got == want, args
         assert len(want) < len(users), args
+
+
+def test_spear_per_user_rows_match_the_per_tag_reference(runner, tmp_path):
+    """Each --per-user mean_z is the user's mean per-tag z-score from the dict-based reference."""
+    import numpy as np
+
+    import spear_oracle
+    from folkmetrics.corpus import build_index, parse_annotations
+    from folkmetrics.spear import eligible_tags
+
+    rng = np.random.default_rng(29)
+    lines = [f"u{rng.integers(40)}\ti{rng.integers(30)}\tt{rng.integers(12)}\t{rng.integers(50)}\n"
+             for _ in range(600)]
+    src = write_fixture(tmp_path / "corpus.tsv", "".join(lines))
+    index = build_index(parse_annotations(src).annotations)
+    expected = spear_oracle.mean_z(index, sorted(eligible_tags(index, min_users=3)))
+    out = tmp_path / "per_user.csv"
+    result = runner.invoke(main, ["spear", src, "--min-users", "3", "--per-user", str(out),
+                                  "--out", str(tmp_path / "binned.csv")])
+    assert result.exit_code == 0, result.output
+    rows = list(csv.reader(out.open()))
+    assert rows[0] == ["user", "annotations", "mean_z"]
+    assert [row[0] for row in rows[1:]] == sorted(expected)
+    counts = dict(zip(index.columns.users, index.user_csr.counts().tolist()))
+    for user, annotations, mean_z in rows[1:]:
+        assert int(annotations) == counts[user]
+        assert float(mean_z) == pytest.approx(expected[user], abs=1e-12)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from folkmetrics.errors import NotFoundError
+from folkmetrics.errors import DomainError, NotFoundError
 from folkmetrics.motivation import (
     motivation_by_bin,
     orphan_ratio,
@@ -95,6 +95,14 @@ class TestOrphanRatio:
         assert orphan_ratio(index, "u", divisor=10) == pytest.approx(0.5)
         # default divisor 100: max usage 20 is within it -> everything is seldom-used
         assert orphan_ratio(index, "u") == 1.0
+
+    @pytest.mark.parametrize("divisor", [0, -3])
+    def test_divisor_below_one_raises(self, divisor):
+        index = make_index([("u", "i", "t", 0)])
+        with pytest.raises(DomainError):
+            orphan_ratio(index, "u", divisor=divisor)
+        with pytest.raises(DomainError):
+            motivation_by_bin(index, BinSpec(), divisor)
 
 
 class TestInvariants:

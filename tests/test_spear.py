@@ -7,17 +7,33 @@ import pytest
 
 from folkmetrics.errors import ConvergenceWarning, DomainError, NotFoundError
 from folkmetrics.spear import (
-    CreditMatrix,
-    credit_matrix,
+    credit_batch,
     eligible_tags,
     spear_by_bin,
     spear_scores,
-    standardize_and_average,
+    user_mean_z,
 )
 from folkmetrics.stats import BinSpec
 
 from conftest import make_index, random_rows
 from corpus_oracle import views
+from spear_oracle import batch_of, entries, results
+
+
+def credit_matrix(index, tag, exponent=0.5):
+    """{(user, item): credit} of one tag, from credit_batch."""
+    return entries(credit_batch(index, [tag], exponent))
+
+
+def scored(batch, **limits):
+    """The SpearResult of a one-tag batch."""
+    return results(spear_scores(batch, **limits))[batch.tags[0]]
+
+
+def mean_z_by_name(index, **options):
+    """user_mean_z as {user: mean z} over the users that have a score."""
+    mean_z = user_mean_z(index, **options)
+    return {u: z for u, z in zip(index.columns.users, mean_z.tolist()) if not math.isnan(z)}
 
 
 def brute_force_hits(entries, iterations=2000):
@@ -63,6 +79,12 @@ class TestEligibleTags:
         index = make_index(rows)
         assert eligible_tags(index, top_k=2, min_users=1) == {"t0", "t1"}
 
+    @pytest.mark.parametrize("top_k", [0, -1])
+    def test_top_k_below_one_raises(self, top_k):
+        index = make_index([(f"u{k}", "i", f"t{k % 2}", k) for k in range(4)])
+        with pytest.raises(DomainError):
+            eligible_tags(index, top_k=top_k, min_users=1)
+
     def test_matches_sort_filter_oracle(self):
         rng = np.random.default_rng(139)
         rows = random_rows(rng)
@@ -82,26 +104,26 @@ class TestCreditMatrix:
     def test_sequential_taggers(self):
         index = make_index([("u1", "i", "rock", 1), ("u2", "i", "rock", 2)])
         credit = credit_matrix(index, "rock", exponent=0.5)
-        assert credit.entries[("u1", "i")] == pytest.approx(math.sqrt(2))
-        assert credit.entries[("u2", "i")] == pytest.approx(1.0)
+        assert credit[("u1", "i")] == pytest.approx(math.sqrt(2))
+        assert credit[("u2", "i")] == pytest.approx(1.0)
 
     def test_simultaneous_tie(self):
         index = make_index([("u1", "i", "rock", 1), ("u2", "i", "rock", 1)])
         credit = credit_matrix(index, "rock")
-        assert credit.entries[("u1", "i")] == 1.0
-        assert credit.entries[("u2", "i")] == 1.0
+        assert credit[("u1", "i")] == 1.0
+        assert credit[("u2", "i")] == 1.0
 
     def test_exponent_zero_flattens(self):
         rows = [(f"u{k}", "i", "rock", k) for k in range(5)]
         credit = credit_matrix(make_index(rows), "rock", exponent=0.0)
-        assert all(v == 1.0 for v in credit.entries.values())
+        assert all(v == 1.0 for v in credit.values())
 
     def test_duplicate_applications_use_earliest(self):
         rows = [("u1", "i", "rock", 9), ("u1", "i", "rock", 1), ("u2", "i", "rock", 5)]
         credit = credit_matrix(make_index(rows), "rock")
         # u1's earliest application (t=1) precedes u2 (t=5)
-        assert credit.entries[("u1", "i")] == pytest.approx(math.sqrt(2))
-        assert credit.entries[("u2", "i")] == pytest.approx(1.0)
+        assert credit[("u1", "i")] == pytest.approx(math.sqrt(2))
+        assert credit[("u2", "i")] == pytest.approx(1.0)
 
     def test_matches_counting_oracle(self):
         rng = np.random.default_rng(149)
@@ -115,7 +137,7 @@ class TestCreditMatrix:
                     key = (u, i)
                     if key not in earliest or tm < earliest[key]:
                         earliest[key] = tm
-            for (u, i), c in credit.entries.items():
+            for (u, i), c in credit.items():
                 later = sum(
                     1
                     for (v, j), tm in earliest.items()
@@ -131,20 +153,18 @@ class TestCreditMatrix:
 
 class TestSpearScores:
     def test_single_user_single_item(self):
-        credit = CreditMatrix("t", 0.5, {("u", "i"): 1.0})
-        result = spear_scores(credit)
+        result = scored(batch_of({("u", "i"): 1.0}))
         assert result.user_scores == {"u": 1.0}
         assert result.converged
 
     def test_symmetric_users(self):
-        credit = CreditMatrix("t", 0.5, {("u1", "i1"): 1.0, ("u2", "i2"): 1.0})
-        result = spear_scores(credit)
+        result = scored(batch_of({("u1", "i1"): 1.0, ("u2", "i2"): 1.0}))
         assert result.user_scores["u1"] == pytest.approx(0.5)
         assert result.user_scores["u2"] == pytest.approx(0.5)
 
     def test_earlier_tagger_scores_higher(self):
         index = make_index([("early", "i", "rock", 1), ("late", "i", "rock", 2)])
-        result = spear_scores(credit_matrix(index, "rock"))
+        result = scored(credit_batch(index, ["rock"]))
         assert result.user_scores["early"] > result.user_scores["late"]
         # single item: fixed point is proportional to credit
         expected = math.sqrt(2) / (math.sqrt(2) + 1.0)
@@ -154,7 +174,7 @@ class TestSpearScores:
         rng = np.random.default_rng(151)
         index = make_index(random_rows(rng, n_annotations=200))
         for tag in sorted(views(index).by_tag)[:3]:
-            result = spear_scores(credit_matrix(index, tag))
+            result = scored(credit_batch(index, [tag]))
             assert sum(result.user_scores.values()) == pytest.approx(1.0, abs=1e-9)
             assert all(v >= 0 for v in result.user_scores.values())
             assert sum(result.item_scores.values()) == pytest.approx(1.0, abs=1e-9)
@@ -164,11 +184,11 @@ class TestSpearScores:
         for _ in range(10):
             n_users = int(rng.integers(2, 101))
             n_items = int(rng.integers(1, 30))
-            entries = {}
+            credits = {}
             for u in range(n_users):
                 for i in rng.choice(n_items, size=min(n_items, 3), replace=False):
-                    entries[(f"u{u}", f"i{i}")] = float(rng.integers(1, 5)) ** 0.5
-            result = spear_scores(CreditMatrix("t", 0.5, entries), tolerance=1e-8, max_iter=250)
+                    credits[(f"u{u}", f"i{i}")] = float(rng.integers(1, 5)) ** 0.5
+            result = scored(batch_of(credits), tolerance=1e-8, max_iter=250)
             assert result.converged
             assert result.iterations <= 250
 
@@ -177,42 +197,45 @@ class TestSpearScores:
         rows = random_rows(rng, n_users=12, n_items=8, n_tags=2, n_annotations=150)
         index = make_index(rows)
         for tag in views(index).by_tag:
-            credit = credit_matrix(index, tag, exponent=0.0)
-            result = spear_scores(credit, tolerance=1e-12, max_iter=2000)
-            expected_e, expected_q = brute_force_hits(credit.entries)
+            batch = credit_batch(index, [tag], exponent=0.0)
+            result = scored(batch, tolerance=1e-12, max_iter=2000)
+            expected_e, expected_q = brute_force_hits(entries(batch))
             for user, score in result.user_scores.items():
                 assert score == pytest.approx(expected_e[user], abs=1e-6)
             for item, score in result.item_scores.items():
                 assert score == pytest.approx(expected_q[item], abs=1e-6)
 
     def test_input_order_invariance(self):
-        entries = {("b", "i1"): 2.0, ("a", "i1"): 1.0, ("c", "i2"): 1.5}
-        shuffled = dict(reversed(list(entries.items())))
-        r1 = spear_scores(CreditMatrix("t", 0.5, entries))
-        r2 = spear_scores(CreditMatrix("t", 0.5, shuffled))
+        credits = {("b", "i1"): 2.0, ("a", "i1"): 1.0, ("c", "i2"): 1.5}
+        shuffled = dict(reversed(list(credits.items())))
+        r1 = scored(batch_of(credits))
+        r2 = scored(batch_of(shuffled))
         assert r1.user_scores == r2.user_scores
 
     def test_empty_matrix_raises(self):
+        # batches come from eligible tags, so the empty case is a corpus with none
         with pytest.raises(DomainError):
-            spear_scores(CreditMatrix("t", 0.5, {}))
+            user_mean_z(make_index([("u", "i", "t", 0)]), min_users=2)
 
 
 class TestStandardize:
+    """With exponent 1 an item's first of two taggers has credit 2, the second 1."""
+
     def test_two_users_plus_minus_one(self):
-        result = spear_scores(CreditMatrix("t", 0.5, {("a", "i"): 2.0, ("b", "i"): 1.0}))
-        mean_z = standardize_and_average([result])
+        index = make_index([("a", "i", "t", 1), ("b", "i", "t", 2)])
+        mean_z = mean_z_by_name(index, min_users=1, exponent=1.0)
         assert mean_z["a"] == pytest.approx(1.0)
         assert mean_z["b"] == pytest.approx(-1.0)
 
     def test_zero_variance_gives_zeros(self):
-        result = spear_scores(CreditMatrix("t", 0.5, {("a", "i1"): 1.0, ("b", "i2"): 1.0}))
-        mean_z = standardize_and_average([result])
+        index = make_index([("a", "i1", "t", 1), ("b", "i2", "t", 1)])
+        mean_z = mean_z_by_name(index, min_users=1)
         assert mean_z == {"a": 0.0, "b": 0.0}
 
     def test_opposite_tags_cancel(self):
-        r1 = spear_scores(CreditMatrix("t1", 0.5, {("a", "i"): 2.0, ("b", "i"): 1.0}))
-        r2 = spear_scores(CreditMatrix("t2", 0.5, {("a", "j"): 1.0, ("b", "j"): 2.0}))
-        mean_z = standardize_and_average([r1, r2])
+        index = make_index([("a", "i", "t1", 1), ("b", "i", "t1", 2),
+                            ("b", "j", "t2", 1), ("a", "j", "t2", 2)])
+        mean_z = mean_z_by_name(index, min_users=1, exponent=1.0)
         assert mean_z["a"] == pytest.approx(0.0, abs=1e-9)
         assert mean_z["b"] == pytest.approx(0.0, abs=1e-9)
 
@@ -220,8 +243,8 @@ class TestStandardize:
         rng = np.random.default_rng(167)
         rows = random_rows(rng, n_annotations=300)
         index = make_index(rows)
-        for tag in sorted(views(index).by_tag)[:5]:
-            result = spear_scores(credit_matrix(index, tag))
+        tags = sorted(views(index).by_tag)[:5]
+        for result in results(spear_scores(credit_batch(index, tags))).values():
             scores = np.array(sorted(result.user_scores.values()))
             if scores.std() == 0:
                 continue
@@ -266,7 +289,7 @@ class TestSpearByBin:
         tags = eligible_tags(index, top_k=3, min_users=1)
         per_user = {}
         for tag in sorted(tags):
-            result = spear_scores(credit_matrix(index, tag))
+            result = scored(credit_batch(index, [tag]))
             users = sorted(result.user_scores)
             scores = np.array([result.user_scores[u] for u in users])
             sd = scores.std(ddof=0)
@@ -275,9 +298,11 @@ class TestSpearByBin:
                 per_user.setdefault(u, []).append(float(zv))
         from folkmetrics.stats import binned_mean
 
+        # users in the order of their first annotation
+        first = list(dict.fromkeys(u for u, _, _, _ in rows))
         pairs = [
-            (float(views(index).user_annotation_count[u]), float(np.mean(zs)))
-            for u, zs in sorted(per_user.items())
+            (float(views(index).user_annotation_count[u]), float(np.mean(per_user[u])))
+            for u in first if u in per_user
         ]
         assert series == binned_mean(pairs, spec)
 

@@ -23,37 +23,20 @@ corpora = st.lists(
 limits = st.tuples(st.sampled_from([1e-3, 1e-8, 1e-12]), st.integers(0, 60))
 
 
-def per_tag(scored):
-    """{tag: (user scores, item scores, iterations, converged)} of a SpearBatch."""
-    credits = scored.credits
-    users = [credits.users[c] for c in credits.user_code]
-    items = [credits.items[c] for c in credits.item_code]
-    out = {}
-    for k, tag in enumerate(credits.tags):
-        u = slice(credits.user_offsets[k], credits.user_offsets[k + 1])
-        i = slice(credits.item_offsets[k], credits.item_offsets[k + 1])
-        out[tag] = (
-            dict(zip(users[u], scored.user_score[u].tolist())),
-            dict(zip(items[i], scored.item_score[i].tolist())),
-            int(scored.tag_iterations[k]),
-            bool(scored.tag_converged[k]),
-        )
-    return out
-
-
 @settings(max_examples=60, deadline=None)
 @given(corpora, limits)
 def test_batch_matches_per_tag_reference(rows, limit):
     tolerance, max_iter = limit
     index = make_index(rows)
     tags = sorted(views(index).by_tag)
-    scored = per_tag(spear_scores(credit_batch(index, tags), tolerance, max_iter))
+    scored = spear_oracle.results(spear_scores(credit_batch(index, tags), tolerance, max_iter))
     for tag in tags:
         expected = spear_oracle.spear_scores(
             spear_oracle.credit_matrix(index, tag), tolerance, max_iter
         )
-        users, items, iterations, converged = scored[tag]
-        assert (iterations, converged) == (expected.iterations, expected.converged)
+        users, items = scored[tag].user_scores, scored[tag].item_scores
+        assert (scored[tag].iterations, scored[tag].converged) == (expected.iterations,
+                                                                   expected.converged)
         assert users.keys() == expected.user_scores.keys()
         assert items.keys() == expected.item_scores.keys()
         for got, want in ((users, expected.user_scores), (items, expected.item_scores)):
@@ -67,8 +50,8 @@ def test_scores_do_not_depend_on_the_rest_of_the_batch(rows, limit, data):
     index = make_index(rows)
     tags = sorted(views(index).by_tag)
     subset = data.draw(st.permutations(tags))[: data.draw(st.integers(1, len(tags)))]
-    full = per_tag(spear_scores(credit_batch(index, tags), *limit))
-    part = per_tag(spear_scores(credit_batch(index, subset), *limit))
+    full = spear_oracle.results(spear_scores(credit_batch(index, tags), *limit))
+    part = spear_oracle.results(spear_scores(credit_batch(index, subset), *limit))
     for tag in subset:
         assert part[tag] == full[tag]
 
@@ -80,10 +63,7 @@ def test_credits_equal_the_counting_reference(rows, exponent):
     tags = sorted(views(index).by_tag)
     batch = credit_batch(index, tags, exponent)
     for k, tag in enumerate(tags):
-        span = slice(batch.offsets[k], batch.offsets[k + 1])
-        users = [batch.users[c] for c in batch.user_code[batch.user[span]]]
-        items = [batch.items[c] for c in batch.item_code[batch.item[span]]]
-        got = dict(zip(zip(users, items), batch.credit[span].tolist()))
+        got = spear_oracle.entries(batch, k)
         assert got == spear_oracle.credit_matrix(index, tag, exponent).entries
         assert list(got) == sorted(got)
 
