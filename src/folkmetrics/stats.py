@@ -190,9 +190,11 @@ def binned_mean(pairs: Iterable[tuple[float, float]], spec: BinSpec) -> BinnedSe
 
 
 def population_zscores(values: np.ndarray) -> np.ndarray:
-    """Z-transform with population standard deviation; constant input maps to zeros."""
-    mu = values.mean()
-    sigma = values.std(ddof=0)
-    if sigma == 0.0:
+    """Z-transform with population standard deviation; all-equal input maps to zeros.
+
+    Equal values are compared as such: their computed standard deviation
+    need not be 0 (seven copies of 1/7 give 2.8e-17).
+    """
+    if np.all(values == values[:1]):
         return np.zeros_like(values)
-    return (values - mu) / sigma
+    return (values - values.mean()) / values.std(ddof=0)

@@ -138,8 +138,8 @@ def mean_z(index, tags, exponent=0.5, tolerance=1e-8, max_iter=250):
         result = spear_scores(credit_matrix(index, tag, exponent), tolerance, max_iter)
         users = sorted(result.user_scores)
         scores = np.array([result.user_scores[u] for u in users])
-        sd = scores.std(ddof=0)
-        z = np.zeros_like(scores) if sd == 0 else (scores - scores.mean()) / sd
+        equal = np.all(scores == scores[0])
+        z = np.zeros_like(scores) if equal else (scores - scores.mean()) / scores.std(ddof=0)
         for user, value in zip(users, z.tolist()):
             per_user.setdefault(user, []).append(value)
     return {user: float(np.mean(values)) for user, values in per_user.items()}

@@ -232,6 +232,12 @@ class TestStandardize:
         mean_z = mean_z_by_name(index, min_users=1)
         assert mean_z == {"a": 0.0, "b": 0.0}
 
+    def test_equal_scores_off_by_rounding_give_zeros(self):
+        # seven simultaneous taggers of one item each score 1/7, whose std is 2.8e-17
+        index = make_index([(f"u{k}", "i", "t", 0) for k in range(7)])
+        mean_z = mean_z_by_name(index, min_users=1)
+        assert mean_z == {f"u{k}": 0.0 for k in range(7)}
+
     def test_opposite_tags_cancel(self):
         index = make_index([("a", "i", "t1", 1), ("b", "i", "t1", 2),
                             ("b", "j", "t2", 1), ("a", "j", "t2", 2)])
@@ -246,7 +252,7 @@ class TestStandardize:
         tags = sorted(views(index).by_tag)[:5]
         for result in results(spear_scores(credit_batch(index, tags))).values():
             scores = np.array(sorted(result.user_scores.values()))
-            if scores.std() == 0:
+            if np.all(scores == scores[0]):
                 continue
             z = (scores - scores.mean()) / scores.std(ddof=0)
             assert abs(z.mean()) < 1e-9
@@ -292,8 +298,8 @@ class TestSpearByBin:
             result = scored(credit_batch(index, [tag]))
             users = sorted(result.user_scores)
             scores = np.array([result.user_scores[u] for u in users])
-            sd = scores.std(ddof=0)
-            z = np.zeros_like(scores) if sd == 0 else (scores - scores.mean()) / sd
+            equal = np.all(scores == scores[0])
+            z = np.zeros_like(scores) if equal else (scores - scores.mean()) / scores.std(ddof=0)
             for u, zv in zip(users, z):
                 per_user.setdefault(u, []).append(float(zv))
         from folkmetrics.stats import binned_mean

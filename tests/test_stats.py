@@ -239,6 +239,11 @@ class TestPopulationZscores:
     def test_constant_maps_to_zero(self):
         assert population_zscores(np.array([4.0, 4.0, 4.0])).tolist() == [0.0, 0.0, 0.0]
 
+    def test_equal_values_with_rounded_std_map_to_zero(self):
+        values = np.full(7, 1 / 7)
+        assert values.std() > 0
+        assert population_zscores(values).tolist() == [0.0] * 7
+
     def test_mean_zero_std_one(self):
         rng = np.random.default_rng(23)
         z = population_zscores(rng.random(100))
