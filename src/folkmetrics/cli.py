@@ -200,7 +200,7 @@ def synth(users, items, tags, activity_exponent, item_exponent, tag_exponent, se
 @click.option("--out", default="-", help="partition JSON (default: stdout)")
 @click.option("--tables", default=None, help="write the per-group summary CSV here")
 @click.option("--pareto", default=None, help="write the Pareto curve CSV here")
-@click.option("--resolution", type=int, default=1000, show_default=True,
+@click.option("--resolution", type=click.IntRange(2), default=1000, show_default=True,
               help="Pareto curve sample points")
 @click.option("--full-pareto", is_flag=True, help="export the curve at full resolution")
 @click.option("--omit-users", is_flag=True, help="leave user lists out of the JSON")
@@ -338,8 +338,10 @@ def motivation(source, delimiter, granularity, header, dedupe, per_user, binned,
 @click.option("--top-k", type=click.IntRange(1), default=spear_mod.DEFAULT_TOP_K, show_default=True)
 @click.option("--min-users", type=int, default=spear_mod.DEFAULT_MIN_USERS, show_default=True)
 @click.option("--exponent", type=float, default=spear_mod.DEFAULT_EXPONENT, show_default=True)
-@click.option("--tolerance", type=float, default=spear_mod.DEFAULT_TOLERANCE, show_default=True)
-@click.option("--max-iter", type=int, default=spear_mod.DEFAULT_MAX_ITER, show_default=True)
+@click.option("--tolerance", type=click.FloatRange(0, min_open=True),
+              default=spear_mod.DEFAULT_TOLERANCE, show_default=True)
+@click.option("--max-iter", type=click.IntRange(1), default=spear_mod.DEFAULT_MAX_ITER,
+              show_default=True)
 @bins_option
 @click.option("--out", default="-", help="binned series CSV (default: stdout)")
 @click.option("--per-user", default=None, help="write per-user mean z-scores CSV here")
@@ -431,7 +433,7 @@ def taxonomy(source, delimiter, granularity, header, dedupe, threshold, min_supp
 @click.option("--fraction", type=float, default=0.5, show_default=True)
 @bins_option
 @click.option("--max-n", type=click.IntRange(1), default=100_000, show_default=True)
-@click.option("--pareto-resolution", type=int, default=1000, show_default=True)
+@click.option("--pareto-resolution", type=click.IntRange(2), default=1000, show_default=True)
 @click.option("--top-k", type=click.IntRange(1), default=spear_mod.DEFAULT_TOP_K, show_default=True)
 @click.option("--min-users", type=int, default=spear_mod.DEFAULT_MIN_USERS, show_default=True)
 @click.option("--exponent", type=float, default=spear_mod.DEFAULT_EXPONENT, show_default=True)

@@ -104,11 +104,13 @@ class ParetoCurve:
 def pareto_curve(index: FolksonomyIndex, resolution: Optional[int] = None) -> ParetoCurve:
     """Annotation share held by the top x fraction of ranked users.
 
-    With a resolution, user ranks are sampled uniformly; endpoints (0,0)
-    and (1,1) are always present.
+    With a resolution (at least 2), user ranks are sampled uniformly;
+    endpoints (0,0) and (1,1) are always present.
     """
     if index.n_annotations == 0:
         raise DomainError("pareto curve of an empty index")
+    if resolution is not None and resolution < 2:
+        raise DomainError(f"pareto resolution must be at least 2, got {resolution}")
     ranked = rank_users(index)
     counts = _ranked_counts(index).astype(float)
     shares = np.cumsum(counts) / counts.sum()
@@ -116,7 +118,7 @@ def pareto_curve(index: FolksonomyIndex, resolution: Optional[int] = None) -> Pa
     if resolution is None or resolution >= n:
         ks = np.arange(1, n + 1)
     else:
-        ks = np.unique(np.round(np.linspace(1, n, max(resolution, 2))).astype(int))
+        ks = np.unique(np.round(np.linspace(1, n, resolution)).astype(int))
     points = [(0.0, 0.0)]
     points.extend((int(k) / n, float(shares[k - 1])) for k in ks)
     return ParetoCurve(points=tuple(points))

@@ -52,11 +52,11 @@ def eligible_tags(
     if top_k < 1:
         raise DomainError(f"top_k must be at least 1, got {top_k}")
     columns = index.columns
-    n_users = len(columns.users)
+    n_users, n_tags = len(columns.users), len(columns.tags)
     # codes follow name order, so a stable sort by count breaks ties by name
-    ranked = np.argsort(-index.tag_csr.counts(), kind="stable")[:top_k]
-    pairs = np.unique(columns.tag.astype(np.int64) * n_users + columns.user)
-    users = np.bincount(pairs // n_users, minlength=len(columns.tags))
+    ranked = np.argsort(-np.bincount(columns.tag, minlength=n_tags), kind="stable")[:top_k]
+    pairs = np.sort(columns.tag.astype(np.int64) * n_users + columns.user)
+    users = np.bincount(pairs[_run_starts(pairs)] // n_users, minlength=n_tags)
     return {columns.tags[k] for k in ranked[users[ranked] >= min_users].tolist()}
 
 
@@ -114,18 +114,29 @@ def credit_batch(
     missing = [tag for tag in tags if tag not in code]
     if missing:
         raise NotFoundError(f"unknown tag: {missing[0]!r}")
-    rows, sizes = index.tag_csr.gather(np.array([code[tag] for tag in tags], dtype=np.int64))
-    tag = np.repeat(np.arange(len(tags), dtype=np.int32), sizes)
-    user, item, time = columns.user[rows], columns.item[rows], columns.time[rows]
-    del rows
-    order = np.lexsort((time, item, user, tag))
-    first = order[_run_starts(tag[order], user[order], item[order])]
-    del order
-    tag, user, item, time = tag[first], user[first], item[first], time[first]
+    if len(set(tags)) < len(tags):
+        raise DomainError("credit_batch needs distinct tags")
+    position = np.full(len(columns.tags), -1)
+    position[np.array([code[tag] for tag in tags], dtype=np.int64)] = np.arange(len(tags))
+    tag = position[columns.tag]
+    rows = np.flatnonzero(tag >= 0)
+    tag, user, item, time = tag[rows], columns.user[rows], columns.item[rows], columns.time[rows]
+    # by (tag, user), then by (pair rank, item): N rows keep each key below N**2 in int64
+    n_items = len(columns.items)
+    order = np.argsort(tag * len(columns.users) + user)
+    key = (np.cumsum(_run_starts(tag[order], user[order])) - 1) * n_items + item[order]
+    by_key = np.argsort(key)
+    order, key = order[by_key], key[by_key]
+    starts = np.flatnonzero(_run_starts(key))
+    time = np.minimum.reduceat(time[order], starts)
+    first = order[starts]
+    del rows, order, key, by_key
+    tag, user, item = tag[first], user[first], item[first]
     user_slot, user_code, user_offsets = _slots(tag, user, _run_starts(tag, user), len(tags))
     # strictly later taggers of an item: its run's end minus the end of the entry's tie group
-    order = np.lexsort((time, item, tag))
-    same_item = _run_starts(tag[order], item[order])
+    tag_item = tag * n_items + item
+    order = np.lexsort((time, tag_item))
+    same_item = _run_starts(tag_item[order])
     item_slot, later = np.empty_like(order), np.empty_like(order)
     item_slot[order], item_code, item_offsets = _slots(tag[order], item[order], same_item,
                                                        len(tags))
@@ -226,6 +237,8 @@ def user_mean_z(
     reported with a ConvergenceWarning; raises if no tag passes the
     eligibility filter.
     """
+    if max_iter < 1 or not tolerance > 0:
+        raise DomainError(f"need max_iter >= 1 and tolerance > 0, got {max_iter} and {tolerance}")
     tags = eligible_tags(index, top_k=top_k, min_users=min_users)
     if not tags:
         raise DomainError("no eligible tags for expertise analysis")
@@ -239,8 +252,10 @@ def user_mean_z(
         )
     credits = scored.credits
     offsets, n_users = credits.user_offsets, len(credits.users)
-    z = np.concatenate([population_zscores(scored.user_score[a:b])
-                        for a, b in zip(offsets, offsets[1:])])
+    sizes, z = np.diff(offsets), np.empty_like(scored.user_score)
+    for size in np.unique(sizes):  # the tags with this many scorers, one row per tag
+        slots = offsets[:-1][sizes == size, np.newaxis] + np.arange(size)
+        z[slots] = population_zscores(scored.user_score[slots])
     # each user's z-scores add up in tag order
     sums = np.bincount(credits.user_code, weights=z, minlength=n_users)
     counts = np.bincount(credits.user_code, minlength=n_users)

@@ -1,10 +1,16 @@
-"""Per-tag, dict-based SPEAR reference: the implementation the batched kernel replaced.
+"""SPEAR references: the implementations the batched kernel and its fast paths replaced.
 
 `credit_matrix` counts later taggers with a bisect over each item's sorted
 timestamps; `spear_scores` runs one tag's power iteration with whole-vector
 `np.sum` normalization. Tests compare the batched kernel against both.
 `batch_of`, `entries` and `results` translate between these dict views and
 the batch API.
+
+`eligible_tags`, `credit_batch` and `user_mean_z` are the batch functions
+as they were before their steps were rebuilt around int64 sort keys and
+z-scores by blocks of tags: `np.unique` over (tag, user) keys, multi-key
+`np.lexsort`s, and one 1-D z-transform per tag. The rebuilt functions must
+return the same arrays, bit for bit.
 """
 
 from bisect import bisect_right
@@ -14,7 +20,8 @@ from typing import Mapping
 import numpy as np
 
 from corpus_oracle import views
-from folkmetrics.spear import CreditBatch
+from folkmetrics.corpus import _run_starts
+from folkmetrics.spear import CreditBatch, _run_ends, _slots, spear_scores as batch_scores
 
 
 @dataclass(frozen=True)
@@ -143,3 +150,53 @@ def mean_z(index, tags, exponent=0.5, tolerance=1e-8, max_iter=250):
         for user, value in zip(users, z.tolist()):
             per_user.setdefault(user, []).append(value)
     return {user: float(np.mean(values)) for user, values in per_user.items()}
+
+
+def eligible_tags(index, top_k=10_000, min_users=10):
+    """The top_k most-annotated tags having at least min_users distinct users."""
+    columns = index.columns
+    n_users = len(columns.users)
+    ranked = np.argsort(-index.tag_csr.counts(), kind="stable")[:top_k]
+    pairs = np.unique(columns.tag.astype(np.int64) * n_users + columns.user)
+    users = np.bincount(pairs // n_users, minlength=len(columns.tags))
+    return {columns.tags[k] for k in ranked[users[ranked] >= min_users].tolist()}
+
+
+def credit_batch(index, tags, exponent=0.5):
+    """The CreditBatch of the tags, from stable multi-key lexsorts."""
+    columns = index.columns
+    code = {name: k for k, name in enumerate(columns.tags)}
+    rows, sizes = index.tag_csr.gather(np.array([code[tag] for tag in tags], dtype=np.int64))
+    tag = np.repeat(np.arange(len(tags), dtype=np.int32), sizes)
+    user, item, time = columns.user[rows], columns.item[rows], columns.time[rows]
+    order = np.lexsort((time, item, user, tag))
+    first = order[_run_starts(tag[order], user[order], item[order])]
+    tag, user, item, time = tag[first], user[first], item[first], time[first]
+    user_slot, user_code, user_offsets = _slots(tag, user, _run_starts(tag, user), len(tags))
+    order = np.lexsort((time, item, tag))
+    same_item = _run_starts(tag[order], item[order])
+    item_slot, later = np.empty_like(order), np.empty_like(order)
+    item_slot[order], item_code, item_offsets = _slots(tag[order], item[order], same_item,
+                                                       len(tags))
+    later[order] = _run_ends(same_item) - _run_ends(same_item | _run_starts(time[order]))
+    power = np.array([float(1 + k) ** exponent for k in range(int(later.max(initial=0)) + 1)])
+    offsets = np.searchsorted(tag, np.arange(len(tags) + 1))
+    return CreditBatch(tuple(tags), columns.users, columns.items, user_offsets, user_code,
+                       item_offsets, item_code, offsets, user_slot, item_slot, power[later])
+
+
+def user_mean_z(index, top_k=10_000, min_users=10, exponent=0.5, tolerance=1e-8, max_iter=250):
+    """Mean per-tag z-score of every user by user code, one 1-D z-transform per tag."""
+    tags = sorted(eligible_tags(index, top_k, min_users))
+    scored = batch_scores(credit_batch(index, tags, exponent), tolerance, max_iter)
+    credits = scored.credits
+    offsets, n_users = credits.user_offsets, len(credits.users)
+    z = []
+    for a, b in zip(offsets, offsets[1:]):
+        values = scored.user_score[a:b]
+        equal = np.all(values == values[:1])
+        z.append(np.zeros_like(values) if equal else (values - values.mean()) / values.std(ddof=0))
+    z = np.concatenate(z)
+    sums = np.bincount(credits.user_code, weights=z, minlength=n_users)
+    counts = np.bincount(credits.user_code, minlength=n_users)
+    return np.divide(sums, counts, out=np.full(n_users, np.nan), where=counts > 0)

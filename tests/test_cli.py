@@ -352,6 +352,22 @@ class TestAnalysisCommands:
         assert args[-2] in result.output and "x>=1" in result.output
         assert not (tmp_path / "bundle").exists()
 
+    @pytest.mark.parametrize("args, bound", [
+        (["spear", "--max-iter", "0"], "x>=1"), (["spear", "--max-iter", "-1"], "x>=1"),
+        (["spear", "--tolerance", "0"], "x>0"), (["spear", "--tolerance", "-1"], "x>0"),
+        (["partition", "--resolution", "1"], "x>=2"), (["partition", "--resolution", "0"], "x>=2"),
+        (["partition", "--resolution", "-5"], "x>=2"),
+        (["report", "--pareto-resolution", "0"], "x>=2"),
+    ])
+    def test_limits_that_cannot_be_met_are_usage_errors(self, runner, tmp_path, args, bound):
+        src = write_fixture(tmp_path / "corpus.tsv")
+        out = tmp_path / "out"
+        target = {"spear": "--out", "partition": "--pareto", "report": "--out-dir"}[args[0]]
+        result = runner.invoke(main, args + [src, target, str(out)])
+        assert result.exit_code == 2, result.output
+        assert args[-2] in result.output and bound in result.output
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["exo-diff", "report"])
     def test_popularity_sidecar_not_utf8_exits_one_naming_the_line(self, runner, tmp_path,
                                                                     command):

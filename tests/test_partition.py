@@ -186,6 +186,12 @@ class TestParetoCurve:
         assert curve.points[-1] == (1.0, 1.0)
         assert len(curve.points) <= 7
 
+    @pytest.mark.parametrize("resolution", [1, 0, -5])
+    def test_resolution_below_two_raises(self, resolution):
+        index = make_index([(f"u{k}", "i", "t", k) for k in range(4)])
+        with pytest.raises(DomainError):
+            pareto_curve(index, resolution=resolution)
+
 
 class TestPartitionSummary:
     def test_set_algebra(self):

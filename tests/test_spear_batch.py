@@ -1,11 +1,16 @@
-"""Properties of the batched SPEAR kernel against the per-tag reference."""
+"""Properties of the batched SPEAR kernel against the per-tag and the earlier batch references."""
 
+import dataclasses
+import warnings
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spear_oracle
-from folkmetrics.spear import credit_batch, spear_scores
+from folkmetrics.errors import DomainError
+from folkmetrics.spear import CreditBatch, credit_batch, eligible_tags, spear_scores, user_mean_z
 
 from conftest import make_index
 from corpus_oracle import views
@@ -21,6 +26,19 @@ corpora = st.lists(
     max_size=80,
 )
 limits = st.tuples(st.sampled_from([1e-3, 1e-8, 1e-12]), st.integers(0, 60))
+
+
+@st.composite
+def edge_corpora(draw):
+    """corpora, plus at times seven simultaneous taggers of one item and times beyond int64."""
+    rows = draw(corpora)
+    if draw(st.booleans()):
+        # one item, one time: each of the seven scores 1/7, whose std is 2.8e-17
+        rows += [(f"s{k}", "i0", "seven", 3) for k in range(7)]
+    if draw(st.booleans()):
+        # the time column becomes an object array of Python ints; ties stay ties
+        rows = [(u, i, t, time + 2**64 if time > 2 else time) for u, i, t, time in rows]
+    return rows
 
 
 @settings(max_examples=60, deadline=None)
@@ -90,3 +108,50 @@ def test_empty_batch_scores_nothing():
     scored = spear_scores(credit_batch(make_index([("u", "i", "rock", 0)]), []))
     assert scored.user_score.size == scored.tag_iterations.size == 0
     assert (scored.iterations, scored.converged) == (0, True)
+
+
+@settings(max_examples=80, deadline=None)
+@given(edge_corpora(), st.sampled_from([0.0, 0.5, 1.7]), st.data())
+def test_credit_batch_equals_the_lexsort_reference(rows, exponent, data):
+    index = make_index(rows)
+    tags = data.draw(st.permutations(index.columns.tags))
+    tags = tags[: data.draw(st.integers(0, len(tags)))]
+    got = credit_batch(index, tags, exponent)
+    want = spear_oracle.credit_batch(index, tags, exponent)
+    for field in dataclasses.fields(CreditBatch):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        if isinstance(b, np.ndarray):
+            assert a.dtype == b.dtype and np.array_equal(a, b), field.name
+        else:
+            assert a == b, field.name
+
+
+@settings(max_examples=80, deadline=None)
+@given(edge_corpora(), st.integers(1, 4), st.integers(1, 8),
+       st.tuples(st.sampled_from([1e-3, 1e-8, 1e-12]), st.integers(1, 60)))
+def test_user_mean_z_equals_the_loop_reference_bit_for_bit(rows, top_k, min_users, limit):
+    index = make_index(rows)
+    tags = eligible_tags(index, top_k, min_users)
+    assert tags == spear_oracle.eligible_tags(index, top_k, min_users)
+    if not tags:
+        with pytest.raises(DomainError):
+            user_mean_z(index, top_k, min_users, 0.5, *limit)
+        return
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        got = user_mean_z(index, top_k, min_users, 0.5, *limit)
+    want = spear_oracle.user_mean_z(index, top_k, min_users, 0.5, *limit)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_duplicate_tags_raise():
+    with pytest.raises(DomainError):
+        credit_batch(make_index([("u", "i", "rock", 0)]), ["rock", "rock"])
+
+
+@pytest.mark.parametrize("limit", [(1e-8, 0), (1e-8, -1), (0.0, 250), (-1.0, 250),
+                                   (float("nan"), 250)])
+def test_user_mean_z_rejects_limits_that_cannot_be_met(limit):
+    index = make_index([(f"u{k}", "i", "rock", k) for k in range(3)])
+    with pytest.raises(DomainError):
+        user_mean_z(index, 10, 1, 0.5, *limit)

@@ -249,3 +249,18 @@ class TestPopulationZscores:
         z = population_zscores(rng.random(100))
         assert abs(z.mean()) < 1e-9
         assert abs(z.std(ddof=0) - 1.0) < 1e-9
+
+    @pytest.mark.parametrize("width", [1, 2, 7, 129, 9000])
+    def test_rows_equal_one_dimensional_calls_bit_for_bit(self, width):
+        rng = np.random.default_rng(width)
+        block = rng.random((6, width)) ** 3
+        block[1] = 1 / 7
+        block[2] = 4.0
+        block[3, : width // 2] = 0.0
+        rows = population_zscores(block)
+        for row, values in zip(rows, block):
+            assert row.tobytes() == population_zscores(values).tobytes()
+            if not np.all(values == values[0]):
+                expected = (values - values.mean()) / values.std(ddof=0)
+                assert row.tobytes() == expected.tobytes()
+        assert rows[1].tolist() == rows[2].tolist() == [0.0] * width
