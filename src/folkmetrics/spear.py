@@ -119,9 +119,9 @@ def credit_batch(
     position = np.full(len(columns.tags), -1)
     position[np.array([code[tag] for tag in tags], dtype=np.int64)] = np.arange(len(tags))
     tag = position[columns.tag]
-    rows = np.flatnonzero(tag >= 0)
-    tag, user, item, time = tag[rows], columns.user[rows], columns.item[rows], columns.time[rows]
-    # by (tag, user), then by (pair rank, item): N rows keep each key below N**2 in int64
+    keep = tag >= 0
+    tag, user, item, time = tag[keep], columns.user[keep], columns.item[keep], columns.time[keep]
+    # one (tag, user, item) key could overflow int64; two keys below annotations**2 cannot
     n_items = len(columns.items)
     order = np.argsort(tag * len(columns.users) + user)
     key = (np.cumsum(_run_starts(tag[order], user[order])) - 1) * n_items + item[order]
@@ -129,14 +129,13 @@ def credit_batch(
     order, key = order[by_key], key[by_key]
     starts = np.flatnonzero(_run_starts(key))
     time = np.minimum.reduceat(time[order], starts)
-    first = order[starts]
-    del rows, order, key, by_key
-    tag, user, item = tag[first], user[first], item[first]
+    order = order[starts]
+    del keep, key, by_key, starts
+    tag, user, item = tag[order], user[order], item[order]
     user_slot, user_code, user_offsets = _slots(tag, user, _run_starts(tag, user), len(tags))
     # strictly later taggers of an item: its run's end minus the end of the entry's tie group
-    tag_item = tag * n_items + item
-    order = np.lexsort((time, tag_item))
-    same_item = _run_starts(tag_item[order])
+    order = np.lexsort((time, tag * n_items + item))
+    same_item = _run_starts(tag[order], item[order])
     item_slot, later = np.empty_like(order), np.empty_like(order)
     item_slot[order], item_code, item_offsets = _slots(tag[order], item[order], same_item,
                                                        len(tags))
