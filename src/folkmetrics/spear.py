@@ -233,8 +233,8 @@ def user_mean_z(
     equal contributes zeros), then averaged per user over the tags the user
     appears in; a user with no eligible tag gets NaN. The eligible tags are
     scored as one batch. Tags stopped by max_iter before converging are
-    reported with a ConvergenceWarning; raises if no tag passes the
-    eligibility filter.
+    reported with a ConvergenceWarning; raises if max_iter < 1, if
+    tolerance <= 0, or if no tag passes the eligibility filter.
     """
     if max_iter < 1 or not tolerance > 0:
         raise DomainError(f"need max_iter >= 1 and tolerance > 0, got {max_iter} and {tolerance}")

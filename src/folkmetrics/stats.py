@@ -192,10 +192,11 @@ def binned_mean(pairs: Iterable[tuple[float, float]], spec: BinSpec) -> BinnedSe
 def population_zscores(values: np.ndarray) -> np.ndarray:
     """Z-transform with population standard deviation; all-equal input maps to zeros.
 
-    A 2-D array is transformed row by row, each row exactly as a 1-D call
-    would. Equal values are compared as such: their computed standard
-    deviation need not be 0 (seven copies of 1/7 give 2.8e-17).
+    Each row of a 2-D array is transformed exactly as a 1-D call would be.
+    Equal values count as equal though their std need not be 0 (seven copies of 1/7: 2.8e-17).
     """
+    if not values.size:
+        return np.zeros_like(values)
     with np.errstate(divide="ignore", invalid="ignore"):
         z = (values - values.mean(axis=-1, keepdims=True)) / values.std(axis=-1, keepdims=True)
     return np.where(np.all(values == values[..., :1], axis=-1, keepdims=True), 0.0, z)

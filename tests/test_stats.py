@@ -1,6 +1,7 @@
 """Statistics kernel tests against brute-force definitions."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -249,6 +250,12 @@ class TestPopulationZscores:
         z = population_zscores(rng.random(100))
         assert abs(z.mean()) < 1e-9
         assert abs(z.std(ddof=0) - 1.0) < 1e-9
+
+    @pytest.mark.parametrize("shape", [(0,), (3, 0), (0, 4)])
+    def test_empty_input_maps_to_empty_without_warnings(self, shape):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert population_zscores(np.zeros(shape)).shape == shape
 
     @pytest.mark.parametrize("width", [1, 2, 7, 129, 9000])
     def test_rows_equal_one_dimensional_calls_bit_for_bit(self, width):
