@@ -1,4 +1,4 @@
-"""Time `corpus.parse_annotations` at three corpus sizes, at a base commit and in this checkout.
+"""Time the parse and the dedupe at three corpus sizes, at a base commit and in this checkout.
 
     python bench/bench_parse.py --base <commit> [--out BENCH_parse.json]
 
@@ -6,11 +6,13 @@ Run from the repository root. The script writes the three synthetic corpora
 (quarter-c10, c10 and c10x3: c10's arguments divided or multiplied as below)
 with this checkout's generator into a temporary directory, extracts `src/` of
 the base commit with `git archive`, and times one `parse_annotations` call on
-each corpus in a fresh interpreter per run, RUNS runs a side, base and
-checkout alternating, and the side that runs first alternating too. It
-records each run, the median, the child's peak RSS, and a digest of the
-parsed columns, which must be equal on both sides. The result goes to --out
-as JSON with the git SHAs and the machine (`nproc`, Python, numpy).
+each corpus in a fresh interpreter per run, then one
+`build_index(annotations, dedupe=True)` on its result, RUNS runs a side, base
+and checkout alternating, and the side that runs first alternating too. It
+records each run and the medians of both steps, the child's peak RSS (after
+both), and a digest of the parsed and the deduped columns, which must be equal
+on both sides. The result goes to --out as JSON with the git SHAs and the
+machine (`nproc`, Python, numpy).
 """
 
 from __future__ import annotations
@@ -38,23 +40,27 @@ CORPORA = {
     "c10x3": dict(C10, n_users=420_000, n_items=300_000, n_tags=15_000),
 }
 
-# One timed parse in a fresh interpreter: argv is the src/ directory and the corpus path.
+# One timed parse and dedupe in a fresh interpreter: argv is the src/ directory and the corpus.
 CHILD = """
 import hashlib, json, resource, sys, time
 sys.path.insert(0, sys.argv[1])
-from folkmetrics.corpus import parse_annotations
+from folkmetrics.corpus import build_index, parse_annotations
 start = time.perf_counter()
 parsed = parse_annotations(sys.argv[2])
 seconds = time.perf_counter() - start
-peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 c = parsed.annotations
+start = time.perf_counter()
+d = build_index(c, dedupe=True).columns
+dedupe_seconds = time.perf_counter() - start
+peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 digest = hashlib.sha256()
-for column in (c.user, c.item, c.tag, c.time):
+for column in (c.user, c.item, c.tag, c.time, d.user, d.item, d.tag, d.time):
     digest.update(str(column.dtype).encode() + column.tobytes())
 for names in (c.users, c.items, c.tags):
     digest.update("\\n".join(names).encode() + b"\\0")
-print(json.dumps({"seconds": seconds, "peak_rss_mib": peak, "annotations": len(c),
-                  "malformed": parsed.malformed, "digest": digest.hexdigest()}))
+print(json.dumps({"seconds": seconds, "dedupe_seconds": dedupe_seconds, "peak_rss_mib": peak,
+                  "annotations": len(c), "deduped": len(d), "malformed": parsed.malformed,
+                  "digest": digest.hexdigest()}))
 """
 
 
@@ -96,7 +102,8 @@ def main(argv=None) -> int:
     import numpy
 
     result = {
-        "what": ("seconds of one in-process parse_annotations call on a corpus file, in a fresh "
+        "what": ("seconds of one in-process parse_annotations call on a corpus file, and "
+                 "dedupe_seconds of one build_index(dedupe=True) on its result, in a fresh "
                  "interpreter per run; base and change alternate, and so does which runs first"),
         "base": {"sha": git("rev-parse", opts.base)},
         "change": {"sha": git("rev-parse", "HEAD"),
@@ -121,13 +128,18 @@ def main(argv=None) -> int:
                 return 1
             first = runs["change"][0]
             entry = {"config": config, "bytes": corpus.stat().st_size,
-                     "annotations": first["annotations"], "malformed": first["malformed"]}
+                     "annotations": first["annotations"], "deduped": first["deduped"],
+                     "malformed": first["malformed"]}
             for side, side_runs in runs.items():
                 seconds = [round(run["seconds"], 3) for run in side_runs]
+                dedupe = [round(run["dedupe_seconds"], 3) for run in side_runs]
                 entry[side] = {"seconds": seconds, "median_s": statistics.median(seconds),
+                               "dedupe_seconds": dedupe,
+                               "dedupe_median_s": statistics.median(dedupe),
                                "peak_rss_mib": round(statistics.median(
                                    run["peak_rss_mib"] for run in side_runs), 1)}
-                print(f"{name} {side}: median {entry[side]['median_s']} s of {seconds}, "
+                print(f"{name} {side}: parse median {entry[side]['median_s']} s of {seconds}, "
+                      f"dedupe median {entry[side]['dedupe_median_s']} s of {dedupe}, "
                       f"{entry[side]['peak_rss_mib']} MiB", flush=True)
             result["corpora"][name] = entry
             corpus.unlink()

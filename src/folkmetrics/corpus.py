@@ -541,12 +541,30 @@ def _run_starts(*keys: np.ndarray) -> np.ndarray:
     return starts
 
 
+def _sorted_runs(*keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The order that sorts the rows of the key columns, the first most significant, and where
+    each run of equal rows starts in it. One unstable argsort of one packed int64 key: a run's
+    first row is np.minimum.reduceat(order, starts). Where a multiply could overflow, the key so
+    far (or an object or over-wide column) is first replaced by its dense rank, below the row count.
+    """
+    n = len(keys[0])
+    packed, span = np.zeros(n, dtype=np.int64), 1
+    for key in keys:
+        low, high = (int(key.min()), int(key.max())) if n else (0, 0)
+        if key.dtype == object or (high - low + 1) * n > 2**63:
+            low, high, key = 0, n - 1, np.unique(key, return_inverse=True)[1]
+        width = high - low + 1
+        if span * width > 2**63:
+            span, packed = n, np.unique(packed, return_inverse=True)[1]
+        span, packed = span * width, packed * width + np.subtract(key, low, dtype=np.int64)
+    order = np.argsort(packed)
+    return order, np.flatnonzero(_run_starts(packed[order]))
+
+
 def _tally(*keys: np.ndarray) -> tuple[tuple[np.ndarray, ...], np.ndarray, np.ndarray]:
     """The distinct tuples of the key columns in sorted order, each one's count, and its first index."""
-    order = np.lexsort(keys[::-1])
-    starts = np.flatnonzero(_run_starts(*(key[order] for key in keys)))
-    # lexsort is stable: each run starts at the tuple's first occurrence
-    first = order[starts]
+    order, starts = _sorted_runs(*keys)
+    first = np.minimum.reduceat(order, starts)
     return tuple(key[first] for key in keys), np.diff(np.append(starts, len(order))), first
 
 
@@ -604,13 +622,8 @@ class FolksonomyIndex:
 
 def _dedupe(columns: AnnotationColumns) -> AnnotationColumns:
     """One annotation per (user, item, tag) triple: the first, with the triple's earliest time."""
-    if not len(columns):
-        return columns
-    order = np.lexsort((columns.tag, columns.item, columns.user))
-    starts = np.flatnonzero(_run_starts(columns.user[order], columns.item[order],
-                                        columns.tag[order]))
-    # lexsort is stable: each run starts at the triple's first occurrence
-    first = order[starts]
+    order, starts = _sorted_runs(columns.user, columns.item, columns.tag)
+    first = np.minimum.reduceat(order, starts)
     earliest = np.minimum.reduceat(columns.time[order], starts)
     kept = np.argsort(first)
     return columns.take(first[kept], earliest[kept])

@@ -232,6 +232,11 @@ class ReportConfig:
     min_support: int = taxonomy_mod.DEFAULT_MIN_SUPPORT
     orphan_divisor: int = motivation_mod.DEFAULT_ORPHAN_DIVISOR
 
+    def __post_init__(self) -> None:
+        if self.max_iter < 1 or not self.tolerance > 0:
+            raise DomainError(f"need max_iter >= 1 and tolerance > 0, got {self.max_iter} "
+                              f"and {self.tolerance}")
+
 
 def write_report(
     index: FolksonomyIndex,

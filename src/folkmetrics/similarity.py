@@ -14,7 +14,7 @@ from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .corpus import FolksonomyIndex, _members
+from .corpus import FolksonomyIndex, _members, _sorted_runs
 from .errors import DomainError, UndefinedCorrelationError
 from .partition import Partition
 from .stats import BinSpec, BinnedSeries, binned_mean, rank_descending
@@ -94,8 +94,8 @@ class _Ranking(NamedTuple):
     def of(cls, dist: FreqDist, code: Mapping[str, int]) -> "_Ranking":
         keys = np.fromiter(map(code.__getitem__, dist.counts), dtype=np.intp,
                            count=len(dist.counts))
-        counts = np.array(list(dist.counts.values()))
-        order = np.lexsort((keys, -counts))
+        counts = np.fromiter(dist.counts.values(), dtype=np.int64, count=len(dist.counts))
+        order, _ = _sorted_runs(-counts, keys)
         return cls(keys[order], counts[order])
 
 

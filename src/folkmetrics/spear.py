@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import FolksonomyIndex, _by_user_count, _run_starts
+from .corpus import FolksonomyIndex, _by_user_count, _run_starts, _sorted_runs, _tally
 from .errors import ConvergenceWarning, DomainError, NotFoundError
 from .stats import BinSpec, BinnedSeries, binned_mean, population_zscores
 
@@ -52,11 +52,10 @@ def eligible_tags(
     if top_k < 1:
         raise DomainError(f"top_k must be at least 1, got {top_k}")
     columns = index.columns
-    n_users, n_tags = len(columns.users), len(columns.tags)
+    n_tags = len(columns.tags)
     # codes follow name order, so a stable sort by count breaks ties by name
     ranked = np.argsort(-np.bincount(columns.tag, minlength=n_tags), kind="stable")[:top_k]
-    pairs = np.sort(columns.tag.astype(np.int64) * n_users + columns.user)
-    users = np.bincount(pairs[_run_starts(pairs)] // n_users, minlength=n_tags)
+    users = np.bincount(_tally(columns.tag, columns.user)[0][0], minlength=n_tags)
     return {columns.tags[k] for k in ranked[users[ranked] >= min_users].tolist()}
 
 
@@ -121,20 +120,14 @@ def credit_batch(
     tag = position[columns.tag]
     keep = tag >= 0
     tag, user, item, time = tag[keep], columns.user[keep], columns.item[keep], columns.time[keep]
-    # one (tag, user, item) key could overflow int64; two keys below annotations**2 cannot
-    n_items = len(columns.items)
-    order = np.argsort(tag * len(columns.users) + user)
-    key = (np.cumsum(_run_starts(tag[order], user[order])) - 1) * n_items + item[order]
-    by_key = np.argsort(key)
-    order, key = order[by_key], key[by_key]
-    starts = np.flatnonzero(_run_starts(key))
+    order, starts = _sorted_runs(tag, user, item)
     time = np.minimum.reduceat(time[order], starts)
     order = order[starts]
-    del keep, key, by_key, starts
+    del keep, starts
     tag, user, item = tag[order], user[order], item[order]
     user_slot, user_code, user_offsets = _slots(tag, user, _run_starts(tag, user), len(tags))
     # strictly later taggers of an item: its run's end minus the end of the entry's tie group
-    order = np.lexsort((time, tag * n_items + item))
+    order, _ = _sorted_runs(tag, item, time)
     same_item = _run_starts(tag[order], item[order])
     item_slot, later = np.empty_like(order), np.empty_like(order)
     item_slot[order], item_code, item_offsets = _slots(tag[order], item[order], same_item,

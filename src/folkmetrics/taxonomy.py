@@ -75,15 +75,10 @@ def conditional_table(
 
     n_tags = len(tag_list)
     rows, sizes = index.tag_csr.gather(codes)
-    if not len(rows):
-        return ConditionalTable(frozenset(tag_list), {}, {}, {t: 0 for t in tag_list})
     # one row per item code, one column per listed tag
-    keys = np.unique(c.item[rows].astype(np.int64) * n_tags + np.repeat(np.arange(n_tags), sizes))
-
-    matrix = sparse.csr_matrix(
-        (np.ones(keys.size, dtype=np.int64), (keys // n_tags, keys % n_tags)),
-        shape=(len(c.items), n_tags),
-    )
+    (item, tag), _, _ = _tally(c.item[rows], np.repeat(np.arange(n_tags), sizes))
+    matrix = sparse.csr_matrix((np.ones(len(item), dtype=np.int64), (item, tag)),
+                               shape=(len(c.items), n_tags))
     cooc = (matrix.T @ matrix).tocoo()
     col_sums = np.asarray(matrix.sum(axis=0)).ravel()
     tag_items = dict(zip(tag_list, col_sums.tolist()))

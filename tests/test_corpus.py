@@ -1,9 +1,12 @@
 """Parsing, indexing, summary statistics, and the synthetic generator."""
 
 import io
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from folkmetrics.corpus import (
     Annotation,
@@ -14,6 +17,7 @@ from folkmetrics.corpus import (
     summary,
     user_stats,
     write_annotations,
+    _tally,
 )
 from folkmetrics.errors import DomainError, FormatError, NotFoundError
 
@@ -143,6 +147,34 @@ class TestBuildIndex:
         index = make_index([("u1", "i1", "rock", 5), ("u1", "i1", "rock", 9)])
         assert index.n_annotations == 2
         assert item_tag_freq(index)[("i1", "rock")] == 1
+
+
+# codes near 2**31 make three int32 columns overflow one int64 key; int64 values near both
+# ends, and an object column of ints beyond int64, are too wide to pack: all take the
+# kernel's dense-rank branch
+_COLUMNS = [(st.integers(0, 3) | st.integers(2**31 - 4, 2**31 - 1), np.int32),
+            (st.integers(-2**63, -2**63 + 3) | st.integers(2**63 - 4, 2**63 - 1), np.int64),
+            (st.integers(-3, 3) | st.integers(2**64, 2**64 + 3) | st.integers(-2**64 - 3, -2**64),
+             object)]
+
+
+@st.composite
+def _tally_columns(draw):
+    n = draw(st.integers(0, 40))
+    return [np.array(draw(st.lists(values, min_size=n, max_size=n)), dtype=dtype)
+            for values, dtype in draw(st.lists(st.sampled_from(_COLUMNS), min_size=1, max_size=3))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_tally_columns())
+def test_tally_matches_sorted_counter(columns):
+    rows = list(zip(*(column.tolist() for column in columns)))
+    counter = Counter(rows)
+    expected = sorted(counter)
+    keys, counts, first = _tally(*columns)
+    assert list(zip(*(key.tolist() for key in keys))) == expected
+    assert counts.tolist() == [counter[row] for row in expected]
+    assert first.tolist() == [rows.index(row) for row in expected]
 
 
 class TestUserStats:

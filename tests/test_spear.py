@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from folkmetrics.errors import ConvergenceWarning, DomainError, NotFoundError
+from folkmetrics.report import ReportConfig
 from folkmetrics.spear import (
     credit_batch,
     eligible_tags,
@@ -324,3 +325,10 @@ class TestSpearByBin:
         index = make_index([("u", "i", "t", 0)])
         with pytest.raises(DomainError):
             spear_by_bin(index, BinSpec(), top_k=10, min_users=5)
+
+    @pytest.mark.parametrize("limits", [dict(max_iter=0), dict(max_iter=-1), dict(tolerance=0.0),
+                                        dict(tolerance=-1e-8), dict(tolerance=math.nan)])
+    def test_report_config_rejects_bad_limits(self, limits):
+        # write_report would turn the error into a header-only spear_binned.csv
+        with pytest.raises(DomainError, match="max_iter"):
+            ReportConfig(**limits)
