@@ -545,8 +545,7 @@ def _sorted_runs(*keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The order that sorts the rows of the key columns, the first most significant, and where
     each run of equal rows starts in it. One unstable argsort of one packed int64 key: a run's
     first row is np.minimum.reduceat(order, starts). Where a multiply could overflow, the key so
-    far (or an object or over-wide column) is first replaced by its dense rank, below the row count.
-    """
+    far (or an object or over-wide column) is first replaced by its dense rank, below n rows."""
     n = len(keys[0])
     packed, span = np.zeros(n, dtype=np.int64), 1
     for key in keys:
@@ -556,7 +555,9 @@ def _sorted_runs(*keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         width = high - low + 1
         if span * width > 2**63:
             span, packed = n, np.unique(packed, return_inverse=True)[1]
-        span, packed = span * width, packed * width + np.subtract(key, low, dtype=np.int64)
+        span *= width
+        packed *= width
+        packed += np.subtract(key, low, dtype=np.int64)
     order = np.argsort(packed)
     return order, np.flatnonzero(_run_starts(packed[order]))
 

@@ -121,8 +121,7 @@ def credit_batch(
     keep = tag >= 0
     tag, user, item, time = tag[keep], columns.user[keep], columns.item[keep], columns.time[keep]
     order, starts = _sorted_runs(tag, user, item)
-    time = np.minimum.reduceat(time[order], starts)
-    order = order[starts]
+    time, order = np.minimum.reduceat(time[order], starts), order[starts]
     del keep, starts
     tag, user, item = tag[order], user[order], item[order]
     user_slot, user_code, user_offsets = _slots(tag, user, _run_starts(tag, user), len(tags))
