@@ -167,9 +167,9 @@ def ingest(source, delimiter, granularity, header, dedupe, out, summary_out):
 
 
 @main.command()
-@click.option("--users", type=int, default=1000, show_default=True)
-@click.option("--items", type=int, default=500, show_default=True)
-@click.option("--tags", type=int, default=200, show_default=True)
+@click.option("--users", type=click.IntRange(1), default=1000, show_default=True)
+@click.option("--items", type=click.IntRange(1), default=500, show_default=True)
+@click.option("--tags", type=click.IntRange(1), default=200, show_default=True)
 @click.option("--activity-exponent", type=float, default=2.0, show_default=True)
 @click.option("--item-exponent", type=float, default=1.0, show_default=True)
 @click.option("--tag-exponent", type=float, default=1.0, show_default=True)

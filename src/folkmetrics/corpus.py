@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import contextlib
 import io
-import sys
 from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
@@ -54,8 +53,7 @@ class TimeGranularity(str, Enum):
     MONTHS = "months"
 
 
-@dataclass(frozen=True, slots=True)
-class Annotation:
+class Annotation(NamedTuple):
     """One tagging act: user annotated item with tag at time.
 
     All downstream code assumes user/item/tag are non-empty (tags already
@@ -101,9 +99,11 @@ class AnnotationColumns(Sequence[Annotation]):
                           self.tags[self.tag[k]], int(self.time[k]))
 
     def __iter__(self) -> Iterator[Annotation]:
-        return map(Annotation, map(self.users.__getitem__, self.user.tolist()),
-                   map(self.items.__getitem__, self.item.tolist()),
-                   map(self.tags.__getitem__, self.tag.tolist()), self.time.tolist())
+        # tuple.__new__ builds each record from its fields without a Python-level call
+        return map(tuple.__new__, repeat(Annotation),
+                   zip(map(self.users.__getitem__, self.user.tolist()),
+                       map(self.items.__getitem__, self.item.tolist()),
+                       map(self.tags.__getitem__, self.tag.tolist()), self.time.tolist()))
 
     def take(self, positions: np.ndarray, time: Optional[np.ndarray] = None) -> "AnnotationColumns":
         """The annotations at positions, with the given times if any; the name lists are shared."""
@@ -541,11 +541,10 @@ def _run_starts(*keys: np.ndarray) -> np.ndarray:
     return starts
 
 
-def _sorted_runs(*keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The order that sorts the rows of the key columns, the first most significant, and where
-    each run of equal rows starts in it. One unstable argsort of one packed int64 key: a run's
-    first row is np.minimum.reduceat(order, starts). Where a multiply could overflow, the key so
-    far (or an object or over-wide column) is first replaced by its dense rank, below n rows."""
+def _packed_key(*keys: np.ndarray) -> np.ndarray:
+    """One int64 per row of the key columns that sorts and compares as the rows do, the first
+    column most significant. Where a multiply could overflow, the key so far (or an object or
+    over-wide column) is first replaced by its dense rank, below n rows."""
     n = len(keys[0])
     packed, span = np.zeros(n, dtype=np.int64), 1
     for key in keys:
@@ -558,6 +557,14 @@ def _sorted_runs(*keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         span *= width
         packed *= width
         packed += np.subtract(key, low, dtype=np.int64)
+    return packed
+
+
+def _sorted_runs(*keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The order that sorts the rows of the key columns, the first most significant, and where
+    each run of equal rows starts in it. One unstable argsort of the packed key: a run's first
+    row is np.minimum.reduceat(order, starts)."""
+    packed = _packed_key(*keys)
     order = np.argsort(packed)
     return order, np.flatnonzero(_run_starts(packed[order]))
 
@@ -727,7 +734,8 @@ class SyntheticConfig:
     tags_per_item: int = 25
 
     def __post_init__(self) -> None:
-        for name in ("n_users", "n_items", "n_tags", "tags_per_item"):
+        for name in ("n_users", "n_items", "n_tags", "tags_per_item", "max_user_annotations",
+                     "time_span"):
             if getattr(self, name) < 1:
                 raise DomainError(f"{name} must be >= 1")
         for name in ("activity_exponent", "item_popularity_exponent", "tag_popularity_exponent"):
@@ -744,7 +752,19 @@ def _power_law_cdf(n: int, exponent: float) -> np.ndarray:
     return cdf
 
 
-def generate_synthetic(config: SyntheticConfig) -> list[Annotation]:
+def _names(prefix: str, n: int, values) -> list[str]:
+    """The prefix and each value from range(n) zero-padded to n's width, so values sort as names."""
+    return list(map(f"{prefix}%0{len(str(n))}d".__mod__, values))
+
+
+def _occurring(draws: np.ndarray, prefix: str, n: int) -> tuple[np.ndarray, list[str]]:
+    """Codes of draws from range(n), renumbered in order over the values drawn, and their names."""
+    drawn = np.bincount(draws, minlength=n) > 0
+    codes = (np.cumsum(drawn, dtype=np.int32) - 1)[draws]
+    return codes, _names(prefix, n, np.flatnonzero(drawn).tolist())
+
+
+def generate_synthetic(config: SyntheticConfig) -> AnnotationColumns:
     """Draw a synthetic corpus with power-law user activity and popularity.
 
     Per-user annotation counts follow a discrete power law over
@@ -756,6 +776,9 @@ def generate_synthetic(config: SyntheticConfig) -> list[Annotation]:
     most tags_per_item distinct tags), the way shared items accumulate
     topical tags in real systems. Timestamps are uniform months in
     [0, time_span). Identical seeds give identical corpora.
+
+    The corpus comes as columns, user by user: every user annotates at
+    least once, and the item and tag lists hold the names drawn.
     """
     rng = np.random.default_rng(config.seed)
     count_cdf = _power_law_cdf(config.max_user_annotations, config.activity_exponent)
@@ -765,27 +788,17 @@ def generate_synthetic(config: SyntheticConfig) -> list[Annotation]:
     item_cdf = _power_law_cdf(config.n_items, config.item_popularity_exponent)
     tag_cdf = _power_law_cdf(config.n_tags, config.tag_popularity_exponent)
     pool_size = min(config.tags_per_item, config.n_tags)
-    pools = np.searchsorted(
-        tag_cdf, rng.random((config.n_items, pool_size)), side="right"
-    )
+    # each pool slot is a tag draw; only the slots annotations pick are looked up
+    pools = rng.random((config.n_items, pool_size))
     item_draws = np.searchsorted(item_cdf, rng.random(total), side="right")
-    slot_draws = rng.integers(0, pool_size, size=total)
-    tag_draws = pools[item_draws, slot_draws]
-    times = rng.integers(0, config.time_span, size=total)
+    slots = pools[item_draws, rng.integers(0, pool_size, size=total)]
+    del pools
+    item, items = _occurring(item_draws, "i", config.n_items)
+    del item_draws
+    tag, tags = _occurring(np.searchsorted(tag_cdf, slots, side="right"), "t", config.n_tags)
+    del slots
+    time = rng.integers(0, config.time_span, size=total)
 
-    width_u = len(str(config.n_users))
-    width_i = len(str(config.n_items))
-    width_t = len(str(config.n_tags))
-    items = [sys.intern(f"i{k:0{width_i}d}") for k in range(config.n_items)]
-    tags = [sys.intern(f"t{k:0{width_t}d}") for k in range(config.n_tags)]
-
-    annotations: list[Annotation] = []
-    pos = 0
-    for u in range(config.n_users):
-        user = sys.intern(f"u{u:0{width_u}d}")
-        for _ in range(int(counts[u])):
-            annotations.append(
-                Annotation(user, items[item_draws[pos]], tags[tag_draws[pos]], int(times[pos]))
-            )
-            pos += 1
-    return annotations
+    user = np.repeat(np.arange(config.n_users, dtype=np.int32), counts)
+    users = _names("u", config.n_users, range(config.n_users))
+    return AnnotationColumns(user, item, tag, time, users, items, tags)

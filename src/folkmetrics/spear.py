@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import FolksonomyIndex, _by_user_count, _run_starts, _sorted_runs, _tally
+from .corpus import FolksonomyIndex, _by_user_count, _packed_key, _run_starts, _sorted_runs
 from .errors import ConvergenceWarning, DomainError, NotFoundError
 from .stats import BinSpec, BinnedSeries, binned_mean, population_zscores
 
@@ -53,9 +53,14 @@ def eligible_tags(
         raise DomainError(f"top_k must be at least 1, got {top_k}")
     columns = index.columns
     n_tags = len(columns.tags)
+    counts = np.bincount(columns.tag, minlength=n_tags)
     # codes follow name order, so a stable sort by count breaks ties by name
-    ranked = np.argsort(-np.bincount(columns.tag, minlength=n_tags), kind="stable")[:top_k]
-    users = np.bincount(_tally(columns.tag, columns.user)[0][0], minlength=n_tags)
+    ranked = np.argsort(-counts, kind="stable")[:top_k]
+    # the keys sort by tag first: tag k's rows are ends[k] - counts[k]:ends[k] of the sorted keys,
+    # and each of its distinct users starts one run of equal keys there
+    runs = np.append(0, np.cumsum(_run_starts(np.sort(_packed_key(columns.tag, columns.user)))))
+    ends = np.cumsum(counts)
+    users = runs[ends] - runs[ends - counts]
     return {columns.tags[k] for k in ranked[users[ranked] >= min_users].tolist()}
 
 

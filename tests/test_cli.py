@@ -207,6 +207,13 @@ class TestSynth:
         assert overridden.stdout == explicit.stdout
         assert overridden.stdout != base.stdout
 
+    @pytest.mark.parametrize("option", ["--users", "--items", "--tags"])
+    @pytest.mark.parametrize("value", ["0", "-2"])
+    def test_counts_below_one_are_usage_errors(self, runner, option, value):
+        result = runner.invoke(main, ["synth", option, value])
+        assert result.exit_code == 2, result.output
+        assert option in result.output and "x>=1" in result.output
+
 
 class TestAnalysisCommands:
     def test_similarity_schema(self, runner, tmp_path):

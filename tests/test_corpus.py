@@ -1,5 +1,6 @@
 """Parsing, indexing, summary statistics, and the synthetic generator."""
 
+import hashlib
 import io
 from collections import Counter
 
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from folkmetrics.corpus import (
     Annotation,
+    AnnotationColumns,
     SyntheticConfig,
     build_index,
     generate_synthetic,
@@ -242,10 +244,51 @@ class TestSummary:
         assert s.annotations == index.n_annotations
 
 
+# sha256 of the written corpus, fixed when the generator still built one Annotation per
+# annotation: the second config leaves items and tags unused, the third sets every knob
+PINNED_CORPORA = [
+    (SyntheticConfig(n_users=50, n_items=30, n_tags=10, seed=99),
+     "451cde06cafaf8b7005f966b2bea8293447dc452830a1b1448ebf7c1335b560e"),
+    (SyntheticConfig(n_users=40, n_items=200, n_tags=300, tag_popularity_exponent=0.5, seed=7),
+     "41272b8f5eb1a26a7900f3a1b66af735f8d5b7c6e28400d90d055588abf9965c"),
+    (SyntheticConfig(n_users=30, n_items=20, n_tags=8, activity_exponent=1.5,
+                     item_popularity_exponent=2.0, max_user_annotations=40, time_span=5,
+                     tags_per_item=3, seed=5),
+     "4da0b00225628587502962758d3d72f4b10bbcd8396cf572ade7b8057d97c215"),
+]
+
+
+@st.composite
+def _synthetic_configs(draw):
+    exponent = st.floats(0.3, 3.0)
+    return SyntheticConfig(
+        n_users=draw(st.integers(1, 30)), n_items=draw(st.integers(1, 40)),
+        n_tags=draw(st.integers(1, 40)), activity_exponent=draw(exponent),
+        item_popularity_exponent=draw(exponent), tag_popularity_exponent=draw(exponent),
+        max_user_annotations=draw(st.integers(1, 50)), time_span=draw(st.integers(1, 200)),
+        tags_per_item=draw(st.integers(1, 10)), seed=draw(st.integers(0, 2**32)))
+
+
 class TestSynthetic:
     def test_deterministic(self):
         config = SyntheticConfig(n_users=50, n_items=30, n_tags=10, seed=99)
-        assert generate_synthetic(config) == generate_synthetic(config)
+        assert list(generate_synthetic(config)) == list(generate_synthetic(config))
+
+    @pytest.mark.parametrize("config, digest", PINNED_CORPORA)
+    def test_written_corpus_is_pinned(self, config, digest):
+        out = io.StringIO()
+        write_annotations(generate_synthetic(config), out)
+        assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest
+
+    @settings(max_examples=150, deadline=None)
+    @given(_synthetic_configs())
+    def test_columns_equal_those_of_the_annotations(self, config):
+        got = generate_synthetic(config)
+        want = AnnotationColumns.from_annotations(list(got))
+        for column in ("user", "item", "tag", "time"):
+            assert getattr(got, column).dtype == getattr(want, column).dtype
+            assert getattr(got, column).tolist() == getattr(want, column).tolist()
+        assert (got.users, got.items, got.tags) == (want.users, want.items, want.tags)
 
     def test_single_user(self):
         config = SyntheticConfig(n_users=1, n_items=5, n_tags=5, seed=1)
@@ -257,6 +300,12 @@ class TestSynthetic:
             SyntheticConfig(n_users=0)
         with pytest.raises(DomainError):
             SyntheticConfig(activity_exponent=0.0)
+
+    @pytest.mark.parametrize("field", ["time_span", "max_user_annotations"])
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_generator_ranges_below_one_are_domain_errors(self, field, value):
+        with pytest.raises(DomainError, match=field):
+            SyntheticConfig(**{field: value})
 
     def test_activity_slope_near_configured_exponent(self):
         config = SyntheticConfig(n_users=10_000, n_items=200, n_tags=50,
