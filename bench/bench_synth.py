@@ -50,6 +50,7 @@ def time_synth(src: Path, config: dict, out: Path) -> dict:
                               "--out", str(out)], env=env)
     _, status, usage = os.wait4(child.pid, 0)
     wall = time.perf_counter() - start
+    # wait4 reaped the child, so Popen must not wait for it again
     child.returncode = os.waitstatus_to_exitcode(status)
     if child.returncode != 0:
         raise RuntimeError(f"synth exited {child.returncode}")
