@@ -2,8 +2,9 @@
 
     python bench/bench_parse.py --base <commit> [--out BENCH_parse.json]
 
-Run from the repository root. The script writes the three synthetic corpora
-(quarter-c10, c10 and c10x3: c10's arguments divided or multiplied as below)
+Run from the repository root. The script writes the synthetic corpora
+(quarter-c10, c10 and c10x3: c10's arguments divided or multiplied as below,
+and c10-malformed: c10 with a truncated line after every 60,000th line)
 with this checkout's generator into a temporary directory, extracts `src/` of
 the base commit with `git archive`, and times one `parse_annotations` call on
 each corpus in a fresh interpreter per run, then one
@@ -37,8 +38,11 @@ C10 = dict(n_users=140_000, n_items=100_000, n_tags=5_000, activity_exponent=2.0
 CORPORA = {
     "quarter-c10": dict(C10, n_users=35_000, n_items=25_000, n_tags=1_250),
     "c10": C10,
+    "c10-malformed": C10,
     "c10x3": dict(C10, n_users=420_000, n_items=300_000, n_tags=15_000),
 }
+# a truncated record (three fields) after every this many lines
+MALFORMED_EVERY = {"c10-malformed": 60_000}
 
 # One timed parse and dedupe in a fresh interpreter: argv is the src/ directory and the corpus.
 CHILD = """
@@ -78,13 +82,23 @@ def extract_src(commit: str, dest: Path) -> Path:
     return dest / "src"
 
 
-def write_corpus(config: dict, path: Path) -> None:
-    """The synthetic corpus of config, written by this checkout's generator."""
+def write_corpus(config: dict, path: Path, malformed_every: int = 0) -> None:
+    """The synthetic corpus of config, written by this checkout's generator, with a truncated
+    record after every malformed_every lines if that is not 0."""
     if str(SRC) not in sys.path:
         sys.path.insert(0, str(SRC))
     from folkmetrics.corpus import SyntheticConfig, generate_synthetic, write_annotations
 
     write_annotations(generate_synthetic(SyntheticConfig(**config)), path)
+    if malformed_every:
+        clean = path.with_suffix(".clean")
+        path.rename(clean)
+        with open(clean, "rb") as lines, open(path, "wb") as dest:
+            for k, line in enumerate(lines, 1):
+                dest.write(line)
+                if k % malformed_every == 0:
+                    dest.write(line.rpartition(b"\t")[0] + b"\n")
+        clean.unlink()
 
 
 def time_parse(src: Path, corpus: Path) -> dict:
@@ -117,7 +131,7 @@ def main(argv=None) -> int:
         sides = {"base": extract_src(opts.base, Path(work) / "base"), "change": SRC}
         for name, config in CORPORA.items():
             corpus = Path(work) / f"{name}.tsv"
-            write_corpus(config, corpus)
+            write_corpus(config, corpus, MALFORMED_EVERY.get(name, 0))
             runs = {side: [] for side in sides}
             for k in range(RUNS):
                 for side in (("base", "change") if k % 2 == 0 else ("change", "base")):
@@ -127,9 +141,10 @@ def main(argv=None) -> int:
                 print(f"{name}: base and change parse differently", file=sys.stderr)
                 return 1
             first = runs["change"][0]
-            entry = {"config": config, "bytes": corpus.stat().st_size,
-                     "annotations": first["annotations"], "deduped": first["deduped"],
-                     "malformed": first["malformed"]}
+            entry = {"config": config, "malformed_every": MALFORMED_EVERY.get(name, 0),
+                     "bytes": corpus.stat().st_size, "annotations": first["annotations"],
+                     "deduped": first["deduped"], "malformed": first["malformed"],
+                     "digest": first["digest"]}
             for side, side_runs in runs.items():
                 seconds = [round(run["seconds"], 3) for run in side_runs]
                 dedupe = [round(run["dedupe_seconds"], 3) for run in side_runs]

@@ -16,9 +16,9 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from itertools import compress, islice, repeat
+from itertools import count, islice, repeat
 from pathlib import Path
-from typing import IO, Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -85,11 +85,9 @@ class AnnotationColumns(Sequence[Annotation]):
     @classmethod
     def from_annotations(cls, annotations: Iterable[Annotation]) -> "AnnotationColumns":
         rows = list(annotations)
-        names = [_Vocabulary() for _ in range(3)]
-        codes = [vocab.encode([getattr(a, field) for a in rows])
-                 for vocab, field in zip(names, ("user", "item", "tag"))]
+        coded = [_vocabulary([getattr(a, field) for a in rows]) for field in ("user", "item", "tag")]
         time = _exact_times(np.array([a.time for a in rows], dtype=object))
-        return _renumbered(names, codes, time)
+        return cls(*(code for _, code in coded), time, *(names for names, _ in coded))
 
     def __len__(self) -> int:
         return len(self.user)
@@ -112,70 +110,22 @@ class AnnotationColumns(Sequence[Annotation]):
                                  self.users, self.items, self.tags)
 
 
-class _Vocabulary:
-    """Provisional codes for names, numbered as the names arrive."""
+def _vocabulary(names: list[str], runs: int = 0) -> tuple[list[str], np.ndarray]:
+    """The names sorted without repeats, and the int32 code of each given name in them.
 
-    def __init__(self):
-        self.code: dict[str, int] = {}
-
-    def encode(self, names: list[str]) -> np.ndarray:
-        code = self.code
-        new = set(names).difference(code)
-        code.update(zip(new, range(len(code), len(code) + len(new))))
-        return np.fromiter(map(code.__getitem__, names), dtype=np.int32, count=len(names))
-
-    def renumbering(self) -> tuple[list[str], np.ndarray]:
-        """The names sorted, and the sorted position of each provisional code."""
-        names = list(self.code)
-        order = sorted(range(len(names)), key=names.__getitem__)
-        renumber = np.empty(len(names), dtype=np.int32)
-        renumber[order] = np.arange(len(names), dtype=np.int32)
-        return [names[k] for k in order], renumber
-
-
-class _RawNames:
-    """Provisional codes of the raw names (a field's bytes) one parse has seen.
-
-    The raw names are kept per key width as sorted keys beside their codes,
-    so a chunk looks up its distinct names with one searchsorted, and only
-    names no earlier chunk held are decoded and normalized. Raw names that
-    normalize alike share the code the vocabulary gives their normal form.
+    runs > 0 says the names are distinct and come as that many sorted runs,
+    which sort in about linear time; one run is already sorted.
     """
-
-    def __init__(self, vocabulary: _Vocabulary, normalize):
-        self.vocabulary, self.normalize = vocabulary, normalize
-        self.keys: dict[int, np.ndarray] = {}
-        self.codes: dict[int, np.ndarray] = {}
-
-    def lookup(self, width: int, keys: np.ndarray):
-        """For sorted distinct keys: where each would go, whether it is known, and the new names.
-
-        Raises UnicodeDecodeError for a new name that is not UTF-8, and
-        ValueError for one that is empty once normalized; changes nothing.
-        """
-        known = self.keys.get(width, keys[:0])
-        at = np.searchsorted(known, keys)
-        found = np.zeros(len(keys), dtype=bool)
-        if len(known):
-            found = known[np.minimum(at, len(known) - 1)] == keys
-        new = keys[~found]
-        raw = (new.astype(">u8").view("S8") if width == 8 else new).tolist()
-        names = list(map(self.normalize, map(bytes.decode, raw)))
-        if not all(names):
-            raise ValueError("a name is empty")
-        return at, found, new, names
-
-    def codes_of(self, width: int, keys: np.ndarray, looked_up) -> np.ndarray:
-        """The codes of the keys looked up, adding the new names to the vocabulary."""
-        at, found, new, names = looked_up
-        codes = np.empty(len(keys), dtype=np.int32)
-        known_codes = self.codes.get(width, codes[:0])
-        codes[found] = known_codes[at[found]]
-        codes[~found] = new_codes = self.vocabulary.encode(names)
-        # new keys go where searchsorted put them, so the keys stay sorted
-        self.keys[width] = np.insert(self.keys.get(width, keys[:0]), at[~found], new)
-        self.codes[width] = np.insert(known_codes, at[~found], new_codes)
-        return codes
+    if runs == 1:
+        return names, np.arange(len(names), dtype=np.int32)
+    if runs:
+        order = sorted(range(len(names)), key=names.__getitem__)
+        code = np.empty(len(names), dtype=np.int32)
+        code[order] = np.arange(len(names), dtype=np.int32)
+        return [names[k] for k in order], code
+    vocab = sorted(set(names))
+    index = dict(zip(vocab, range(len(vocab))))
+    return vocab, np.fromiter(map(index.__getitem__, names), dtype=np.int32, count=len(names))
 
 
 def _exact_times(time: np.ndarray) -> np.ndarray:
@@ -186,14 +136,10 @@ def _exact_times(time: np.ndarray) -> np.ndarray:
     return time
 
 
-def _renumbered(vocabularies, codes, time) -> AnnotationColumns:
-    """Columns whose provisional codes are renumbered in sorted name order."""
-    columns, names = [], []
-    for vocab, code in zip(vocabularies, codes):
-        sorted_names, renumber = vocab.renumbering()
-        columns.append(renumber[code])
-        names.append(sorted_names)
-    return AnnotationColumns(*columns, time, *names)
+def _occurring(codes: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Codes from range(n) renumbered in order over the values that occur, and those values."""
+    occurs = np.bincount(codes, minlength=n) > 0
+    return (np.cumsum(occurs, dtype=np.int32) - 1)[codes], np.flatnonzero(occurs)
 
 
 @dataclass(frozen=True)
@@ -205,126 +151,84 @@ class ParseResult:
     granularity: TimeGranularity
 
 
-# Lines parsed at a time: the parser's working memory is bounded by this,
-# not by the size of the input.
+# Lines joined at a time from an iterable of lines; a stream is read CHUNK_LINES * 32
+# bytes (2 MiB) at a time. The parser's working memory is bounded by this, not by the
+# size of the input.
 CHUNK_LINES = 1 << 16
 
 # any run of at most 18 decimal digits fits in int64
 _INT64_DIGITS = 18
-
-
-def _open_lines(source) -> tuple[Iterable, Optional[IO]]:
-    if isinstance(source, (str, Path)):
-        handle = open(source, "rb")
-        return handle, handle
-    return source, None
-
-
-def _decode(chunk: list, joiner: str, first_line: int) -> str:
-    """The chunk's lines joined into one text, bytes lines decoded as UTF-8."""
-    try:
-        return joiner.join(chunk)
-    except TypeError:
-        pass
-    try:
-        return joiner.encode().join(chunk).decode("utf-8")
-    except (TypeError, UnicodeDecodeError):
-        pass
-    lines = []
-    for number, line in enumerate(chunk, first_line):
-        if isinstance(line, bytes):
-            try:
-                line = line.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise FormatError(
-                    f"line {number}: invalid UTF-8 byte {line[exc.start]:#04x}"
-                ) from None
-        lines.append(line)
-    return joiner.join(lines)
-
-
-def _ascii_digits(stamp: str) -> bool:
-    # int() would also take signs, spaces, '_' and other scripts' digits
-    return stamp.isdigit() and stamp.isascii()
-
-
-def _parse_chunk(lines: list[str], delimiter: str, vocabularies, columns) -> int:
-    """Append the well-formed lines' codes and times to columns; return the malformed count.
-
-    Fields are split for the whole chunk at once: the 4-field lines are
-    joined and split again at newlines and delimiters alike, so their
-    fields come out as one flat list, four per line.
-    """
-    lines = list(filter(None, lines))
-    n = len(lines)
-    blank = np.fromiter(map(str.isspace, lines), dtype=bool, count=n)
-    shaped = np.fromiter(map(str.count, lines, repeat(delimiter)), dtype=np.intp, count=n) == 3
-    shaped &= ~blank
-    malformed = n - int(np.count_nonzero(blank)) - int(np.count_nonzero(shaped))
-    if not shaped.all():
-        lines = list(compress(lines, shaped))
-    if not lines:
-        return malformed
-    fields = "\n".join(lines).replace(delimiter, "\n").split("\n")
-    users = list(map(str.strip, fields[0::4]))
-    items = list(map(str.strip, fields[1::4]))
-    tags = list(map(str.lower, map(str.strip, fields[2::4])))
-    stamps = fields[3::4]
-    del fields
-    digits = "".join(stamps)
-    if not (all(users) and all(items) and all(tags) and all(stamps)
-            and digits.isascii() and digits.isdigit()):
-        keep = list(map(all, zip(users, items, tags, map(_ascii_digits, stamps))))
-        malformed += len(keep) - sum(keep)
-        users, items, tags, stamps = (list(compress(c, keep)) for c in (users, items, tags, stamps))
-        if not stamps:
-            return malformed
-    for vocab, names, column in zip(vocabularies, (users, items, tags), columns):
-        column.append(vocab.encode(names))
-    if max(map(len, stamps)) <= _INT64_DIGITS:
-        columns[3].append(np.fromiter(map(int, stamps), dtype=np.int64, count=len(stamps)))
-    else:
-        columns[3].append(np.array(list(map(int, stamps)), dtype=object))
-    return malformed
-
-
-def _chunk_bytes(chunk: list, joiner: str) -> Optional[bytes]:
-    """The chunk's lines joined as UTF-8, or None for mixed lines or text that does not encode."""
-    try:
-        return joiner.encode().join(chunk)
-    except TypeError:
-        pass
-    try:
-        return joiner.join(chunk).encode("utf-8")
-    except (TypeError, UnicodeEncodeError):
-        return None
-
-
 _POW10 = 10 ** np.arange(_INT64_DIGITS + 1, dtype=np.int64)
 # _PREFIXES[k] keeps the first k bytes of a big-endian uint64
 _PREFIXES = np.array([(1 << 64) - (1 << (64 - 8 * k)) for k in range(9)], dtype=np.uint64)
 
 
-def _key_widths(lengths: np.ndarray) -> np.ndarray:
-    """Each name's key width: 8 bytes, or the power of two at or above its length.
+def _utf8(data, first_line: int) -> bytes:
+    """Text or bytes as UTF-8. Bytes that are not UTF-8 raise FormatError naming the line of
+    the first bad byte: first_line plus the line feeds before it."""
+    if isinstance(data, str):
+        return data.encode("utf-8", "surrogatepass")
+    if not data.isascii():
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            line = first_line + data.count(b"\n", 0, exc.start)
+            raise FormatError(f"line {line}: invalid UTF-8 byte {data[exc.start]:#04x}") from None
+    return data
+
+
+def _stream_blocks(stream) -> Iterator[bytes]:
+    """A stream read CHUNK_LINES * 32 characters or bytes at a time, as UTF-8 blocks cut after
+    their last line break; a line longer than that takes more reads."""
+    text, first, pieces = isinstance(stream, io.TextIOBase), 1, []
+    while block := stream.read(CHUNK_LINES * 32):
+        block = block.encode("utf-8", "surrogatepass") if text else block
+        cut = max(block.rfind(b"\n"), block.rfind(b"\r")) + 1
+        if not cut:  # no line ends in the block
+            pieces.append(block)
+            continue
+        data, pieces = b"".join([*pieces, memoryview(block)[:cut]]), [block[cut:]]
+        yield data if text else _utf8(data, first)
+        first += np.count_nonzero(np.frombuffer(data, dtype=np.uint8) == ord("\n"))
+    data = b"".join(pieces)
+    yield data if text else _utf8(data, first)
+
+
+def _line_blocks(lines: Iterable) -> Iterator[bytes]:
+    """An iterable's text or bytes lines joined CHUNK_LINES at a time, as UTF-8 blocks."""
+    it, first = iter(lines), 1
+    while chunk := list(islice(it, CHUNK_LINES)):
+        try:
+            data = "\n".join(chunk).encode("utf-8", "surrogatepass")
+        except TypeError:  # bytes lines, maybe mixed with text ones
+            data = b"\n".join(map(_utf8, chunk, count(first)))
+        yield data + b"\n"
+        first += len(chunk)
+
+
+def _key_exponents(lengths: np.ndarray) -> np.ndarray:
+    """Each name's key width as a power of two: 8 bytes, or the power at or above its length.
 
     A key is at most twice as wide as its name, so the keys of one width
     take at most twice the bytes of their names, however long the widest.
     """
-    return np.left_shift(np.int64(1), np.frexp(np.maximum(lengths - 1, 7))[1])
+    return np.frexp(np.maximum(lengths - 1, 7))[1]
 
 
 def _name_keys(padded: np.ndarray, starts: np.ndarray, lengths: np.ndarray):
-    """Per key width: the rows of the names that width, their distinct keys and each row's key.
+    """Per key width, ascending: the rows of the names that width, their sorted distinct keys and
+    each row's index into them.
 
     A key is the name's bytes zero-padded to the width; names hold no NUL,
-    so equal keys are equal names. Width 8 keys are big-endian uint64s.
+    so equal keys are equal names, and keys sort as the names' code points
+    do. Width 8 keys are big-endian uint64s.
     """
-    if lengths.max() <= 8:
+    if lengths.max(initial=0) <= 8:
         classes = [(8, slice(None))]
     else:
-        widths = _key_widths(lengths)
-        classes = [(width, np.flatnonzero(widths == width)) for width in np.unique(widths).tolist()]
+        exponents = _key_exponents(lengths)
+        classes = [(1 << e, np.flatnonzero(exponents == e))
+                   for e in np.flatnonzero(np.bincount(exponents)).tolist()]
     for width, rows in classes:
         if width == 8:
             # the 8 bytes from each start, as one number, cut to the name's length
@@ -337,72 +241,163 @@ def _name_keys(padded: np.ndarray, starts: np.ndarray, lengths: np.ndarray):
         yield (width, rows, *np.unique(keys, return_inverse=True))
 
 
+def _decoded(width: int, keys: np.ndarray) -> list[str]:
+    """The names of sorted keys of one width."""
+    # each key's bytes and a line feed, less the zero padding, decoded at once
+    rows = np.empty((len(keys), width + 1), dtype=np.uint8)
+    rows[:, :width] = (keys.astype(">u8") if width == 8 else keys).view(np.uint8).reshape(-1, width)
+    rows[:, width] = ord("\n")
+    flat = rows.ravel()
+    return flat[flat != 0].tobytes().decode("utf-8", "surrogatepass").split("\n")[:-1]
+
+
+class _NameColumn:
+    """One name column of a parse, block by block.
+
+    A block holds its distinct name keys per width, the raw names of its
+    lines settled one by one, and its annotations' int32 codes into those:
+    the keys by ascending width, then the settled names. finish() decodes
+    and normalizes each distinct key once and numbers the names in sorted
+    order.
+    """
+
+    def __init__(self, normalize):
+        self.normalize = normalize
+        self.blocks: list[tuple[list, list[str], np.ndarray]] = []
+
+    def add(self, padded, starts, lengths, before: np.ndarray, settled: list[str]) -> None:
+        """A block: the names at starts in padded, and settled ones inserted before rows `before`."""
+        code, keys, held = np.empty(len(starts), dtype=np.int32), [], 0
+        for width, rows, distinct, inverse in _name_keys(padded, starts, lengths):
+            code[rows] = inverse + held
+            keys.append((width, distinct))
+            held += len(distinct)
+        code = np.insert(code, before, np.arange(held, held + len(settled), dtype=np.int32))
+        self.blocks.append((keys, settled, code))
+
+    def finish(self) -> tuple[list[str], np.ndarray]:
+        """The names sorted without repeats, and every annotation's code, block after block."""
+        luts = [[] for _ in self.blocks]  # per block: the raw name of each block code
+        raw: list[str] = []
+        widths = sorted({width for keys, _, _ in self.blocks for width, _ in keys})
+        for width in widths:
+            held = [(lut, distinct) for lut, (keys, _, _) in zip(luts, self.blocks)
+                    for w, distinct in keys if w == width]
+            distinct, inverse = np.unique(np.concatenate([d for _, d in held]),
+                                          return_inverse=True)
+            bounds = np.cumsum([len(d) for _, d in held[:-1]], dtype=np.intp)
+            for (lut, _), part in zip(held, np.split(inverse + len(raw), bounds)):
+                lut.append(part)
+            raw += _decoded(width, distinct)
+        distinct_keys = len(raw)
+        for lut, (_, settled, _) in zip(luts, self.blocks):
+            lut.append(np.arange(len(raw), len(raw) + len(settled)))
+            raw += settled
+        names = list(map(self.normalize, raw))
+        # unchanged names of distinct keys are distinct, and each width's come sorted
+        runs = len(widths) if len(raw) == distinct_keys and names == raw else 0
+        names, code = _vocabulary(names, runs)
+        codes = np.empty(sum(len(local) for *_, local in self.blocks), dtype=np.int32)
+        at = 0
+        for lut, (*_, local) in zip(luts, self.blocks):
+            codes[at:at + len(local)] = code[np.concatenate(lut)][local]
+            at += len(local)
+        self.blocks.clear()
+        return names, codes
+
+
 def _normal_tag(name: str) -> str:
     return name.strip().lower()
 
 
-def _parse_bytes(chunk: list, joiner: str, skip_header: bool, delimiter: int, raw_names,
-                 columns) -> bool:
-    """Append a well-formed chunk's codes and times to columns and return True.
+def _matches(buf: np.ndarray, sep: bytes) -> np.ndarray:
+    """Where sep starts in buf, overlapping matches too; nowhere if sep holds a line feed."""
+    if b"\n" in sep:  # no line holds one
+        return np.zeros(0, dtype=np.intp)
+    n = max(len(buf) - len(sep) + 1, 0)
+    hit = buf[:n] == sep[0]
+    for k in range(1, len(sep)):
+        hit &= buf[k:k + n] == sep[k]
+    return np.flatnonzero(hit)
 
-    Return False, changing nothing, for a chunk of mixed or unencodable
-    lines, with a NUL byte, a non-empty line that is not three delimiters
-    between four non-empty fields, a timestamp that is not 1 to 18 ASCII
-    digits, or a name that is not UTF-8 or is empty once normalized: the
-    general path decides those lines. No object is built per line or field.
+
+def _settle(line: str, delimiter: str) -> Optional[list[str]]:
+    """A line the vector checks flagged, settled with str.split: its four raw fields if it is
+    well formed, [] if it is blank, None if it is malformed."""
+    if line.isspace():
+        return []
+    fields = line.split(delimiter)
+    return fields if len(fields) == 4 and fields[3].isdigit() and fields[3].isascii() else None
+
+
+def _parse_block(data: bytes, delimiter: str, skip_header: bool, names, times: list) -> int:
+    """Append a block's annotations, in line order, to the name columns and times; return the
+    count of its malformed lines.
+
+    numpy checks all lines at once: three delimiters, four non-empty fields,
+    no NUL, and a time of 1 to 18 ASCII digits. Only the lines it flags are
+    settled one by one with str.split, as blank, malformed or well formed (a
+    NUL in a name, a time of more digits). No object is built per line or
+    field of the others. A name that is empty once normalized is found when
+    the names are.
     """
-    data = _chunk_bytes(chunk, joiner)
-    if data is None:
-        return False
     data = data.replace(b"\r", b"\n")
     if skip_header:
-        head, _, data = data.partition(b"\n")
-        try:
-            head.decode("utf-8")
-        except UnicodeDecodeError:
-            return False
-    if b"\0" in data:
-        return False
+        data = data.partition(b"\n")[2]
+    sep = delimiter.encode("utf-8", "surrogatepass")
     buf = np.frombuffer(data, dtype=np.uint8)
     breaks = np.flatnonzero(buf == ord("\n"))
     starts, ends = np.append(0, breaks + 1), np.append(breaks, len(buf))
-    lines = ends > starts
-    marks = np.flatnonzero(buf == delimiter)
-    if len(marks) != 3 * np.count_nonzero(lines):
-        return False
-    if not len(marks):  # no line but empty ones
-        return True
-    # field k of a line spans bounds[k] + 1 .. bounds[k + 1]; all of them
-    # non-empty means the line's three delimiters are its own
-    bounds = np.column_stack((starts[lines] - 1, marks.reshape(-1, 3), ends[lines]))
-    firsts, lengths = bounds[:, :4] + 1, np.diff(bounds) - 1
-    if lengths.min() < 1 or lengths[:, 3].max() > _INT64_DIGITS:
-        return False
-    widest = max(_INT64_DIGITS, int(_key_widths(lengths[:, :3].max())))
+    starts, ends = starts[ends > starts], ends[ends > starts]
+    marks = _matches(buf, sep)
+    # a line's marks are marks[held[i]:held[i] + counts[i]]
+    held = np.searchsorted(marks, starts)
+    counts = np.diff(held, append=len(marks))
+    flagged = counts != 3
+    # overlapping matches, of which str.split takes the leftmost, and NULs
+    flagged[np.searchsorted(ends, marks[1:][np.diff(marks) < len(sep)])] = True
+    if b"\0" in data:
+        flagged[np.searchsorted(ends, np.flatnonzero(buf == 0))] = True
+    ok = np.flatnonzero(~flagged)
+    # field k of a line spans firsts[k] .. firsts[k] + lengths[k]
+    bounds = np.empty((5, len(ok)), dtype=np.int64)
+    bounds[0], bounds[4] = starts[ok] - len(sep), ends[ok]
+    bounds[1:4] = marks[held[ok] + np.arange(3)[:, None]]
+    firsts, lengths = bounds[:4] + len(sep), np.diff(bounds, axis=0) - len(sep)
+    widest = max(_INT64_DIGITS, 1 << int(_key_exponents(lengths[:3].max(initial=1))))
     padded = np.zeros(len(buf) + widest, dtype=np.uint8)
     padded[:len(buf)] = buf
-    stamp_width = int(lengths[:, 3].max())
-    digits = sliding_window_view(padded, stamp_width)[firsts[:, 3]] - np.uint8(ord("0"))
-    digits[np.arange(stamp_width) >= lengths[:, 3, None]] = 0
-    if digits.max() > 9:
-        return False
-    keyed = [list(_name_keys(padded, firsts[:, k], lengths[:, k])) for k in range(3)]
-    try:
-        looked_up = [[names.lookup(width, keys) for width, _, keys, _ in column]
-                     for names, column in zip(raw_names, keyed)]
-    except (UnicodeDecodeError, ValueError):
-        return False
-    for names, column, lookups, codes in zip(raw_names, keyed, looked_up, columns):
-        code = np.empty(len(bounds), dtype=np.int32)
-        for (width, rows, keys, inverse), looked in zip(column, lookups):
-            code[rows] = names.codes_of(width, keys, looked)[inverse]
-        codes.append(code)
+    stamps = np.minimum(lengths[3], _INT64_DIGITS)
+    stamp_width = int(stamps.max(initial=1))
+    digits = sliding_window_view(padded, stamp_width)[firsts[3]]
+    digits -= np.uint8(ord("0"))
+    digits *= np.arange(stamp_width) < stamps[:, None]
+    if (lengths.min(initial=1) < 1 or lengths[3].max(initial=0) > _INT64_DIGITS
+            or digits.max(initial=0) > 9):
+        fits = (lengths.min(axis=0) > 0) & (lengths[3] == stamps) & (digits.max(axis=1) <= 9)
+        flagged[ok[~fits]] = True
+        ok, firsts, lengths, digits = ok[fits], firsts[:, fits], lengths[:, fits], digits[fits]
+    malformed, settled = 0, []
+    for line in np.flatnonzero(flagged).tolist():
+        fields = _settle(data[starts[line]:ends[line]].decode("utf-8", "surrogatepass"), delimiter)
+        if fields is None:
+            malformed += 1
+        elif fields:
+            settled.append((line, fields))
+    before = np.searchsorted(ok, [line for line, _ in settled]).astype(np.intp)
+    for k, column in enumerate(names):
+        column.add(padded, firsts[k], lengths[k], before, [f[k] for _, f in settled])
     # the digits padded with zeros to stamp_width, read as a number; then the padding divided out
-    time = np.zeros(len(bounds), dtype=np.int64)
+    time = np.zeros(len(ok), dtype=np.int64)
     for column in digits.T:
-        time = time * 10 + column
-    columns[3].append(time // _POW10[stamp_width - lengths[:, 3]])
-    return True
+        time *= 10
+        time += column
+    time //= _POW10[stamp_width - lengths[3]]
+    stamps = [int(f[3]) for _, f in settled]
+    if max(stamps, default=0) >= 1 << 63:  # kept as exact Python ints
+        time = time.astype(object)
+    times.append(np.insert(time, before, stamps))
+    return malformed
 
 
 def parse_annotations(
@@ -422,54 +417,48 @@ def parse_annotations(
     stream, or any iterable of text or bytes lines. A line ends at "\\n",
     "\\r\\n" or a lone "\\r", as it does when Python reads a text file.
 
-    The input is read CHUNK_LINES lines at a time, and no object is built
-    per line that outlives its chunk. With a one-byte (ASCII) delimiter, a
-    chunk takes a byte-level path that builds no object per line or field
-    and decodes each distinct raw name once per parse: its lines are
-    joined as UTF-8 bytes, and numpy finds and checks the fields and codes
-    the names. A chunk with a malformed or whitespace-only line, a NUL
-    byte, a timestamp of more than 18 digits, a name that is empty once
-    stripped, or bytes that are not UTF-8 takes the general path instead,
-    which splits the decoded text; so does every chunk when the delimiter
-    is longer than one byte. Both give the same annotations.
+    A stream is read in blocks of CHUNK_LINES * 32 bytes (or characters),
+    each cut after its last line break; an iterable's lines are joined
+    CHUNK_LINES at a time. No object is built per line or field: numpy
+    finds the lines and fields of a block's UTF-8 bytes, checks them all at
+    once, and codes each name field as a fixed-width byte key with one
+    np.unique per key width. Only the lines the checks flag (malformed or
+    whitespace-only lines, a NUL, a timestamp of more than 18 digits) are
+    settled one by one, in place. At the end one np.unique per key width
+    numbers the blocks' keys, and each distinct key is decoded and
+    normalized once; when no name changes, the keys' order is the names'.
     """
     if not delimiter:
         raise DomainError("the delimiter must not be empty")
-    source, handle = _open_lines(source)
-    # a stream's lines end with their line break; other iterables' need not
-    joiner = "" if isinstance(source, io.IOBase) else "\n"
-    vocabularies = (_Vocabulary(), _Vocabulary(), _Vocabulary())
-    raw_names = [_RawNames(vocab, normalize) for vocab, normalize
-                 in zip(vocabularies, (str.strip, str.strip, _normal_tag))]
-    byte_delimiter = ord(delimiter) if len(delimiter) == 1 and delimiter.isascii() else None
-    # per column, its parts chunk by chunk: user, item and tag codes, and times
-    columns = tuple([np.zeros(0, dtype=dtype)] for dtype in (np.int32,) * 3 + (np.int64,))
-    malformed = 0
-    first_line = 1
-    try:
-        it = iter(source)
-        while chunk := list(islice(it, CHUNK_LINES)):
-            skip_header = header and first_line == 1
-            if byte_delimiter is None or not _parse_bytes(chunk, joiner, skip_header,
-                                                          byte_delimiter, raw_names, columns):
-                text = _decode(chunk, joiner, first_line)
-                # a lone "\r" ends a line too; the empty line after a "\r\n" is blank
-                lines = text.replace("\r", "\n").split("\n")
-                if skip_header:
-                    del lines[0]
-                malformed += _parse_chunk(lines, delimiter, vocabularies, columns)
-            first_line += len(chunk)
-    finally:
-        if handle is not None:
-            handle.close()
-    codes = [np.concatenate(c) for c in columns[:3]]
-    time = _exact_times(np.concatenate(columns[3]))
+    if isinstance(source, (str, Path)):
+        with open(source, "rb") as stream:
+            return parse_annotations(stream, delimiter, granularity, header)
+    blocks = _stream_blocks(source) if isinstance(source, io.IOBase) else _line_blocks(source)
+    names = [_NameColumn(str.strip), _NameColumn(str.strip), _NameColumn(_normal_tag)]
+    times = [np.zeros(0, dtype=np.int64)]
+    malformed = sum(_parse_block(data, delimiter, header and not k, names, times)
+                    for k, data in enumerate(blocks))
+    coded = [column.finish() for column in names]
+    time = np.concatenate(times)
+    # a name that is empty once normalized sorts first: its lines are malformed
+    empty = np.zeros(len(time), dtype=bool)
+    for vocab, code in coded:
+        if vocab[:1] == [""]:
+            empty |= code == 0
+    if empty.any():
+        malformed += int(np.count_nonzero(empty))
+        time = time[~empty]
+        for k, (vocab, code) in enumerate(coded):
+            code, present = _occurring(code[~empty], len(vocab))
+            coded[k] = [vocab[j] for j in present.tolist()], code
     total = len(time) + malformed
     if total > 0 and malformed * 2 > total:
         raise FormatError(
             f"{malformed} of {total} lines malformed; wrong delimiter spec?"
         )
-    return ParseResult(_renumbered(vocabularies, codes, time), malformed, granularity)
+    (users, user), (items, item), (tags, tag) = coded
+    return ParseResult(AnnotationColumns(user, item, tag, time, users, items, tags), malformed,
+                       granularity)
 
 
 def write_annotations(annotations: Iterable[Annotation], dest, delimiter: str = "\t") -> None:
@@ -485,11 +474,12 @@ def write_annotations(annotations: Iterable[Annotation], dest, delimiter: str = 
                  for vocab in (c.users, c.items, c.tags)]
         for start in range(0, len(c), CHUNK_LINES):
             part = slice(start, start + CHUNK_LINES)
-            times = c.time[part].tolist()
-            fields = np.empty((len(times), 4), dtype=object)
+            # each distinct time of the chunk formatted once
+            times, at = np.unique(c.time[part], return_inverse=True)
+            fields = np.empty((len(at), 4), dtype=object)
             for k, (codes, vocab) in enumerate(zip((c.user, c.item, c.tag), names)):
                 fields[:, k] = vocab[codes[part]]
-            fields[:, 3] = [f"{t}\n" for t in times]
+            fields[:, 3] = np.array([f"{t}\n" for t in times.tolist()], dtype=object)[at]
             dest.write("".join(fields.ravel().tolist()))
         return
     for a in annotations:
@@ -757,13 +747,6 @@ def _names(prefix: str, n: int, values) -> list[str]:
     return list(map(f"{prefix}%0{len(str(n))}d".__mod__, values))
 
 
-def _occurring(draws: np.ndarray, prefix: str, n: int) -> tuple[np.ndarray, list[str]]:
-    """Codes of draws from range(n), renumbered in order over the values drawn, and their names."""
-    drawn = np.bincount(draws, minlength=n) > 0
-    codes = (np.cumsum(drawn, dtype=np.int32) - 1)[draws]
-    return codes, _names(prefix, n, np.flatnonzero(drawn).tolist())
-
-
 def generate_synthetic(config: SyntheticConfig) -> AnnotationColumns:
     """Draw a synthetic corpus with power-law user activity and popularity.
 
@@ -793,9 +776,11 @@ def generate_synthetic(config: SyntheticConfig) -> AnnotationColumns:
     item_draws = np.searchsorted(item_cdf, rng.random(total), side="right")
     slots = pools[item_draws, rng.integers(0, pool_size, size=total)]
     del pools
-    item, items = _occurring(item_draws, "i", config.n_items)
+    item, drawn = _occurring(item_draws, config.n_items)
+    items = _names("i", config.n_items, drawn.tolist())
     del item_draws
-    tag, tags = _occurring(np.searchsorted(tag_cdf, slots, side="right"), "t", config.n_tags)
+    tag, drawn = _occurring(np.searchsorted(tag_cdf, slots, side="right"), config.n_tags)
+    tags = _names("t", config.n_tags, drawn.tolist())
     del slots
     time = rng.integers(0, config.time_span, size=total)
 

@@ -249,7 +249,8 @@ def user_mean_z(
     credits = scored.credits
     offsets, n_users = credits.user_offsets, len(credits.users)
     sizes, z = np.diff(offsets), np.empty_like(scored.user_score)
-    for size in np.unique(sizes):  # the tags with this many scorers, one row per tag
+    # the tags with each scorer count, one row per tag (a bare np.unique would import numpy.ma)
+    for size in np.flatnonzero(np.bincount(sizes)):
         slots = offsets[:-1][sizes == size, np.newaxis] + np.arange(size)
         z[slots] = population_zscores(scored.user_score[slots])
     # each user's z-scores add up in tag order

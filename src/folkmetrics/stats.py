@@ -177,7 +177,7 @@ def binned_mean(pairs: Iterable[tuple[float, float]], spec: BinSpec) -> BinnedSe
     idx = np.searchsorted(edges, keys, side="right") - 1
 
     rows = []
-    for bin_idx in np.unique(idx):
+    for bin_idx in np.flatnonzero(np.bincount(idx + 1)) - 1:  # the bins that hold a key
         in_bin = values[idx == bin_idx]
         if bin_idx < 0:
             low, high = float(keys[idx == bin_idx].min()), float(edges[0])

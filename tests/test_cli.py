@@ -176,6 +176,20 @@ def test_taxonomy_command_still_loads_scipy(runner, tmp_path):
     assert json.loads(out.read_text())["nodes"]
 
 
+def test_spear_command_leaves_out_numpy_ma(runner, tmp_path):
+    """On numpy >= 2.3 a bare np.unique(x) imports numpy.ma, about 10 ms a run."""
+    if _python("import sys, numpy; print('numpy.ma' in sys.modules)").stdout == b"True\n":
+        pytest.skip("import numpy alone loads numpy.ma")
+    corpus, out = tmp_path / "corpus.tsv", tmp_path / "spear.csv"
+    synth = ["synth", "--users", "300", "--items", "40", "--tags", "15", "--seed", "3"]
+    assert runner.invoke(main, synth + ["--out", str(corpus)]).exit_code == 0
+    code = ("import sys; from folkmetrics.cli import main; "
+            "main(sys.argv[1:], standalone_mode=False); print('numpy.ma' in sys.modules)")
+    done = _python(code, "spear", str(corpus), "--min-users", "3", "--out", str(out))
+    assert done.stdout == b"False\n"
+    assert len(out.read_text().splitlines()) > 1
+
+
 @pytest.mark.parametrize("encoding", ["latin-1", "ascii"])
 def test_stdout_is_utf8_whatever_the_locale(tmp_path, encoding):
     """ingest to stdout writes the bytes it writes to a file, which ingest reads back."""

@@ -105,19 +105,93 @@ def test_parse_edge_cases_match_the_reference(delimiter, lines, chunk):
 
 
 def test_well_formed_chunks_skip_the_general_parser():
+    """Only a line the vector checks flag leaves the vector path, to be settled by itself."""
     lines = [b"u%d\ti%d\tT%d\t%d\n" % (k % 7, k % 5, k % 3, k) for k in range(10)]
     with mock.patch.object(corpus, "CHUNK_LINES", 4), \
-            mock.patch.object(corpus, "_parse_chunk", wraps=corpus._parse_chunk) as general:
+            mock.patch.object(corpus, "_settle", wraps=corpus._settle) as settle:
         clean = parse_annotations(io.BytesIO(b"".join(lines)))
-        assert general.call_count == 0
+        assert settle.call_count == 0
         assert list(clean.annotations) == corpus_oracle.parse_annotations(lines).annotations
         lines[5] = b"u1\ti1\tt1\tx\n"
         dirty = parse_annotations(io.BytesIO(b"".join(lines)))
-        # only the second chunk, lines 5 to 8, holds the bad line
-        assert general.call_count == 1
-        assert general.call_args.args[0][:4] == [line.decode()[:-1] for line in lines[4:8]]
+        assert settle.call_args_list == [mock.call("u1\ti1\tt1\tx", "\t")]
         expected = corpus_oracle.parse_annotations(lines)
         assert (list(dirty.annotations), dirty.malformed) == (expected.annotations, 1)
+
+
+class Trickle(io.RawIOBase):
+    """A binary stream that gives at most `step` bytes a read, so blocks end anywhere."""
+
+    def __init__(self, data: bytes, step: int):
+        self.data, self.at, self.step = data, 0, step
+
+    def readable(self):
+        return True
+
+    def readinto(self, buffer):
+        n = min(len(buffer), self.step, len(self.data) - self.at)
+        buffer[:n] = self.data[self.at:self.at + n]
+        self.at += n
+        return n
+
+
+def columns_of(parsed):
+    c = parsed.annotations
+    return ([column.tolist() for column in (c.user, c.item, c.tag, c.time)],
+            [str(column.dtype) for column in (c.user, c.item, c.tag, c.time)],
+            (c.users, c.items, c.tags), parsed.malformed)
+
+
+@settings(max_examples=150, deadline=None)
+@given(texts(), st.sampled_from([1, 2, 3]), st.integers(1, 40))
+def test_blocks_cut_anywhere_give_the_same_columns(case, chunk, step):
+    """Short reads and small blocks cut the input at every place: after a "\r" of a "\r\n",
+    inside a line, a field or a multi-byte character."""
+    delimiter, header, lines = case
+    data = "".join(lines).encode()
+    try:
+        expected = corpus_oracle.parse_annotations(io.BytesIO(data), delimiter, header)
+    except FormatError:
+        with mock.patch.object(corpus, "CHUNK_LINES", chunk), pytest.raises(FormatError):
+            parse_annotations(Trickle(data, step), delimiter, header=header)
+        return
+    whole = parse_annotations(io.BytesIO(data), delimiter, header=header)
+    with mock.patch.object(corpus, "CHUNK_LINES", chunk):
+        cut = parse_annotations(Trickle(data, step), delimiter, header=header)
+    assert list(cut.annotations) == expected.annotations
+    assert cut.malformed == expected.malformed
+    assert columns_of(cut) == columns_of(whole)
+
+
+@pytest.mark.parametrize("chunk", [1, 3, corpus.CHUNK_LINES])
+@pytest.mark.parametrize("delimiter", ["\t", "·", "||"])
+def test_scattered_bad_lines_are_settled_in_place(delimiter, chunk):
+    bad = {
+        17: "x",
+        40: "",  # empty: never flagged
+        41: "  \t ",
+        77: delimiter.join(["u\0", "i", "T1", "5"]),
+        90: delimiter.join(["u", "i", "t", "1" * 25]),
+        120: delimiter.join(["u", "i\0", "t", "9" * 19]),
+        150: delimiter.join(["u", "", "t", "1"]),
+        160: delimiter.join(["u", "i", "t", "1x"]),
+        170: "u" + delimiter * 5,
+        180: delimiter.join(["u", "i", "t", "1\0"]),
+        190: delimiter.join(["u", "i", "t", "0" * 20 + "3"]),
+    }
+    lines = [bad.get(k, delimiter.join([f"u{k % 13}", f"i{k % 7}", f"T{k % 5}", str(k)]))
+             + ("\r\n" if k % 3 else "\n") for k in range(200)]
+    data = "".join(lines).encode()
+    expected = corpus_oracle.parse_annotations(io.BytesIO(data), delimiter)
+    with mock.patch.object(corpus, "CHUNK_LINES", chunk), \
+            mock.patch.object(corpus, "_settle", wraps=corpus._settle) as settle:
+        got = parse_annotations(io.BytesIO(data), delimiter)
+    assert list(got.annotations) == expected.annotations
+    assert got.malformed == expected.malformed == 5
+    assert settle.call_count == len(bad) - 1
+    assert got.annotations.time.dtype == object
+    # lines 17, 40 and 41 hold no annotation
+    assert got.annotations[117] == Annotation("u", "i\0", "t", 10**19 - 1)
 
 
 def test_a_megabyte_name_in_a_chunk_of_short_ones():
