@@ -85,7 +85,8 @@ class AnnotationColumns(Sequence[Annotation]):
     @classmethod
     def from_annotations(cls, annotations: Iterable[Annotation]) -> "AnnotationColumns":
         rows = list(annotations)
-        coded = [_vocabulary([getattr(a, field) for a in rows]) for field in ("user", "item", "tag")]
+        coded = [_vocabulary([getattr(a, field) for a in rows])
+                 for field in ("user", "item", "tag")]
         time = _exact_times(np.array([a.time for a in rows], dtype=object))
         return cls(*(code for _, code in coded), time, *(names for names, _ in coded))
 
@@ -110,19 +111,10 @@ class AnnotationColumns(Sequence[Annotation]):
                                  self.users, self.items, self.tags)
 
 
-def _vocabulary(names: list[str], runs: int = 0) -> tuple[list[str], np.ndarray]:
-    """The names sorted without repeats, and the int32 code of each given name in them.
-
-    runs > 0 says the names are distinct and come as that many sorted runs,
-    which sort in about linear time; one run is already sorted.
-    """
-    if runs == 1:
+def _vocabulary(names: list[str], distinct_sorted: bool = False) -> tuple[list[str], np.ndarray]:
+    """The names sorted without repeats, and the int32 code of each given name in them."""
+    if distinct_sorted:
         return names, np.arange(len(names), dtype=np.int32)
-    if runs:
-        order = sorted(range(len(names)), key=names.__getitem__)
-        code = np.empty(len(names), dtype=np.int32)
-        code[order] = np.arange(len(names), dtype=np.int32)
-        return [names[k] for k in order], code
     vocab = sorted(set(names))
     index = dict(zip(vocab, range(len(vocab))))
     return vocab, np.fromiter(map(index.__getitem__, names), dtype=np.int32, count=len(names))
@@ -266,7 +258,7 @@ class _NameColumn:
         self.blocks: list[tuple[list, list[str], np.ndarray]] = []
 
     def add(self, padded, starts, lengths, before: np.ndarray, settled: list[str]) -> None:
-        """A block: the names at starts in padded, and settled ones inserted before rows `before`."""
+        """A block: the names at starts in padded, and settled ones inserted before `before`."""
         code, keys, held = np.empty(len(starts), dtype=np.int32), [], 0
         for width, rows, distinct, inverse in _name_keys(padded, starts, lengths):
             code[rows] = inverse + held
@@ -294,9 +286,9 @@ class _NameColumn:
             lut.append(np.arange(len(raw), len(raw) + len(settled)))
             raw += settled
         names = list(map(self.normalize, raw))
-        # unchanged names of distinct keys are distinct, and each width's come sorted
-        runs = len(widths) if len(raw) == distinct_keys and names == raw else 0
-        names, code = _vocabulary(names, runs)
+        # the names of one width's distinct keys come sorted, if no name changed
+        names, code = _vocabulary(names, len(widths) == 1 and len(raw) == distinct_keys
+                                  and names == raw)
         codes = np.empty(sum(len(local) for *_, local in self.blocks), dtype=np.int32)
         at = 0
         for lut, (*_, local) in zip(luts, self.blocks):
