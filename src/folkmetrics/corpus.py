@@ -275,11 +275,11 @@ class _NameColumn:
         for width in widths:
             held = [(lut, distinct) for lut, (keys, _, _) in zip(luts, self.blocks)
                     for w, distinct in keys if w == width]
-            distinct, inverse = np.unique(np.concatenate([d for _, d in held]),
-                                          return_inverse=True)
-            bounds = np.cumsum([len(d) for _, d in held[:-1]], dtype=np.intp)
-            for (lut, _), part in zip(held, np.split(inverse + len(raw), bounds)):
-                lut.append(part)
+            keys = np.sort(np.concatenate([d for _, d in held]))
+            distinct = keys[_run_starts(keys)]
+            del keys
+            for lut, d in held:
+                lut.append(np.searchsorted(distinct, d) + len(raw))
             raw += _decoded(width, distinct)
         distinct_keys = len(raw)
         for lut, (_, settled, _) in zip(luts, self.blocks):
