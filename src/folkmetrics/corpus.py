@@ -416,9 +416,10 @@ def parse_annotations(
     once, and codes each name field as a fixed-width byte key with one
     np.unique per key width. Only the lines the checks flag (malformed or
     whitespace-only lines, a NUL, a timestamp of more than 18 digits) are
-    settled one by one, in place. At the end one np.unique per key width
-    numbers the blocks' keys, and each distinct key is decoded and
-    normalized once; when no name changes, the keys' order is the names'.
+    settled one by one, in place. At the end one sort per key width numbers
+    the blocks' distinct keys, and each distinct key is decoded and
+    normalized once. When a column's keys share one width and no name
+    changes, the keys' order is the names'; otherwise the names are sorted.
     """
     if not delimiter:
         raise DomainError("the delimiter must not be empty")
