@@ -269,7 +269,7 @@ class _NameColumn:
 
     def finish(self) -> tuple[list[str], np.ndarray]:
         """The names sorted without repeats, and every annotation's code, block after block."""
-        luts = [[] for _ in self.blocks]  # per block: the raw name of each block code
+        luts = [[] for _ in self.blocks]  # per block: each block code's index in raw
         raw: list[str] = []
         widths = sorted({width for keys, _, _ in self.blocks for width, _ in keys})
         for width in widths:

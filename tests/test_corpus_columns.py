@@ -145,8 +145,8 @@ def columns_of(parsed):
 @settings(max_examples=150, deadline=None)
 @given(texts(), st.sampled_from([1, 2, 3]), st.integers(1, 40))
 def test_blocks_cut_anywhere_give_the_same_columns(case, chunk, step):
-    """Short reads and small blocks cut the input at every place: after a "\r" of a "\r\n",
-    inside a line, a field or a multi-byte character."""
+    """Short reads and small blocks cut the input at every place: between the two bytes of a
+    CRLF, inside a line, a field or a multi-byte character."""
     delimiter, header, lines = case
     data = "".join(lines).encode()
     try:
