@@ -213,11 +213,11 @@ def partition(source, delimiter, granularity, header, dedupe, fraction, out, tab
     index, _ = _load_index(source, delimiter, granularity, header, dedupe)
     part = split_supertaggers(index, fraction)
     if users_out is not None:
-        for name, users in (("supertaggers", part.supertaggers), ("others", part.others)):
+        for name, users in report_mod.partition_users(index, part).items():
             with open(f"{users_out}{name}.txt", "w", encoding="utf-8", newline="") as fh:
-                fh.writelines(f"{user}\n" for user in sorted(users))
+                fh.writelines(f"{user}\n" for user in users)
         omit_users = True
-    report_mod.write_json(out, report_mod.partition_json(part, include_users=not omit_users))
+    report_mod.write_json(out, report_mod.partition_json(index, part, not omit_users))
     if tables:
         rows = report_mod.partition_summary_rows(partition_summary(index, part))
         report_mod._write_csv(tables, report_mod.PARTITION_SUMMARY_HEADER, rows)

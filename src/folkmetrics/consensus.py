@@ -13,9 +13,9 @@ from typing import Mapping, Optional
 
 import numpy as np
 
-from .corpus import FolksonomyIndex, _code, _item_tag_users, _members, _rows, _run_starts
+from .corpus import FolksonomyIndex, _code, _item_tag_users, _rows, _run_starts
 from .errors import DomainError
-from .partition import Partition
+from .partition import Partition, _user_mask
 from .stats import BinSpec, BinnedSeries, binned_mean, cosine
 
 __all__ = [
@@ -37,15 +37,16 @@ class TagDistribution:
 
 
 def item_tag_distribution(
-    index: FolksonomyIndex, users: frozenset[str] | set[str], item: str
+    index: FolksonomyIndex, users_mask: np.ndarray, item: str
 ) -> Optional[TagDistribution]:
-    """The item's tag distribution restricted to the given users, or None if untagged."""
+    """The item's tag distribution among the users a mask by user code picks; None if untagged."""
     c = index.columns
+    members = _user_mask(index, users_mask)
     code = _code(c.items, item)
     if code < 0:
         return None
     rows = _rows(index.item_csr, code)
-    rows = rows[_members([c.users[k] for k in c.user[rows].tolist()], users)]
+    rows = rows[members[c.user[rows]]]
     _, tags, counts = _item_tag_users(c, rows)
     if not len(tags):
         return None
@@ -132,9 +133,9 @@ def consensus_by_bin(
     folksonomy. Raises if no item is shared between the groups.
     """
     c = index.columns
+    in_s = _user_mask(index, partition.supertagger)[c.user]
     (s_item, s_top, s_entries), (o_item, o_top, o_entries) = (
-        _groups(c, np.flatnonzero(_members(c.users, users)[c.user]))
-        for users in (partition.supertaggers, partition.others))
+        _groups(c, np.flatnonzero(rows)) for rows in (in_s, ~in_s))
     shared = np.intersect1d(s_item, o_item)
     if not len(shared):
         raise DomainError("no item is tagged in both groups")

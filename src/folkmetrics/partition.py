@@ -13,7 +13,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .corpus import FolksonomyIndex, _members, _tally
+from .corpus import FolksonomyIndex, _tally
 from .errors import DomainError
 from .stats import MedianIQR, median_iqr
 
@@ -49,24 +49,25 @@ def gini(values: Iterable[float]) -> float:
     return float(2.0 * (i * y).sum() / (n * total) - (n + 1) / n)
 
 
-def rank_users(index: FolksonomyIndex) -> list[str]:
-    """Users in descending annotation-count order, ties broken lexicographically."""
+def rank_users(index: FolksonomyIndex) -> np.ndarray:
+    """User codes in descending annotation-count order, ties broken lexicographically."""
     # codes follow name order, so a stable sort by count breaks ties by name
-    ranked = np.argsort(-index.user_csr.counts(), kind="stable")
-    return [index.columns.users[k] for k in ranked.tolist()]
+    return np.argsort(-index.user_csr.counts(), kind="stable")
 
 
-def _ranked_counts(index: FolksonomyIndex) -> np.ndarray:
-    """The users' annotation counts in rank_users order."""
-    return np.sort(index.user_csr.counts())[::-1]
+def _user_mask(index: FolksonomyIndex, mask: np.ndarray) -> np.ndarray:
+    """mask, if it is a bool mask with one entry per user code; raises otherwise."""
+    if mask.dtype != bool or mask.shape != (len(index.columns.users),):
+        raise DomainError(f"need a bool mask over {len(index.columns.users)} users, "
+                          f"got {mask.dtype} {mask.shape}")
+    return mask
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Partition:
-    """Supertagger / non-supertagger split of one index's users."""
+    """The split of one index's users: supertagger masks S by user code, ~supertagger not-S."""
 
-    supertaggers: frozenset[str]
-    others: frozenset[str]
+    supertagger: np.ndarray
     annotation_threshold: int
     target_fraction: float
 
@@ -83,15 +84,13 @@ def split_supertaggers(index: FolksonomyIndex, target_fraction: float = 0.5) -> 
         raise DomainError(f"target fraction must be in (0, 1], got {target_fraction}")
     if index.n_annotations == 0:
         raise DomainError("cannot partition an empty index")
-    ranked, counts = rank_users(index), _ranked_counts(index)
+    ranked = rank_users(index)
+    counts = index.user_csr.counts()[ranked]
     target = target_fraction * index.n_annotations
     cut = min(int(np.searchsorted(np.cumsum(counts), target)) + 1, len(ranked))
-    return Partition(
-        supertaggers=frozenset(ranked[:cut]),
-        others=frozenset(ranked[cut:]),
-        annotation_threshold=int(counts[cut - 1]),
-        target_fraction=target_fraction,
-    )
+    supertagger = np.zeros(len(ranked), dtype=bool)
+    supertagger[ranked[:cut]] = True
+    return Partition(supertagger, int(counts[cut - 1]), target_fraction)
 
 
 @dataclass(frozen=True)
@@ -112,7 +111,7 @@ def pareto_curve(index: FolksonomyIndex, resolution: Optional[int] = None) -> Pa
     if resolution is not None and resolution < 2:
         raise DomainError(f"pareto resolution must be at least 2, got {resolution}")
     ranked = rank_users(index)
-    counts = _ranked_counts(index).astype(float)
+    counts = index.user_csr.counts()[ranked].astype(float)
     shares = np.cumsum(counts) / counts.sum()
     n = len(ranked)
     if resolution is None or resolution >= n:
@@ -171,12 +170,7 @@ def partition_summary(index: FolksonomyIndex, partition: Partition) -> Partition
     unique tags appear in that group only, shared tags in both.
     """
     c = index.columns
-    s_users = _members(c.users, partition.supertaggers)
-    o_users = _members(c.users, partition.others)
-    if (np.count_nonzero(s_users) != len(partition.supertaggers)
-            or np.count_nonzero(o_users) != len(partition.others)
-            or (s_users & o_users).any() or not (s_users | o_users).all()):
-        raise DomainError("partition does not match index users")
+    s_users = _user_mask(index, partition.supertagger)
     s_rows = s_users[c.user]
     s_tags, o_tags = (np.bincount(c.tag[rows], minlength=len(c.tags)) > 0
                       for rows in (s_rows, ~s_rows))
@@ -187,7 +181,7 @@ def partition_summary(index: FolksonomyIndex, partition: Partition) -> Partition
                 for user in (c.user, _tally(c.user, c.tag)[0][0], _tally(c.user, c.item)[0][0])]
     return PartitionSummary(
         supertaggers=_group_summary(s_users, per_user, s_tags, o_tags, s_items, o_items),
-        others=_group_summary(o_users, per_user, o_tags, s_tags, o_items, s_items),
+        others=_group_summary(~s_users, per_user, o_tags, s_tags, o_items, s_items),
         shared_tags=int(np.count_nonzero(s_tags & o_tags)),
         shared_items=int(np.count_nonzero(s_items & o_items)),
     )

@@ -122,9 +122,9 @@ def _usage_by_group(index: FolksonomyIndex, part: Partition, dimension: str,
                     cumulative: bool) -> dict[str, list[tuple[int, float]]]:
     """Each group's usage distribution over the dimension; a group with no annotations is left out."""
     series = {}
-    for group, users in (("S", part.supertaggers), ("not_S", part.others)):
+    for group, users in (("S", part.supertagger), ("not_S", ~part.supertagger)):
         dist = similarity_mod.freq_dist(index, users, dimension)
-        if dist.counts:
+        if dist.counts.any():
             series[group] = similarity_mod.usage_distribution(dist, cumulative=cumulative)
     return series
 
@@ -158,16 +158,25 @@ def summary_json(index: FolksonomyIndex) -> dict:
     }
 
 
-def partition_json(partition: Partition, include_users: bool = True) -> dict:
+def partition_users(index: FolksonomyIndex, partition: Partition) -> dict[str, list[str]]:
+    """The names of the supertaggers and of the others in code order, which is name order."""
+    users = index.columns.users
+    return {group: [users[k] for k in np.flatnonzero(mask).tolist()]
+            for group, mask in (("supertaggers", partition.supertagger),
+                                ("others", ~partition.supertagger))}
+
+
+def partition_json(index: FolksonomyIndex, partition: Partition,
+                   include_users: bool = True) -> dict:
+    n_supertaggers = int(np.count_nonzero(partition.supertagger))
     payload = {
         "annotation_threshold": partition.annotation_threshold,
         "target_fraction": partition.target_fraction,
-        "n_supertaggers": len(partition.supertaggers),
-        "n_others": len(partition.others),
+        "n_supertaggers": n_supertaggers,
+        "n_others": len(partition.supertagger) - n_supertaggers,
     }
     if include_users:
-        payload["supertaggers"] = sorted(partition.supertaggers)
-        payload["others"] = sorted(partition.others)
+        payload.update(partition_users(index, partition))
     return payload
 
 
@@ -233,9 +242,8 @@ class ReportConfig:
     orphan_divisor: int = motivation_mod.DEFAULT_ORPHAN_DIVISOR
 
     def __post_init__(self) -> None:
-        if self.max_iter < 1 or not self.tolerance > 0:
-            raise DomainError(f"need max_iter >= 1 and tolerance > 0, got {self.max_iter} "
-                              f"and {self.tolerance}")
+        # spear_by_bin's errors become an empty series, so its parameters are checked here
+        spear_mod._check_parameters(self.exponent, self.tolerance, self.max_iter)
 
 
 def write_report(
@@ -264,7 +272,7 @@ def write_report(
     write_json(emit("summary.json"), summary_json(index))
 
     part = split_supertaggers(index, config.fraction)
-    write_json(emit("partition.json"), partition_json(part))
+    write_json(emit("partition.json"), partition_json(index, part))
     _write_csv(
         emit("partition_summary.csv"),
         PARTITION_SUMMARY_HEADER,
@@ -276,7 +284,10 @@ def write_report(
     for dimension, cumulative in (("tag", False), ("item", True)):
         write_usage_csv(emit(f"{dimension}_usage_dist.csv"),
                         _usage_by_group(index, part, dimension, cumulative))
-        curve = similarity_mod.similarity_curve(index, part, dimension, n_values)
+        try:
+            curve = similarity_mod.similarity_curve(index, part, dimension, n_values)
+        except DomainError:
+            curve = similarity_mod.SimilarityCurve(dimension, (), None)
         write_similarity_csv(emit(f"{dimension}_similarity.csv"), curve)
 
     try:

@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .corpus import FolksonomyIndex, _members, _sorted_runs
+from .corpus import FolksonomyIndex
 from .errors import DomainError, UndefinedCorrelationError
-from .partition import Partition
+from .partition import Partition, _user_mask
 from .stats import BinSpec, BinnedSeries, binned_mean, rank_descending
 
 __all__ = [
@@ -35,29 +35,22 @@ __all__ = [
 _DIMENSIONS = ("tag", "item")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FreqDist:
-    """Annotation counts keyed by tag or item within one sub-folksonomy."""
+    """Annotation counts by tag or item code within one sub-folksonomy; 0 for a key not used."""
 
     dimension: str
-    counts: Mapping[str, int]
+    counts: np.ndarray
 
 
-def freq_dist(index: FolksonomyIndex, users: Iterable[str], dimension: str) -> FreqDist:
-    """Count annotations by the given users, keyed by tag or item."""
+def freq_dist(index: FolksonomyIndex, users_mask: np.ndarray, dimension: str) -> FreqDist:
+    """Count the annotations of the users a bool mask by user code selects, by tag or item code."""
     if dimension not in _DIMENSIONS:
         raise DomainError(f"dimension must be one of {_DIMENSIONS}, got {dimension!r}")
     c = index.columns
-    users = set(users)
-    members = _members(c.users, users)
-    if np.count_nonzero(members) != len(users):
-        missing = min(users.difference(c.users))
-        raise DomainError(f"user {missing!r} not in index")
+    members = _user_mask(index, users_mask)
     codes, names = (c.tag, c.tags) if dimension == "tag" else (c.item, c.items)
-    counts = np.bincount(codes[members[c.user]], minlength=len(names))
-    used = np.flatnonzero(counts)
-    return FreqDist(dimension, dict(zip(map(names.__getitem__, used.tolist()),
-                                        counts[used].tolist())))
+    return FreqDist(dimension, np.bincount(codes[members[c.user]], minlength=len(names)))
 
 
 def usage_distribution(dist: FreqDist, cumulative: bool = False) -> list[tuple[int, float]]:
@@ -67,21 +60,16 @@ def usage_distribution(dist: FreqDist, cumulative: bool = False) -> list[tuple[i
     falling on keys used exactly N times (fractions sum to 1). Cumulative:
     the fraction on keys used at least N times (series starts at 1).
     """
-    if not dist.counts:
+    if not dist.counts.any():
         raise DomainError("usage distribution of an empty dist")
-    mass: dict[int, int] = {}
-    for c in dist.counts.values():
-        mass[c] = mass.get(c, 0) + c
-    total = sum(mass.values())
-    levels = sorted(mass)
-    if not cumulative:
-        return [(n, mass[n] / total) for n in levels]
-    series = []
-    remaining = total
-    for n in levels:
-        series.append((n, remaining / total))
-        remaining -= mass[n]
-    return series
+    keys_by_level = np.bincount(dist.counts)
+    levels = np.flatnonzero(keys_by_level[1:]) + 1
+    # integer sums below 2**53, so each share is the correctly rounded int / int
+    mass = keys_by_level[levels] * levels
+    total = mass.sum()
+    if cumulative:
+        mass = np.cumsum(mass[::-1])[::-1]
+    return list(zip(levels.tolist(), (mass / total).tolist()))
 
 
 class _Ranking(NamedTuple):
@@ -91,18 +79,17 @@ class _Ranking(NamedTuple):
     counts: np.ndarray
 
     @classmethod
-    def of(cls, dist: FreqDist, code: Mapping[str, int]) -> "_Ranking":
-        keys = np.fromiter(map(code.__getitem__, dist.counts), dtype=np.intp,
-                           count=len(dist.counts))
-        counts = np.fromiter(dist.counts.values(), dtype=np.int64, count=len(dist.counts))
-        order, _ = _sorted_runs(-counts, keys)
-        return cls(keys[order], counts[order])
+    def of(cls, dist: FreqDist) -> "_Ranking":
+        keys = np.flatnonzero(dist.counts)
+        keys = keys[np.argsort(-dist.counts[keys], kind="stable")]
+        return cls(keys, dist.counts[keys])
 
 
 def _rankings(dist_a: FreqDist, dist_b: FreqDist) -> tuple[_Ranking, _Ranking, int]:
-    """Both sides ranked over their joint keys, coded in sorted order, and the number of keys."""
-    code = {key: k for k, key in enumerate(sorted(dist_a.counts.keys() | dist_b.counts.keys()))}
-    return _Ranking.of(dist_a, code), _Ranking.of(dist_b, code), len(code)
+    """Both sides ranked, and the number of key codes they share."""
+    if len(dist_a.counts) != len(dist_b.counts):
+        raise DomainError(f"dists over {len(dist_a.counts)} and {len(dist_b.counts)} keys")
+    return _Ranking.of(dist_a), _Ranking.of(dist_b), len(dist_a.counts)
 
 
 def _spread(ranking: _Ranking, values, n: int, n_keys: int, absent: float) -> np.ndarray:
@@ -207,9 +194,9 @@ def similarity_curve(
     correlation is undefined are skipped. The core size is the smallest N
     attaining the maximum rho.
     """
-    dist_s = freq_dist(index, partition.supertaggers, dimension)
-    dist_o = freq_dist(index, partition.others, dimension)
-    if not dist_s.counts or not dist_o.counts:
+    dist_s = freq_dist(index, partition.supertagger, dimension)
+    dist_o = freq_dist(index, ~partition.supertagger, dimension)
+    if not (dist_s.counts.any() and dist_o.counts.any()):
         raise DomainError("both sub-folksonomies must be non-empty")
     if n_values is None:
         n_values = default_n_grid()
@@ -217,12 +204,9 @@ def similarity_curve(
     if any(n < 1 for n in n_values):
         raise DomainError("N values must be >= 1")
 
-    c = index.columns
-    codes, names = (c.tag, c.tags) if dimension == "tag" else (c.item, c.items)
-    code = {name: k for k, name in enumerate(names)}
-    s_ranked, o_ranked = _Ranking.of(dist_s, code), _Ranking.of(dist_o, code)
-    full = np.bincount(codes, minlength=len(names))
-    covered = np.zeros(len(names), dtype=bool)
+    s_ranked, o_ranked, n_keys = _rankings(dist_s, dist_o)
+    full = dist_s.counts + dist_o.counts  # every user is in S or in not-S
+    covered = np.zeros(n_keys, dtype=bool)
     covered_annotations = 0
     prev_n = 0
     points: list[CurvePoint] = []
@@ -233,10 +217,10 @@ def similarity_curve(
         covered_annotations += int(full[new].sum())
         prev_n = n
         try:
-            rho = _spearman_tops(s_ranked, o_ranked, len(names), n)
+            rho = _spearman_tops(s_ranked, o_ranked, n_keys, n)
         except UndefinedCorrelationError:
             continue
-        cos = _cosine_tops(s_ranked, o_ranked, len(names), n)
+        cos = _cosine_tops(s_ranked, o_ranked, n_keys, n)
         points.append(CurvePoint(n, rho, cos, covered_annotations / index.n_annotations))
 
     core_size = None
@@ -259,7 +243,7 @@ def exogenous_popularity_diff(
     logarithmic popularity bin.
     """
     c = index.columns
-    in_s = _members(c.users, partition.supertaggers)[c.user]
+    in_s = _user_mask(index, partition.supertagger)[c.user]
     # S minus not-S annotations per item
     diff = 2 * np.bincount(c.item[in_s], minlength=len(c.items)) - index.item_csr.counts()
     pairs = []

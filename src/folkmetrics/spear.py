@@ -215,6 +215,12 @@ def spear_scores(
     return SpearBatch(credit, e_out, q_out, iterations, converged)
 
 
+def _check_parameters(exponent: float, tolerance: float, max_iter: int) -> None:
+    if not (np.isfinite(exponent) and tolerance > 0 and max_iter >= 1):
+        raise DomainError(f"need a finite exponent, tolerance > 0 and max_iter >= 1, "
+                          f"got {exponent}, {tolerance} and {max_iter}")
+
+
 def user_mean_z(
     index: FolksonomyIndex,
     top_k: int = DEFAULT_TOP_K,
@@ -230,11 +236,11 @@ def user_mean_z(
     equal contributes zeros), then averaged per user over the tags the user
     appears in; a user with no eligible tag gets NaN. The eligible tags are
     scored as one batch. Tags stopped by max_iter before converging are
-    reported with a ConvergenceWarning; raises if max_iter < 1, if
-    tolerance <= 0, or if no tag passes the eligibility filter.
+    reported with a ConvergenceWarning; raises if the exponent is not
+    finite, if max_iter < 1, if tolerance <= 0, or if no tag passes the
+    eligibility filter.
     """
-    if max_iter < 1 or not tolerance > 0:
-        raise DomainError(f"need max_iter >= 1 and tolerance > 0, got {max_iter} and {tolerance}")
+    _check_parameters(exponent, tolerance, max_iter)
     tags = eligible_tags(index, top_k=top_k, min_users=min_users)
     if not tags:
         raise DomainError("no eligible tags for expertise analysis")

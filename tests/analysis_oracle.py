@@ -6,9 +6,14 @@ columnar code does, so both add up their floats in the same order and must
 agree exactly. Sums are plain loops, not `sum()`, whose float summation
 differs between Python versions; vocabulary-mode depth adds a user's tags
 in name order.
+
+The references name users, tags and items: a group is a set of user names
+and a frequency distribution a {name: count} dict. `named` translates the
+library's user-code masks and count arrays into these forms.
 """
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,6 +34,34 @@ def _sum(values):
     return total
 
 
+class NamedPartition(NamedTuple):
+    supertaggers: frozenset
+    others: frozenset
+    annotation_threshold: int
+    target_fraction: float
+
+
+def named(index, value):
+    """value with names for codes.
+
+    A Partition becomes a NamedPartition, a FreqDist the {name: count} dict
+    of its used keys, a bool mask by user code the frozenset of the user
+    names it selects, and an array of user codes the list of their names.
+    """
+    c = index.columns
+    if isinstance(value, Partition):
+        supertaggers = named(index, value.supertagger)
+        return NamedPartition(supertaggers, frozenset(c.users) - supertaggers,
+                              value.annotation_threshold, value.target_fraction)
+    if isinstance(value, FreqDist):
+        keys = c.tags if value.dimension == "tag" else c.items
+        return {keys[k]: int(value.counts[k]) for k in np.flatnonzero(value.counts)}
+    value = np.asarray(value)
+    if value.dtype == bool:
+        return frozenset(c.users[k] for k in np.flatnonzero(value))
+    return [c.users[k] for k in value.tolist()]
+
+
 def rank_users(index):
     counts = views(index).user_annotation_count
     return sorted(counts, key=lambda u: (-counts[u], u))
@@ -43,8 +76,8 @@ def split_supertaggers(index, target_fraction):
         running += counts[user]
         if running >= target:
             break
-    return Partition(frozenset(ranked[:cut]), frozenset(ranked[cut:]),
-                     counts[ranked[cut - 1]], target_fraction)
+    return NamedPartition(frozenset(ranked[:cut]), frozenset(ranked[cut:]),
+                          counts[ranked[cut - 1]], target_fraction)
 
 
 def partition_summary(index, partition):
@@ -81,11 +114,11 @@ def freq_dist(index, users, dimension):
             a = v.annotations[pos]
             key = a.tag if dimension == "tag" else a.item
             counts[key] = counts.get(key, 0) + 1
-    return FreqDist(dimension, counts)
+    return counts
 
 
-def _sorted_keys(dist):
-    return sorted(dist.counts, key=lambda k: (-dist.counts[k], k))
+def _sorted_keys(counts):
+    return sorted(counts, key=lambda k: (-counts[k], k))
 
 
 def _spearman_tops(top_a, vals_a, top_b, vals_b, n):
@@ -109,15 +142,15 @@ def _cosine_tops(top_a, counts_a, top_b, counts_b):
                   [counts_b[k] if k in set(top_b) else 0 for k in union])
 
 
-def spearman_topn(dist_a, dist_b, n):
-    top_a, top_b = _sorted_keys(dist_a)[:n], _sorted_keys(dist_b)[:n]
-    return _spearman_tops(top_a, [dist_a.counts[k] for k in top_a],
-                          top_b, [dist_b.counts[k] for k in top_b], n)
+def spearman_topn(counts_a, counts_b, n):
+    top_a, top_b = _sorted_keys(counts_a)[:n], _sorted_keys(counts_b)[:n]
+    return _spearman_tops(top_a, [counts_a[k] for k in top_a],
+                          top_b, [counts_b[k] for k in top_b], n)
 
 
-def cosine_topn(dist_a, dist_b, n):
-    return _cosine_tops(_sorted_keys(dist_a)[:n], dist_a.counts,
-                        _sorted_keys(dist_b)[:n], dist_b.counts)
+def cosine_topn(counts_a, counts_b, n):
+    return _cosine_tops(_sorted_keys(counts_a)[:n], counts_a,
+                        _sorted_keys(counts_b)[:n], counts_b)
 
 
 def similarity_curve(index, partition, dimension, n_values):

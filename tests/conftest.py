@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from folkmetrics.corpus import Annotation, TimeGranularity, _item_tag_users, build_index
@@ -10,6 +11,11 @@ def make_annotations(rows):
 
 def make_index(rows, dedupe=False, granularity=TimeGranularity.SECONDS):
     return build_index(make_annotations(rows), dedupe=dedupe, granularity=granularity)
+
+
+def user_mask(index, names):
+    """The bool mask by user code that selects the named users."""
+    return np.array([user in names for user in index.columns.users], dtype=bool)
 
 
 def item_tag_freq(index):

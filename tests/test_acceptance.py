@@ -29,15 +29,16 @@ from folkmetrics.expertise import (
 )
 from folkmetrics.motivation import orphan_ratio, tpp, trr
 from folkmetrics.partition import gini, rank_users, split_supertaggers
-from folkmetrics.similarity import FreqDist, cosine_topn, similarity_curve, spearman_topn
+from folkmetrics.similarity import cosine_topn, similarity_curve, spearman_topn
 from folkmetrics.spear import credit_batch
 from folkmetrics.stats import BinSpec, log_bins, population_zscores
 from folkmetrics.partition import Partition
 from folkmetrics.taxonomy import conditional_table, induce_forest, depth_by_bin
 
-from conftest import make_index
+from analysis_oracle import named
+from conftest import make_index, user_mask
 from corpus_oracle import views
-from test_similarity import brute_cosine_topn, brute_spearman_topn, shared_top5_index
+from test_similarity import brute_cosine_topn, brute_spearman_topn, coded, shared_top5_index
 from spear_oracle import batch_of, entries
 from test_spear import brute_force_hits, scored
 from test_taxonomy import items_with_tags
@@ -72,21 +73,21 @@ def test_c02_partition_properties_on_random_corpora():
         )
         index = build_index(generate_synthetic(config))
         fraction = float(rng.choice([0.25, 0.5, 0.75]))
-        part = split_supertaggers(index, fraction)
+        part = named(index, split_supertaggers(index, fraction))
         count = views(index).user_annotation_count
         s_total = sum(count[u] for u in part.supertaggers)
         o_total = sum(count[u] for u in part.others)
         assert s_total + o_total == index.n_annotations
         assert s_total >= fraction * index.n_annotations
         if len(part.supertaggers) > 1:
-            ranked = rank_users(index)
+            ranked = named(index, rank_users(index))
             last = ranked[len(part.supertaggers) - 1]
             assert s_total - count[last] < fraction * index.n_annotations
 
     config = SyntheticConfig(n_users=10_000, n_items=500, n_tags=100,
                              activity_exponent=2.0, seed=77)
     index = build_index(generate_synthetic(config))
-    part = split_supertaggers(index, 0.5)
+    part = named(index, split_supertaggers(index, 0.5))
     user_fraction = len(part.supertaggers) / len(views(index).by_user)
     assert user_fraction < 0.2
 
@@ -95,16 +96,15 @@ def test_c03_similarity_oracles_core_size_and_identical_groups():
     """Top-N similarity vs brute force; core fixture; identical groups."""
     rng = np.random.default_rng(1003)
     for _ in range(40):
-        da = FreqDist("tag", {f"k{j}": int(rng.integers(1, 50))
-                              for j in range(int(rng.integers(2, 70)))})
-        db = FreqDist("tag", {f"k{j}": int(rng.integers(1, 50))
-                              for j in range(int(rng.integers(2, 70)))})
+        counts_a = {f"k{j}": int(rng.integers(1, 50)) for j in range(int(rng.integers(2, 70)))}
+        counts_b = {f"k{j}": int(rng.integers(1, 50)) for j in range(int(rng.integers(2, 70)))}
+        da, db = coded(counts_a, counts_b)
         n = int(rng.integers(1, 51))
         assert cosine_topn(da, db, n) == pytest.approx(
-            brute_cosine_topn(da.counts, db.counts, n), abs=1e-9
+            brute_cosine_topn(counts_a, counts_b, n), abs=1e-9
         )
         try:
-            expected = brute_spearman_topn(da.counts, db.counts, n)
+            expected = brute_spearman_topn(counts_a, counts_b, n)
         except ZeroDivisionError:
             continue
         assert spearman_topn(da, db, n) == pytest.approx(expected, abs=1e-9)
@@ -118,7 +118,7 @@ def test_c03_similarity_oracles_core_size_and_identical_groups():
         for k, tag in enumerate(["rock"] * 5 + ["jazz"] * 3 + ["pop"] * 2):
             rows.append((user, f"i{k}", tag, 0))
     identical = make_index(rows)
-    ident_part = Partition(frozenset({"s"}), frozenset({"o"}), 0, 0.5)
+    ident_part = Partition(user_mask(identical, {"s"}), 0, 0.5)
     ident_curve = similarity_curve(identical, ident_part, "tag", n_values=range(1, 10))
     assert ident_curve.points
     for point in ident_curve.points:
@@ -134,7 +134,7 @@ def test_c04_consensus_fixture_and_log_bins():
             for j in range(k + 1):
                 rows.append((user, f"i{k}", f"tag{j}", 0))
     index = make_index(rows)
-    part = Partition(frozenset({"s"}), frozenset({"o"}), 0, 0.5)
+    part = Partition(user_mask(index, {"s"}), 0, 0.5)
     series = consensus_by_bin(index, part, BinSpec())
     assert series.shared_items == 7
     assert series.top_match.total_count == 7

@@ -4,6 +4,7 @@ Both visit users and items in first-annotation order and add their floats
 in the same order, so every result must be equal, not merely close.
 """
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -34,23 +35,60 @@ rows = st.lists(
 @given(rows, st.booleans(), st.sampled_from([0.25, 0.5, 0.9, 1.0]))
 def test_partition_and_similarity_match_the_reference(rows, dedupe, fraction):
     index = make_index(rows, dedupe=dedupe)
-    assert partition.rank_users(index) == oracle.rank_users(index)
+    assert oracle.named(index, partition.rank_users(index)) == oracle.rank_users(index)
     part = partition.split_supertaggers(index, fraction)
-    assert part == oracle.split_supertaggers(index, fraction)
-    assert partition.partition_summary(index, part) == oracle.partition_summary(index, part)
+    names = oracle.named(index, part)
+    assert names == oracle.split_supertaggers(index, fraction)
+    assert partition.partition_summary(index, part) == oracle.partition_summary(index, names)
     for dimension in ("tag", "item"):
-        for users in (part.supertaggers, part.others):
-            assert similarity.freq_dist(index, users, dimension) == oracle.freq_dist(
-                index, users, dimension)
-        if part.others:
+        for mask, users in ((part.supertagger, names.supertaggers),
+                            (~part.supertagger, names.others)):
+            assert oracle.named(index, similarity.freq_dist(index, mask, dimension)) == (
+                oracle.freq_dist(index, users, dimension))
+        if names.others:
             n_values = range(1, 9)
             assert similarity.similarity_curve(index, part, dimension, n_values) == (
-                oracle.similarity_curve(index, part, dimension, n_values))
+                oracle.similarity_curve(index, names, dimension, n_values))
     items = index.columns.items
     popularity = {item: float(k * 3 % 7) for k, item in enumerate(items) if k % 3}
     if popularity:
         assert similarity.exogenous_popularity_diff(index, part, popularity, SPEC) == (
-            oracle.exogenous_popularity_diff(index, part, popularity, SPEC))
+            oracle.exogenous_popularity_diff(index, names, popularity, SPEC))
+
+
+@settings(max_examples=120, deadline=None)
+@given(rows, st.booleans(), st.sampled_from([0.25, 0.5, 0.9, 1.0]))
+def test_group_properties(rows, dedupe, fraction):
+    """Properties of the S / not-S split that hold for any corpus."""
+    index = make_index(rows, dedupe=dedupe)
+    c = index.columns
+    assert 0.0 <= partition.gini(index.user_csr.counts()) < 1.0
+    part = partition.split_supertaggers(index, fraction)
+    for dimension, codes, keys in (("tag", c.tag, c.tags), ("item", c.item, c.items)):
+        dists = [similarity.freq_dist(index, mask, dimension)
+                 for mask in (part.supertagger, ~part.supertagger)]
+        assert np.array_equal(dists[0].counts + dists[1].counts,
+                              np.bincount(codes, minlength=len(keys)))
+        for dist in dists:
+            if dist.counts.any():
+                shares = [p for _, p in similarity.usage_distribution(dist)]
+                assert sum(shares) == pytest.approx(1.0, abs=1e-12)
+                assert similarity.usage_distribution(dist, cumulative=True)[0][1] == 1.0
+        if dists[1].counts.any():
+            curve = similarity.similarity_curve(index, part, dimension, range(1, 9))
+            swapped = similarity.similarity_curve(
+                index, partition.Partition(~part.supertagger, 0, fraction), dimension,
+                range(1, 9))
+            assert [p.n for p in swapped.points] == [p.n for p in curve.points]
+            # rhos tied but for rounding may peak at another N once the sides swap, so the
+            # swapped core must attain the peak within 1e-12, which pins it when the peak is clear
+            rho = {p.n: p.rho for p in curve.points}
+            if rho:
+                assert rho[swapped.core_size] == pytest.approx(rho[curve.core_size], abs=1e-12)
+            for got, want in zip(swapped.points, curve.points):
+                assert got.rho == pytest.approx(want.rho, abs=1e-12)
+                assert got.cosine == pytest.approx(want.cosine, abs=1e-12)
+                assert got.coverage == want.coverage
 
 
 @settings(max_examples=120, deadline=None)
@@ -58,15 +96,17 @@ def test_partition_and_similarity_match_the_reference(rows, dedupe, fraction):
 def test_per_user_and_per_item_series_match_the_reference(rows, dedupe, divisor):
     index = make_index(rows, dedupe=dedupe)
     part = partition.split_supertaggers(index, 0.5)
-    expected = oracle.consensus_by_bin(index, part, SPEC)
+    names = oracle.named(index, part)
+    expected = oracle.consensus_by_bin(index, names, SPEC)
     if expected.shared_items:
         assert consensus.consensus_by_bin(index, part, SPEC) == expected
     else:
         with pytest.raises(DomainError):
             consensus.consensus_by_bin(index, part, SPEC)
     for item in index.columns.items + ["nowhere"]:
-        for users in (part.supertaggers, part.others):
-            assert consensus.item_tag_distribution(index, users, item) == (
+        for mask, users in ((part.supertagger, names.supertaggers),
+                            (~part.supertagger, names.others)):
+            assert consensus.item_tag_distribution(index, mask, item) == (
                 oracle.item_tag_distribution(index, users, item))
     assert motivation.motivation_by_bin(index, SPEC, divisor) == (
         oracle.motivation_by_bin(index, SPEC, divisor))

@@ -389,6 +389,17 @@ class TestAnalysisCommands:
         assert args[-2] in result.output and bound in result.output
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["spear", "report"])
+    @pytest.mark.parametrize("exponent", ["nan", "inf", "-inf"])
+    def test_non_finite_exponent_exits_one(self, runner, tmp_path, command, exponent):
+        src = write_fixture(tmp_path / "corpus.tsv")
+        out = tmp_path / "out"
+        target = {"spear": "--out", "report": "--out-dir"}[command]
+        result = runner.invoke(main, [command, src, "--exponent", exponent, target, str(out)])
+        assert result.exit_code == 1, result.output
+        assert "finite exponent" in result.stderr and "Traceback" not in result.output
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["exo-diff", "report"])
     def test_popularity_sidecar_not_utf8_exits_one_naming_the_line(self, runner, tmp_path,
                                                                     command):
@@ -499,6 +510,19 @@ class TestReportBundle:
         assert out_dir.joinpath("consensus.csv").read_text().count("\n") == 1
         taxonomy = json.loads(out_dir.joinpath("taxonomy.json").read_text())
         assert taxonomy["nodes"] == {}
+
+    def test_fraction_one_yields_header_only_similarity(self, runner, tmp_path):
+        """With every user in S, not-S is empty: the comparisons are undefined, not errors."""
+        src = self._synth_corpus(runner, tmp_path / "corpus.tsv")
+        out_dir = tmp_path / "bundle"
+        result = runner.invoke(main, ["report", src, "--out-dir", str(out_dir), "--fraction",
+                                      "1.0", "--min-users", "3", "--min-support", "2"])
+        assert result.exit_code == 0, result.output
+        assert {p.name for p in out_dir.iterdir()} == self.EXPECTED_FILES
+        for name in ("tag_similarity.csv", "item_similarity.csv"):
+            assert out_dir.joinpath(name).read_text() == "N,rho,cosine,coverage\n"
+        usage = list(csv.reader(out_dir.joinpath("tag_usage_dist.csv").open()))
+        assert len(usage) > 1 and {row[0] for row in usage[1:]} == {"S"}
 
     def test_months_granularity_accepted(self, runner, tmp_path):
         src = write_fixture(tmp_path / "corpus.tsv")

@@ -16,7 +16,8 @@ from folkmetrics.errors import DomainError
 from folkmetrics.partition import Partition, split_supertaggers
 from folkmetrics.stats import BinSpec, log_bins
 
-from conftest import make_index, random_rows
+from analysis_oracle import named
+from conftest import make_index, random_rows, user_mask
 
 
 class TestItemTagDistribution:
@@ -28,13 +29,13 @@ class TestItemTagDistribution:
             ("u2", "i1", "jazz", 2),
         ]
         index = make_index(rows)
-        dist = item_tag_distribution(index, {"u1", "u2"}, "i1")
+        dist = item_tag_distribution(index, user_mask(index, {"u1", "u2"}), "i1")
         assert dist.counts == {"rock": 2, "jazz": 1}
 
     def test_untagged_returns_none(self):
         index = make_index([("u1", "i1", "rock", 0)])
-        assert item_tag_distribution(index, {"u2"}, "i1") is None
-        assert item_tag_distribution(index, {"u1"}, "ghost") is None
+        assert item_tag_distribution(index, user_mask(index, {"u2"}), "i1") is None
+        assert item_tag_distribution(index, user_mask(index, {"u1"}), "ghost") is None
 
 
 class TestTopTagMatch:
@@ -90,7 +91,7 @@ class TestConsensusByBin:
                 for j in range(count):
                     rows.append((user, f"i{k}", f"tag{j}", 0))
         index = make_index(rows)
-        part = Partition(frozenset({"s"}), frozenset({"o"}), 0, 0.5)
+        part = Partition(user_mask(index, {"s"}), 0, 0.5)
         series = consensus_by_bin(index, part, BinSpec())
         assert series.shared_items == 6
         assert series.top_match.total_count == 6
@@ -105,7 +106,7 @@ class TestConsensusByBin:
             rows.append(("s", f"i{k}", f"stag{k}", 0))
             rows.append(("o", f"i{k}", f"otag{k}", 0))
         index = make_index(rows)
-        part = Partition(frozenset({"s"}), frozenset({"o"}), 0, 0.5)
+        part = Partition(user_mask(index, {"s"}), 0, 0.5)
         series = consensus_by_bin(index, part, BinSpec())
         for row in series.cosine.rows:
             assert row.mean == pytest.approx(0.0)
@@ -119,6 +120,7 @@ class TestConsensusByBin:
         part = split_supertaggers(index, 0.5)
         spec = BinSpec()
         series = consensus_by_bin(index, part, spec)
+        part = named(index, part)
 
         edges = log_bins(spec)
         per_bin_match = {}
@@ -165,7 +167,7 @@ class TestConsensusByBin:
     def test_no_shared_items_raises(self):
         rows = [("s", "i1", "a", 0), ("o", "i2", "a", 0)]
         index = make_index(rows)
-        part = Partition(frozenset({"s"}), frozenset({"o"}), 0, 0.5)
+        part = Partition(user_mask(index, {"s"}), 0, 0.5)
         with pytest.raises(DomainError):
             consensus_by_bin(index, part, BinSpec())
 

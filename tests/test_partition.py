@@ -13,7 +13,8 @@ from folkmetrics.partition import (
     split_supertaggers,
 )
 
-from conftest import make_index, random_rows
+from analysis_oracle import named
+from conftest import make_index, random_rows, user_mask
 from corpus_oracle import views
 
 
@@ -73,22 +74,23 @@ class TestRankUsers:
             + [("b", f"x{k}", "t", 0) for k in range(5)]
             + [("c", f"x{k}", "t", 0) for k in range(3)]
         )
-        assert rank_users(index) == ["b", "a", "c"]
+        assert named(index, rank_users(index)) == ["b", "a", "c"]
 
     def test_single_user(self):
-        assert rank_users(make_index([("u", "i", "t", 0)])) == ["u"]
+        index = make_index([("u", "i", "t", 0)])
+        assert named(index, rank_users(index)) == ["u"]
 
     def test_matches_sort_oracle(self):
         rng = np.random.default_rng(31)
         index = make_index(random_rows(rng))
         counts = views(index).user_annotation_count
         expected = sorted(counts, key=lambda u: (-counts[u], u))
-        assert rank_users(index) == expected
+        assert named(index, rank_users(index)) == expected
 
 
 class TestSplitSupertaggers:
     def test_four_user_fixture(self, four_user_index):
-        part = split_supertaggers(four_user_index, 0.5)
+        part = named(four_user_index, split_supertaggers(four_user_index, 0.5))
         assert part.supertaggers == {"a"}
         assert part.annotation_threshold == 10
         assert part.others == {"b", "c", "d"}
@@ -96,10 +98,10 @@ class TestSplitSupertaggers:
     def test_single_user_any_fraction(self):
         index = make_index([("u", "i", "t", 0)])
         for fraction in (0.01, 0.5, 1.0):
-            assert split_supertaggers(index, fraction).supertaggers == {"u"}
+            assert named(index, split_supertaggers(index, fraction)).supertaggers == {"u"}
 
     def test_fraction_one_takes_everyone(self, four_user_index):
-        part = split_supertaggers(four_user_index, 1.0)
+        part = named(four_user_index, split_supertaggers(four_user_index, 1.0))
         assert part.supertaggers == {"a", "b", "c", "d"}
         assert part.others == frozenset()
 
@@ -108,8 +110,8 @@ class TestSplitSupertaggers:
         for trial in range(20):
             index = make_index(random_rows(rng, n_users=int(rng.integers(2, 40))))
             fraction = float(rng.uniform(0.1, 1.0))
-            part = split_supertaggers(index, fraction)
-            ranked = rank_users(index)
+            part = named(index, split_supertaggers(index, fraction))
+            ranked = named(index, rank_users(index))
             counts = views(index).user_annotation_count
             total = index.n_annotations
             running = 0
@@ -126,7 +128,7 @@ class TestSplitSupertaggers:
         rng = np.random.default_rng(41)
         for trial in range(20):
             index = make_index(random_rows(rng, n_users=int(rng.integers(3, 30))))
-            part = split_supertaggers(index, 0.5)
+            part = named(index, split_supertaggers(index, 0.5))
             total = index.n_annotations
             counts = views(index).user_annotation_count
             s_total = sum(counts[u] for u in part.supertaggers)
@@ -201,7 +203,7 @@ class TestPartitionSummary:
             ("b", "i2", "tb", 3), ("b", "i3", "tc", 4),
         ]
         index = make_index(rows)
-        part = Partition(frozenset({"a"}), frozenset({"b"}), 3, 0.5)
+        part = Partition(user_mask(index, {"a"}), 3, 0.5)
         result = partition_summary(index, part)
         assert (result.supertaggers.total_tags, result.others.total_tags) == (2, 2)
         assert (result.supertaggers.unique_tags, result.others.unique_tags) == (1, 1)
@@ -213,7 +215,7 @@ class TestPartitionSummary:
         rows = [("a", "i1", "t1", 0), ("a", "i2", "t2", 0),
                 ("b", "i3", "t1", 0), ("b", "i4", "t2", 0)]
         index = make_index(rows)
-        part = Partition(frozenset({"a"}), frozenset({"b"}), 2, 0.5)
+        part = Partition(user_mask(index, {"a"}), 2, 0.5)
         result = partition_summary(index, part)
         assert result.supertaggers.unique_tags == 0
         assert result.others.unique_tags == 0
@@ -224,6 +226,7 @@ class TestPartitionSummary:
         index = make_index(rows)
         part = split_supertaggers(index, 0.5)
         result = partition_summary(index, part)
+        part = named(index, part)
         s_tags = {r[2] for r in rows if r[0] in part.supertaggers}
         o_tags = {r[2] for r in rows if r[0] in part.others}
         s_items = {r[1] for r in rows if r[0] in part.supertaggers}
@@ -237,6 +240,7 @@ class TestPartitionSummary:
         assert result.supertaggers.annotations + result.others.annotations == len(rows)
 
     def test_mismatched_partition_raises(self, four_user_index):
-        bogus = Partition(frozenset({"a"}), frozenset({"b"}), 1, 0.5)
-        with pytest.raises(DomainError):
-            partition_summary(four_user_index, bogus)
+        """A mask of the wrong length or type raises DomainError."""
+        for mask in (np.ones(3, dtype=bool), np.ones(5, dtype=bool), np.ones(4, dtype=int)):
+            with pytest.raises(DomainError):
+                partition_summary(four_user_index, Partition(mask, 1, 0.5))

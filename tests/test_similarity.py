@@ -21,7 +21,8 @@ from folkmetrics.similarity import (
 )
 from folkmetrics.stats import BinSpec, cosine
 
-from conftest import make_index, random_rows
+from analysis_oracle import named
+from conftest import make_index, random_rows, user_mask
 from corpus_oracle import views
 
 
@@ -67,9 +68,14 @@ def brute_cosine_topn(counts_a, counts_b, n):
     return num / (math.sqrt(sum(a * a for a in xa)) * math.sqrt(sum(b * b for b in xb)))
 
 
-def random_dist(rng, n_keys, dimension="tag"):
-    keys = [f"k{j}" for j in range(n_keys)]
-    return FreqDist(dimension, {k: int(rng.integers(1, 40)) for k in keys})
+def coded(*counts):
+    """One tag FreqDist per {key: count} dict, each a count array over the sorted union of keys."""
+    keys = sorted(set().union(*counts))
+    return [FreqDist("tag", np.array([c.get(k, 0) for k in keys], dtype=np.int64)) for c in counts]
+
+
+def random_dist(rng, n_keys):
+    return {f"k{j}": int(rng.integers(1, 40)) for j in range(n_keys)}
 
 
 class TestFreqDist:
@@ -77,12 +83,12 @@ class TestFreqDist:
         index = make_index(
             [("s", "i1", "rock", 0), ("s", "i2", "rock", 1), ("s", "i1", "jazz", 2)]
         )
-        dist = freq_dist(index, {"s"}, "tag")
-        assert dist.counts == {"rock": 2, "jazz": 1}
+        dist = freq_dist(index, user_mask(index, {"s"}), "tag")
+        assert named(index, dist) == {"rock": 2, "jazz": 1}
 
     def test_empty_user_set(self):
         index = make_index([("s", "i1", "rock", 0)])
-        assert freq_dist(index, set(), "tag").counts == {}
+        assert named(index, freq_dist(index, user_mask(index, set()), "tag")) == {}
 
     def test_matches_scan_oracle(self):
         rng = np.random.default_rng(61)
@@ -90,69 +96,69 @@ class TestFreqDist:
         index = make_index(rows)
         users = set(list(views(index).by_user)[:10])
         for dimension, col in (("tag", 2), ("item", 1)):
-            dist = freq_dist(index, users, dimension)
+            dist = named(index, freq_dist(index, user_mask(index, users), dimension))
             expected = {}
             for r in rows:
                 if r[0] in users:
                     expected[r[col]] = expected.get(r[col], 0) + 1
-            assert dist.counts == expected
+            assert dist == expected
 
     def test_bad_dimension(self):
         index = make_index([("s", "i1", "rock", 0)])
         with pytest.raises(DomainError):
-            freq_dist(index, {"s"}, "genre")
+            freq_dist(index, user_mask(index, {"s"}), "genre")
 
 
 class TestUsageDistribution:
     def test_hand_enumeration(self):
-        dist = FreqDist("tag", {"a": 1, "b": 1, "c": 2})
+        [dist] = coded({"a": 1, "b": 1, "c": 2})
         assert usage_distribution(dist) == [(1, 0.5), (2, 0.5)]
 
     def test_single_key_cumulative(self):
-        dist = FreqDist("tag", {"a": 5})
+        [dist] = coded({"a": 5})
         assert usage_distribution(dist, cumulative=True) == [(5, 1.0)]
 
     def test_all_singletons(self):
-        dist = FreqDist("tag", {k: 1 for k in "abcde"})
+        [dist] = coded({k: 1 for k in "abcde"})
         assert usage_distribution(dist) == [(1, 1.0)]
 
     def test_noncumulative_sums_to_one(self):
         rng = np.random.default_rng(67)
-        dist = random_dist(rng, 50)
+        [dist] = coded(random_dist(rng, 50))
         series = usage_distribution(dist)
         assert sum(p for _, p in series) == pytest.approx(1.0, abs=1e-9)
 
     def test_cumulative_starts_at_one_and_decreases(self):
         rng = np.random.default_rng(71)
-        series = usage_distribution(random_dist(rng, 50), cumulative=True)
+        series = usage_distribution(*coded(random_dist(rng, 50)), cumulative=True)
         assert series[0][1] == pytest.approx(1.0)
         props = [p for _, p in series]
         assert props == sorted(props, reverse=True)
 
     def test_empty_dist_raises(self):
         with pytest.raises(DomainError):
-            usage_distribution(FreqDist("tag", {}))
+            usage_distribution(*coded({}))
 
 
 class TestSpearmanTopN:
     def test_identical_dists(self):
-        dist = FreqDist("tag", {"a": 5, "b": 3, "c": 1})
+        [dist] = coded({"a": 5, "b": 3, "c": 1})
         assert spearman_topn(dist, dist, 3) == pytest.approx(1.0)
         assert spearman_topn(dist, dist, 10) == pytest.approx(1.0)
 
     def test_perfectly_reversed(self):
-        da = FreqDist("tag", {"a": 2, "b": 1})
-        db = FreqDist("tag", {"a": 1, "b": 2})
+        da, db = coded({"a": 2, "b": 1}, {"a": 1, "b": 2})
         assert spearman_topn(da, db, 2) == pytest.approx(-1.0)
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(73)
         for _ in range(60):
-            da = random_dist(rng, int(rng.integers(2, 60)))
-            db = random_dist(rng, int(rng.integers(2, 60)))
+            counts_a = random_dist(rng, int(rng.integers(2, 60)))
+            counts_b = random_dist(rng, int(rng.integers(2, 60)))
+            da, db = coded(counts_a, counts_b)
             n = int(rng.integers(1, 51))
             try:
-                expected = brute_spearman_topn(da.counts, db.counts, n)
+                expected = brute_spearman_topn(counts_a, counts_b, n)
             except ZeroDivisionError:
                 with pytest.raises(UndefinedCorrelationError):
                     spearman_topn(da, db, n)
@@ -161,8 +167,7 @@ class TestSpearmanTopN:
 
     def test_symmetric(self):
         rng = np.random.default_rng(79)
-        da = random_dist(rng, 20)
-        db = random_dist(rng, 25)
+        da, db = coded(random_dist(rng, 20), random_dist(rng, 25))
         for n in (1, 5, 30):
             try:
                 left = spearman_topn(da, db, n)
@@ -171,33 +176,33 @@ class TestSpearmanTopN:
             assert left == pytest.approx(spearman_topn(db, da, n), abs=1e-12)
 
     def test_union_too_small(self):
-        dist = FreqDist("tag", {"a": 5})
+        [dist] = coded({"a": 5})
         with pytest.raises(UndefinedCorrelationError):
             spearman_topn(dist, dist, 1)
 
     def test_bad_n(self):
-        dist = FreqDist("tag", {"a": 5, "b": 1})
+        [dist] = coded({"a": 5, "b": 1})
         with pytest.raises(DomainError):
             spearman_topn(dist, dist, 0)
 
 
 class TestCosineTopN:
     def test_identical(self):
-        dist = FreqDist("tag", {"a": 5, "b": 3})
+        [dist] = coded({"a": 5, "b": 3})
         assert cosine_topn(dist, dist, 2) == pytest.approx(1.0)
 
     def test_disjoint_orthogonal(self):
-        da = FreqDist("tag", {"a": 5, "b": 3})
-        db = FreqDist("tag", {"c": 4, "d": 2})
+        da, db = coded({"a": 5, "b": 3}, {"c": 4, "d": 2})
         assert cosine_topn(da, db, 2) == pytest.approx(0.0)
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(83)
         for _ in range(60):
-            da = random_dist(rng, int(rng.integers(1, 60)))
-            db = random_dist(rng, int(rng.integers(1, 60)))
+            counts_a = random_dist(rng, int(rng.integers(1, 60)))
+            counts_b = random_dist(rng, int(rng.integers(1, 60)))
+            da, db = coded(counts_a, counts_b)
             n = int(rng.integers(1, 51))
-            expected = brute_cosine_topn(da.counts, db.counts, n)
+            expected = brute_cosine_topn(counts_a, counts_b, n)
             assert cosine_topn(da, db, n) == pytest.approx(expected, abs=1e-12)
 
     @settings(max_examples=200, deadline=None)
@@ -212,19 +217,18 @@ class TestCosineTopN:
         tops = [top(c) for c in counts]
         union = sorted(tops[0] | tops[1])
         vectors = [[float(c[k]) if k in t else 0.0 for k in union] for c, t in zip(counts, tops)]
-        got = cosine_topn(FreqDist("tag", counts[0]), FreqDist("tag", counts[1]), n)
+        got = cosine_topn(*coded(*counts), n)
         assert got == cosine(*vectors)
 
     def test_symmetric(self):
         rng = np.random.default_rng(89)
-        da = random_dist(rng, 15)
-        db = random_dist(rng, 10)
+        da, db = coded(random_dist(rng, 15), random_dist(rng, 10))
         assert cosine_topn(da, db, 8) == pytest.approx(cosine_topn(db, da, 8), abs=1e-12)
 
     def test_empty_side_raises(self):
-        da = FreqDist("tag", {"a": 5})
+        da, db = coded({"a": 5}, {})
         with pytest.raises(DomainError):
-            cosine_topn(da, FreqDist("tag", {}), 2)
+            cosine_topn(da, db, 2)
 
 
 def shared_top5_index():
@@ -251,7 +255,7 @@ def shared_top5_index():
         for tag, count in zip(tail, tail_counts):
             add(user, tag, count)
     index = make_index(rows)
-    part = Partition(frozenset({"sa"}), frozenset({"ob"}), 0, 0.5)
+    part = Partition(user_mask(index, {"sa"}), 0, 0.5)
     return index, part
 
 
@@ -262,7 +266,7 @@ class TestSimilarityCurve:
             for k, tag in enumerate(["rock"] * 4 + ["jazz"] * 2 + ["pop"]):
                 rows.append((user, f"i{k}", tag, 0))
         index = make_index(rows)
-        part = Partition(frozenset({"s"}), frozenset({"o"}), 0, 0.5)
+        part = Partition(user_mask(index, {"s"}), 0, 0.5)
         curve = similarity_curve(index, part, "tag", n_values=range(1, 8))
         assert curve.points, "expected at least one defined point"
         for point in curve.points:
@@ -282,18 +286,18 @@ class TestSimilarityCurve:
         rows = random_rows(rng, n_users=20, n_items=30, n_tags=12, n_annotations=500)
         index = make_index(rows)
         part = split_supertaggers(index, 0.5)
-        dist_s = freq_dist(index, part.supertaggers, "tag")
-        dist_o = freq_dist(index, part.others, "tag")
+        counts_s = named(index, freq_dist(index, part.supertagger, "tag"))
+        counts_o = named(index, freq_dist(index, ~part.supertagger, "tag"))
         curve = similarity_curve(index, part, "tag", n_values=range(1, 15))
         for point in curve.points:
             assert point.rho == pytest.approx(
-                brute_spearman_topn(dist_s.counts, dist_o.counts, point.n), abs=1e-9
+                brute_spearman_topn(counts_s, counts_o, point.n), abs=1e-9
             )
             assert point.cosine == pytest.approx(
-                brute_cosine_topn(dist_s.counts, dist_o.counts, point.n), abs=1e-12
+                brute_cosine_topn(counts_s, counts_o, point.n), abs=1e-12
             )
-            top_s = sorted(dist_s.counts, key=lambda k: (-dist_s.counts[k], k))[: point.n]
-            top_o = sorted(dist_o.counts, key=lambda k: (-dist_o.counts[k], k))[: point.n]
+            top_s = sorted(counts_s, key=lambda k: (-counts_s[k], k))[: point.n]
+            top_o = sorted(counts_o, key=lambda k: (-counts_o[k], k))[: point.n]
             union = set(top_s) | set(top_o)
             covered = sum(1 for r in rows if r[2] in union)
             assert point.coverage == pytest.approx(covered / len(rows))
@@ -331,7 +335,7 @@ class TestExogenousPopularityDiff:
             for k in range(8):
                 rows.append((user, f"i{k}", "t", 0))
         index = make_index(rows)
-        part = Partition(frozenset({"s"}), frozenset({"o"}), 0, 0.5)
+        part = Partition(user_mask(index, {"s"}), 0, 0.5)
         popularity = {f"i{k}": 2 ** k for k in range(8)}
         series = exogenous_popularity_diff(index, part, popularity, BinSpec())
         assert series.rows
@@ -347,7 +351,7 @@ class TestExogenousPopularityDiff:
             rows.append(("o", f"high{k}", "t", 0))
             rows.append(("o", f"high{k}", "t2", 0))
         index = make_index(rows)
-        part = Partition(frozenset({"s"}), frozenset({"o"}), 0, 0.5)
+        part = Partition(user_mask(index, {"s"}), 0, 0.5)
         popularity = {f"low{k}": k + 2 for k in range(5)}
         popularity.update({f"high{k}": 1000 + k for k in range(5)})
         series = exogenous_popularity_diff(index, part, popularity, BinSpec())
@@ -360,7 +364,7 @@ class TestExogenousPopularityDiff:
     def test_single_item_diff(self):
         rows = [("s", "i1", "a", 0), ("s", "i1", "b", 1), ("s", "i1", "c", 2), ("o", "i1", "a", 3)]
         index = make_index(rows)
-        part = Partition(frozenset({"s"}), frozenset({"o"}), 0, 0.5)
+        part = Partition(user_mask(index, {"s"}), 0, 0.5)
         series = exogenous_popularity_diff(index, part, {"i1": 7.0}, BinSpec())
         assert len(series.rows) == 1
         assert series.rows[0].mean == pytest.approx(2.0)
@@ -369,12 +373,12 @@ class TestExogenousPopularityDiff:
     def test_items_without_popularity_excluded(self):
         rows = [("s", "i1", "a", 0), ("o", "i2", "a", 0)]
         index = make_index(rows)
-        part = Partition(frozenset({"s"}), frozenset({"o"}), 0, 0.5)
+        part = Partition(user_mask(index, {"s"}), 0, 0.5)
         series = exogenous_popularity_diff(index, part, {"i1": 3.0}, BinSpec())
         assert series.total_count == 1
 
     def test_no_overlap_raises(self):
         index = make_index([("s", "i1", "a", 0)])
-        part = Partition(frozenset({"s"}), frozenset(), 0, 0.5)
+        part = Partition(user_mask(index, {"s"}), 0, 0.5)
         with pytest.raises(DomainError):
             exogenous_popularity_diff(index, part, {"other": 1.0}, BinSpec())

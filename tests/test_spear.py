@@ -327,7 +327,8 @@ class TestSpearByBin:
             spear_by_bin(index, BinSpec(), top_k=10, min_users=5)
 
     @pytest.mark.parametrize("limits", [dict(max_iter=0), dict(max_iter=-1), dict(tolerance=0.0),
-                                        dict(tolerance=-1e-8), dict(tolerance=math.nan)])
+                                        dict(tolerance=-1e-8), dict(tolerance=math.nan),
+                                        dict(exponent=math.nan), dict(exponent=math.inf)])
     def test_report_config_rejects_bad_limits(self, limits):
         # write_report would turn the error into a header-only spear_binned.csv
         with pytest.raises(DomainError, match="max_iter"):
