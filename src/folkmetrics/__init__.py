@@ -5,14 +5,7 @@ supertaggers and non-supertaggers, and computes inequality, similarity,
 consensus, motivation, and expertise metrics as machine-readable tables.
 """
 
-from .consensus import (
-    ConsensusSeries,
-    TagDistribution,
-    consensus_by_bin,
-    item_cosine,
-    item_tag_distribution,
-    top_tag_match,
-)
+from .consensus import ConsensusSeries, consensus_by_bin
 from .corpus import (
     Annotation,
     AnnotationColumns,
@@ -21,12 +14,10 @@ from .corpus import (
     ParseResult,
     SyntheticConfig,
     TimeGranularity,
-    UserStats,
     build_index,
     generate_synthetic,
     parse_annotations,
     summary,
-    user_stats,
     write_annotations,
 )
 from .errors import (
@@ -37,23 +28,8 @@ from .errors import (
     NotFoundError,
     UndefinedCorrelationError,
 )
-from .expertise import (
-    AnnotationScore,
-    annotation_score,
-    annotation_weight,
-    consensus_expertise_by_bin,
-    user_annotation_scores,
-    user_consensus_expertise,
-)
-from .motivation import (
-    MotivationScores,
-    MotivationSeries,
-    motivation_by_bin,
-    orphan_ratio,
-    tpp,
-    trr,
-    user_motivation,
-)
+from .expertise import consensus_expertise, consensus_expertise_by_bin
+from .motivation import MotivationSeries, motivation_by_bin, motivation_scores
 from .partition import (
     GroupSummary,
     ParetoCurve,
@@ -69,12 +45,10 @@ from .similarity import (
     CurvePoint,
     FreqDist,
     SimilarityCurve,
-    cosine_topn,
     default_n_grid,
     exogenous_popularity_diff,
     freq_dist,
     similarity_curve,
-    spearman_topn,
     usage_distribution,
 )
 from .spear import (
@@ -95,7 +69,6 @@ from .stats import (
     cosine,
     log_bins,
     median_iqr,
-    spearman,
 )
 from .taxonomy import (
     ConditionalTable,
@@ -103,9 +76,9 @@ from .taxonomy import (
     annotation_coverage,
     conditional_table,
     depth_by_bin,
+    depth_expertise,
     induce_forest,
     induce_taxonomy,
-    user_depth_expertise,
 )
 
 __version__ = "0.1.0"

@@ -327,10 +327,11 @@ def motivation(source, delimiter, granularity, header, dedupe, per_user, binned,
                orphan_divisor, bins):
     """Categorizer/describer metrics: TPP, TRR, orphan ratio."""
     index, _ = _load_index(source, delimiter, granularity, header, dedupe)
-    scores = motivation_mod._index_scores(index, orphan_divisor)
+    scores = motivation_mod.motivation_scores(index, orphan_divisor)
     if per_user:
         _write_per_user(per_user, ["tpp", "trr", "orphan_ratio"], index, np.array(scores))
-    report_mod.write_motivation_csv(binned, motivation_mod._binned(index, scores, bins))
+    report_mod.write_motivation_csv(binned, motivation_mod.MotivationSeries(
+        *(binned_mean(_by_user_count(index, s), bins) for s in scores)))
 
 
 @main.command()
@@ -373,7 +374,7 @@ def expertise_consensus(source, delimiter, granularity, header, dedupe, per_user
                         raw_counts, bins):
     """Item-consensus expertise scores."""
     index, _ = _load_index(source, delimiter, granularity, header, dedupe)
-    scores = expertise_mod._index_scores(index, raw_counts)
+    scores = expertise_mod.consensus_expertise(index, raw_counts)
     if per_user:
         _write_per_user(per_user, ["expertise"], index, scores[np.newaxis])
     report_mod.write_binned_csv(binned, binned_mean(_by_user_count(index, scores), bins))
@@ -404,7 +405,7 @@ def expertise_depth(source, delimiter, granularity, header, dedupe, mode, thresh
     """Term-depth expertise over the induced taxonomy."""
     index, _ = _load_index(source, delimiter, granularity, header, dedupe)
     forest = _forest(index, top_k, min_users, min_support, threshold)
-    scores = taxonomy_mod._index_depths(index, forest, mode)
+    scores = taxonomy_mod.depth_expertise(index, forest, mode)
     if per_user:
         _write_per_user(per_user, ["depth_expertise"], index, scores[np.newaxis])
     report_mod.write_binned_csv(binned, binned_mean(_by_user_count(index, scores), bins))
@@ -446,7 +447,6 @@ def report(source, delimiter, granularity, header, dedupe, out_dir, fraction, bi
            pareto_resolution, top_k, min_users, exponent, threshold, min_support,
            orphan_divisor, popularity):
     """Run the full pipeline and write every figure/table data series."""
-    index, _ = _load_index(source, delimiter, granularity, header, dedupe)
     config = report_mod.ReportConfig(
         fraction=fraction,
         bins=bins,
@@ -459,6 +459,7 @@ def report(source, delimiter, granularity, header, dedupe, out_dir, fraction, bi
         min_support=min_support,
         orphan_divisor=orphan_divisor,
     )
+    index, _ = _load_index(source, delimiter, granularity, header, dedupe)
     pop = _read_popularity(popularity, delimiter) if popularity else None
     written = report_mod.write_report(index, out_dir, config, popularity=pop)
     click.echo(f"wrote {len(written)} files to {out_dir}", err=True)

@@ -9,81 +9,15 @@ annotation counts. Per-item tag counts are distinct-user counts.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional
 
 import numpy as np
 
-from .corpus import FolksonomyIndex, _code, _item_tag_users, _rows, _run_starts
+from .corpus import FolksonomyIndex, _item_tag_users, _run_starts
 from .errors import DomainError
 from .partition import Partition, _user_mask
-from .stats import BinSpec, BinnedSeries, binned_mean, cosine
+from .stats import BinSpec, BinnedSeries, binned_mean
 
-__all__ = [
-    "ConsensusSeries",
-    "TagDistribution",
-    "consensus_by_bin",
-    "item_cosine",
-    "item_tag_distribution",
-    "top_tag_match",
-]
-
-
-@dataclass(frozen=True)
-class TagDistribution:
-    """Distinct-user count per tag for one item within one group."""
-
-    item: str
-    counts: Mapping[str, int]
-
-
-def item_tag_distribution(
-    index: FolksonomyIndex, users_mask: np.ndarray, item: str
-) -> Optional[TagDistribution]:
-    """The item's tag distribution among the users a mask by user code picks; None if untagged."""
-    c = index.columns
-    members = _user_mask(index, users_mask)
-    code = _code(c.items, item)
-    if code < 0:
-        return None
-    rows = _rows(index.item_csr, code)
-    rows = rows[members[c.user[rows]]]
-    _, tags, counts = _item_tag_users(c, rows)
-    if not len(tags):
-        return None
-    return TagDistribution(item=item, counts=dict(zip(map(c.tags.__getitem__, tags.tolist()),
-                                                      counts.tolist())))
-
-
-def _top_tag(dist: TagDistribution) -> str:
-    # lexicographically first among the most popular tags
-    best = max(dist.counts.values())
-    return min(t for t, c in dist.counts.items() if c == best)
-
-
-def top_tag_match(
-    s_dist: Optional[TagDistribution], o_dist: Optional[TagDistribution]
-) -> Optional[bool]:
-    """True iff both groups' most popular tag for the item coincides.
-
-    Returns None (not applicable) when the item is untagged in either
-    group; such items are excluded from averages.
-    """
-    if s_dist is None or o_dist is None or not s_dist.counts or not o_dist.counts:
-        return None
-    return _top_tag(s_dist) == _top_tag(o_dist)
-
-
-def item_cosine(
-    s_dist: Optional[TagDistribution], o_dist: Optional[TagDistribution]
-) -> Optional[float]:
-    """Cosine between the two groups' tag distributions over the union vocabulary."""
-    if s_dist is None or o_dist is None or not s_dist.counts or not o_dist.counts:
-        return None
-    vocab = sorted(set(s_dist.counts) | set(o_dist.counts))
-    return cosine(
-        [s_dist.counts.get(t, 0) for t in vocab],
-        [o_dist.counts.get(t, 0) for t in vocab],
-    )
+__all__ = ["ConsensusSeries", "consensus_by_bin"]
 
 
 def _groups(c, rows: np.ndarray):

@@ -23,7 +23,7 @@ from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import DomainError, FormatError, NotFoundError
+from .errors import DomainError, FormatError
 from .stats import MedianIQR, median_iqr
 
 __all__ = [
@@ -36,12 +36,10 @@ __all__ = [
     "ParseResult",
     "SyntheticConfig",
     "TimeGranularity",
-    "UserStats",
     "build_index",
     "generate_synthetic",
     "parse_annotations",
     "summary",
-    "user_stats",
     "write_annotations",
 ]
 
@@ -479,13 +477,6 @@ def write_annotations(annotations: Iterable[Annotation], dest, delimiter: str = 
         dest.write(f"{a.user}{delimiter}{a.item}{delimiter}{a.tag}{delimiter}{a.time}\n")
 
 
-@dataclass(frozen=True)
-class UserStats:
-    annotations: int
-    distinct_tags: int
-    distinct_items: int
-
-
 class Csr(NamedTuple):
     """Annotation positions grouped by code: code k has positions[offsets[k]:offsets[k + 1]].
 
@@ -646,26 +637,6 @@ def _code(names: Sequence[str], name: str) -> int:
     """The code of name in the sorted names, or -1 if it is not one of them."""
     code = bisect_left(names, name)
     return code if code < len(names) and names[code] == name else -1
-
-
-def _rows(csr: Csr, code: int) -> np.ndarray:
-    """The positions of one code's annotations."""
-    return csr.positions[csr.offsets[code]:csr.offsets[code + 1]]
-
-
-def _user_rows(index: FolksonomyIndex, user: str) -> np.ndarray:
-    """The positions of the user's annotations; raises NotFoundError for an unknown user."""
-    code = _code(index.columns.users, user)
-    if code < 0:
-        raise NotFoundError(f"unknown user: {user!r}")
-    return _rows(index.user_csr, code)
-
-
-def user_stats(index: FolksonomyIndex, user: str) -> UserStats:
-    """Annotation, distinct-tag, and distinct-item counts for one user."""
-    c = index.columns
-    mine = _user_rows(index, user)
-    return UserStats(len(mine), len(np.unique(c.tag[mine])), len(np.unique(c.item[mine])))
 
 
 @dataclass(frozen=True)

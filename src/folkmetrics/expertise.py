@@ -10,58 +10,41 @@ so timestamps and duplicate applications are irrelevant.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 
-from .corpus import (FolksonomyIndex, _by_user_count, _code, _item_tag_users, _run_starts,
-                     _tally, _user_rows)
-from .errors import NotFoundError
+from .corpus import FolksonomyIndex, _by_user_count, _item_tag_users, _run_starts, _tally
 from .stats import BinSpec, BinnedSeries, binned_mean
 
 __all__ = [
-    "AnnotationScore",
-    "annotation_score",
-    "annotation_weight",
+    "consensus_expertise",
     "consensus_expertise_by_bin",
-    "user_annotation_scores",
-    "user_consensus_expertise",
 ]
 
 
-@dataclass(frozen=True)
-class AnnotationScore:
-    user: str
-    item: str
-    tag: str
-    e: float
-    weight: float
-
-
 class _Pairs(NamedTuple):
-    """Distinct (user, item, tag) codes in sorted order, each with its consensus score, the
-    weight of its (user, item) (NaN for an excluded item) and the index of its first annotation."""
+    """Distinct (user, item, tag) codes in sorted order: the user and item of each, its consensus
+    score, the weight of its (user, item) (NaN for an excluded item) and its first annotation."""
 
     user: np.ndarray
     item: np.ndarray
-    tag: np.ndarray
     score: np.ndarray
     weight: np.ndarray
     first: np.ndarray
 
 
-def _pairs(index: FolksonomyIndex, rows, item_rows, raw_counts: bool = False) -> _Pairs:
-    """The pairs of the annotations at rows, scored against the annotations at item_rows.
+def _pairs(index: FolksonomyIndex, raw_counts: bool = False) -> _Pairs:
+    """Every annotation's pair, scored against its item's tagging.
 
-    item_rows must hold every annotation of the items at rows. F is the
-    distinct-user count per (item, tag), or the raw count with raw_counts.
+    F is the distinct-user count per (item, tag), or the raw count with
+    raw_counts.
     """
     c = index.columns
     if raw_counts:
-        (item, tag), freq, _ = _tally(c.item[item_rows], c.tag[item_rows])
+        (item, tag), freq, _ = _tally(c.item, c.tag)
     else:
-        item, tag, freq = _item_tag_users(c, item_rows)
+        item, tag, freq = _item_tag_users(c)
     starts = np.flatnonzero(_run_starts(item))
     sizes = np.diff(np.append(starts, len(item)))
     max_freq = np.repeat(np.maximum.reduceat(freq, starts), sizes)
@@ -70,7 +53,7 @@ def _pairs(index: FolksonomyIndex, rows, item_rows, raw_counts: bool = False) ->
     score = np.where(freq == max_freq, 1.0, (freq - 1) / max_freq)
     key = item.astype(np.int64) * len(c.tags) + tag
 
-    (user, item, tag), count, first = _tally(c.user[rows], c.item[rows], c.tag[rows])
+    (user, item, tag), count, first = _tally(c.user, c.item, c.tag)
     at = np.searchsorted(key, item.astype(np.int64) * len(c.tags) + tag)
     starts = np.flatnonzero(_run_starts(user, item))
     sizes = np.diff(np.append(starts, len(user)))
@@ -79,17 +62,24 @@ def _pairs(index: FolksonomyIndex, rows, item_rows, raw_counts: bool = False) ->
     arguments, inverse = np.unique(total[at[starts]] - own, return_inverse=True)
     logs = np.array([math.log10(a) if a > 0 else math.nan for a in arguments.tolist()])
     weight = np.repeat(logs[inverse], sizes)
-    return _Pairs(user, item, tag, score[at], weight, first)
+    return _Pairs(user, item, score[at], weight, first)
 
 
-def _user_pairs(index: FolksonomyIndex, user: str) -> _Pairs:
-    rows = _user_rows(index, user)
-    items = np.unique(index.columns.item[rows])
-    return _pairs(index, rows, index.item_csr.gather(items)[0])
+def consensus_expertise(index: FolksonomyIndex, raw_counts: bool = False) -> np.ndarray:
+    """Consensus expertise of every user, by user code; NaN where undefined.
 
-
-def _weighted_means(pairs: _Pairs, n_users: int) -> np.ndarray:
-    """Per user code, the weighted mean over items of the best score, or NaN if undefined."""
+    An annotation's score is 1 when its tag is tied for most popular on the
+    item, else (F(tag, item) - 1) / max_x F(x, item), discounting the
+    scoring user's own contribution from the numerator only. A user's score
+    is the mean over the user's items of the best-scoring tag, weighted by
+    log10 of the item's tagging volume excluding the user's own share. An
+    item with no outside tagging is excluded, and a user whose every item is
+    excluded, or whose retained weights are all zero, has no defined score.
+    raw_counts switches F and the user's own share from distinct users to
+    raw annotation counts.
+    """
+    pairs = _pairs(index, raw_counts)
+    n_users = len(index.columns.users)
     starts = np.flatnonzero(_run_starts(pairs.user, pairs.item))
     best = np.maximum.reduceat(pairs.score, starts)
     user, weight = pairs.user[starts], pairs.weight[starts]
@@ -105,71 +95,6 @@ def _weighted_means(pairs: _Pairs, n_users: int) -> np.ndarray:
     return means
 
 
-def _index_scores(index: FolksonomyIndex, raw_counts: bool = False) -> np.ndarray:
-    """Consensus expertise of every user, by user code; NaN where undefined."""
-    everything = slice(None)
-    return _weighted_means(_pairs(index, everything, everything, raw_counts),
-                           len(index.columns.users))
-
-
-def _find(pairs: _Pairs, index: FolksonomyIndex, item: str, tag: Optional[str] = None) -> int:
-    """The first of the pairs with the item (and the tag, if given), or -1."""
-    c = index.columns
-    found = pairs.item == _code(c.items, item)
-    if tag is not None:
-        found &= pairs.tag == _code(c.tags, tag)
-    return int(np.argmax(found)) if found.any() else -1
-
-
-def annotation_score(index: FolksonomyIndex, user: str, item: str, tag: str) -> float:
-    """Consensus score of one annotation, in [0, 1].
-
-    A tag tied for most popular on the item scores exactly 1; otherwise the
-    score is (F(tag, item) - 1) / max_x F(x, item), discounting the scoring
-    user's own contribution from the numerator only.
-    """
-    pairs = _user_pairs(index, user)
-    at = _find(pairs, index, item, tag)
-    if at < 0:
-        raise NotFoundError(f"no annotation ({user!r}, {item!r}, {tag!r})")
-    return float(pairs.score[at])
-
-
-def annotation_weight(index: FolksonomyIndex, user: str, item: str) -> Optional[float]:
-    """log10 of the item's tagging volume excluding the user's own share.
-
-    Returns 0.0 when exactly one outside annotation exists and None when
-    there are none at all (the item is excluded from the user's mean).
-    """
-    pairs = _user_pairs(index, user)
-    at = _find(pairs, index, item)
-    if at < 0:
-        raise NotFoundError(f"user {user!r} did not tag item {item!r}")
-    weight = float(pairs.weight[at])
-    return None if math.isnan(weight) else weight
-
-
-def user_annotation_scores(index: FolksonomyIndex, user: str) -> list[AnnotationScore]:
-    """Score and weight for each of the user's distinct (item, tag) pairs."""
-    pairs = _user_pairs(index, user)
-    c = index.columns
-    return [AnnotationScore(user, c.items[item], c.tags[tag], score, 0.0 if math.isnan(w) else w)
-            for item, tag, score, w in zip(pairs.item.tolist(), pairs.tag.tolist(),
-                                           pairs.score.tolist(), pairs.weight.tolist())]
-
-
-def user_consensus_expertise(index: FolksonomyIndex, user: str) -> Optional[float]:
-    """Weighted mean consensus score over the user's items, or None if undefined.
-
-    Per item only the user's best-scoring tag counts; items with no outside
-    tagging are excluded, and a user whose every item is excluded (or whose
-    retained weights are all zero) has no defined score.
-    """
-    pairs = _user_pairs(index, user)
-    score = float(_weighted_means(pairs, len(index.columns.users))[pairs.user[0]])
-    return None if math.isnan(score) else score
-
-
 def consensus_expertise_by_bin(
     index: FolksonomyIndex, spec: BinSpec, raw_counts: bool = False
 ) -> BinnedSeries:
@@ -179,4 +104,4 @@ def consensus_expertise_by_bin(
     frequency view from distinct users to raw annotation counts (both F and
     the user's own deduction) for sensitivity checks.
     """
-    return binned_mean(_by_user_count(index, _index_scores(index, raw_counts)), spec)
+    return binned_mean(_by_user_count(index, consensus_expertise(index, raw_counts)), spec)

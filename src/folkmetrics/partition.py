@@ -72,6 +72,11 @@ class Partition:
     target_fraction: float
 
 
+def _check_fraction(target_fraction: float) -> None:
+    if not 0.0 < target_fraction <= 1.0:
+        raise DomainError(f"target fraction must be in (0, 1], got {target_fraction}")
+
+
 def split_supertaggers(index: FolksonomyIndex, target_fraction: float = 0.5) -> Partition:
     """Split users into the minimal top-ranked prefix S holding >= the target share.
 
@@ -80,8 +85,7 @@ def split_supertaggers(index: FolksonomyIndex, target_fraction: float = 0.5) -> 
     ranked (lexicographic-tie) order, so the S share stays as close to the
     target as a prefix cut allows.
     """
-    if not 0.0 < target_fraction <= 1.0:
-        raise DomainError(f"target fraction must be in (0, 1], got {target_fraction}")
+    _check_fraction(target_fraction)
     if index.n_annotations == 0:
         raise DomainError("cannot partition an empty index")
     ranked = rank_users(index)
@@ -100,6 +104,11 @@ class ParetoCurve:
     points: tuple[tuple[float, float], ...]
 
 
+def _check_resolution(resolution: Optional[int]) -> None:
+    if resolution is not None and resolution < 2:
+        raise DomainError(f"pareto resolution must be at least 2, got {resolution}")
+
+
 def pareto_curve(index: FolksonomyIndex, resolution: Optional[int] = None) -> ParetoCurve:
     """Annotation share held by the top x fraction of ranked users.
 
@@ -108,8 +117,7 @@ def pareto_curve(index: FolksonomyIndex, resolution: Optional[int] = None) -> Pa
     """
     if index.n_annotations == 0:
         raise DomainError("pareto curve of an empty index")
-    if resolution is not None and resolution < 2:
-        raise DomainError(f"pareto resolution must be at least 2, got {resolution}")
+    _check_resolution(resolution)
     ranked = rank_users(index)
     counts = index.user_csr.counts()[ranked].astype(float)
     shares = np.cumsum(counts) / counts.sum()

@@ -26,7 +26,8 @@ from . import spear as spear_mod
 from . import taxonomy as taxonomy_mod
 from .corpus import FolksonomyIndex, summary
 from .errors import DomainError
-from .partition import Partition, pareto_curve, partition_summary, split_supertaggers
+from .partition import (Partition, _check_fraction, _check_resolution, pareto_curve,
+                        partition_summary, split_supertaggers)
 from .stats import BinSpec, BinnedSeries
 
 __all__ = ["ReportConfig", "write_report"]
@@ -242,8 +243,15 @@ class ReportConfig:
     orphan_divisor: int = motivation_mod.DEFAULT_ORPHAN_DIVISOR
 
     def __post_init__(self) -> None:
-        # spear_by_bin's errors become an empty series, so its parameters are checked here
+        # checked before write_report writes any file; spear_by_bin's errors would only
+        # become an empty series there
+        _check_fraction(self.fraction)
+        similarity_mod._check_max_n(self.max_n)
+        _check_resolution(self.pareto_resolution)
+        spear_mod._check_top_k(self.top_k)
         spear_mod._check_parameters(self.exponent, self.tolerance, self.max_iter)
+        taxonomy_mod._check_threshold(self.taxonomy_threshold)
+        motivation_mod._check_divisor(self.orphan_divisor)
 
 
 def write_report(

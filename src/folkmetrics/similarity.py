@@ -23,12 +23,10 @@ __all__ = [
     "CurvePoint",
     "FreqDist",
     "SimilarityCurve",
-    "cosine_topn",
     "default_n_grid",
     "exogenous_popularity_diff",
     "freq_dist",
     "similarity_curve",
-    "spearman_topn",
     "usage_distribution",
 ]
 
@@ -107,6 +105,7 @@ def _union(a: _Ranking, b: _Ranking, n_keys: int, n: int) -> np.ndarray:
 
 
 def _spearman_tops(a: _Ranking, b: _Ranking, n_keys: int, n: int) -> float:
+    """Rank correlation between the two top-n rankings over the union of their keys."""
     union = _union(a, b, n_keys, n)
     if len(union) < 2:
         raise UndefinedCorrelationError("top-N union has fewer than two keys")
@@ -121,6 +120,8 @@ def _spearman_tops(a: _Ranking, b: _Ranking, n_keys: int, n: int) -> float:
 
 
 def _cosine_tops(a: _Ranking, b: _Ranking, n_keys: int, n: int) -> float:
+    """Cosine of the two top-n count vectors over the union of their keys; a key outside a
+    side's top-n counts 0 there."""
     union = _union(a, b, n_keys, n)
     x = _spread(a, a.counts[:n], n, n_keys, 0)[union]
     y = _spread(b, b.counts[:n], n, n_keys, 0)[union]
@@ -131,28 +132,6 @@ def _cosine_tops(a: _Ranking, b: _Ranking, n_keys: int, n: int) -> float:
     if xx == 0.0 or yy == 0.0:
         raise DomainError("cosine undefined for a zero vector")
     return float(x @ y) / (math.sqrt(xx) * math.sqrt(yy))
-
-
-def spearman_topn(dist_a: FreqDist, dist_b: FreqDist, n: int) -> float:
-    """Rank correlation between the two top-N popularity rankings.
-
-    Each side ranks its own top-N keys 1..N by count (average ranks on
-    ties); keys in the union but absent from a side's top-N take rank N+1
-    on that side.
-    """
-    if n < 1:
-        raise DomainError(f"N must be >= 1, got {n}")
-    return _spearman_tops(*_rankings(dist_a, dist_b), n)
-
-
-def cosine_topn(dist_a: FreqDist, dist_b: FreqDist, n: int) -> float:
-    """Cosine similarity of raw-count top-N vectors over the union key set.
-
-    Keys outside a side's top-N contribute zero on that side.
-    """
-    if n < 1:
-        raise DomainError(f"N must be >= 1, got {n}")
-    return _cosine_tops(*_rankings(dist_a, dist_b), n)
 
 
 class CurvePoint(NamedTuple):
@@ -171,8 +150,14 @@ class SimilarityCurve:
     core_size: Optional[int]
 
 
+def _check_max_n(max_n: int) -> None:
+    if max_n < 1:
+        raise DomainError(f"max N must be at least 1, got {max_n}")
+
+
 def default_n_grid(max_n: int = 100_000) -> list[int]:
     """Every integer to 100, then ~20 log-spaced values per decade up to max_n."""
+    _check_max_n(max_n)
     grid = set(range(1, min(100, max_n) + 1))
     if max_n > 100:
         exponents = np.arange(2.0, math.log10(max_n) + 1e-9, 0.05)

@@ -43,14 +43,18 @@ DEFAULT_TOLERANCE = 1e-8
 DEFAULT_MAX_ITER = 250
 
 
+def _check_top_k(top_k: int) -> None:
+    if top_k < 1:
+        raise DomainError(f"top_k must be at least 1, got {top_k}")
+
+
 def eligible_tags(
     index: FolksonomyIndex,
     top_k: int = DEFAULT_TOP_K,
     min_users: int = DEFAULT_MIN_USERS,
 ) -> set[str]:
     """The top_k most-annotated tags having at least min_users distinct users."""
-    if top_k < 1:
-        raise DomainError(f"top_k must be at least 1, got {top_k}")
+    _check_top_k(top_k)
     columns = index.columns
     n_tags = len(columns.tags)
     counts = np.bincount(columns.tag, minlength=n_tags)

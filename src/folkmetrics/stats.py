@@ -1,8 +1,9 @@
 """Deterministic statistics kernel shared by all analyses.
 
-Provides Spearman rank correlation with average-rank tie handling, cosine
-similarity, lower-median / nearest-rank quartiles, and the logarithmic
-binning reduction used by every "as a function of annotation count" series.
+Provides average-tie ranks (the ranks of Spearman's rho), cosine
+similarity, lower-median / nearest-rank quartiles, population z-scores, and
+the logarithmic binning reduction used by every "as a function of
+annotation count" series.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import DomainError, UndefinedCorrelationError
+from .errors import DomainError
 
 __all__ = [
     "BinRow",
@@ -27,7 +28,6 @@ __all__ = [
     "median_iqr",
     "population_zscores",
     "rank_descending",
-    "spearman",
 ]
 
 
@@ -50,31 +50,6 @@ def average_ranks(values: Sequence[float] | np.ndarray) -> np.ndarray:
 def rank_descending(values: Sequence[float] | np.ndarray) -> np.ndarray:
     """Rank values so that the largest gets rank 1, averaging ties."""
     return average_ranks(np.negative(np.asarray(values, dtype=float)))
-
-
-def _pearson(x: np.ndarray, y: np.ndarray) -> float:
-    xd = x - x.mean()
-    yd = y - y.mean()
-    sx = math.sqrt(float(xd @ xd))
-    sy = math.sqrt(float(yd @ yd))
-    if sx == 0.0 or sy == 0.0:
-        raise UndefinedCorrelationError("correlation undefined for constant input")
-    return float(xd @ yd) / (sx * sy)
-
-
-def spearman(x: Sequence[float], y: Sequence[float]) -> float:
-    """Spearman's rho: Pearson correlation of average-tie ranks.
-
-    Raises UndefinedCorrelationError if the vectors are shorter than two
-    elements or either is constant.
-    """
-    xa = np.asarray(x, dtype=float)
-    ya = np.asarray(y, dtype=float)
-    if xa.shape != ya.shape:
-        raise DomainError(f"length mismatch: {xa.shape} vs {ya.shape}")
-    if xa.size < 2:
-        raise UndefinedCorrelationError("need at least two points")
-    return _pearson(average_ranks(xa), average_ranks(ya))
 
 
 def cosine(x: Sequence[float], y: Sequence[float]) -> float:
@@ -110,6 +85,10 @@ def median_iqr(values: Iterable[float]) -> MedianIQR:
     return MedianIQR(s[(len(s) - 1) // 2], _nearest_rank(s, 25), _nearest_rank(s, 75))
 
 
+# far more than a log-binned count needs: at step 1e-4, base 2 reaches 2**100
+_MAX_EDGES = 1_000_000
+
+
 @dataclass(frozen=True)
 class BinSpec:
     """Logarithmic bin layout: edges at base**i for i = 0, step, ..., max_exponent."""
@@ -119,6 +98,8 @@ class BinSpec:
     max_exponent: float = 14.0
 
     def __post_init__(self) -> None:
+        if not all(map(math.isfinite, (self.base, self.exponent_step, self.max_exponent))):
+            raise DomainError(f"bin base, step and max exponent must be finite, got {self}")
         if self.base <= 1.0:
             raise DomainError(f"bin base must exceed 1, got {self.base}")
         if not 0.0 < self.exponent_step <= self.max_exponent:
@@ -126,6 +107,9 @@ class BinSpec:
                 f"need 0 < step <= max exponent, got step={self.exponent_step} "
                 f"max={self.max_exponent}"
             )
+        # max / step may overflow to inf even when both are finite
+        if not self.max_exponent / self.exponent_step < _MAX_EDGES:
+            raise DomainError(f"bin spec asks for more than {_MAX_EDGES} edges: {self}")
 
 
 def log_bins(spec: BinSpec) -> np.ndarray:

@@ -11,11 +11,11 @@ tags they use (per annotation) or know (per vocabulary entry).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional
 
 import numpy as np
 
-from .corpus import FolksonomyIndex, _by_user_count, _code, _members, _tally, _user_rows
+from .corpus import FolksonomyIndex, _by_user_count, _code, _members, _tally
 from .errors import DomainError
 from .spear import DEFAULT_MIN_USERS, DEFAULT_TOP_K, eligible_tags
 from .stats import BinSpec, BinnedSeries, binned_mean
@@ -26,9 +26,9 @@ __all__ = [
     "annotation_coverage",
     "conditional_table",
     "depth_by_bin",
+    "depth_expertise",
     "induce_forest",
     "induce_taxonomy",
-    "user_depth_expertise",
 ]
 
 DEFAULT_THRESHOLD = 0.8
@@ -113,6 +113,11 @@ class TaxonomyForest:
     disconnected: frozenset[str]
 
 
+def _check_threshold(threshold: float) -> None:
+    if not 0.0 < threshold <= 1.0:
+        raise DomainError(f"threshold must be in (0, 1], got {threshold}")
+
+
 def induce_forest(table: ConditionalTable, threshold: float = DEFAULT_THRESHOLD) -> TaxonomyForest:
     """Attach each tag under its strongest superclass candidate.
 
@@ -121,8 +126,7 @@ def induce_forest(table: ConditionalTable, threshold: float = DEFAULT_THRESHOLD)
     candidate with the highest P(A|B) (ties: more items, then
     lexicographic). The strict generality ordering makes cycles impossible.
     """
-    if not 0.0 < threshold <= 1.0:
-        raise DomainError(f"threshold must be in (0, 1], got {threshold}")
+    _check_threshold(threshold)
     probs = table.probs
     candidates: dict[str, list[tuple[float, int, str]]] = {}
     for (a, b), p_ab in probs.items():
@@ -200,16 +204,20 @@ def annotation_coverage(index: FolksonomyIndex, forest: TaxonomyForest) -> float
     return int(covered) / index.n_annotations
 
 
-def _depths(user: np.ndarray, tag: np.ndarray, n_users: int, forest: TaxonomyForest,
-            tags: Sequence[str], mode: str) -> np.ndarray:
-    """Mean normalized depth per user code of the annotations given as columns; NaN if none.
+def depth_expertise(index: FolksonomyIndex, forest: TaxonomyForest,
+                    mode: str = "vocabulary") -> np.ndarray:
+    """Mean normalized tag depth of every user, by user code; NaN where nothing is scoreable.
 
-    Each user's depths add up in annotation order, or in tag-name order
-    for the vocabulary mode.
+    Annotation mode averages over every use of a connected tag, adding up in
+    annotation order; vocabulary mode averages each distinct connected tag
+    once, adding up in tag-name order.
     """
     if mode not in _MODES:
         raise DomainError(f"mode must be one of {_MODES}, got {mode!r}")
-    depth = np.array([forest.norm_depth.get(t, np.nan) for t in tags])
+    c = index.columns
+    n_users = len(c.users)
+    depth = np.array([forest.norm_depth.get(t, np.nan) for t in c.tags])
+    user, tag = c.user, c.tag
     if mode == "vocabulary":
         (user, tag), _, _ = _tally(user, tag)
     scored = ~np.isnan(depth[tag])
@@ -220,29 +228,8 @@ def _depths(user: np.ndarray, tag: np.ndarray, n_users: int, forest: TaxonomyFor
     return means
 
 
-def _index_depths(index: FolksonomyIndex, forest: TaxonomyForest, mode: str) -> np.ndarray:
-    """Depth expertise of every user, by user code; NaN where nothing is scoreable."""
-    c = index.columns
-    return _depths(c.user, c.tag, len(c.users), forest, c.tags, mode)
-
-
-def user_depth_expertise(
-    index: FolksonomyIndex, forest: TaxonomyForest, user: str, mode: str = "vocabulary"
-) -> Optional[float]:
-    """Mean normalized tag depth for one user, or None if nothing is scoreable.
-
-    Annotation mode averages over every use of a connected tag; vocabulary
-    mode averages each distinct connected tag once, summing in tag-name order.
-    """
-    c = index.columns
-    rows = _user_rows(index, user)
-    score = float(_depths(np.zeros(len(rows), dtype=np.intp), c.tag[rows], 1, forest, c.tags,
-                          mode)[0])
-    return None if np.isnan(score) else score
-
-
 def depth_by_bin(
     index: FolksonomyIndex, forest: TaxonomyForest, spec: BinSpec, mode: str = "vocabulary"
 ) -> BinnedSeries:
     """Binned mean term-depth expertise keyed by user total annotation count."""
-    return binned_mean(_by_user_count(index, _index_depths(index, forest, mode)), spec)
+    return binned_mean(_by_user_count(index, depth_expertise(index, forest, mode)), spec)

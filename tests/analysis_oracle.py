@@ -13,12 +13,13 @@ library's user-code masks and count arrays into these forms.
 """
 
 import math
-from typing import NamedTuple
+from dataclasses import dataclass
+from typing import Mapping, NamedTuple, Optional
 
 import numpy as np
 
 from corpus_oracle import views
-from folkmetrics.consensus import ConsensusSeries, TagDistribution, item_cosine, top_tag_match
+from folkmetrics.consensus import ConsensusSeries
 from folkmetrics.motivation import MotivationSeries
 from folkmetrics.partition import GroupSummary, Partition, PartitionSummary
 from folkmetrics.similarity import CurvePoint, FreqDist, SimilarityCurve
@@ -189,6 +190,46 @@ def exogenous_popularity_diff(index, partition, popularity, spec):
     return binned_mean(pairs, spec)
 
 
+@dataclass(frozen=True)
+class TagDistribution:
+    """Distinct-user count per tag for one item within one group."""
+
+    item: str
+    counts: Mapping[str, int]
+
+
+def _top_tag(dist: TagDistribution) -> str:
+    # lexicographically first among the most popular tags
+    best = max(dist.counts.values())
+    return min(t for t, c in dist.counts.items() if c == best)
+
+
+def top_tag_match(
+    s_dist: Optional[TagDistribution], o_dist: Optional[TagDistribution]
+) -> Optional[bool]:
+    """True iff both groups' most popular tag for the item coincides.
+
+    Returns None (not applicable) when the item is untagged in either
+    group; such items are excluded from averages.
+    """
+    if s_dist is None or o_dist is None or not s_dist.counts or not o_dist.counts:
+        return None
+    return _top_tag(s_dist) == _top_tag(o_dist)
+
+
+def item_cosine(
+    s_dist: Optional[TagDistribution], o_dist: Optional[TagDistribution]
+) -> Optional[float]:
+    """Cosine between the two groups' tag distributions over the union vocabulary."""
+    if s_dist is None or o_dist is None or not s_dist.counts or not o_dist.counts:
+        return None
+    vocab = sorted(set(s_dist.counts) | set(o_dist.counts))
+    return cosine(
+        [s_dist.counts.get(t, 0) for t in vocab],
+        [o_dist.counts.get(t, 0) for t in vocab],
+    )
+
+
 def item_tag_distribution(index, users, item):
     v = views(index)
     seen, counts = set(), {}
@@ -214,9 +255,17 @@ def consensus_by_bin(index, partition, spec):
                            len(match_pairs))
 
 
-def motivation_by_bin(index, spec, divisor):
+def _binned(index, scores, spec):
+    """The {user: score} values binned by the user's annotation count, in the dict's order."""
     v = views(index)
-    series = ([], [], [])
+    return binned_mean([(float(len(v.by_user[user])), score) for user, score in scores.items()],
+                       spec)
+
+
+def motivation(index, divisor):
+    """{user: (tpp, trr, orphan ratio)} for every user."""
+    v = views(index)
+    scores = {}
     for user, positions in v.by_user.items():
         pairs, items, usage = set(), set(), {}
         for pos in positions:
@@ -228,14 +277,18 @@ def motivation_by_bin(index, spec, divisor):
         top = max(sizes)
         orphan = 1.0 if top <= divisor else (
             sum(1 for s in sizes if s <= math.ceil(top / divisor)) / len(sizes))
-        key = float(len(positions))
-        for values, score in zip(series, (len(pairs) / len(items), len(usage) / len(items),
-                                          orphan)):
-            values.append((key, score))
-    return MotivationSeries(*(binned_mean(values, spec) for values in series))
+        scores[user] = (len(pairs) / len(items), len(usage) / len(items), orphan)
+    return scores
 
 
-def consensus_expertise_by_bin(index, spec, raw_counts=False):
+def motivation_by_bin(index, spec, divisor):
+    scores = motivation(index, divisor)
+    return MotivationSeries(*(_binned(index, {user: s[k] for user, s in scores.items()}, spec)
+                              for k in range(3)))
+
+
+def consensus_expertise(index, raw_counts=False):
+    """{user: consensus expertise} for every user whose score is defined."""
     v = views(index)
     freq = {}
     for item, positions in v.by_item.items():
@@ -246,7 +299,7 @@ def consensus_expertise_by_bin(index, spec, raw_counts=False):
                 seen.add((a.tag, a.user))
                 f[a.tag] = f.get(a.tag, 0) + 1
         freq[item] = f
-    pairs = []
+    scores = {}
     for user, positions in v.by_user.items():
         user_items = {}
         for pos in positions:
@@ -263,8 +316,12 @@ def consensus_expertise_by_bin(index, spec, raw_counts=False):
             weighted += best * w
             weight_sum += w
         if weight_sum != 0.0:
-            pairs.append((float(len(positions)), weighted / weight_sum))
-    return binned_mean(pairs, spec)
+            scores[user] = weighted / weight_sum
+    return scores
+
+
+def consensus_expertise_by_bin(index, spec, raw_counts=False):
+    return _binned(index, consensus_expertise(index, raw_counts), spec)
 
 
 def conditional_table(index, tags, min_support):
@@ -283,15 +340,20 @@ def conditional_table(index, tags, min_support):
                             {t: len(items[t]) for t in tag_list})
 
 
-def depth_by_bin(index, forest, spec, mode):
+def depth_expertise(index, forest, mode):
+    """{user: mean normalized tag depth} for every user with a connected tag."""
     v = views(index)
     depths = forest.norm_depth
-    pairs = []
+    scores = {}
     for user, positions in v.by_user.items():
         tags = [v.annotations[pos].tag for pos in positions]
         if mode == "vocabulary":
             tags = sorted(set(tags))
-        scores = [depths[t] for t in tags if t in depths]
-        if scores:
-            pairs.append((float(len(positions)), _sum(scores) / len(scores)))
-    return binned_mean(pairs, spec)
+        depth_list = [depths[t] for t in tags if t in depths]
+        if depth_list:
+            scores[user] = _sum(depth_list) / len(depth_list)
+    return scores
+
+
+def depth_by_bin(index, forest, spec, mode):
+    return _binned(index, depth_expertise(index, forest, mode), spec)

@@ -18,6 +18,11 @@ def user_mask(index, names):
     return np.array([user in names for user in index.columns.users], dtype=bool)
 
 
+def code(index, user):
+    """The code of the named user: the position of the name in the sorted user names."""
+    return index.columns.users.index(user)
+
+
 def item_tag_freq(index):
     """{(item, tag): distinct users} as the analyses count them."""
     c = index.columns

@@ -22,23 +22,20 @@ from folkmetrics.corpus import (
     generate_synthetic,
     write_annotations,
 )
-from folkmetrics.expertise import (
-    annotation_score,
-    annotation_weight,
-    user_consensus_expertise,
-)
-from folkmetrics.motivation import orphan_ratio, tpp, trr
+from folkmetrics.expertise import consensus_expertise
+from folkmetrics.motivation import motivation_scores
 from folkmetrics.partition import gini, rank_users, split_supertaggers
-from folkmetrics.similarity import cosine_topn, similarity_curve, spearman_topn
+from folkmetrics.similarity import similarity_curve
 from folkmetrics.spear import credit_batch
 from folkmetrics.stats import BinSpec, log_bins, population_zscores
 from folkmetrics.partition import Partition
 from folkmetrics.taxonomy import conditional_table, induce_forest, depth_by_bin
 
 from analysis_oracle import named
-from conftest import make_index, user_mask
+from conftest import code, make_index, user_mask
 from corpus_oracle import views
-from test_similarity import brute_cosine_topn, brute_spearman_topn, coded, shared_top5_index
+from test_similarity import (brute_cosine_topn, brute_spearman_topn, coded, curve_cosine,
+                             curve_rho, shared_top5_index)
 from spear_oracle import batch_of, entries
 from test_spear import brute_force_hits, scored
 from test_taxonomy import items_with_tags
@@ -100,14 +97,14 @@ def test_c03_similarity_oracles_core_size_and_identical_groups():
         counts_b = {f"k{j}": int(rng.integers(1, 50)) for j in range(int(rng.integers(2, 70)))}
         da, db = coded(counts_a, counts_b)
         n = int(rng.integers(1, 51))
-        assert cosine_topn(da, db, n) == pytest.approx(
+        assert curve_cosine(da, db, n) == pytest.approx(
             brute_cosine_topn(counts_a, counts_b, n), abs=1e-9
         )
         try:
             expected = brute_spearman_topn(counts_a, counts_b, n)
         except ZeroDivisionError:
             continue
-        assert spearman_topn(da, db, n) == pytest.approx(expected, abs=1e-9)
+        assert curve_rho(da, db, n) == pytest.approx(expected, abs=1e-9)
 
     index, part = shared_top5_index()
     curve = similarity_curve(index, part, "tag", n_values=range(1, 16))
@@ -153,19 +150,20 @@ def test_c04_consensus_fixture_and_log_bins():
 def test_c05_motivation_hand_values_and_orphan_invariant():
     """TPP/TRR/OR fixtures exactly; OR = 1 when max usage <= divisor."""
     index = make_index([("u", "i1", "a", 0), ("u", "i1", "b", 1), ("u", "i2", "a", 2)])
-    assert tpp(index, "u") == 1.5
-    assert trr(index, "u") == 1.0
+    tpp, trr, _ = motivation_scores(index)
+    assert tpp[code(index, "u")] == 1.5
+    assert trr[code(index, "u")] == 1.0
 
     vocab_index = make_index(
         [("u", "i1", "a", 0), ("u", "i2", "b", 1)]
     )
-    assert trr(vocab_index, "u") == 1.0
+    assert motivation_scores(vocab_index)[1][code(vocab_index, "u")] == 1.0
     spread_index = make_index([("u", f"i{k}", "only", k) for k in range(10)])
-    assert trr(spread_index, "u") == pytest.approx(0.1)
+    assert motivation_scores(spread_index)[1][code(spread_index, "u")] == pytest.approx(0.1)
 
     skewed_rows = [("u", f"i{k}", "big", k) for k in range(200)]
     skewed_rows += [("u", f"j{k}", f"s{k}", k) for k in range(9)]
-    assert orphan_ratio(make_index(skewed_rows), "u") == pytest.approx(0.9)
+    assert motivation_scores(make_index(skewed_rows))[2][0] == pytest.approx(0.9)
 
     rng = np.random.default_rng(1005)
     for _ in range(20):
@@ -177,7 +175,7 @@ def test_c05_motivation_hand_values_and_orphan_invariant():
         for a in views(index).annotations:
             usage.setdefault(a.tag, set()).add(a.item)
         if max(len(v) for v in usage.values()) <= 100:
-            assert orphan_ratio(index, "u") == 1.0
+            assert motivation_scores(index)[2][0] == 1.0
 
 
 def test_c06_spear_convergence_hits_oracle_ordering_and_zscores():
@@ -223,31 +221,31 @@ def test_c07_consensus_expertise_fixtures_and_weight_edges():
     rng = np.random.default_rng(1007)
     rows = [(f"u{rng.integers(12)}", f"i{rng.integers(8)}", f"t{rng.integers(5)}", 0)
             for _ in range(300)]
-    index = make_index(rows)
-    for user in views(index).by_user:
-        score = user_consensus_expertise(index, user)
-        if score is not None:
-            assert 0.0 <= score <= 1.0
+    scores = consensus_expertise(make_index(rows))
+    defined = scores[~np.isnan(scores)]
+    assert len(defined) and ((0.0 <= defined) & (defined <= 1.0)).all()
 
     conforming_rows = []
     for item in ("i1", "i2", "i3"):
         for j in range(11):
             conforming_rows.append((f"crowd{j}", item, "best", j))
         conforming_rows.append(("me", item, "best", 99))
-    assert user_consensus_expertise(make_index(conforming_rows), "me") == 1.0
+    conforming = make_index(conforming_rows)
+    assert consensus_expertise(conforming)[code(conforming, "me")] == 1.0
 
+    # u_jazz's one annotation scores (2 - 1) / 5, and so does u_jazz's mean
     crowd_rows = [(f"r{k}", "i", "rock", k) for k in range(5)]
     crowd_rows += [("u_jazz", "i", "jazz", 10), ("j1", "i", "jazz", 11)]
     crowd_index = make_index(crowd_rows)
-    assert annotation_score(crowd_index, "u_jazz", "i", "jazz") == pytest.approx(0.2)
+    assert consensus_expertise(crowd_index)[code(crowd_index, "u_jazz")] == pytest.approx(0.2)
 
+    # no outside tagging excludes the item, one outside annotation weighs log10(1) = 0:
+    # either way the user's only item leaves the mean undefined
     solo = make_index([("me", "i", "a", 0), ("me", "i", "b", 1)])
-    assert annotation_weight(solo, "me", "i") is None
-    assert user_consensus_expertise(solo, "me") is None
+    assert np.isnan(consensus_expertise(solo)[code(solo, "me")])
 
     one_other = make_index([("me", "i", "a", 0), ("other", "i", "b", 1)])
-    assert annotation_weight(one_other, "me", "i") == 0.0
-    assert user_consensus_expertise(one_other, "me") is None
+    assert np.isnan(consensus_expertise(one_other)[code(one_other, "me")])
 
 
 def test_c08_taxonomy_fixture_edges_acyclicity_and_depth_contrast():

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import analysis_oracle as oracle
 from folkmetrics import consensus, expertise, motivation, partition, similarity, taxonomy
+from folkmetrics.corpus import build_index
 from folkmetrics.errors import DomainError
 from folkmetrics.stats import BinSpec
 from folkmetrics.taxonomy import TaxonomyForest
@@ -18,6 +19,13 @@ from folkmetrics.taxonomy import TaxonomyForest
 from conftest import make_index
 
 SPEC = BinSpec(base=2.0, exponent_step=0.5, max_exponent=6.0)
+
+def chain(tags):
+    """A forest that chains the tags in order: depths k / 7 add up differently in another order."""
+    return TaxonomyForest(frozenset(tags), dict(zip(tags, [None] + tags[:-1])),
+                          {t: k for k, t in enumerate(tags)},
+                          {t: k / 7 for k, t in enumerate(tags)}, frozenset())
+
 
 rows = st.lists(
     st.tuples(
@@ -103,11 +111,6 @@ def test_per_user_and_per_item_series_match_the_reference(rows, dedupe, divisor)
     else:
         with pytest.raises(DomainError):
             consensus.consensus_by_bin(index, part, SPEC)
-    for item in index.columns.items + ["nowhere"]:
-        for mask, users in ((part.supertagger, names.supertaggers),
-                            (~part.supertagger, names.others)):
-            assert consensus.item_tag_distribution(index, mask, item) == (
-                oracle.item_tag_distribution(index, users, item))
     assert motivation.motivation_by_bin(index, SPEC, divisor) == (
         oracle.motivation_by_bin(index, SPEC, divisor))
     for raw_counts in (False, True):
@@ -122,11 +125,38 @@ def test_taxonomy_matches_the_reference(rows, dedupe, min_support):
     tags = index.columns.tags
     table = taxonomy.conditional_table(index, tags, min_support)
     assert table == oracle.conditional_table(index, tags, min_support)
-    # a chain over the tags too: depths k / 7 add up differently in another order
-    chain = TaxonomyForest(frozenset(tags), dict(zip(tags, [None] + tags[:-1])),
-                           {t: k for k, t in enumerate(tags)},
-                           {t: k / 7 for k, t in enumerate(tags)}, frozenset())
-    for forest in (taxonomy.induce_forest(table, threshold=0.5), chain):
+    for forest in (taxonomy.induce_forest(table, threshold=0.5), chain(tags)):
         for mode in ("annotation", "vocabulary"):
             assert taxonomy.depth_by_bin(index, forest, SPEC, mode) == (
                 oracle.depth_by_bin(index, forest, SPEC, mode))
+
+
+@settings(max_examples=120, deadline=None)
+@given(rows, st.booleans(), st.data())
+def test_row_order_changes_no_count_reduction(rows, dedupe, data):
+    """Analyses that reduce integer counts, or add up in code order, are bit-identical
+    whatever order the index holds its rows in."""
+    index = make_index(rows, dedupe=dedupe)
+    order = data.draw(st.permutations(range(index.n_annotations)))
+    permuted = build_index(index.columns.take(np.array(order, dtype=np.intp)))
+    for scores, permuted_scores in zip(motivation.motivation_scores(index),
+                                       motivation.motivation_scores(permuted)):
+        assert scores.tobytes() == permuted_scores.tobytes()
+    forest = chain(index.columns.tags)
+    assert taxonomy.depth_expertise(index, forest, "vocabulary").tobytes() == (
+        taxonomy.depth_expertise(permuted, forest, "vocabulary").tobytes())
+    part = partition.split_supertaggers(index, 0.5)
+    assert partition.partition_summary(index, part) == partition.partition_summary(permuted, part)
+
+
+@settings(max_examples=120, deadline=None)
+@given(rows, st.booleans())
+def test_consensus_is_one_on_twin_groups(rows, dedupe):
+    """Every row copied to a twin user, with the originals as S: both groups tag every item
+    alike, so every item is shared, its top tags match and its cosine is 1."""
+    index = make_index(rows + [(f"{u}-twin", i, t, time) for u, i, t, time in rows], dedupe=dedupe)
+    original = np.array([not user.endswith("-twin") for user in index.columns.users])
+    series = consensus.consensus_by_bin(index, partition.Partition(original, 0, 0.5), SPEC)
+    assert series.shared_items == len(index.columns.items)
+    assert all(row.mean == 1.0 for row in series.top_match.rows)
+    assert all(row.mean == pytest.approx(1.0, abs=1e-12) for row in series.cosine.rows)

@@ -379,11 +379,14 @@ class TestAnalysisCommands:
         (["partition", "--resolution", "1"], "x>=2"), (["partition", "--resolution", "0"], "x>=2"),
         (["partition", "--resolution", "-5"], "x>=2"),
         (["report", "--pareto-resolution", "0"], "x>=2"),
+        (["consensus", "--bins", "max=inf"], "finite"), (["report", "--bins", "base=nan"], "finite"),
+        (["motivation", "--bins", "max=1e300,step=1e-300"], "edges"),
     ])
     def test_limits_that_cannot_be_met_are_usage_errors(self, runner, tmp_path, args, bound):
         src = write_fixture(tmp_path / "corpus.tsv")
         out = tmp_path / "out"
-        target = {"spear": "--out", "partition": "--pareto", "report": "--out-dir"}[args[0]]
+        target = {"spear": "--out", "partition": "--pareto", "report": "--out-dir",
+                  "consensus": "--out", "motivation": "--binned"}[args[0]]
         result = runner.invoke(main, args + [src, target, str(out)])
         assert result.exit_code == 2, result.output
         assert args[-2] in result.output and bound in result.output
@@ -511,6 +514,29 @@ class TestReportBundle:
         taxonomy = json.loads(out_dir.joinpath("taxonomy.json").read_text())
         assert taxonomy["nodes"] == {}
 
+    @pytest.mark.parametrize("args", [["--threshold", "0"], ["--fraction", "0"]])
+    def test_bad_config_exits_one_before_writing(self, runner, tmp_path, args):
+        src = write_fixture(tmp_path / "corpus.tsv")
+        out_dir = tmp_path / "bundle"
+        result = runner.invoke(main, ["report", src, "--out-dir", str(out_dir)] + args)
+        assert result.exit_code == 1 and "Traceback" not in result.output
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("bad", [
+        dict(fraction=0.0), dict(fraction=float("nan")), dict(max_n=0), dict(pareto_resolution=1),
+        dict(top_k=0), dict(taxonomy_threshold=0.0), dict(taxonomy_threshold=1.5),
+        dict(orphan_divisor=0),
+    ])
+    def test_bad_config_writes_no_file(self, tmp_path, bad):
+        from folkmetrics.corpus import build_index, parse_annotations
+        from folkmetrics.errors import DomainError
+        from folkmetrics.report import ReportConfig, write_report
+
+        index = build_index(parse_annotations(write_fixture(tmp_path / "corpus.tsv")).annotations)
+        with pytest.raises(DomainError):
+            write_report(index, tmp_path / "bundle", ReportConfig(**bad))
+        assert not (tmp_path / "bundle").exists()
+
     def test_fraction_one_yields_header_only_similarity(self, runner, tmp_path):
         """With every user in S, not-S is empty: the comparisons are undefined, not errors."""
         src = self._synth_corpus(runner, tmp_path / "corpus.tsv")
@@ -560,14 +586,13 @@ def test_csv_cells_of_numpy_scalars_read_as_plain_numbers(tmp_path):
 
 
 def test_per_user_outputs_match_the_single_user_functions(runner, tmp_path):
-    """The --per-user CSVs come from one all-users pass; each row equals the one-user call."""
+    """Each row of the --per-user CSVs equals the user's score in the dict-based reference."""
     import numpy as np
 
+    import analysis_oracle as oracle
     from folkmetrics.corpus import build_index, parse_annotations
-    from folkmetrics.expertise import user_consensus_expertise
-    from folkmetrics.motivation import user_motivation
     from folkmetrics.spear import eligible_tags
-    from folkmetrics.taxonomy import conditional_table, induce_forest, user_depth_expertise
+    from folkmetrics.taxonomy import conditional_table, induce_forest
 
     rng = np.random.default_rng(23)
     # duplicates and users whose items nobody else tagged, so some scores are undefined
@@ -577,6 +602,7 @@ def test_per_user_outputs_match_the_single_user_functions(runner, tmp_path):
     src = write_fixture(tmp_path / "corpus.tsv", "".join(lines))
     index = build_index(parse_annotations(src).annotations)
     users = index.columns.users
+    counts = dict(zip(users, index.user_csr.counts().tolist()))
     forest = induce_forest(conditional_table(index, eligible_tags(index, min_users=3), 2))
 
     def rows(args):
@@ -586,21 +612,21 @@ def test_per_user_outputs_match_the_single_user_functions(runner, tmp_path):
         assert result.exit_code == 0, result.output
         return list(csv.reader(out.open()))[1:]
 
-    expected = [[u, str(n)] for u, n in zip(users, index.user_csr.counts().tolist())]
-    scores = [user_motivation(index, u) for u in users]
-    assert rows(["motivation"]) == [
-        e + [repr(s.tpp), repr(s.trr), repr(s.orphan_ratio)] for e, s in zip(expected, scores)]
-    for args, score in (
-        (["expertise", "consensus"], lambda u: user_consensus_expertise(index, u)),
+    def expected(scores):
+        """The rows of {user: score or scores}, in user-name order."""
+        return [[user, str(counts[user]), *map(repr, np.atleast_1d(scores[user]).tolist())]
+                for user in users if user in scores]
+
+    assert rows(["motivation"]) == expected(oracle.motivation(index, 100))
+    for args, scores in (
+        (["expertise", "consensus"], oracle.consensus_expertise(index)),
         (["expertise", "depth", "--min-users", "3", "--min-support", "2", "--mode", "annotation"],
-         lambda u: user_depth_expertise(index, forest, u, "annotation")),
+         oracle.depth_expertise(index, forest, "annotation")),
         (["expertise", "depth", "--min-users", "3", "--min-support", "2"],
-         lambda u: user_depth_expertise(index, forest, u, "vocabulary")),
+         oracle.depth_expertise(index, forest, "vocabulary")),
     ):
-        got = rows(args)
-        want = [e + [repr(s)] for e, s in zip(expected, map(score, users)) if s is not None]
-        assert got == want, args
-        assert len(want) < len(users), args
+        assert rows(args) == expected(scores), args
+        assert len(scores) < len(users), args
 
 
 def test_spear_per_user_rows_match_the_per_tag_reference(runner, tmp_path):

@@ -5,19 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from folkmetrics.consensus import (
-    TagDistribution,
-    consensus_by_bin,
-    item_cosine,
-    item_tag_distribution,
-    top_tag_match,
-)
+from folkmetrics.consensus import consensus_by_bin
 from folkmetrics.errors import DomainError
 from folkmetrics.partition import Partition, split_supertaggers
 from folkmetrics.stats import BinSpec, log_bins
 
-from analysis_oracle import named
-from conftest import make_index, random_rows, user_mask
+from analysis_oracle import TagDistribution, item_cosine, named, top_tag_match
+from conftest import item_tag_freq, make_index, random_rows, user_mask
 
 
 class TestItemTagDistribution:
@@ -28,14 +22,14 @@ class TestItemTagDistribution:
             ("u2", "i1", "rock", 1),
             ("u2", "i1", "jazz", 2),
         ]
-        index = make_index(rows)
-        dist = item_tag_distribution(index, user_mask(index, {"u1", "u2"}), "i1")
-        assert dist.counts == {"rock": 2, "jazz": 1}
+        assert item_tag_freq(make_index(rows)) == {("i1", "rock"): 2, ("i1", "jazz"): 1}
 
     def test_untagged_returns_none(self):
-        index = make_index([("u1", "i1", "rock", 0)])
-        assert item_tag_distribution(index, user_mask(index, {"u2"}), "i1") is None
-        assert item_tag_distribution(index, user_mask(index, {"u1"}), "ghost") is None
+        # i1 has no tag among the others, so only i2 is scored
+        index = make_index([("u1", "i1", "rock", 0), ("u1", "i2", "rock", 1),
+                            ("u2", "i2", "jazz", 2)])
+        series = consensus_by_bin(index, Partition(user_mask(index, {"u1"}), 0, 0.5), BinSpec())
+        assert series.shared_items == series.top_match.total_count == 1
 
 
 class TestTopTagMatch:

@@ -17,13 +17,13 @@ from folkmetrics.corpus import (
     generate_synthetic,
     parse_annotations,
     summary,
-    user_stats,
     write_annotations,
     _tally,
 )
-from folkmetrics.errors import DomainError, FormatError, NotFoundError
+from folkmetrics.errors import DomainError, FormatError
+from folkmetrics.partition import Partition, partition_summary
 
-from conftest import item_tag_freq, make_annotations, make_index, random_rows
+from conftest import item_tag_freq, make_annotations, make_index, random_rows, user_mask
 from corpus_oracle import views
 
 
@@ -120,8 +120,7 @@ class TestBuildIndex:
 
     def test_fan_out(self):
         index = make_index([("u1", "i1", "rock", 5), ("u1", "i2", "jazz", 6)])
-        assert user_stats(index, "u1").annotations == 2
-        assert user_stats(index, "u1").distinct_tags == 2
+        assert user_stats(index, "u1")[:2] == (2, 2)
 
     def test_counts_sum_to_total(self):
         rng = np.random.default_rng(4)
@@ -179,21 +178,21 @@ def test_tally_matches_sorted_counter(columns):
     assert first.tolist() == [rows.index(row) for row in expected]
 
 
+def user_stats(index, user):
+    """The user's annotations, distinct tags and distinct items, as partition_summary counts
+    them: the medians of a group of that user alone."""
+    group = partition_summary(index, Partition(user_mask(index, {user}), 0, 1.0)).supertaggers
+    return group.annotations, group.tags_per_user.median, group.items_per_user.median
+
+
 class TestUserStats:
     def test_hand_count(self):
         index = make_index([("u", "i1", "a", 1), ("u", "i1", "b", 2), ("u", "i2", "a", 3)])
-        stats = user_stats(index, "u")
-        assert (stats.annotations, stats.distinct_tags, stats.distinct_items) == (3, 2, 2)
+        assert user_stats(index, "u") == (3, 2, 2)
 
     def test_single_annotation(self):
         index = make_index([("u", "i", "t", 0)])
-        stats = user_stats(index, "u")
-        assert (stats.annotations, stats.distinct_tags, stats.distinct_items) == (1, 1, 1)
-
-    def test_unknown_user(self):
-        index = make_index([("u", "i", "t", 0)])
-        with pytest.raises(NotFoundError):
-            user_stats(index, "ghost")
+        assert user_stats(index, "u") == (1, 1, 1)
 
     def test_matches_scan_oracle(self):
         rng = np.random.default_rng(10)
@@ -201,10 +200,8 @@ class TestUserStats:
         index = make_index(rows)
         for user in index.columns.users:
             mine = [r for r in rows if r[0] == user]
-            stats = user_stats(index, user)
-            assert stats.annotations == len(mine)
-            assert stats.distinct_tags == len({r[2] for r in mine})
-            assert stats.distinct_items == len({r[1] for r in mine})
+            assert user_stats(index, user) == (len(mine), len({r[2] for r in mine}),
+                                               len({r[1] for r in mine}))
 
 
 class TestSummary:

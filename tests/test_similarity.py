@@ -11,12 +11,13 @@ from folkmetrics.errors import DomainError, UndefinedCorrelationError
 from folkmetrics.partition import Partition, split_supertaggers
 from folkmetrics.similarity import (
     FreqDist,
-    cosine_topn,
+    _cosine_tops,
+    _rankings,
+    _spearman_tops,
     default_n_grid,
     exogenous_popularity_diff,
     freq_dist,
     similarity_curve,
-    spearman_topn,
     usage_distribution,
 )
 from folkmetrics.stats import BinSpec, cosine
@@ -72,6 +73,16 @@ def coded(*counts):
     """One tag FreqDist per {key: count} dict, each a count array over the sorted union of keys."""
     keys = sorted(set().union(*counts))
     return [FreqDist("tag", np.array([c.get(k, 0) for k in keys], dtype=np.int64)) for c in counts]
+
+
+def curve_rho(dist_a, dist_b, n):
+    """The rho that similarity_curve reports at N = n for these two sides."""
+    return _spearman_tops(*_rankings(dist_a, dist_b), n)
+
+
+def curve_cosine(dist_a, dist_b, n):
+    """The cosine that similarity_curve reports at N = n for these two sides."""
+    return _cosine_tops(*_rankings(dist_a, dist_b), n)
 
 
 def random_dist(rng, n_keys):
@@ -143,12 +154,12 @@ class TestUsageDistribution:
 class TestSpearmanTopN:
     def test_identical_dists(self):
         [dist] = coded({"a": 5, "b": 3, "c": 1})
-        assert spearman_topn(dist, dist, 3) == pytest.approx(1.0)
-        assert spearman_topn(dist, dist, 10) == pytest.approx(1.0)
+        assert curve_rho(dist, dist, 3) == pytest.approx(1.0)
+        assert curve_rho(dist, dist, 10) == pytest.approx(1.0)
 
     def test_perfectly_reversed(self):
         da, db = coded({"a": 2, "b": 1}, {"a": 1, "b": 2})
-        assert spearman_topn(da, db, 2) == pytest.approx(-1.0)
+        assert curve_rho(da, db, 2) == pytest.approx(-1.0)
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(73)
@@ -161,39 +172,40 @@ class TestSpearmanTopN:
                 expected = brute_spearman_topn(counts_a, counts_b, n)
             except ZeroDivisionError:
                 with pytest.raises(UndefinedCorrelationError):
-                    spearman_topn(da, db, n)
+                    curve_rho(da, db, n)
                 continue
-            assert spearman_topn(da, db, n) == pytest.approx(expected, abs=1e-9)
+            assert curve_rho(da, db, n) == pytest.approx(expected, abs=1e-9)
 
     def test_symmetric(self):
         rng = np.random.default_rng(79)
         da, db = coded(random_dist(rng, 20), random_dist(rng, 25))
         for n in (1, 5, 30):
             try:
-                left = spearman_topn(da, db, n)
+                left = curve_rho(da, db, n)
             except UndefinedCorrelationError:
                 continue
-            assert left == pytest.approx(spearman_topn(db, da, n), abs=1e-12)
+            assert left == pytest.approx(curve_rho(db, da, n), abs=1e-12)
 
     def test_union_too_small(self):
         [dist] = coded({"a": 5})
         with pytest.raises(UndefinedCorrelationError):
-            spearman_topn(dist, dist, 1)
+            curve_rho(dist, dist, 1)
 
     def test_bad_n(self):
-        [dist] = coded({"a": 5, "b": 1})
+        index = make_index([("s", "i", "a", 0), ("o", "i", "b", 0)])
+        part = Partition(user_mask(index, {"s"}), 0, 0.5)
         with pytest.raises(DomainError):
-            spearman_topn(dist, dist, 0)
+            similarity_curve(index, part, "tag", [0, 1])
 
 
 class TestCosineTopN:
     def test_identical(self):
         [dist] = coded({"a": 5, "b": 3})
-        assert cosine_topn(dist, dist, 2) == pytest.approx(1.0)
+        assert curve_cosine(dist, dist, 2) == pytest.approx(1.0)
 
     def test_disjoint_orthogonal(self):
         da, db = coded({"a": 5, "b": 3}, {"c": 4, "d": 2})
-        assert cosine_topn(da, db, 2) == pytest.approx(0.0)
+        assert curve_cosine(da, db, 2) == pytest.approx(0.0)
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(83)
@@ -203,7 +215,7 @@ class TestCosineTopN:
             da, db = coded(counts_a, counts_b)
             n = int(rng.integers(1, 51))
             expected = brute_cosine_topn(counts_a, counts_b, n)
-            assert cosine_topn(da, db, n) == pytest.approx(expected, abs=1e-12)
+            assert curve_cosine(da, db, n) == pytest.approx(expected, abs=1e-12)
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.dictionaries(st.sampled_from([f"k{j}" for j in range(12)]),
@@ -217,18 +229,18 @@ class TestCosineTopN:
         tops = [top(c) for c in counts]
         union = sorted(tops[0] | tops[1])
         vectors = [[float(c[k]) if k in t else 0.0 for k in union] for c, t in zip(counts, tops)]
-        got = cosine_topn(*coded(*counts), n)
+        got = curve_cosine(*coded(*counts), n)
         assert got == cosine(*vectors)
 
     def test_symmetric(self):
         rng = np.random.default_rng(89)
         da, db = coded(random_dist(rng, 15), random_dist(rng, 10))
-        assert cosine_topn(da, db, 8) == pytest.approx(cosine_topn(db, da, 8), abs=1e-12)
+        assert curve_cosine(da, db, 8) == pytest.approx(curve_cosine(db, da, 8), abs=1e-12)
 
     def test_empty_side_raises(self):
         da, db = coded({"a": 5}, {})
         with pytest.raises(DomainError):
-            cosine_topn(da, db, 2)
+            curve_cosine(da, db, 2)
 
 
 def shared_top5_index():

@@ -18,8 +18,9 @@ from folkmetrics.stats import (
     median_iqr,
     population_zscores,
     rank_descending,
-    spearman,
 )
+
+from test_similarity import coded, curve_rho
 
 
 def brute_force_ranks(x):
@@ -43,6 +44,13 @@ def brute_force_pearson(x, y):
     return num / (dx * dy)
 
 
+def spearman(x, y):
+    """Spearman's rho of two vectors of positive counts over the same keys, as the similarity
+    curve computes it: the top-N rho with N covering every key."""
+    keys = [f"k{j}" for j in range(len(x))]
+    return curve_rho(*coded(dict(zip(keys, x)), dict(zip(keys, y))), len(keys))
+
+
 class TestSpearman:
     def test_identity(self):
         assert spearman([1, 2, 3, 4], [1, 2, 3, 4]) == pytest.approx(1.0)
@@ -54,8 +62,8 @@ class TestSpearman:
         rng = np.random.default_rng(7)
         for _ in range(50):
             n = int(rng.integers(3, 51))
-            x = rng.integers(0, 10, size=n).astype(float)
-            y = rng.integers(0, 10, size=n).astype(float)
+            x = rng.integers(1, 11, size=n)
+            y = rng.integers(1, 11, size=n)
             if len(set(x)) < 2 or len(set(y)) < 2:
                 continue
             expected = brute_force_pearson(brute_force_ranks(x), brute_force_ranks(y))
@@ -63,10 +71,10 @@ class TestSpearman:
 
     def test_monotone_transform_invariance(self):
         rng = np.random.default_rng(11)
-        x = rng.normal(size=40)
-        y = rng.normal(size=40)
+        x = rng.integers(1, 1000, size=40)
+        y = rng.integers(1, 1000, size=40)
         base = spearman(x, y)
-        assert spearman(np.exp(x), y) == pytest.approx(base, abs=1e-12)
+        assert spearman(x ** 2, y) == pytest.approx(base, abs=1e-12)
         assert spearman(x, 3 * y + 7) == pytest.approx(base, abs=1e-12)
 
     def test_constant_vector_raises(self):
@@ -170,10 +178,11 @@ class TestLogBins:
         assert edges[idx + 1] == pytest.approx(2 ** 2.4)
 
     def test_invalid_spec(self):
-        with pytest.raises(DomainError):
-            BinSpec(base=1.0)
-        with pytest.raises(DomainError):
-            BinSpec(exponent_step=0.0)
+        for spec in (dict(base=1.0), dict(exponent_step=0.0), dict(base=math.nan),
+                     dict(base=math.inf), dict(exponent_step=math.nan), dict(max_exponent=math.inf),
+                     dict(max_exponent=math.nan), dict(max_exponent=1e300, exponent_step=1e-300)):
+            with pytest.raises(DomainError):
+                BinSpec(**spec)
 
 
 class TestBinnedMean:

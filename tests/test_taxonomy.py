@@ -10,17 +10,17 @@ import pytest
 
 import folkmetrics
 
-from folkmetrics.errors import DomainError, NotFoundError
+from folkmetrics.errors import DomainError
 from folkmetrics.stats import BinSpec
 from folkmetrics.taxonomy import (
     annotation_coverage,
     conditional_table,
     depth_by_bin,
+    depth_expertise,
     induce_forest,
-    user_depth_expertise,
 )
 
-from conftest import make_index, random_rows
+from conftest import code, make_index, random_rows
 from corpus_oracle import views
 
 
@@ -219,6 +219,11 @@ def scored_user_index():
     return make_index(rows)
 
 
+def user_depth(index, forest, user, mode):
+    """The user's depth expertise, read from the all-users array at the user's code."""
+    return float(depth_expertise(index, forest, mode)[code(index, user)])
+
+
 class TestUserDepthExpertise:
     @pytest.fixture
     def forest(self):
@@ -227,39 +232,36 @@ class TestUserDepthExpertise:
 
     def test_root_only_user_scores_zero(self, forest):
         index = scored_user_index()
-        assert user_depth_expertise(index, forest, "rooty", "annotation") == 0.0
-        assert user_depth_expertise(index, forest, "rooty", "vocabulary") == 0.0
+        assert user_depth(index, forest, "rooty", "annotation") == 0.0
+        assert user_depth(index, forest, "rooty", "vocabulary") == 0.0
 
     def test_annotation_vs_vocabulary_mode(self, forest):
         index = scored_user_index()
         # 9 annotations on a (0.0), 1 on c (1.0)
-        assert user_depth_expertise(index, forest, "mixed", "annotation") == pytest.approx(0.1)
-        assert user_depth_expertise(index, forest, "mixed", "vocabulary") == pytest.approx(0.5)
+        assert user_depth(index, forest, "mixed", "annotation") == pytest.approx(0.1)
+        assert user_depth(index, forest, "mixed", "vocabulary") == pytest.approx(0.5)
 
     def test_disconnected_only_user_omitted(self, forest):
         index = scored_user_index()
-        assert user_depth_expertise(index, forest, "loner", "annotation") is None
-
-    def test_unknown_user(self, forest):
-        with pytest.raises(NotFoundError):
-            user_depth_expertise(scored_user_index(), forest, "ghost")
+        for mode in ("annotation", "vocabulary"):
+            assert np.isnan(user_depth(index, forest, "loner", mode))
 
     def test_bad_mode(self, forest):
         with pytest.raises(DomainError):
-            user_depth_expertise(scored_user_index(), forest, "rooty", "both")
+            depth_expertise(scored_user_index(), forest, "both")
 
     def test_vocabulary_sum_does_not_depend_on_hash_order(self):
         """Depths add up in tag-name order, whatever order PYTHONHASHSEED gives a set."""
         code = (
             "from folkmetrics.corpus import Annotation, build_index\n"
-            "from folkmetrics.taxonomy import TaxonomyForest, user_depth_expertise\n"
+            "from folkmetrics.taxonomy import TaxonomyForest, depth_expertise\n"
             "chain = [f't{k}' for k in range(11)]\n"
             "forest = TaxonomyForest(frozenset(chain), dict(zip(chain, [None] + chain[:-1])),\n"
             "    {t: k for k, t in enumerate(chain)}, {t: k / 10 for k, t in enumerate(chain)},\n"
             "    frozenset())\n"
             "tags = ['t1', 't2', 't3', 't6', 't7']\n"
             "index = build_index([Annotation('u', 'i', t, 0) for t in tags])\n"
-            "print(repr(user_depth_expertise(index, forest, 'u')))\n"
+            "print(repr(float(depth_expertise(index, forest)[0])))\n"
         )
         src = str(Path(folkmetrics.__file__).parents[1])
         for seed in range(10):
@@ -347,7 +349,7 @@ class TestDepthByBin:
             series = depth_by_bin(index, forest, spec, mode)
             pairs = []
             for user in views(index).by_user:
-                score = user_depth_expertise(index, forest, user, mode)
-                if score is not None:
+                score = user_depth(index, forest, user, mode)
+                if not np.isnan(score):
                     pairs.append((float(views(index).user_annotation_count[user]), score))
             assert series == binned_mean(pairs, spec)
