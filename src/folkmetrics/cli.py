@@ -129,7 +129,7 @@ def _write_per_user(path, columns, index, scores):
     Users with an undefined (NaN) score are left out.
     """
     defined = np.flatnonzero(~np.isnan(scores).any(axis=0))
-    counts = index.user_csr.counts()[defined]
+    counts = index.user_counts[defined]
     rows = zip(map(index.columns.users.__getitem__, defined.tolist()), counts.tolist(),
                *(score[defined].tolist() for score in scores))
     report_mod._write_csv(path, ["user", "annotations", *columns], rows)
@@ -331,7 +331,7 @@ def motivation(source, delimiter, granularity, header, dedupe, per_user, binned,
     if per_user:
         _write_per_user(per_user, ["tpp", "trr", "orphan_ratio"], index, np.array(scores))
     report_mod.write_motivation_csv(binned, motivation_mod.MotivationSeries(
-        *(binned_mean(_by_user_count(index, s), bins) for s in scores)))
+        *(binned_mean(*_by_user_count(index, s), bins) for s in scores)))
 
 
 @main.command()
@@ -354,7 +354,7 @@ def spear(source, delimiter, granularity, header, dedupe, top_k, min_users, expo
     mean_z = spear_mod.user_mean_z(index, top_k, min_users, exponent, tolerance, max_iter)
     if per_user:
         _write_per_user(per_user, ["mean_z"], index, mean_z[np.newaxis])
-    report_mod.write_binned_csv(out, binned_mean(_by_user_count(index, mean_z), bins))
+    report_mod.write_binned_csv(out, binned_mean(*_by_user_count(index, mean_z), bins))
 
 
 @main.group()
@@ -377,7 +377,7 @@ def expertise_consensus(source, delimiter, granularity, header, dedupe, per_user
     scores = expertise_mod.consensus_expertise(index, raw_counts)
     if per_user:
         _write_per_user(per_user, ["expertise"], index, scores[np.newaxis])
-    report_mod.write_binned_csv(binned, binned_mean(_by_user_count(index, scores), bins))
+    report_mod.write_binned_csv(binned, binned_mean(*_by_user_count(index, scores), bins))
 
 
 def _forest(index, top_k, min_users, min_support, threshold):
@@ -408,7 +408,7 @@ def expertise_depth(source, delimiter, granularity, header, dedupe, mode, thresh
     scores = taxonomy_mod.depth_expertise(index, forest, mode)
     if per_user:
         _write_per_user(per_user, ["depth_expertise"], index, scores[np.newaxis])
-    report_mod.write_binned_csv(binned, binned_mean(_by_user_count(index, scores), bins))
+    report_mod.write_binned_csv(binned, binned_mean(*_by_user_count(index, scores), bins))
 
 
 @main.command()

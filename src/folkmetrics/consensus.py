@@ -76,11 +76,10 @@ def consensus_by_bin(
     match = s_top[np.searchsorted(s_item, shared)] == o_top[np.searchsorted(o_item, shared)]
     cos = _cosines(s_entries, o_entries, shared, len(c.items), len(c.tags))
     # items in the order of their first annotation, keyed by their annotation count
-    first = index.item_csr.positions[index.item_csr.offsets[shared]]
-    order = np.argsort(first)
-    keys = index.item_csr.counts()[shared[order]].astype(float).tolist()
+    order = np.argsort(index.item_first[shared])
+    keys = index.item_counts[shared[order]]
     return ConsensusSeries(
-        top_match=binned_mean(zip(keys, match[order].astype(float).tolist()), spec),
-        cosine=binned_mean(zip(keys, cos[order].tolist()), spec),
+        top_match=binned_mean(keys, match[order], spec),
+        cosine=binned_mean(keys, cos[order], spec),
         shared_items=len(shared),
     )

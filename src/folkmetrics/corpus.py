@@ -30,7 +30,6 @@ __all__ = [
     "Annotation",
     "AnnotationColumns",
     "CHUNK_LINES",
-    "Csr",
     "DatasetSummary",
     "FolksonomyIndex",
     "ParseResult",
@@ -477,35 +476,6 @@ def write_annotations(annotations: Iterable[Annotation], dest, delimiter: str = 
         dest.write(f"{a.user}{delimiter}{a.item}{delimiter}{a.tag}{delimiter}{a.time}\n")
 
 
-class Csr(NamedTuple):
-    """Annotation positions grouped by code: code k has positions[offsets[k]:offsets[k + 1]].
-
-    Each group's positions ascend.
-    """
-
-    offsets: np.ndarray
-    positions: np.ndarray
-
-    @classmethod
-    def of(cls, codes: np.ndarray, n_codes: int) -> "Csr":
-        offsets = np.zeros(n_codes + 1, dtype=np.int64)
-        np.cumsum(np.bincount(codes, minlength=n_codes), out=offsets[1:])
-        return cls(offsets, np.argsort(codes, kind="stable"))
-
-    def counts(self) -> np.ndarray:
-        return np.diff(self.offsets)
-
-    def gather(self, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The positions of the codes, concatenated in the order given, and each code's count."""
-        first, sizes = self.offsets[codes], self.counts()[codes]
-        shift = np.repeat(first - np.cumsum(sizes) + sizes, sizes)
-        return self.positions[np.arange(len(shift)) + shift], sizes
-
-    def first_seen(self) -> np.ndarray:
-        """The codes in the order of their first position."""
-        return np.argsort(self.positions[self.offsets[:-1]])
-
-
 def _run_starts(*keys: np.ndarray) -> np.ndarray:
     """Mask of the elements of key-sorted arrays that differ from their predecessor."""
     starts = np.zeros(len(keys[0]), dtype=bool)
@@ -562,23 +532,31 @@ def _members(names: Sequence[str], wanted) -> np.ndarray:
     return np.fromiter(map(wanted.__contains__, names), dtype=bool, count=len(names))
 
 
-def _by_user_count(index: "FolksonomyIndex", values: np.ndarray) -> list[tuple[float, float]]:
-    """(annotation count, value) of each user whose value is not NaN, in first-annotation order."""
-    order = index.user_csr.first_seen()
+def _by_user_count(index: "FolksonomyIndex", values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Annotation counts and values of the users whose value is not NaN, in first-seen order."""
+    order = np.argsort(index.user_first)
     order = order[~np.isnan(values[order])]
-    return list(zip(index.user_csr.counts()[order].astype(float).tolist(), values[order].tolist()))
+    return index.user_counts[order], values[order]
+
+
+def _first_positions(codes: np.ndarray, n_codes: int) -> np.ndarray:
+    """Each code's first position in codes; len(codes) for a code that does not occur."""
+    first = np.full(n_codes, len(codes), dtype=np.int64)
+    np.minimum.at(first, codes, np.arange(len(codes), dtype=np.int64))
+    return first
 
 
 @dataclass(frozen=True, eq=False)
 class FolksonomyIndex:
-    """Immutable multi-way index over one annotation set.
+    """Immutable index over one annotation set.
 
     columns holds the indexed annotations (raw or deduped), the one data
-    model every analysis reads; user_csr, item_csr and tag_csr group their
-    positions by code. The CSRs are built on first read and then cached, so
-    a command pays only for the ones it reads. Where an analysis visits
-    users or items one by one, it visits them in the order of their first
-    annotation (Csr.first_seen), so its sums add up in a fixed order.
+    model every analysis reads. The index adds, by code, each user's, item's
+    and tag's annotation count and each user's and item's first annotation
+    position, each built on first read and then cached. Where an analysis
+    visits users or items one by one, it visits them in the order of their
+    first annotation (np.argsort of user_first or item_first), so its sums
+    add up in a fixed order.
     """
 
     columns: AnnotationColumns
@@ -590,16 +568,24 @@ class FolksonomyIndex:
         return len(self.columns)
 
     @cached_property
-    def user_csr(self) -> Csr:
-        return Csr.of(self.columns.user, len(self.columns.users))
+    def user_counts(self) -> np.ndarray:
+        return np.bincount(self.columns.user, minlength=len(self.columns.users))
 
     @cached_property
-    def item_csr(self) -> Csr:
-        return Csr.of(self.columns.item, len(self.columns.items))
+    def item_counts(self) -> np.ndarray:
+        return np.bincount(self.columns.item, minlength=len(self.columns.items))
 
     @cached_property
-    def tag_csr(self) -> Csr:
-        return Csr.of(self.columns.tag, len(self.columns.tags))
+    def tag_counts(self) -> np.ndarray:
+        return np.bincount(self.columns.tag, minlength=len(self.columns.tags))
+
+    @cached_property
+    def user_first(self) -> np.ndarray:
+        return _first_positions(self.columns.user, len(self.columns.users))
+
+    @cached_property
+    def item_first(self) -> np.ndarray:
+        return _first_positions(self.columns.item, len(self.columns.items))
 
 
 def _dedupe(columns: AnnotationColumns) -> AnnotationColumns:
@@ -656,11 +642,8 @@ def summary(index: FolksonomyIndex) -> DatasetSummary:
     """Dataset-level summary; medians are None for an empty index."""
     if index.n_annotations == 0:
         return DatasetSummary(0, 0, 0, 0, None, None, None)
-    c = index.columns
     per_user, per_tag, per_item = (
-        np.bincount(codes, minlength=len(names)).tolist()
-        for codes, names in ((c.user, c.users), (c.tag, c.tags), (c.item, c.items))
-    )
+        counts.tolist() for counts in (index.user_counts, index.tag_counts, index.item_counts))
     return DatasetSummary(
         taggers=len(per_user),
         tags=len(per_tag),

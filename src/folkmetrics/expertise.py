@@ -104,4 +104,4 @@ def consensus_expertise_by_bin(
     frequency view from distinct users to raw annotation counts (both F and
     the user's own deduction) for sensitivity checks.
     """
-    return binned_mean(_by_user_count(index, consensus_expertise(index, raw_counts)), spec)
+    return binned_mean(*_by_user_count(index, consensus_expertise(index, raw_counts)), spec)

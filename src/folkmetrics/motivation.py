@@ -68,5 +68,5 @@ def motivation_by_bin(
     index: FolksonomyIndex, spec: BinSpec, divisor: int = DEFAULT_ORPHAN_DIVISOR
 ) -> MotivationSeries:
     """Binned mean/stderr of TPP, TRR, and OR keyed by user annotation count."""
-    return MotivationSeries(*(binned_mean(_by_user_count(index, scores), spec)
+    return MotivationSeries(*(binned_mean(*_by_user_count(index, scores), spec)
                               for scores in motivation_scores(index, divisor)))

@@ -52,7 +52,7 @@ def gini(values: Iterable[float]) -> float:
 def rank_users(index: FolksonomyIndex) -> np.ndarray:
     """User codes in descending annotation-count order, ties broken lexicographically."""
     # codes follow name order, so a stable sort by count breaks ties by name
-    return np.argsort(-index.user_csr.counts(), kind="stable")
+    return np.argsort(-index.user_counts, kind="stable")
 
 
 def _user_mask(index: FolksonomyIndex, mask: np.ndarray) -> np.ndarray:
@@ -89,7 +89,7 @@ def split_supertaggers(index: FolksonomyIndex, target_fraction: float = 0.5) -> 
     if index.n_annotations == 0:
         raise DomainError("cannot partition an empty index")
     ranked = rank_users(index)
-    counts = index.user_csr.counts()[ranked]
+    counts = index.user_counts[ranked]
     target = target_fraction * index.n_annotations
     cut = min(int(np.searchsorted(np.cumsum(counts), target)) + 1, len(ranked))
     supertagger = np.zeros(len(ranked), dtype=bool)
@@ -119,7 +119,7 @@ def pareto_curve(index: FolksonomyIndex, resolution: Optional[int] = None) -> Pa
         raise DomainError("pareto curve of an empty index")
     _check_resolution(resolution)
     ranked = rank_users(index)
-    counts = index.user_csr.counts()[ranked].astype(float)
+    counts = index.user_counts[ranked].astype(float)
     shares = np.cumsum(counts) / counts.sum()
     n = len(ranked)
     if resolution is None or resolution >= n:
@@ -185,8 +185,8 @@ def partition_summary(index: FolksonomyIndex, partition: Partition) -> Partition
     s_items, o_items = (np.bincount(c.item[rows], minlength=len(c.items)) > 0
                         for rows in (s_rows, ~s_rows))
     # annotations, distinct tags and distinct items per user
-    per_user = [np.bincount(user, minlength=len(c.users))
-                for user in (c.user, _tally(c.user, c.tag)[0][0], _tally(c.user, c.item)[0][0])]
+    per_user = [index.user_counts, *(np.bincount(_tally(c.user, key)[0][0], minlength=len(c.users))
+                                     for key in (c.tag, c.item))]
     return PartitionSummary(
         supertaggers=_group_summary(s_users, per_user, s_tags, o_tags, s_items, o_items),
         others=_group_summary(~s_users, per_user, o_tags, s_tags, o_items, s_items),

@@ -269,6 +269,9 @@ def write_report(
     given corpus (no shared items, no eligible tags) produce header-only
     files. Returns the list of files written.
     """
+    # checked before any file is written, so the bundle is all or nothing
+    if index.n_annotations == 0:
+        raise DomainError("cannot report on an empty index")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written = []

@@ -14,7 +14,7 @@ from typing import Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .corpus import FolksonomyIndex
+from .corpus import FolksonomyIndex, _members
 from .errors import DomainError, UndefinedCorrelationError
 from .partition import Partition, _user_mask
 from .stats import BinSpec, BinnedSeries, binned_mean, rank_descending
@@ -230,12 +230,10 @@ def exogenous_popularity_diff(
     c = index.columns
     in_s = _user_mask(index, partition.supertagger)[c.user]
     # S minus not-S annotations per item
-    diff = 2 * np.bincount(c.item[in_s], minlength=len(c.items)) - index.item_csr.counts()
-    pairs = []
-    for k in index.item_csr.first_seen().tolist():
-        pop = popularity.get(c.items[k])
-        if pop is not None:
-            pairs.append((float(pop), float(diff[k])))
-    if not pairs:
+    diff = 2 * np.bincount(c.item[in_s], minlength=len(c.items)) - index.item_counts
+    order = np.argsort(index.item_first)
+    order = order[_members(c.items, popularity)[order]]
+    if not len(order):
         raise DomainError("no indexed item has an external popularity value")
-    return binned_mean(pairs, spec)
+    pop = np.array([popularity[c.items[k]] for k in order.tolist()], dtype=float)
+    return binned_mean(pop, diff[order], spec)

@@ -55,9 +55,7 @@ def eligible_tags(
 ) -> set[str]:
     """The top_k most-annotated tags having at least min_users distinct users."""
     _check_top_k(top_k)
-    columns = index.columns
-    n_tags = len(columns.tags)
-    counts = np.bincount(columns.tag, minlength=n_tags)
+    columns, counts = index.columns, index.tag_counts
     # codes follow name order, so a stable sort by count breaks ties by name
     ranked = np.argsort(-counts, kind="stable")[:top_k]
     # the keys sort by tag first: tag k's rows are ends[k] - counts[k]:ends[k] of the sorted keys,
@@ -284,4 +282,4 @@ def spear_by_bin(
     passes the eligibility filter.
     """
     mean_z = user_mean_z(index, top_k, min_users, exponent, tolerance, max_iter)
-    return binned_mean(_by_user_count(index, mean_z), spec)
+    return binned_mean(*_by_user_count(index, mean_z), spec)

@@ -110,6 +110,11 @@ class BinSpec:
         # max / step may overflow to inf even when both are finite
         if not self.max_exponent / self.exponent_step < _MAX_EDGES:
             raise DomainError(f"bin spec asks for more than {_MAX_EDGES} edges: {self}")
+        # so may the top edge; float ** raises where numpy would return inf
+        try:
+            self.base ** self.max_exponent
+        except OverflowError:
+            raise DomainError(f"bin spec's top edge overflows float: {self}") from None
 
 
 def log_bins(spec: BinSpec) -> np.ndarray:
@@ -144,27 +149,31 @@ def _stderr(values: np.ndarray) -> float:
     return float(values.std(ddof=1) / math.sqrt(values.size))
 
 
-def binned_mean(pairs: Iterable[tuple[float, float]], spec: BinSpec) -> BinnedSeries:
-    """Group (key, value) pairs into the spec's log bins and average per bin.
+def binned_mean(keys: np.ndarray, values: np.ndarray, spec: BinSpec) -> BinnedSeries:
+    """Group values by the spec's log bin of their keys and average per bin.
 
-    Keys below the first edge share an implicit [min, first_edge) bin and keys
-    at or above the last edge an implicit [last_edge, inf) bin, so every input
-    pair lands in exactly one bin.
+    keys and values are equal-length arrays. Keys below the first edge share
+    an implicit [min, first_edge) bin and keys at or above the last edge an
+    implicit [last_edge, inf) bin, so every value lands in exactly one bin.
+    A stable sort by bin keeps each bin's values in input order, so a bin's
+    mean and stderr add up in that order.
     """
-    edges = log_bins(spec)
-    keys_values = list(pairs)
-    if not keys_values:
+    keys, values = np.asarray(keys, dtype=float), np.asarray(values, dtype=float)
+    if keys.shape != values.shape:
+        raise DomainError(f"{keys.shape} keys for {values.shape} values")
+    if not keys.size:
         return BinnedSeries(rows=())
-    keys = np.array([k for k, _ in keys_values], dtype=float)
-    values = np.array([v for _, v in keys_values], dtype=float)
+    edges = log_bins(spec)
     # index -1 -> underflow, len(edges)-1 -> overflow
     idx = np.searchsorted(edges, keys, side="right") - 1
-
+    order = np.argsort(idx, kind="stable")
+    idx, keys, values = idx[order], keys[order], values[order]
+    cuts = np.flatnonzero(np.diff(idx)) + 1
     rows = []
-    for bin_idx in np.flatnonzero(np.bincount(idx + 1)) - 1:  # the bins that hold a key
-        in_bin = values[idx == bin_idx]
+    for bin_idx, bin_keys, in_bin in zip(idx[np.append(0, cuts)].tolist(), np.split(keys, cuts),
+                                         np.split(values, cuts)):
         if bin_idx < 0:
-            low, high = float(keys[idx == bin_idx].min()), float(edges[0])
+            low, high = float(bin_keys.min()), float(edges[0])
         elif bin_idx == len(edges) - 1:
             low, high = float(edges[-1]), math.inf
         else:

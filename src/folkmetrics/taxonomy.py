@@ -74,9 +74,10 @@ def conditional_table(
         raise DomainError(f"tags not in index: {missing[:5]!r}")
 
     n_tags = len(tag_list)
-    rows, sizes = index.tag_csr.gather(codes)
-    # one row per item code, one column per listed tag
-    (item, tag), _, _ = _tally(c.item[rows], np.repeat(np.arange(n_tags), sizes))
+    rows = np.isin(c.tag, codes)
+    # one row per item code, one column per listed tag: tag_list is sorted, so its codes
+    # ascend and a tag's column is its code's rank among them
+    (item, tag), _, _ = _tally(c.item[rows], np.searchsorted(codes, c.tag[rows]))
     matrix = sparse.csr_matrix((np.ones(len(item), dtype=np.int64), (item, tag)),
                                shape=(len(c.items), n_tags))
     cooc = (matrix.T @ matrix).tocoo()
@@ -199,8 +200,7 @@ def annotation_coverage(index: FolksonomyIndex, forest: TaxonomyForest) -> float
     """Fraction of all annotations whose tag is a connected forest node."""
     if index.n_annotations == 0:
         return 0.0
-    c = index.columns
-    covered = index.tag_csr.counts()[_members(c.tags, forest.nodes)].sum()
+    covered = index.tag_counts[_members(index.columns.tags, forest.nodes)].sum()
     return int(covered) / index.n_annotations
 
 
@@ -232,4 +232,4 @@ def depth_by_bin(
     index: FolksonomyIndex, forest: TaxonomyForest, spec: BinSpec, mode: str = "vocabulary"
 ) -> BinnedSeries:
     """Binned mean term-depth expertise keyed by user total annotation count."""
-    return binned_mean(_by_user_count(index, depth_expertise(index, forest, mode)), spec)
+    return binned_mean(*_by_user_count(index, depth_expertise(index, forest, mode)), spec)

@@ -182,12 +182,13 @@ def similarity_curve(index, partition, dimension, n_values):
 
 def exogenous_popularity_diff(index, partition, popularity, spec):
     v = views(index)
-    pairs = []
+    keys, diffs = [], []
     for item, positions in v.by_item.items():
         if item in popularity:
             s = sum(1 for pos in positions if v.annotations[pos].user in partition.supertaggers)
-            pairs.append((float(popularity[item]), float(s - (len(positions) - s))))
-    return binned_mean(pairs, spec)
+            keys.append(float(popularity[item]))
+            diffs.append(float(s - (len(positions) - s)))
+    return binned_mean(np.array(keys), np.array(diffs), spec)
 
 
 @dataclass(frozen=True)
@@ -243,23 +244,25 @@ def item_tag_distribution(index, users, item):
 
 def consensus_by_bin(index, partition, spec):
     v = views(index)
-    match_pairs, cos_pairs = [], []
+    keys, matches, cosines = [], [], []
     for item, positions in v.by_item.items():
         s_dist = item_tag_distribution(index, partition.supertaggers, item)
         o_dist = item_tag_distribution(index, partition.others, item)
         match = top_tag_match(s_dist, o_dist)
         if match is not None:
-            match_pairs.append((float(len(positions)), float(match)))
-            cos_pairs.append((float(len(positions)), item_cosine(s_dist, o_dist)))
-    return ConsensusSeries(binned_mean(match_pairs, spec), binned_mean(cos_pairs, spec),
-                           len(match_pairs))
+            keys.append(float(len(positions)))
+            matches.append(float(match))
+            cosines.append(item_cosine(s_dist, o_dist))
+    keys = np.array(keys)
+    return ConsensusSeries(binned_mean(keys, np.array(matches), spec),
+                           binned_mean(keys, np.array(cosines), spec), len(keys))
 
 
 def _binned(index, scores, spec):
     """The {user: score} values binned by the user's annotation count, in the dict's order."""
     v = views(index)
-    return binned_mean([(float(len(v.by_user[user])), score) for user, score in scores.items()],
-                       spec)
+    return binned_mean(np.array([float(len(v.by_user[user])) for user in scores]),
+                       np.array(list(scores.values()), dtype=float), spec)
 
 
 def motivation(index, divisor):

@@ -156,7 +156,8 @@ def eligible_tags(index, top_k=10_000, min_users=10):
     """The top_k most-annotated tags having at least min_users distinct users."""
     columns = index.columns
     n_users = len(columns.users)
-    ranked = np.argsort(-index.tag_csr.counts(), kind="stable")[:top_k]
+    counts = np.bincount(columns.tag, minlength=len(columns.tags))
+    ranked = np.argsort(-counts, kind="stable")[:top_k]
     pairs = np.unique(columns.tag.astype(np.int64) * n_users + columns.user)
     users = np.bincount(pairs // n_users, minlength=len(columns.tags))
     return {columns.tags[k] for k in ranked[users[ranked] >= min_users].tolist()}
@@ -166,8 +167,11 @@ def credit_batch(index, tags, exponent=0.5):
     """The CreditBatch of the tags, from stable multi-key lexsorts."""
     columns = index.columns
     code = {name: k for k, name in enumerate(columns.tags)}
-    rows, sizes = index.tag_csr.gather(np.array([code[tag] for tag in tags], dtype=np.int64))
-    tag = np.repeat(np.arange(len(tags), dtype=np.int32), sizes)
+    # each annotation's position in tags, -1 for a tag not listed
+    position = np.full(len(columns.tags), -1, dtype=np.int32)
+    position[[code[tag] for tag in tags]] = np.arange(len(tags))
+    rows = position[columns.tag] >= 0
+    tag = position[columns.tag[rows]]
     user, item, time = columns.user[rows], columns.item[rows], columns.time[rows]
     order = np.lexsort((time, item, user, tag))
     first = order[_run_starts(tag[order], user[order], item[order])]

@@ -70,7 +70,7 @@ def test_group_properties(rows, dedupe, fraction):
     """Properties of the S / not-S split that hold for any corpus."""
     index = make_index(rows, dedupe=dedupe)
     c = index.columns
-    assert 0.0 <= partition.gini(index.user_csr.counts()) < 1.0
+    assert 0.0 <= partition.gini(index.user_counts) < 1.0
     part = partition.split_supertaggers(index, fraction)
     for dimension, codes, keys in (("tag", c.tag, c.tags), ("item", c.item, c.items)):
         dists = [similarity.freq_dist(index, mask, dimension)

@@ -381,6 +381,7 @@ class TestAnalysisCommands:
         (["report", "--pareto-resolution", "0"], "x>=2"),
         (["consensus", "--bins", "max=inf"], "finite"), (["report", "--bins", "base=nan"], "finite"),
         (["motivation", "--bins", "max=1e300,step=1e-300"], "edges"),
+        (["consensus", "--bins", "base=10,step=1,max=400"], "overflows"),
     ])
     def test_limits_that_cannot_be_met_are_usage_errors(self, runner, tmp_path, args, bound):
         src = write_fixture(tmp_path / "corpus.tsv")
@@ -522,6 +523,13 @@ class TestReportBundle:
         assert result.exit_code == 1 and "Traceback" not in result.output
         assert not out_dir.exists()
 
+    def test_empty_corpus_exits_one_before_writing(self, runner, tmp_path):
+        src = write_fixture(tmp_path / "empty.tsv", "")
+        out_dir = tmp_path / "bundle"
+        result = runner.invoke(main, ["report", src, "--out-dir", str(out_dir)])
+        assert result.exit_code == 1 and "empty" in result.output
+        assert not out_dir.exists()
+
     @pytest.mark.parametrize("bad", [
         dict(fraction=0.0), dict(fraction=float("nan")), dict(max_n=0), dict(pareto_resolution=1),
         dict(top_k=0), dict(taxonomy_threshold=0.0), dict(taxonomy_threshold=1.5),
@@ -602,7 +610,7 @@ def test_per_user_outputs_match_the_single_user_functions(runner, tmp_path):
     src = write_fixture(tmp_path / "corpus.tsv", "".join(lines))
     index = build_index(parse_annotations(src).annotations)
     users = index.columns.users
-    counts = dict(zip(users, index.user_csr.counts().tolist()))
+    counts = dict(zip(users, index.user_counts.tolist()))
     forest = induce_forest(conditional_table(index, eligible_tags(index, min_users=3), 2))
 
     def rows(args):
@@ -650,7 +658,7 @@ def test_spear_per_user_rows_match_the_per_tag_reference(runner, tmp_path):
     rows = list(csv.reader(out.open()))
     assert rows[0] == ["user", "annotations", "mean_z"]
     assert [row[0] for row in rows[1:]] == sorted(expected)
-    counts = dict(zip(index.columns.users, index.user_csr.counts().tolist()))
+    counts = dict(zip(index.columns.users, index.user_counts.tolist()))
     for user, annotations, mean_z in rows[1:]:
         assert int(annotations) == counts[user]
         assert float(mean_z) == pytest.approx(expected[user], abs=1e-12)

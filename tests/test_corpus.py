@@ -125,7 +125,7 @@ class TestBuildIndex:
     def test_counts_sum_to_total(self):
         rng = np.random.default_rng(4)
         index = make_index(random_rows(rng))
-        assert index.user_csr.counts().sum() == index.n_annotations
+        assert index.user_counts.sum() == index.n_annotations
 
     def test_dedupe_idempotent(self):
         rng = np.random.default_rng(6)
@@ -222,13 +222,13 @@ class TestSummary:
         assert (s.taggers, s.tags, s.resources, s.annotations) == (0, 0, 0, 0)
         assert s.per_user is None
 
-    def test_builds_no_csr(self):
-        """ingest reads only the summary: its counts must not argsort the columns."""
+    def test_builds_no_first_positions(self):
+        """ingest reads only the summary: it needs the counts, not the first positions."""
         rng = np.random.default_rng(13)
         for dedupe in (False, True):
             index = build_index(make_annotations(random_rows(rng)), dedupe=dedupe)
             summary(index)
-            assert not {"user_csr", "item_csr", "tag_csr"} & set(vars(index))
+            assert not {"user_first", "item_first"} & set(vars(index))
 
     def test_matches_sort_oracle(self):
         rng = np.random.default_rng(12)

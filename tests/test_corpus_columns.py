@@ -221,21 +221,20 @@ rows = st.lists(
     max_size=40,
 )
 
-def grouped(csr, names):
-    """{name: its positions}, names in the order of their first position."""
-    return {names[k]: tuple(csr.positions[csr.offsets[k]:csr.offsets[k + 1]].tolist())
-            for k in csr.first_seen().tolist()}
-
-
 def assert_same_index(index, expected):
     c = index.columns
     assert tuple(c) == expected.annotations
     assert index.n_annotations == len(expected.annotations)
-    for csr, names, view in ((index.user_csr, c.users, expected.by_user),
-                             (index.item_csr, c.items, expected.by_item),
-                             (index.tag_csr, c.tags, expected.by_tag)):
-        # equal keys and positions, and the keys in the same order
-        assert list(grouped(csr, names).items()) == list(view.items())
+    for counts, names, view in ((index.user_counts, c.users, expected.by_user),
+                                (index.item_counts, c.items, expected.by_item),
+                                (index.tag_counts, c.tags, expected.by_tag)):
+        assert dict(zip(names, counts.tolist())) == {k: len(p) for k, p in view.items()}
+    for first, names, view in ((index.user_first, c.users, expected.by_user),
+                               (index.item_first, c.items, expected.by_item)):
+        # each name's first position, the names in the order of their first position
+        first = first.tolist()
+        assert ([(names[k], first[k]) for k in np.argsort(first).tolist()]
+                == [(k, p[0]) for k, p in view.items()])
     assert item_tag_freq(index) == expected.item_tag_freq
 
 

@@ -215,10 +215,11 @@ class TestConsensusExpertiseByBin:
         series = consensus_expertise_by_bin(index, spec)
         from folkmetrics.stats import binned_mean
 
-        pairs = []
+        counts, scores = [], []
         for user in views(index).by_user:
             score = expertise_of(index, user)
             if math.isnan(score):
                 continue
-            pairs.append((float(views(index).user_annotation_count[user]), score))
-        assert series == binned_mean(pairs, spec)
+            counts.append(float(views(index).user_annotation_count[user]))
+            scores.append(score)
+        assert series == binned_mean(np.array(counts), np.array(scores), spec)

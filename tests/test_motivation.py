@@ -151,11 +151,10 @@ class TestMotivationByBin:
         index = make_index(rows)
         spec = BinSpec()
         series = motivation_by_bin(index, spec)
-        pairs = [
-            (float(views(index).user_annotation_count[u]), scores_of(index, u)[0])
-            for u in views(index).by_user
-        ]
+        users = views(index).by_user
+        counts = np.array([views(index).user_annotation_count[u] for u in users], dtype=float)
+        tpp = np.array([scores_of(index, u)[0] for u in users])
         from folkmetrics.stats import binned_mean
 
-        expected = binned_mean(pairs, spec)
+        expected = binned_mean(counts, tpp, spec)
         assert series.tpp == expected

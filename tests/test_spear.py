@@ -306,12 +306,10 @@ class TestSpearByBin:
         from folkmetrics.stats import binned_mean
 
         # users in the order of their first annotation
-        first = list(dict.fromkeys(u for u, _, _, _ in rows))
-        pairs = [
-            (float(views(index).user_annotation_count[u]), float(np.mean(per_user[u])))
-            for u in first if u in per_user
-        ]
-        assert series == binned_mean(pairs, spec)
+        first = [u for u in dict.fromkeys(u for u, _, _, _ in rows) if u in per_user]
+        counts = np.array([views(index).user_annotation_count[u] for u in first], dtype=float)
+        means = np.array([np.mean(per_user[u]) for u in first])
+        assert series == binned_mean(counts, means, spec)
 
     def test_unconverged_tags_warn(self):
         rng = np.random.default_rng(173)

@@ -347,9 +347,10 @@ class TestDepthByBin:
 
         for mode in ("annotation", "vocabulary"):
             series = depth_by_bin(index, forest, spec, mode)
-            pairs = []
+            counts, scores = [], []
             for user in views(index).by_user:
                 score = user_depth(index, forest, user, mode)
                 if not np.isnan(score):
-                    pairs.append((float(views(index).user_annotation_count[user]), score))
-            assert series == binned_mean(pairs, spec)
+                    counts.append(float(views(index).user_annotation_count[user]))
+                    scores.append(score)
+            assert series == binned_mean(np.array(counts), np.array(scores), spec)
