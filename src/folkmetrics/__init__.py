@@ -14,6 +14,7 @@ from .corpus import (
     ParseResult,
     SyntheticConfig,
     TimeGranularity,
+    binned_by_user_count,
     build_index,
     generate_synthetic,
     parse_annotations,
@@ -28,8 +29,8 @@ from .errors import (
     NotFoundError,
     UndefinedCorrelationError,
 )
-from .expertise import consensus_expertise, consensus_expertise_by_bin
-from .motivation import MotivationSeries, motivation_by_bin, motivation_scores
+from .expertise import consensus_expertise
+from .motivation import motivation_scores
 from .partition import (
     GroupSummary,
     ParetoCurve,
@@ -56,7 +57,6 @@ from .spear import (
     SpearBatch,
     credit_batch,
     eligible_tags,
-    spear_by_bin,
     spear_scores,
     user_mean_z,
 )
@@ -75,7 +75,6 @@ from .taxonomy import (
     TaxonomyForest,
     annotation_coverage,
     conditional_table,
-    depth_by_bin,
     depth_expertise,
     induce_forest,
     induce_taxonomy,

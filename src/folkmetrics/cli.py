@@ -28,7 +28,6 @@ from . import taxonomy as taxonomy_mod
 from .corpus import (
     SyntheticConfig,
     TimeGranularity,
-    _by_user_count,
     build_index,
     generate_synthetic,
     parse_annotations,
@@ -36,7 +35,7 @@ from .corpus import (
 )
 from .errors import ConvergenceWarning, FolkmetricsError
 from .partition import pareto_curve, partition_summary, split_supertaggers
-from .stats import BinSpec, binned_mean
+from .stats import BinSpec
 
 
 def _fail_on_domain_errors(fn):
@@ -85,6 +84,7 @@ def _check_delimiter(_ctx, _param, value: str) -> str:
 
 
 def input_options(fn):
+    """The source and how to read it: the arguments of _load_index (a command's **load)."""
     fn = click.argument("source", type=str)(fn)
     fn = click.option("--delimiter", default="\t", callback=_check_delimiter,
                       help="field delimiter (default: tab)")(fn)
@@ -115,6 +115,25 @@ def bins_option(fn):
     )(fn)
 
 
+def _finite(_ctx, _param, value: float) -> float:
+    if math.isinf(value):
+        raise click.BadParameter("must be finite")
+    return value
+
+
+# the options several commands take, each declared once
+fraction_option = click.option("--fraction", type=float, default=0.5, show_default=True,
+                               help="target supertagger share of annotations")
+top_k_option = click.option("--top-k", type=click.IntRange(1), default=spear_mod.DEFAULT_TOP_K,
+                            show_default=True)
+min_users_option = click.option("--min-users", type=click.IntRange(1),
+                                default=spear_mod.DEFAULT_MIN_USERS, show_default=True)
+threshold_option = click.option("--threshold", type=float, default=taxonomy_mod.DEFAULT_THRESHOLD,
+                                show_default=True)
+min_support_option = click.option("--min-support", type=click.IntRange(1),
+                                  default=taxonomy_mod.DEFAULT_MIN_SUPPORT, show_default=True)
+
+
 def _load_index(source, delimiter, granularity, header, dedupe):
     gran = TimeGranularity(granularity)
     # stdin as bytes: the parser decodes it, and names the line of a bad byte
@@ -123,16 +142,36 @@ def _load_index(source, delimiter, granularity, header, dedupe):
     return build_index(parsed.annotations, dedupe=(dedupe == "on"), granularity=gran), parsed
 
 
-def _write_per_user(path, columns, index, scores):
-    """Per-user CSV of user, annotations and the scores, arrays by user code, in user order.
+def scores_command(binned_flag="--binned"):
+    """A command from a function that scores every user of an index.
 
-    Users with an undefined (NaN) score are left out.
+    The function takes the index and the command's own options and returns
+    named score arrays by user code. The command loads the index, writes the
+    optional per-user CSV (user, annotations and the scores in user order,
+    leaving out users with an undefined (NaN) score) and the binned series
+    (report.write_binned_scores) to binned_flag.
     """
-    defined = np.flatnonzero(~np.isnan(scores).any(axis=0))
-    counts = index.user_counts[defined]
-    rows = zip(map(index.columns.users.__getitem__, defined.tolist()), counts.tolist(),
-               *(score[defined].tolist() for score in scores))
-    report_mod._write_csv(path, ["user", "annotations", *columns], rows)
+    def decorate(score):
+        @input_options
+        @click.option("--per-user", default=None, help="write per-user scores CSV here")
+        @click.option(binned_flag, "binned", default="-", help="binned series CSV (default: stdout)")
+        @bins_option
+        @_fail_on_domain_errors
+        @functools.wraps(score)
+        def command(source, delimiter, granularity, header, dedupe, per_user, binned, bins,
+                    **params):
+            index, _ = _load_index(source, delimiter, granularity, header, dedupe)
+            scores = score(index, **params)
+            if per_user:
+                values = np.array(list(scores.values()))
+                defined = np.flatnonzero(~np.isnan(values).any(axis=0))
+                rows = zip(map(index.columns.users.__getitem__, defined.tolist()),
+                           index.user_counts[defined].tolist(),
+                           *(v[defined].tolist() for v in values))
+                report_mod._write_csv(per_user, ["user", "annotations", *scores], rows)
+            report_mod.write_binned_scores(binned, index, scores, bins)
+        return command
+    return decorate
 
 
 @click.group()
@@ -152,9 +191,9 @@ def main(ctx, threads):
 @click.option("--out", default="-", help="normalized TSV output path (default: stdout)")
 @click.option("--summary-out", default=None, help="write the dataset summary JSON here")
 @_fail_on_domain_errors
-def ingest(source, delimiter, granularity, header, dedupe, out, summary_out):
+def ingest(out, summary_out, **load):
     """Parse, validate, optionally dedupe, and re-emit a dataset."""
-    index, parsed = _load_index(source, delimiter, granularity, header, dedupe)
+    index, parsed = _load_index(**load)
     with report_mod._output(out) as stream:
         write_annotations(index.columns, stream)
     payload = report_mod.summary_json(index)
@@ -195,8 +234,7 @@ def synth(users, items, tags, activity_exponent, item_exponent, tag_exponent, se
 
 @main.command()
 @input_options
-@click.option("--fraction", type=float, default=0.5, show_default=True,
-              help="target supertagger share of annotations")
+@fraction_option
 @click.option("--out", default="-", help="partition JSON (default: stdout)")
 @click.option("--tables", default=None, help="write the per-group summary CSV here")
 @click.option("--pareto", default=None, help="write the Pareto curve CSV here")
@@ -207,10 +245,10 @@ def synth(users, items, tags, activity_exponent, item_exponent, tag_exponent, se
 @click.option("--users-out", default=None,
               help="externalize user lists to <prefix>supertaggers.txt / <prefix>others.txt")
 @_fail_on_domain_errors
-def partition(source, delimiter, granularity, header, dedupe, fraction, out, tables,
-              pareto, resolution, full_pareto, omit_users, users_out):
+def partition(fraction, out, tables, pareto, resolution, full_pareto, omit_users, users_out,
+              **load):
     """Split users into supertaggers / others and summarize both groups."""
-    index, _ = _load_index(source, delimiter, granularity, header, dedupe)
+    index, _ = _load_index(**load)
     part = split_supertaggers(index, fraction)
     if users_out is not None:
         for name, users in report_mod.partition_users(index, part).items():
@@ -229,13 +267,13 @@ def partition(source, delimiter, granularity, header, dedupe, fraction, out, tab
 @main.command()
 @input_options
 @click.option("--dimension", type=click.Choice(["tag", "item"]), default="tag", show_default=True)
-@click.option("--fraction", type=float, default=0.5, show_default=True)
+@fraction_option
 @click.option("--max-n", type=click.IntRange(1), default=100_000, show_default=True)
 @click.option("--out", default="-", help="curve CSV (default: stdout)")
 @_fail_on_domain_errors
-def similarity(source, delimiter, granularity, header, dedupe, dimension, fraction, max_n, out):
+def similarity(dimension, fraction, max_n, out, **load):
     """Top-N Spearman/cosine similarity curve between the two groups."""
-    index, _ = _load_index(source, delimiter, granularity, header, dedupe)
+    index, _ = _load_index(**load)
     part = split_supertaggers(index, fraction)
     curve = similarity_mod.similarity_curve(
         index, part, dimension, similarity_mod.default_n_grid(max_n)
@@ -249,13 +287,12 @@ def similarity(source, delimiter, granularity, header, dedupe, dimension, fracti
 @input_options
 @click.option("--dimension", type=click.Choice(["tag", "item"]), default="tag", show_default=True)
 @click.option("--cumulative", is_flag=True, help="emit the at-least-N cumulative form")
-@click.option("--fraction", type=float, default=0.5, show_default=True)
+@fraction_option
 @click.option("--out", default="-", help="CSV output (default: stdout)")
 @_fail_on_domain_errors
-def usage_dist(source, delimiter, granularity, header, dedupe, dimension, cumulative,
-               fraction, out):
+def usage_dist(dimension, cumulative, fraction, out, **load):
     """Per-group usage distribution over key popularity."""
-    index, _ = _load_index(source, delimiter, granularity, header, dedupe)
+    index, _ = _load_index(**load)
     part = split_supertaggers(index, fraction)
     report_mod.write_usage_csv(out, report_mod._usage_by_group(index, part, dimension, cumulative))
 
@@ -288,73 +325,55 @@ def _read_popularity(path, delimiter="\t"):
 @main.command("exo-diff")
 @input_options
 @click.option("--popularity", required=True, help="two-column <item>\\t<count> sidecar file")
-@click.option("--fraction", type=float, default=0.5, show_default=True)
+@fraction_option
 @bins_option
 @click.option("--out", default="-", help="CSV output (default: stdout)")
 @_fail_on_domain_errors
-def exo_diff(source, delimiter, granularity, header, dedupe, popularity, fraction, bins, out):
+def exo_diff(popularity, fraction, bins, out, **load):
     """S-minus-others annotation difference binned by exogenous popularity."""
-    index, _ = _load_index(source, delimiter, granularity, header, dedupe)
+    index, _ = _load_index(**load)
     part = split_supertaggers(index, fraction)
     series = similarity_mod.exogenous_popularity_diff(
-        index, part, _read_popularity(popularity, delimiter), bins
+        index, part, _read_popularity(popularity, load["delimiter"]), bins
     )
     report_mod.write_binned_csv(out, series, "mean_diff")
 
 
 @main.command()
 @input_options
-@click.option("--fraction", type=float, default=0.5, show_default=True)
+@fraction_option
 @bins_option
 @click.option("--out", default="-", help="CSV output (default: stdout)")
 @_fail_on_domain_errors
-def consensus(source, delimiter, granularity, header, dedupe, fraction, bins, out):
+def consensus(fraction, bins, out, **load):
     """Top-tag match rate and per-item cosine, binned by annotation count."""
-    index, _ = _load_index(source, delimiter, granularity, header, dedupe)
+    index, _ = _load_index(**load)
     part = split_supertaggers(index, fraction)
     series = consensus_mod.consensus_by_bin(index, part, bins)
     report_mod.write_consensus_csv(out, series)
 
 
 @main.command()
-@input_options
-@click.option("--per-user", default=None, help="write per-user scores CSV here")
-@click.option("--binned", default="-", help="binned series CSV (default: stdout)")
+@scores_command()
 @click.option("--orphan-divisor", type=click.IntRange(1), default=100, show_default=True)
-@bins_option
-@_fail_on_domain_errors
-def motivation(source, delimiter, granularity, header, dedupe, per_user, binned,
-               orphan_divisor, bins):
+def motivation(index, orphan_divisor):
     """Categorizer/describer metrics: TPP, TRR, orphan ratio."""
-    index, _ = _load_index(source, delimiter, granularity, header, dedupe)
     scores = motivation_mod.motivation_scores(index, orphan_divisor)
-    if per_user:
-        _write_per_user(per_user, ["tpp", "trr", "orphan_ratio"], index, np.array(scores))
-    report_mod.write_motivation_csv(binned, motivation_mod.MotivationSeries(
-        *(binned_mean(*_by_user_count(index, s), bins) for s in scores)))
+    return dict(zip(report_mod.MOTIVATION_METRICS, scores))
 
 
 @main.command()
-@input_options
-@click.option("--top-k", type=click.IntRange(1), default=spear_mod.DEFAULT_TOP_K, show_default=True)
-@click.option("--min-users", type=int, default=spear_mod.DEFAULT_MIN_USERS, show_default=True)
+@scores_command("--out")
+@top_k_option
+@min_users_option
 @click.option("--exponent", type=float, default=spear_mod.DEFAULT_EXPONENT, show_default=True)
-@click.option("--tolerance", type=click.FloatRange(0, min_open=True),
+@click.option("--tolerance", type=click.FloatRange(0, min_open=True), callback=_finite,
               default=spear_mod.DEFAULT_TOLERANCE, show_default=True)
 @click.option("--max-iter", type=click.IntRange(1), default=spear_mod.DEFAULT_MAX_ITER,
               show_default=True)
-@bins_option
-@click.option("--out", default="-", help="binned series CSV (default: stdout)")
-@click.option("--per-user", default=None, help="write per-user mean z-scores CSV here")
-@_fail_on_domain_errors
-def spear(source, delimiter, granularity, header, dedupe, top_k, min_users, exponent,
-          tolerance, max_iter, bins, out, per_user):
+def spear(index, top_k, min_users, exponent, tolerance, max_iter):
     """Standardized SPEAR expertise, binned by user annotation count."""
-    index, _ = _load_index(source, delimiter, granularity, header, dedupe)
-    mean_z = spear_mod.user_mean_z(index, top_k, min_users, exponent, tolerance, max_iter)
-    if per_user:
-        _write_per_user(per_user, ["mean_z"], index, mean_z[np.newaxis])
-    report_mod.write_binned_csv(out, binned_mean(*_by_user_count(index, mean_z), bins))
+    return {"mean_z": spear_mod.user_mean_z(index, top_k, min_users, exponent, tolerance, max_iter)}
 
 
 @main.group()
@@ -363,21 +382,12 @@ def expertise():
 
 
 @expertise.command("consensus")
-@input_options
-@click.option("--per-user", default=None, help="write per-user scores CSV here")
-@click.option("--binned", default="-", help="binned series CSV (default: stdout)")
+@scores_command()
 @click.option("--raw-counts", is_flag=True,
               help="use raw annotation counts instead of distinct users for F")
-@bins_option
-@_fail_on_domain_errors
-def expertise_consensus(source, delimiter, granularity, header, dedupe, per_user, binned,
-                        raw_counts, bins):
+def expertise_consensus(index, raw_counts):
     """Item-consensus expertise scores."""
-    index, _ = _load_index(source, delimiter, granularity, header, dedupe)
-    scores = expertise_mod.consensus_expertise(index, raw_counts)
-    if per_user:
-        _write_per_user(per_user, ["expertise"], index, scores[np.newaxis])
-    report_mod.write_binned_csv(binned, binned_mean(*_by_user_count(index, scores), bins))
+    return {"expertise": expertise_mod.consensus_expertise(index, raw_counts)}
 
 
 def _forest(index, top_k, min_users, min_support, threshold):
@@ -389,40 +399,30 @@ def _forest(index, top_k, min_users, min_support, threshold):
 
 
 @expertise.command("depth")
-@input_options
+@scores_command()
 @click.option("--mode", type=click.Choice(["annotation", "vocabulary"]),
               default="vocabulary", show_default=True)
-@click.option("--threshold", type=float, default=taxonomy_mod.DEFAULT_THRESHOLD, show_default=True)
-@click.option("--min-support", type=int, default=taxonomy_mod.DEFAULT_MIN_SUPPORT, show_default=True)
-@click.option("--top-k", type=click.IntRange(1), default=spear_mod.DEFAULT_TOP_K, show_default=True)
-@click.option("--min-users", type=int, default=spear_mod.DEFAULT_MIN_USERS, show_default=True)
-@click.option("--binned", default="-", help="binned series CSV (default: stdout)")
-@click.option("--per-user", default=None, help="write per-user scores CSV here")
-@bins_option
-@_fail_on_domain_errors
-def expertise_depth(source, delimiter, granularity, header, dedupe, mode, threshold,
-                    min_support, top_k, min_users, binned, per_user, bins):
+@threshold_option
+@min_support_option
+@top_k_option
+@min_users_option
+def expertise_depth(index, mode, threshold, min_support, top_k, min_users):
     """Term-depth expertise over the induced taxonomy."""
-    index, _ = _load_index(source, delimiter, granularity, header, dedupe)
     forest = _forest(index, top_k, min_users, min_support, threshold)
-    scores = taxonomy_mod.depth_expertise(index, forest, mode)
-    if per_user:
-        _write_per_user(per_user, ["depth_expertise"], index, scores[np.newaxis])
-    report_mod.write_binned_csv(binned, binned_mean(*_by_user_count(index, scores), bins))
+    return {"depth_expertise": taxonomy_mod.depth_expertise(index, forest, mode)}
 
 
 @main.command()
 @input_options
-@click.option("--threshold", type=float, default=taxonomy_mod.DEFAULT_THRESHOLD, show_default=True)
-@click.option("--min-support", type=int, default=taxonomy_mod.DEFAULT_MIN_SUPPORT, show_default=True)
-@click.option("--top-k", type=click.IntRange(1), default=spear_mod.DEFAULT_TOP_K, show_default=True)
-@click.option("--min-users", type=int, default=spear_mod.DEFAULT_MIN_USERS, show_default=True)
+@threshold_option
+@min_support_option
+@top_k_option
+@min_users_option
 @click.option("--out", default="-", help="forest JSON (default: stdout)")
 @_fail_on_domain_errors
-def taxonomy(source, delimiter, granularity, header, dedupe, threshold, min_support,
-             top_k, min_users, out):
+def taxonomy(threshold, min_support, top_k, min_users, out, **load):
     """Induce the tag taxonomy forest and emit it with depth scores."""
-    index, _ = _load_index(source, delimiter, granularity, header, dedupe)
+    index, _ = _load_index(**load)
     forest = _forest(index, top_k, min_users, min_support, threshold)
     coverage = taxonomy_mod.annotation_coverage(index, forest)
     report_mod.write_json(out, report_mod.forest_json(forest, coverage))
@@ -431,34 +431,23 @@ def taxonomy(source, delimiter, granularity, header, dedupe, threshold, min_supp
 @main.command()
 @input_options
 @click.option("--out-dir", required=True, help="bundle output directory")
-@click.option("--fraction", type=float, default=0.5, show_default=True)
+@fraction_option
 @bins_option
 @click.option("--max-n", type=click.IntRange(1), default=100_000, show_default=True)
 @click.option("--pareto-resolution", type=click.IntRange(2), default=1000, show_default=True)
-@click.option("--top-k", type=click.IntRange(1), default=spear_mod.DEFAULT_TOP_K, show_default=True)
-@click.option("--min-users", type=int, default=spear_mod.DEFAULT_MIN_USERS, show_default=True)
+@top_k_option
+@min_users_option
 @click.option("--exponent", type=float, default=spear_mod.DEFAULT_EXPONENT, show_default=True)
-@click.option("--threshold", type=float, default=taxonomy_mod.DEFAULT_THRESHOLD, show_default=True)
-@click.option("--min-support", type=int, default=taxonomy_mod.DEFAULT_MIN_SUPPORT, show_default=True)
+@threshold_option
+@min_support_option
 @click.option("--orphan-divisor", type=click.IntRange(1), default=100, show_default=True)
 @click.option("--popularity", default=None, help="optional exogenous popularity sidecar")
 @_fail_on_domain_errors
-def report(source, delimiter, granularity, header, dedupe, out_dir, fraction, bins, max_n,
-           pareto_resolution, top_k, min_users, exponent, threshold, min_support,
-           orphan_divisor, popularity):
+def report(out_dir, popularity, threshold, source, delimiter, granularity, header, dedupe,
+           **config):
     """Run the full pipeline and write every figure/table data series."""
-    config = report_mod.ReportConfig(
-        fraction=fraction,
-        bins=bins,
-        max_n=max_n,
-        pareto_resolution=pareto_resolution,
-        top_k=top_k,
-        min_users=min_users,
-        exponent=exponent,
-        taxonomy_threshold=threshold,
-        min_support=min_support,
-        orphan_divisor=orphan_divisor,
-    )
+    # every other option is the ReportConfig field of its name
+    config = report_mod.ReportConfig(taxonomy_threshold=threshold, **config)
     index, _ = _load_index(source, delimiter, granularity, header, dedupe)
     pop = _read_popularity(popularity, delimiter) if popularity else None
     written = report_mod.write_report(index, out_dir, config, popularity=pop)

@@ -23,8 +23,8 @@ from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import DomainError, FormatError
-from .stats import MedianIQR, median_iqr
+from .errors import DomainError, FormatError, _check_counts
+from .stats import BinSpec, BinnedSeries, MedianIQR, binned_mean, median_iqr
 
 __all__ = [
     "Annotation",
@@ -35,6 +35,7 @@ __all__ = [
     "ParseResult",
     "SyntheticConfig",
     "TimeGranularity",
+    "binned_by_user_count",
     "build_index",
     "generate_synthetic",
     "parse_annotations",
@@ -532,11 +533,12 @@ def _members(names: Sequence[str], wanted) -> np.ndarray:
     return np.fromiter(map(wanted.__contains__, names), dtype=bool, count=len(names))
 
 
-def _by_user_count(index: "FolksonomyIndex", values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Annotation counts and values of the users whose value is not NaN, in first-seen order."""
-    order = np.argsort(index.user_first)
-    order = order[~np.isnan(values[order])]
-    return index.user_counts[order], values[order]
+def _user_means(user: np.ndarray, values: np.ndarray, n_users: int, weights=None) -> np.ndarray:
+    """Each user code's mean of its values, weighted by weights if given, adding up in the
+    given order; NaN for a user with no value or a total weight of 0."""
+    sums = np.bincount(user, values if weights is None else values * weights, n_users)
+    counts = np.bincount(user, weights, n_users)
+    return np.divide(sums, counts, out=np.full(n_users, np.nan), where=counts != 0)
 
 
 def _first_positions(codes: np.ndarray, n_codes: int) -> np.ndarray:
@@ -655,6 +657,17 @@ def summary(index: FolksonomyIndex) -> DatasetSummary:
     )
 
 
+def binned_by_user_count(index: FolksonomyIndex, scores: np.ndarray, spec: BinSpec) -> BinnedSeries:
+    """A per-user score array, by user code, binned by each user's annotation count.
+
+    Users whose score is NaN are left out; the others add up in the order of
+    their first annotation.
+    """
+    order = np.argsort(index.user_first)
+    order = order[~np.isnan(scores[order])]
+    return binned_mean(index.user_counts[order], scores[order], spec)
+
+
 @dataclass(frozen=True)
 class SyntheticConfig:
     """Power-law corpus generator settings; deterministic per seed."""
@@ -671,10 +684,8 @@ class SyntheticConfig:
     tags_per_item: int = 25
 
     def __post_init__(self) -> None:
-        for name in ("n_users", "n_items", "n_tags", "tags_per_item", "max_user_annotations",
-                     "time_span"):
-            if getattr(self, name) < 1:
-                raise DomainError(f"{name} must be >= 1")
+        _check_counts(**{name: getattr(self, name) for name in (
+            "n_users", "n_items", "n_tags", "tags_per_item", "max_user_annotations", "time_span")})
         for name in ("activity_exponent", "item_popularity_exponent", "tag_popularity_exponent"):
             if getattr(self, name) <= 0:
                 raise DomainError(f"{name} must be > 0")

@@ -23,3 +23,10 @@ class UndefinedCorrelationError(DomainError):
 
 class ConvergenceWarning(UserWarning):
     """An iterative method stopped at its iteration limit before converging."""
+
+
+def _check_counts(**counts: int) -> None:
+    """Raise DomainError, naming the parameter, for a count below 1."""
+    for name, value in counts.items():
+        if value < 1:
+            raise DomainError(f"{name} must be at least 1, got {value}")

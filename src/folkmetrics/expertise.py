@@ -14,13 +14,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .corpus import FolksonomyIndex, _by_user_count, _item_tag_users, _run_starts, _tally
-from .stats import BinSpec, BinnedSeries, binned_mean
+from .corpus import FolksonomyIndex, _item_tag_users, _run_starts, _tally, _user_means
 
-__all__ = [
-    "consensus_expertise",
-    "consensus_expertise_by_bin",
-]
+__all__ = ["consensus_expertise"]
 
 
 class _Pairs(NamedTuple):
@@ -87,21 +83,5 @@ def consensus_expertise(index: FolksonomyIndex, raw_counts: bool = False) -> np.
     # each user's items in the order of their first annotation: bincount adds in that order
     kept = np.flatnonzero(~np.isnan(weight))
     kept = kept[np.argsort(first[kept])]
-    weighted = np.bincount(user[kept], weights=best[kept] * weight[kept], minlength=n_users)
-    weights = np.bincount(user[kept], weights=weight[kept], minlength=n_users)
-    means = np.full(n_users, np.nan)
-    defined = weights != 0.0
-    means[defined] = weighted[defined] / weights[defined]
-    return means
+    return _user_means(user[kept], best[kept], n_users, weight[kept])
 
-
-def consensus_expertise_by_bin(
-    index: FolksonomyIndex, spec: BinSpec, raw_counts: bool = False
-) -> BinnedSeries:
-    """Binned mean user expertise keyed by user total annotation count.
-
-    Users without a defined score are omitted. raw_counts switches the
-    frequency view from distinct users to raw annotation counts (both F and
-    the user's own deduction) for sensitivity checks.
-    """
-    return binned_mean(*_by_user_count(index, consensus_expertise(index, raw_counts)), spec)

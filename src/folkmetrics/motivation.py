@@ -9,26 +9,14 @@ the same triple do not change them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .corpus import FolksonomyIndex, _by_user_count, _tally
-from .errors import DomainError
-from .stats import BinSpec, BinnedSeries, binned_mean
+from .corpus import FolksonomyIndex, _tally
+from .errors import _check_counts
 
-__all__ = [
-    "MotivationSeries",
-    "motivation_by_bin",
-    "motivation_scores",
-]
+__all__ = ["motivation_scores"]
 
 DEFAULT_ORPHAN_DIVISOR = 100
-
-
-def _check_divisor(divisor: int) -> None:
-    if divisor < 1:
-        raise DomainError(f"orphan divisor must be at least 1, got {divisor}")
 
 
 def motivation_scores(
@@ -42,7 +30,7 @@ def motivation_scores(
     is the share of the vocabulary used at most n* = ceil(max usage /
     divisor) times, and 1 when the most-used tag covers at most divisor items.
     """
-    _check_divisor(divisor)
+    _check_counts(divisor=divisor)
     c = index.columns
     n_users = len(c.users)
     (pair_user, _, pair_tag), _, _ = _tally(c.user, c.item, c.tag)
@@ -56,17 +44,3 @@ def motivation_scores(
     orphan = np.where(top <= divisor, 1.0, seldom / vocabulary)
     return np.bincount(pair_user, minlength=n_users) / items, vocabulary / items, orphan
 
-
-@dataclass(frozen=True)
-class MotivationSeries:
-    tpp: BinnedSeries
-    trr: BinnedSeries
-    orphan_ratio: BinnedSeries
-
-
-def motivation_by_bin(
-    index: FolksonomyIndex, spec: BinSpec, divisor: int = DEFAULT_ORPHAN_DIVISOR
-) -> MotivationSeries:
-    """Binned mean/stderr of TPP, TRR, and OR keyed by user annotation count."""
-    return MotivationSeries(*(binned_mean(*_by_user_count(index, scores), spec)
-                              for scores in motivation_scores(index, divisor)))

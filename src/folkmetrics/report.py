@@ -24,13 +24,16 @@ from . import motivation as motivation_mod
 from . import similarity as similarity_mod
 from . import spear as spear_mod
 from . import taxonomy as taxonomy_mod
-from .corpus import FolksonomyIndex, summary
-from .errors import DomainError
+from .corpus import FolksonomyIndex, binned_by_user_count, summary
+from .errors import DomainError, _check_counts
 from .partition import (Partition, _check_fraction, _check_resolution, pareto_curve,
                         partition_summary, split_supertaggers)
 from .stats import BinSpec, BinnedSeries
 
 __all__ = ["ReportConfig", "write_report"]
+
+# the labels of motivation_scores' three arrays in the motivation CSVs
+MOTIVATION_METRICS = ("tpp", "trr", "orphan_ratio")
 
 
 def _fmt(value) -> str:
@@ -76,17 +79,20 @@ def write_binned_csv(path, series: BinnedSeries, value_name: str = "mean") -> No
     )
 
 
-def write_labeled_binned_csv(path, label_name: str, series_by_label: Mapping[str, BinnedSeries]) -> None:
-    rows = []
-    for label in series_by_label:
-        for r in series_by_label[label].rows:
-            rows.append((label, r.bin_low, r.bin_high, r.mean, r.stderr, r.n))
-    _write_csv(path, [label_name, "bin_low", "bin_high", "mean", "stderr", "n"], rows)
+def write_binned_scores(path, index: FolksonomyIndex, scores: Mapping[str, np.ndarray],
+                        spec: BinSpec, label: str = "metric") -> None:
+    """Bin named per-user score arrays by annotation count and write the series.
 
-
-def write_motivation_csv(path, series: motivation_mod.MotivationSeries) -> None:
-    write_labeled_binned_csv(path, "metric", {
-        "tpp": series.tpp, "trr": series.trr, "orphan_ratio": series.orphan_ratio})
+    One array gives a plain binned CSV; several give one CSV whose label
+    column names each row's array.
+    """
+    series = {name: binned_by_user_count(index, values, spec) for name, values in scores.items()}
+    if len(series) == 1:
+        write_binned_csv(path, *series.values())
+        return
+    rows = ((name, r.bin_low, r.bin_high, r.mean, r.stderr, r.n)
+            for name, binned in series.items() for r in binned.rows)
+    _write_csv(path, [label, "bin_low", "bin_high", "mean", "stderr", "n"], rows)
 
 
 def write_similarity_csv(path, curve: similarity_mod.SimilarityCurve) -> None:
@@ -243,15 +249,14 @@ class ReportConfig:
     orphan_divisor: int = motivation_mod.DEFAULT_ORPHAN_DIVISOR
 
     def __post_init__(self) -> None:
-        # checked before write_report writes any file; spear_by_bin's errors would only
+        # checked before write_report writes any file; user_mean_z's errors would only
         # become an empty series there
         _check_fraction(self.fraction)
-        similarity_mod._check_max_n(self.max_n)
+        _check_counts(max_n=self.max_n, top_k=self.top_k, min_users=self.min_users,
+                      min_support=self.min_support, orphan_divisor=self.orphan_divisor)
         _check_resolution(self.pareto_resolution)
-        spear_mod._check_top_k(self.top_k)
         spear_mod._check_parameters(self.exponent, self.tolerance, self.max_iter)
         taxonomy_mod._check_threshold(self.taxonomy_threshold)
-        motivation_mod._check_divisor(self.orphan_divisor)
 
 
 def write_report(
@@ -309,29 +314,20 @@ def write_report(
         )
     write_consensus_csv(emit("consensus.csv"), consensus_series)
 
-    write_motivation_csv(
-        emit("motivation_binned.csv"),
-        motivation_mod.motivation_by_bin(index, config.bins, config.orphan_divisor),
-    )
+    motivation = motivation_mod.motivation_scores(index, config.orphan_divisor)
+    write_binned_scores(emit("motivation_binned.csv"), index,
+                        dict(zip(MOTIVATION_METRICS, motivation)), config.bins)
 
     try:
-        spear_series = spear_mod.spear_by_bin(
-            index,
-            config.bins,
-            top_k=config.top_k,
-            min_users=config.min_users,
-            exponent=config.exponent,
-            tolerance=config.tolerance,
-            max_iter=config.max_iter,
-        )
+        mean_z = spear_mod.user_mean_z(index, config.top_k, config.min_users, config.exponent,
+                                       config.tolerance, config.max_iter)
     except DomainError:
-        spear_series = BinnedSeries(rows=())
-    write_binned_csv(emit("spear_binned.csv"), spear_series)
+        # no eligible tag: no user has a score
+        mean_z = np.full(len(index.columns.users), np.nan)
+    write_binned_scores(emit("spear_binned.csv"), index, {"mean_z": mean_z}, config.bins)
 
-    write_binned_csv(
-        emit("consensus_expertise_binned.csv"),
-        expertise_mod.consensus_expertise_by_bin(index, config.bins),
-    )
+    write_binned_scores(emit("consensus_expertise_binned.csv"), index,
+                        {"expertise": expertise_mod.consensus_expertise(index)}, config.bins)
 
     forest = taxonomy_mod.induce_taxonomy(index, config.top_k, config.min_users,
                                           config.min_support, config.taxonomy_threshold)
@@ -339,14 +335,9 @@ def write_report(
         emit("taxonomy.json"),
         forest_json(forest, taxonomy_mod.annotation_coverage(index, forest)),
     )
-    write_labeled_binned_csv(
-        emit("depth_binned.csv"),
-        "mode",
-        {
-            mode: taxonomy_mod.depth_by_bin(index, forest, config.bins, mode)
-            for mode in ("annotation", "vocabulary")
-        },
-    )
+    depth = {mode: taxonomy_mod.depth_expertise(index, forest, mode)
+             for mode in ("annotation", "vocabulary")}
+    write_binned_scores(emit("depth_binned.csv"), index, depth, config.bins, label="mode")
 
     if popularity is not None:
         write_binned_csv(

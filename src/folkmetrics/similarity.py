@@ -15,7 +15,7 @@ from typing import Mapping, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .corpus import FolksonomyIndex, _members
-from .errors import DomainError, UndefinedCorrelationError
+from .errors import DomainError, UndefinedCorrelationError, _check_counts
 from .partition import Partition, _user_mask
 from .stats import BinSpec, BinnedSeries, binned_mean, rank_descending
 
@@ -150,14 +150,9 @@ class SimilarityCurve:
     core_size: Optional[int]
 
 
-def _check_max_n(max_n: int) -> None:
-    if max_n < 1:
-        raise DomainError(f"max N must be at least 1, got {max_n}")
-
-
 def default_n_grid(max_n: int = 100_000) -> list[int]:
     """Every integer to 100, then ~20 log-spaced values per decade up to max_n."""
-    _check_max_n(max_n)
+    _check_counts(max_n=max_n)
     grid = set(range(1, min(100, max_n) + 1))
     if max_n > 100:
         exponents = np.arange(2.0, math.log10(max_n) + 1e-9, 0.05)

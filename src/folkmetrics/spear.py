@@ -22,16 +22,15 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import FolksonomyIndex, _by_user_count, _packed_key, _run_starts, _sorted_runs
-from .errors import ConvergenceWarning, DomainError, NotFoundError
-from .stats import BinSpec, BinnedSeries, binned_mean, population_zscores
+from .corpus import FolksonomyIndex, _packed_key, _run_starts, _sorted_runs, _user_means
+from .errors import ConvergenceWarning, DomainError, NotFoundError, _check_counts
+from .stats import population_zscores
 
 __all__ = [
     "CreditBatch",
     "SpearBatch",
     "credit_batch",
     "eligible_tags",
-    "spear_by_bin",
     "spear_scores",
     "user_mean_z",
 ]
@@ -43,18 +42,16 @@ DEFAULT_TOLERANCE = 1e-8
 DEFAULT_MAX_ITER = 250
 
 
-def _check_top_k(top_k: int) -> None:
-    if top_k < 1:
-        raise DomainError(f"top_k must be at least 1, got {top_k}")
-
-
 def eligible_tags(
     index: FolksonomyIndex,
     top_k: int = DEFAULT_TOP_K,
     min_users: int = DEFAULT_MIN_USERS,
 ) -> set[str]:
-    """The top_k most-annotated tags having at least min_users distinct users."""
-    _check_top_k(top_k)
+    """The top_k most-annotated tags having at least min_users distinct users.
+
+    Raises if top_k or min_users is below 1.
+    """
+    _check_counts(top_k=top_k, min_users=min_users)
     columns, counts = index.columns, index.tag_counts
     # codes follow name order, so a stable sort by count breaks ties by name
     ranked = np.argsort(-counts, kind="stable")[:top_k]
@@ -218,8 +215,8 @@ def spear_scores(
 
 
 def _check_parameters(exponent: float, tolerance: float, max_iter: int) -> None:
-    if not (np.isfinite(exponent) and tolerance > 0 and max_iter >= 1):
-        raise DomainError(f"need a finite exponent, tolerance > 0 and max_iter >= 1, "
+    if not (np.isfinite(exponent) and 0 < tolerance < np.inf and max_iter >= 1):
+        raise DomainError(f"need a finite exponent, a finite tolerance > 0 and max_iter >= 1, "
                           f"got {exponent}, {tolerance} and {max_iter}")
 
 
@@ -239,8 +236,8 @@ def user_mean_z(
     appears in; a user with no eligible tag gets NaN. The eligible tags are
     scored as one batch. Tags stopped by max_iter before converging are
     reported with a ConvergenceWarning; raises if the exponent is not
-    finite, if max_iter < 1, if tolerance <= 0, or if no tag passes the
-    eligibility filter.
+    finite, if max_iter < 1, if tolerance is not finite and above 0, or if
+    no tag passes the eligibility filter.
     """
     _check_parameters(exponent, tolerance, max_iter)
     tags = eligible_tags(index, top_k=top_k, min_users=min_users)
@@ -262,24 +259,5 @@ def user_mean_z(
         slots = offsets[:-1][sizes == size, np.newaxis] + np.arange(size)
         z[slots] = population_zscores(scored.user_score[slots])
     # each user's z-scores add up in tag order
-    sums = np.bincount(credits.user_code, weights=z, minlength=n_users)
-    counts = np.bincount(credits.user_code, minlength=n_users)
-    return np.divide(sums, counts, out=np.full(n_users, np.nan), where=counts > 0)
+    return _user_means(credits.user_code, z, n_users)
 
-
-def spear_by_bin(
-    index: FolksonomyIndex,
-    spec: BinSpec,
-    top_k: int = DEFAULT_TOP_K,
-    min_users: int = DEFAULT_MIN_USERS,
-    exponent: float = DEFAULT_EXPONENT,
-    tolerance: float = DEFAULT_TOLERANCE,
-    max_iter: int = DEFAULT_MAX_ITER,
-) -> BinnedSeries:
-    """Binned mean standardized score keyed by user total annotation count.
-
-    Computed over the full folksonomy (not per group); raises if no tag
-    passes the eligibility filter.
-    """
-    mean_z = user_mean_z(index, top_k, min_users, exponent, tolerance, max_iter)
-    return binned_mean(*_by_user_count(index, mean_z), spec)

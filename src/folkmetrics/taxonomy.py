@@ -15,17 +15,15 @@ from typing import Iterable, Mapping, Optional
 
 import numpy as np
 
-from .corpus import FolksonomyIndex, _by_user_count, _code, _members, _tally
-from .errors import DomainError
+from .corpus import FolksonomyIndex, _code, _members, _tally, _user_means
+from .errors import DomainError, _check_counts
 from .spear import DEFAULT_MIN_USERS, DEFAULT_TOP_K, eligible_tags
-from .stats import BinSpec, BinnedSeries, binned_mean
 
 __all__ = [
     "ConditionalTable",
     "TaxonomyForest",
     "annotation_coverage",
     "conditional_table",
-    "depth_by_bin",
     "depth_expertise",
     "induce_forest",
     "induce_taxonomy",
@@ -61,8 +59,9 @@ def conditional_table(
 
     P(A|B) = |items carrying both A and B| / |items carrying B| over
     distinct items; pairs co-occurring on fewer than min_support items get
-    no entry, and self-pairs are excluded.
+    no entry, and self-pairs are excluded. Raises if min_support is below 1.
     """
+    _check_counts(min_support=min_support)
     # imported here, not at start-up: only taxonomy induction needs scipy
     from scipy import sparse
 
@@ -221,15 +220,5 @@ def depth_expertise(index: FolksonomyIndex, forest: TaxonomyForest,
     if mode == "vocabulary":
         (user, tag), _, _ = _tally(user, tag)
     scored = ~np.isnan(depth[tag])
-    counts = np.bincount(user[scored], minlength=n_users)
-    sums = np.bincount(user[scored], weights=depth[tag[scored]], minlength=n_users)
-    means = np.full(n_users, np.nan)
-    means[counts > 0] = sums[counts > 0] / counts[counts > 0]
-    return means
+    return _user_means(user[scored], depth[tag[scored]], n_users)
 
-
-def depth_by_bin(
-    index: FolksonomyIndex, forest: TaxonomyForest, spec: BinSpec, mode: str = "vocabulary"
-) -> BinnedSeries:
-    """Binned mean term-depth expertise keyed by user total annotation count."""
-    return binned_mean(*_by_user_count(index, depth_expertise(index, forest, mode)), spec)

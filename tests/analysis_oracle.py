@@ -20,7 +20,6 @@ import numpy as np
 
 from corpus_oracle import views
 from folkmetrics.consensus import ConsensusSeries
-from folkmetrics.motivation import MotivationSeries
 from folkmetrics.partition import GroupSummary, Partition, PartitionSummary
 from folkmetrics.similarity import CurvePoint, FreqDist, SimilarityCurve
 from folkmetrics.stats import binned_mean, cosine, median_iqr, rank_descending
@@ -285,9 +284,10 @@ def motivation(index, divisor):
 
 
 def motivation_by_bin(index, spec, divisor):
+    """The TPP, TRR and orphan-ratio series."""
     scores = motivation(index, divisor)
-    return MotivationSeries(*(_binned(index, {user: s[k] for user, s in scores.items()}, spec)
-                              for k in range(3)))
+    return tuple(_binned(index, {user: s[k] for user, s in scores.items()}, spec)
+                 for k in range(3))
 
 
 def consensus_expertise(index, raw_counts=False):

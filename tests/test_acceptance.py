@@ -18,6 +18,7 @@ from folkmetrics.cli import main as cli_main
 from folkmetrics.consensus import consensus_by_bin
 from folkmetrics.corpus import (
     SyntheticConfig,
+    binned_by_user_count,
     build_index,
     generate_synthetic,
     write_annotations,
@@ -29,7 +30,7 @@ from folkmetrics.similarity import similarity_curve
 from folkmetrics.spear import credit_batch
 from folkmetrics.stats import BinSpec, log_bins, population_zscores
 from folkmetrics.partition import Partition
-from folkmetrics.taxonomy import conditional_table, induce_forest, depth_by_bin
+from folkmetrics.taxonomy import conditional_table, depth_expertise, induce_forest
 
 from analysis_oracle import named
 from conftest import code, make_index, user_mask
@@ -306,10 +307,10 @@ def test_c08_taxonomy_fixture_edges_acyclicity_and_depth_contrast():
         user_rows += [(f"heavy{u}", f"h{u}b{k}", "x2", 0) for k in range(27)]
         user_rows += [(f"heavy{u}", f"h{u}c{k}", "x3", 0) for k in range(6)]
     user_index = make_index(user_rows)
-    ann = sorted(depth_by_bin(user_index, dforest, BinSpec(), "annotation").rows,
-                 key=lambda r: r.bin_low)
-    vocab = sorted(depth_by_bin(user_index, dforest, BinSpec(), "vocabulary").rows,
-                   key=lambda r: r.bin_low)
+    ann, vocab = (
+        sorted(binned_by_user_count(user_index, depth_expertise(user_index, dforest, mode),
+                                    BinSpec()).rows, key=lambda r: r.bin_low)
+        for mode in ("annotation", "vocabulary"))
     assert ann[0].mean == pytest.approx(ann[-1].mean)
     assert vocab[-1].mean > vocab[0].mean
 

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import analysis_oracle as oracle
 from folkmetrics import consensus, expertise, motivation, partition, similarity, taxonomy
-from folkmetrics.corpus import build_index
+from folkmetrics.corpus import binned_by_user_count, build_index
 from folkmetrics.errors import DomainError
 from folkmetrics.stats import BinSpec
 from folkmetrics.taxonomy import TaxonomyForest
@@ -111,10 +111,12 @@ def test_per_user_and_per_item_series_match_the_reference(rows, dedupe, divisor)
     else:
         with pytest.raises(DomainError):
             consensus.consensus_by_bin(index, part, SPEC)
-    assert motivation.motivation_by_bin(index, SPEC, divisor) == (
+    assert tuple(binned_by_user_count(index, scores, SPEC)
+                 for scores in motivation.motivation_scores(index, divisor)) == (
         oracle.motivation_by_bin(index, SPEC, divisor))
     for raw_counts in (False, True):
-        assert expertise.consensus_expertise_by_bin(index, SPEC, raw_counts) == (
+        assert binned_by_user_count(
+            index, expertise.consensus_expertise(index, raw_counts), SPEC) == (
             oracle.consensus_expertise_by_bin(index, SPEC, raw_counts))
 
 
@@ -127,7 +129,8 @@ def test_taxonomy_matches_the_reference(rows, dedupe, min_support):
     assert table == oracle.conditional_table(index, tags, min_support)
     for forest in (taxonomy.induce_forest(table, threshold=0.5), chain(tags)):
         for mode in ("annotation", "vocabulary"):
-            assert taxonomy.depth_by_bin(index, forest, SPEC, mode) == (
+            assert binned_by_user_count(
+                index, taxonomy.depth_expertise(index, forest, mode), SPEC) == (
                 oracle.depth_by_bin(index, forest, SPEC, mode))
 
 

@@ -373,6 +373,23 @@ class TestAnalysisCommands:
         assert args[-2] in result.output and "x>=1" in result.output
         assert not (tmp_path / "bundle").exists()
 
+    @pytest.mark.parametrize("args", [
+        ["spear", "--min-users", "0"], ["spear", "--tolerance", "inf"],
+        ["taxonomy", "--min-users", "0"], ["taxonomy", "--min-support", "0"],
+        ["expertise", "depth", "--min-users", "0"], ["expertise", "depth", "--min-support", "0"],
+        ["report", "--min-users", "0"], ["report", "--min-support", "0"],
+    ])
+    def test_min_counts_below_one_and_infinite_tolerance_are_usage_errors(self, runner, tmp_path,
+                                                                          args):
+        src = write_fixture(tmp_path / "corpus.tsv")
+        out = tmp_path / "out"
+        target = {"spear": "--out", "taxonomy": "--out", "expertise": "--binned",
+                  "report": "--out-dir"}[args[0]]
+        result = runner.invoke(main, args + [src, target, str(out)])
+        assert result.exit_code == 2, result.output
+        assert args[-2] in result.output
+        assert not out.exists()
+
     @pytest.mark.parametrize("args, bound", [
         (["spear", "--max-iter", "0"], "x>=1"), (["spear", "--max-iter", "-1"], "x>=1"),
         (["spear", "--tolerance", "0"], "x>0"), (["spear", "--tolerance", "-1"], "x>0"),
@@ -533,7 +550,8 @@ class TestReportBundle:
     @pytest.mark.parametrize("bad", [
         dict(fraction=0.0), dict(fraction=float("nan")), dict(max_n=0), dict(pareto_resolution=1),
         dict(top_k=0), dict(taxonomy_threshold=0.0), dict(taxonomy_threshold=1.5),
-        dict(orphan_divisor=0),
+        dict(orphan_divisor=0), dict(min_users=0), dict(min_support=-1),
+        dict(tolerance=float("inf")),
     ])
     def test_bad_config_writes_no_file(self, tmp_path, bad):
         from folkmetrics.corpus import build_index, parse_annotations

@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from folkmetrics.expertise import consensus_expertise, consensus_expertise_by_bin
+from folkmetrics.corpus import binned_by_user_count
+from folkmetrics.expertise import consensus_expertise
 from folkmetrics.stats import BinSpec
 
 from conftest import code, make_index, random_rows
@@ -176,7 +177,7 @@ class TestConsensusExpertiseByBin:
             for j in range(8):
                 rows.append((f"u{j}", item, "best", j))
         index = make_index(rows)
-        series = consensus_expertise_by_bin(index, BinSpec())
+        series = binned_by_user_count(index, consensus_expertise(index), BinSpec())
         assert series.rows
         for row in series.rows:
             assert row.mean == pytest.approx(1.0)
@@ -193,7 +194,7 @@ class TestConsensusExpertiseByBin:
                 rows.append((f"heavy{h}", f"i{item}", f"odd{h}", 50))
             rows += [(f"heavy{h}", f"i{k}", "best", 60) for k in range(2)]
         index = make_index(rows)
-        series = consensus_expertise_by_bin(index, BinSpec())
+        series = binned_by_user_count(index, consensus_expertise(index), BinSpec())
         by_low = sorted(series.rows, key=lambda r: r.bin_low)
         assert by_low[-1].mean < by_low[0].mean
 
@@ -203,8 +204,8 @@ class TestConsensusExpertiseByBin:
         rows += [("me", "i", "mine", k) for k in range(8)]
         rows += [("me", "j", "top2", 0)] + [(f"c{j}", "j", "top2", j) for j in range(4)]
         index = make_index(rows)
-        distinct = consensus_expertise_by_bin(index, BinSpec())
-        raw = consensus_expertise_by_bin(index, BinSpec(), raw_counts=True)
+        distinct, raw = (binned_by_user_count(index, consensus_expertise(index, raw_counts),
+                                              BinSpec()) for raw_counts in (False, True))
         assert distinct != raw
 
     def test_matches_brute_force(self):
@@ -212,7 +213,7 @@ class TestConsensusExpertiseByBin:
         rows = random_rows(rng, n_users=12, n_items=8, n_tags=4, n_annotations=250)
         index = make_index(rows)
         spec = BinSpec()
-        series = consensus_expertise_by_bin(index, spec)
+        series = binned_by_user_count(index, consensus_expertise(index), spec)
         from folkmetrics.stats import binned_mean
 
         counts, scores = [], []

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+from folkmetrics.corpus import binned_by_user_count
 from folkmetrics.errors import DomainError
-from folkmetrics.motivation import motivation_by_bin, motivation_scores
+from folkmetrics.motivation import motivation_scores
 from folkmetrics.stats import BinSpec
 
 from conftest import code, make_index, random_rows
@@ -95,8 +96,6 @@ class TestOrphanRatio:
         index = make_index([("u", "i", "t", 0)])
         with pytest.raises(DomainError):
             motivation_scores(index, divisor)
-        with pytest.raises(DomainError):
-            motivation_by_bin(index, BinSpec(), divisor)
 
 
 class TestInvariants:
@@ -124,11 +123,12 @@ class TestMotivationByBin:
         for u in range(6):
             rows += [(f"u{u}", f"i{u}a", "x", 0), (f"u{u}", f"i{u}b", "y", 1)]
         index = make_index(rows)
-        series = motivation_by_bin(index, BinSpec())
-        assert len(series.tpp.rows) == 1
-        assert series.tpp.rows[0].mean == pytest.approx(1.0)
-        assert series.trr.rows[0].mean == pytest.approx(1.0)
-        assert series.orphan_ratio.rows[0].mean == pytest.approx(1.0)
+        tpp, trr, orphan_ratio = (binned_by_user_count(index, scores, BinSpec())
+                                  for scores in motivation_scores(index))
+        assert len(tpp.rows) == 1
+        assert tpp.rows[0].mean == pytest.approx(1.0)
+        assert trr.rows[0].mean == pytest.approx(1.0)
+        assert orphan_ratio.rows[0].mean == pytest.approx(1.0)
 
     def test_heavy_users_higher_tpp(self):
         rows = []
@@ -139,8 +139,8 @@ class TestMotivationByBin:
             for k in range(8):
                 rows += [(f"heavy{u}", f"h{u}{k}", f"t{j}", 0) for j in range(4)]
         index = make_index(rows)
-        series = motivation_by_bin(index, BinSpec())
-        rows_sorted = sorted(series.tpp.rows, key=lambda r: r.bin_low)
+        tpp = binned_by_user_count(index, motivation_scores(index)[0], BinSpec())
+        rows_sorted = sorted(tpp.rows, key=lambda r: r.bin_low)
         assert rows_sorted[0].mean == pytest.approx(1.0)
         assert rows_sorted[-1].mean == pytest.approx(4.0)
         assert rows_sorted[-1].bin_low > rows_sorted[0].bin_low
@@ -150,11 +150,11 @@ class TestMotivationByBin:
         rows = random_rows(rng)
         index = make_index(rows)
         spec = BinSpec()
-        series = motivation_by_bin(index, spec)
+        series = binned_by_user_count(index, motivation_scores(index)[0], spec)
         users = views(index).by_user
         counts = np.array([views(index).user_annotation_count[u] for u in users], dtype=float)
         tpp = np.array([scores_of(index, u)[0] for u in users])
         from folkmetrics.stats import binned_mean
 
         expected = binned_mean(counts, tpp, spec)
-        assert series.tpp == expected
+        assert series == expected

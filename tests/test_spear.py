@@ -5,12 +5,12 @@ import math
 import numpy as np
 import pytest
 
+from folkmetrics.corpus import binned_by_user_count
 from folkmetrics.errors import ConvergenceWarning, DomainError, NotFoundError
 from folkmetrics.report import ReportConfig
 from folkmetrics.spear import (
     credit_batch,
     eligible_tags,
-    spear_by_bin,
     spear_scores,
     user_mean_z,
 )
@@ -85,6 +85,12 @@ class TestEligibleTags:
         index = make_index([(f"u{k}", "i", f"t{k % 2}", k) for k in range(4)])
         with pytest.raises(DomainError):
             eligible_tags(index, top_k=top_k, min_users=1)
+
+    @pytest.mark.parametrize("min_users", [0, -3])
+    def test_min_users_below_one_raises(self, min_users):
+        index = make_index([(f"u{k}", "i", f"t{k % 2}", k) for k in range(4)])
+        with pytest.raises(DomainError, match="min_users"):
+            eligible_tags(index, top_k=10, min_users=min_users)
 
     def test_matches_sort_filter_oracle(self):
         rng = np.random.default_rng(139)
@@ -266,7 +272,7 @@ class TestSpearByBin:
         for u in range(12):
             rows += [(f"u{u}", f"i{k}", "t0", u) for k in range(3)]
         index = make_index(rows)
-        series = spear_by_bin(index, BinSpec(), top_k=10, min_users=2)
+        series = binned_by_user_count(index, user_mean_z(index, top_k=10, min_users=2), BinSpec())
         overall = sum(row.mean * row.n for row in series.rows) / series.total_count
         assert overall == pytest.approx(0.0, abs=1e-9)
 
@@ -282,7 +288,7 @@ class TestSpearByBin:
         for h in range(2):
             rows += [(f"heavy{h}", f"x{h}{j}", "t0", 1) for j in range(20)]
         index = make_index(rows)
-        series = spear_by_bin(index, BinSpec(), top_k=10, min_users=2)
+        series = binned_by_user_count(index, user_mean_z(index, top_k=10, min_users=2), BinSpec())
         rows_sorted = sorted(series.rows, key=lambda r: r.bin_low)
         assert rows_sorted[-1].mean > rows_sorted[0].mean
 
@@ -291,7 +297,7 @@ class TestSpearByBin:
         rows = random_rows(rng, n_users=10, n_items=8, n_tags=3, n_annotations=150, time_span=4)
         index = make_index(rows)
         spec = BinSpec()
-        series = spear_by_bin(index, spec, top_k=3, min_users=1)
+        series = binned_by_user_count(index, user_mean_z(index, top_k=3, min_users=1), spec)
 
         tags = eligible_tags(index, top_k=3, min_users=1)
         per_user = {}
@@ -317,16 +323,23 @@ class TestSpearByBin:
         index = make_index(rows)
         message = r"spear: [1-3] of 3 tags did not converge within max_iter=1"
         with pytest.warns(ConvergenceWarning, match=message):
-            spear_by_bin(index, BinSpec(), top_k=3, min_users=1, max_iter=1)
+            user_mean_z(index, top_k=3, min_users=1, max_iter=1)
 
     def test_no_eligible_tags_raises(self):
         index = make_index([("u", "i", "t", 0)])
         with pytest.raises(DomainError):
-            spear_by_bin(index, BinSpec(), top_k=10, min_users=5)
+            user_mean_z(index, top_k=10, min_users=5)
+
+    def test_infinite_tolerance_raises(self):
+        # every tag would stop after one iteration and count as converged
+        index = make_index([(f"u{k}", f"i{k % 3}", "t", k) for k in range(6)])
+        with pytest.raises(DomainError, match="finite tolerance"):
+            user_mean_z(index, top_k=10, min_users=1, tolerance=math.inf)
 
     @pytest.mark.parametrize("limits", [dict(max_iter=0), dict(max_iter=-1), dict(tolerance=0.0),
                                         dict(tolerance=-1e-8), dict(tolerance=math.nan),
-                                        dict(exponent=math.nan), dict(exponent=math.inf)])
+                                        dict(tolerance=math.inf), dict(exponent=math.nan),
+                                        dict(exponent=math.inf)])
     def test_report_config_rejects_bad_limits(self, limits):
         # write_report would turn the error into a header-only spear_binned.csv
         with pytest.raises(DomainError, match="max_iter"):

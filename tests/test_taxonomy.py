@@ -10,12 +10,12 @@ import pytest
 
 import folkmetrics
 
+from folkmetrics.corpus import binned_by_user_count
 from folkmetrics.errors import DomainError
 from folkmetrics.stats import BinSpec
 from folkmetrics.taxonomy import (
     annotation_coverage,
     conditional_table,
-    depth_by_bin,
     depth_expertise,
     induce_forest,
 )
@@ -100,6 +100,12 @@ class TestConditionalTable:
         index = rock_fixture_index()
         with pytest.raises(DomainError):
             conditional_table(index, ["rock", "ghost"])
+
+    @pytest.mark.parametrize("min_support", [0, -1])
+    def test_min_support_below_one_raises(self, min_support):
+        # 0 and 1 would keep the same pairs: a pair with no common item has no entry
+        with pytest.raises(DomainError, match="min_support"):
+            conditional_table(rock_fixture_index(), ["rock", "classic rock"], min_support)
 
     def test_matches_pairwise_scan_oracle(self):
         rng = np.random.default_rng(197)
@@ -288,7 +294,7 @@ class TestDepthByBin:
         for u in range(6):
             rows += [(f"u{u}", f"x{u}{k}", "b", 0) for k in range(3)]
         index = make_index(rows)
-        series = depth_by_bin(index, forest, BinSpec(), "annotation")
+        series = binned_by_user_count(index, depth_expertise(index, forest, "annotation"), BinSpec())
         assert len(series.rows) == 1
         assert series.rows[0].mean == pytest.approx(0.5)
 
@@ -322,8 +328,8 @@ class TestDepthByBin:
             rows += [(f"heavy{u}", f"h{u}b{k}", "x2", 0) for k in range(27)]
             rows += [(f"heavy{u}", f"h{u}c{k}", "x3", 0) for k in range(6)]
         index = make_index(rows)
-        ann = depth_by_bin(index, forest, BinSpec(), "annotation")
-        vocab = depth_by_bin(index, forest, BinSpec(), "vocabulary")
+        ann, vocab = (binned_by_user_count(index, depth_expertise(index, forest, mode), BinSpec())
+                      for mode in ("annotation", "vocabulary"))
         ann_rows = sorted(ann.rows, key=lambda r: r.bin_low)
         vocab_rows = sorted(vocab.rows, key=lambda r: r.bin_low)
         assert len(ann_rows) == 2 and len(vocab_rows) == 2
@@ -346,7 +352,7 @@ class TestDepthByBin:
         from folkmetrics.stats import binned_mean
 
         for mode in ("annotation", "vocabulary"):
-            series = depth_by_bin(index, forest, spec, mode)
+            series = binned_by_user_count(index, depth_expertise(index, forest, mode), spec)
             counts, scores = [], []
             for user in views(index).by_user:
                 score = user_depth(index, forest, user, mode)
