@@ -66,7 +66,6 @@ from .stats import (
     BinnedSeries,
     MedianIQR,
     binned_mean,
-    cosine,
     log_bins,
     median_iqr,
 )

@@ -393,7 +393,7 @@ def expertise_consensus(index, raw_counts):
 def _forest(index, top_k, min_users, min_support, threshold):
     """The induced forest; raises if no tag is eligible, as then there is nothing to induce."""
     forest = taxonomy_mod.induce_taxonomy(index, top_k, min_users, min_support, threshold)
-    if not (forest.nodes or forest.disconnected):
+    if not (forest.nodes.size or forest.disconnected.size):
         raise FolkmetricsError("no eligible tags for taxonomy induction")
     return forest
 
@@ -424,8 +424,7 @@ def taxonomy(threshold, min_support, top_k, min_users, out, **load):
     """Induce the tag taxonomy forest and emit it with depth scores."""
     index, _ = _load_index(**load)
     forest = _forest(index, top_k, min_users, min_support, threshold)
-    coverage = taxonomy_mod.annotation_coverage(index, forest)
-    report_mod.write_json(out, report_mod.forest_json(forest, coverage))
+    report_mod.write_json(out, report_mod.forest_json(index, forest))
 
 
 @main.command()

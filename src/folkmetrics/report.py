@@ -216,19 +216,20 @@ PARTITION_SUMMARY_HEADER = [
 ]
 
 
-def forest_json(forest: taxonomy_mod.TaxonomyForest, coverage: Optional[float] = None) -> dict:
+def forest_json(index: FolksonomyIndex, forest: taxonomy_mod.TaxonomyForest) -> dict:
+    """The forest induced on index by tag name, with its annotation coverage."""
+    names = forest.tag_names
     nodes = {
-        tag: {
-            "parent": forest.parent[tag],
-            "raw_depth": forest.raw_depth[tag],
-            "norm_depth": forest.norm_depth[tag],
+        names[tag]: {
+            "parent": None if forest.parent[tag] < 0 else names[forest.parent[tag]],
+            "raw_depth": int(forest.raw_depth[tag]),
+            "norm_depth": float(forest.norm_depth[tag]),
         }
-        for tag in sorted(forest.nodes)
+        for tag in forest.nodes.tolist()
     }
-    payload = {"nodes": nodes, "disconnected": sorted(forest.disconnected)}
-    if coverage is not None:
-        payload["annotation_coverage"] = coverage
-    return payload
+    disconnected = [names[tag] for tag in forest.disconnected.tolist()]
+    return {"nodes": nodes, "disconnected": disconnected,
+            "annotation_coverage": taxonomy_mod.annotation_coverage(index, forest)}
 
 
 @dataclass(frozen=True)
@@ -331,10 +332,7 @@ def write_report(
 
     forest = taxonomy_mod.induce_taxonomy(index, config.top_k, config.min_users,
                                           config.min_support, config.taxonomy_threshold)
-    write_json(
-        emit("taxonomy.json"),
-        forest_json(forest, taxonomy_mod.annotation_coverage(index, forest)),
-    )
+    write_json(emit("taxonomy.json"), forest_json(index, forest))
     depth = {mode: taxonomy_mod.depth_expertise(index, forest, mode)
              for mode in ("annotation", "vocabulary")}
     write_binned_scores(emit("depth_binned.csv"), index, depth, config.bins, label="mode")

@@ -32,6 +32,9 @@ __all__ = [
 
 _DIMENSIONS = ("tag", "item")
 
+# np.corrcoef rounds differently with the groups swapped, so rhos this close to the peak attain it
+CORE_RHO_TOLERANCE = 1e-12
+
 
 @dataclass(frozen=True, eq=False)
 class FreqDist:
@@ -125,8 +128,8 @@ def _cosine_tops(a: _Ranking, b: _Ranking, n_keys: int, n: int) -> float:
     union = _union(a, b, n_keys, n)
     x = _spread(a, a.counts[:n], n, n_keys, 0)[union]
     y = _spread(b, b.counts[:n], n, n_keys, 0)[union]
-    # Integer counts give exact integer dot products, so this is stats.cosine
-    # bit for bit (its float sums of integers below 2**53 are exact too),
+    # Integer counts give exact integer dot products, so this equals the cosine of
+    # float vectors bit for bit (float sums of integers below 2**53 are exact too),
     # without the BLAS call that wakes its threads on every product.
     xx, yy = float(x @ x), float(y @ y)
     if xx == 0.0 or yy == 0.0:
@@ -172,7 +175,7 @@ def similarity_curve(
     Coverage at N is the share of all annotations (full folksonomy) whose
     key falls in the union of the two top-N sets. N values where the rank
     correlation is undefined are skipped. The core size is the smallest N
-    attaining the maximum rho.
+    whose rho is within CORE_RHO_TOLERANCE of the maximum.
     """
     dist_s = freq_dist(index, partition.supertagger, dimension)
     dist_o = freq_dist(index, ~partition.supertagger, dimension)
@@ -206,7 +209,7 @@ def similarity_curve(
     core_size = None
     if points:
         best = max(p.rho for p in points)
-        core_size = next(p.n for p in points if p.rho == best)
+        core_size = next(p.n for p in points if p.rho >= best - CORE_RHO_TOLERANCE)
     return SimilarityCurve(dimension=dimension, points=tuple(points), core_size=core_size)
 
 

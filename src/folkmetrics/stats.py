@@ -1,9 +1,8 @@
 """Deterministic statistics kernel shared by all analyses.
 
-Provides average-tie ranks (the ranks of Spearman's rho), cosine
-similarity, lower-median / nearest-rank quartiles, population z-scores, and
-the logarithmic binning reduction used by every "as a function of
-annotation count" series.
+Provides average-tie ranks (the ranks of Spearman's rho), lower-median /
+nearest-rank quartiles, population z-scores, and the logarithmic binning
+reduction used by every "as a function of annotation count" series.
 """
 
 from __future__ import annotations
@@ -23,7 +22,6 @@ __all__ = [
     "MedianIQR",
     "average_ranks",
     "binned_mean",
-    "cosine",
     "log_bins",
     "median_iqr",
     "population_zscores",
@@ -50,19 +48,6 @@ def average_ranks(values: Sequence[float] | np.ndarray) -> np.ndarray:
 def rank_descending(values: Sequence[float] | np.ndarray) -> np.ndarray:
     """Rank values so that the largest gets rank 1, averaging ties."""
     return average_ranks(np.negative(np.asarray(values, dtype=float)))
-
-
-def cosine(x: Sequence[float], y: Sequence[float]) -> float:
-    """Cosine of the angle between two vectors, dot(x,y)/(|x||y|)."""
-    xa = np.asarray(x, dtype=float)
-    ya = np.asarray(y, dtype=float)
-    if xa.shape != ya.shape:
-        raise DomainError(f"length mismatch: {xa.shape} vs {ya.shape}")
-    nx = math.sqrt(float(xa @ xa))
-    ny = math.sqrt(float(ya @ ya))
-    if nx == 0.0 or ny == 0.0:
-        raise DomainError("cosine undefined for a zero vector")
-    return float(xa @ ya) / (nx * ny)
 
 
 class MedianIQR(NamedTuple):

@@ -11,11 +11,11 @@ tags they use (per annotation) or know (per vocabulary entry).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .corpus import FolksonomyIndex, _code, _members, _tally, _user_means
+from .corpus import FolksonomyIndex, _code, _run_starts, _tally, _user_means
 from .errors import DomainError, _check_counts
 from .spear import DEFAULT_MIN_USERS, DEFAULT_TOP_K, eligible_tags
 
@@ -35,19 +35,23 @@ DEFAULT_MIN_SUPPORT = 10
 _MODES = ("annotation", "vocabulary")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConditionalTable:
-    """Pairwise conditional probabilities P(A|B) over distinct item sets.
+    """Pairwise P(A|B) over distinct item sets, by code in the index's tag_names.
 
-    probs holds both directions for every retained pair; support holds the
-    co-occurrence item count under the sorted pair key. tag_items gives
-    each tag's distinct-item count (its generality measure).
+    tags: the listed tags, ascending; tag_items: each tag's distinct-item count (0 if
+    not listed). Retained pair k: codes a[k] < b[k], the support[k] items carrying both,
+    p_ab[k] = P(a|b) and p_ba[k] = P(b|a).
     """
 
-    tags: frozenset[str]
-    probs: Mapping[tuple[str, str], float]
-    support: Mapping[tuple[str, str], int]
-    tag_items: Mapping[str, int]
+    tag_names: Sequence[str]
+    tags: np.ndarray
+    tag_items: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
+    support: np.ndarray
+    p_ab: np.ndarray
+    p_ba: np.ndarray
 
 
 def conditional_table(
@@ -72,45 +76,37 @@ def conditional_table(
         missing = [t for t, k in zip(tag_list, codes.tolist()) if k < 0]
         raise DomainError(f"tags not in index: {missing[:5]!r}")
 
-    n_tags = len(tag_list)
-    rows = np.isin(c.tag, codes)
-    # one row per item code, one column per listed tag: tag_list is sorted, so its codes
-    # ascend and a tag's column is its code's rank among them
-    (item, tag), _, _ = _tally(c.item[rows], np.searchsorted(codes, c.tag[rows]))
-    matrix = sparse.csr_matrix((np.ones(len(item), dtype=np.int64), (item, tag)),
-                               shape=(len(c.items), n_tags))
+    # one row per item code, one column per listed tag: its rank among the listed codes
+    rank = np.full(len(c.tags), -1, dtype=np.int32)
+    rank[codes] = np.arange(len(codes))
+    rows = rank[c.tag] >= 0
+    (item, column), _, _ = _tally(c.item[rows], rank[c.tag[rows]])
+    matrix = sparse.csr_matrix((np.ones(len(item), dtype=np.int64), (item, column)),
+                               shape=(len(c.items), len(codes)))
     cooc = (matrix.T @ matrix).tocoo()
-    col_sums = np.asarray(matrix.sum(axis=0)).ravel()
-    tag_items = dict(zip(tag_list, col_sums.tolist()))
+    tag_items = np.bincount(codes[column], minlength=len(c.tags))
 
     keep = (cooc.row < cooc.col) & (cooc.data >= min_support)
-    probs: dict[tuple[str, str], float] = {}
-    support: dict[tuple[str, str], int] = {}
-    for a_code, b_code, count in zip(
-        cooc.row[keep].tolist(), cooc.col[keep].tolist(), cooc.data[keep].tolist()
-    ):
-        a, b = tag_list[a_code], tag_list[b_code]
-        support[(a, b)] = count
-        probs[(a, b)] = count / tag_items[b]
-        probs[(b, a)] = count / tag_items[a]
-    return ConditionalTable(
-        tags=frozenset(tag_list), probs=probs, support=support, tag_items=tag_items
-    )
+    a, b, support = codes[cooc.row[keep]], codes[cooc.col[keep]], cooc.data[keep]
+    return ConditionalTable(c.tags, codes, tag_items, a, b, support,
+                            support / tag_items[b], support / tag_items[a])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TaxonomyForest:
-    """Acyclic forest over tags with raw and normalized depth scores.
+    """Acyclic forest by code in the index's tag_names, with raw and normalized depths.
 
-    Tags without any induced sub/super-class relation are listed as
-    disconnected and carry no depth.
+    nodes: the connected tags; disconnected: the listed tags with no induced
+    sub/super-class relation (both ascending). By tag code: parent (-1 for a
+    root or off the forest), raw_depth (0 for both), norm_depth (NaN off it).
     """
 
-    nodes: frozenset[str]
-    parent: Mapping[str, Optional[str]]
-    raw_depth: Mapping[str, int]
-    norm_depth: Mapping[str, float]
-    disconnected: frozenset[str]
+    tag_names: Sequence[str]
+    nodes: np.ndarray
+    disconnected: np.ndarray
+    parent: np.ndarray
+    raw_depth: np.ndarray
+    norm_depth: np.ndarray
 
 
 def _check_threshold(threshold: float) -> None:
@@ -127,56 +123,31 @@ def induce_forest(table: ConditionalTable, threshold: float = DEFAULT_THRESHOLD)
     lexicographic). The strict generality ordering makes cycles impossible.
     """
     _check_threshold(threshold)
-    probs = table.probs
-    candidates: dict[str, list[tuple[float, int, str]]] = {}
-    for (a, b), p_ab in probs.items():
-        if p_ab >= threshold and probs[(b, a)] < threshold and table.tag_items[a] > table.tag_items[b]:
-            candidates.setdefault(b, []).append((p_ab, table.tag_items[a], a))
+    items = table.tag_items
+    # every pair both ways round: (candidate, child, P(candidate|child), P(child|candidate))
+    up, down = np.append(table.a, table.b), np.append(table.b, table.a)
+    p_up, p_down = np.append(table.p_ab, table.p_ba), np.append(table.p_ba, table.p_ab)
+    ok = (p_up >= threshold) & (p_down < threshold) & (items[up] > items[down])
+    up, down, p_up = up[ok], down[ok], p_up[ok]
+    # each child's best candidate first; code order is name order, so ties fall to the name
+    order = np.lexsort((up, -items[up], -p_up, down))
+    best = order[_run_starts(down[order])]
+    parent = np.full(len(items), -1)
+    parent[down[best]] = up[best]
 
-    parent: dict[str, Optional[str]] = {}
-    children: dict[str, list[str]] = {}
-    for child, options in candidates.items():
-        options.sort(key=lambda o: (-o[0], -o[1], o[2]))
-        best = options[0][2]
-        parent[child] = best
-        children.setdefault(best, []).append(child)
+    # pointer jumping: raw_depth[t] counts the steps from t up to top[t], which doubles each pass
+    top = np.where(parent < 0, np.arange(len(parent)), parent)
+    raw_depth = (parent >= 0).astype(np.int64)
+    while (top[top] != top).any():
+        raw_depth += raw_depth[top]
+        top = top[top]
+    max_depth = np.zeros_like(raw_depth)
+    np.maximum.at(max_depth, top, raw_depth)
+    connected = max_depth[top] > 0  # a tag in no relation is a tree of depth 0
+    norm_depth = np.divide(raw_depth, max_depth[top], out=np.full(len(top), np.nan), where=connected)
 
-    nodes = set(parent) | set(children)
-    for node in nodes:
-        parent.setdefault(node, None)
-
-    raw_depth: dict[str, int] = {}
-    root_of: dict[str, str] = {}
-    for node in sorted(nodes):
-        path = []
-        cursor: Optional[str] = node
-        while cursor is not None and cursor not in raw_depth:
-            path.append(cursor)
-            cursor = parent[cursor]
-        for n in reversed(path):
-            p = parent[n]
-            if p is None:
-                raw_depth[n] = 0
-                root_of[n] = n
-            else:
-                raw_depth[n] = raw_depth[p] + 1
-                root_of[n] = root_of[p]
-
-    max_depth: dict[str, int] = {}
-    for node in nodes:
-        root = root_of[node]
-        max_depth[root] = max(max_depth.get(root, 0), raw_depth[node])
-    norm_depth = {
-        node: raw_depth[node] / max_depth[root_of[node]] for node in nodes
-    }
-
-    return TaxonomyForest(
-        nodes=frozenset(nodes),
-        parent=parent,
-        raw_depth=raw_depth,
-        norm_depth=norm_depth,
-        disconnected=frozenset(table.tags - nodes),
-    )
+    return TaxonomyForest(table.tag_names, np.flatnonzero(connected),
+                          table.tags[~connected[table.tags]], parent, raw_depth, norm_depth)
 
 
 def induce_taxonomy(
@@ -196,11 +167,15 @@ def induce_taxonomy(
 
 
 def annotation_coverage(index: FolksonomyIndex, forest: TaxonomyForest) -> float:
-    """Fraction of all annotations whose tag is a connected forest node."""
+    """Fraction of all annotations whose tag is a connected forest node.
+
+    Raises if the forest was induced on an index with other tags.
+    """
+    if forest.tag_names != index.columns.tags:
+        raise DomainError("the forest was induced on an index with other tags")
     if index.n_annotations == 0:
         return 0.0
-    covered = index.tag_counts[_members(index.columns.tags, forest.nodes)].sum()
-    return int(covered) / index.n_annotations
+    return int(index.tag_counts[forest.nodes].sum()) / index.n_annotations
 
 
 def depth_expertise(index: FolksonomyIndex, forest: TaxonomyForest,
@@ -209,16 +184,16 @@ def depth_expertise(index: FolksonomyIndex, forest: TaxonomyForest,
 
     Annotation mode averages over every use of a connected tag, adding up in
     annotation order; vocabulary mode averages each distinct connected tag
-    once, adding up in tag-name order.
+    once, adding up in tag-name order. Raises if the forest was induced on
+    an index with other tags.
     """
     if mode not in _MODES:
         raise DomainError(f"mode must be one of {_MODES}, got {mode!r}")
-    c = index.columns
-    n_users = len(c.users)
-    depth = np.array([forest.norm_depth.get(t, np.nan) for t in c.tags])
-    user, tag = c.user, c.tag
+    if forest.tag_names != index.columns.tags:
+        raise DomainError("the forest was induced on an index with other tags")
+    user, tag = index.columns.user, index.columns.tag
     if mode == "vocabulary":
         (user, tag), _, _ = _tally(user, tag)
-    scored = ~np.isnan(depth[tag])
-    return _user_means(user[scored], depth[tag[scored]], n_users)
-
+    depth = forest.norm_depth[tag]
+    scored = ~np.isnan(depth)
+    return _user_means(user[scored], depth[scored], len(index.columns.users))

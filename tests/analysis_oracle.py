@@ -7,9 +7,11 @@ agree exactly. Sums are plain loops, not `sum()`, whose float summation
 differs between Python versions; vocabulary-mode depth adds a user's tags
 in name order.
 
-The references name users, tags and items: a group is a set of user names
-and a frequency distribution a {name: count} dict. `named` translates the
-library's user-code masks and count arrays into these forms.
+The references name users, tags and items: a group is a set of user names,
+a frequency distribution a {name: count} dict, and a conditional table or
+taxonomy forest a NamedTable or NamedForest of dicts by tag name. `named`
+translates the library's user-code masks, count arrays, tables and forests
+into these forms, and `forest_on` a NamedForest back into tag codes.
 """
 
 import math
@@ -21,10 +23,23 @@ import numpy as np
 from corpus_oracle import views
 from folkmetrics.consensus import ConsensusSeries
 from folkmetrics.partition import GroupSummary, Partition, PartitionSummary
-from folkmetrics.similarity import CurvePoint, FreqDist, SimilarityCurve
-from folkmetrics.stats import binned_mean, cosine, median_iqr, rank_descending
-from folkmetrics.taxonomy import ConditionalTable
-from folkmetrics.errors import UndefinedCorrelationError
+from folkmetrics.similarity import CORE_RHO_TOLERANCE, CurvePoint, FreqDist, SimilarityCurve
+from folkmetrics.stats import binned_mean, median_iqr, rank_descending
+from folkmetrics.taxonomy import ConditionalTable, TaxonomyForest
+from folkmetrics.errors import DomainError, UndefinedCorrelationError
+
+
+def cosine(x, y):
+    """Cosine of the angle between two vectors, dot(x,y)/(|x||y|)."""
+    xa = np.asarray(x, dtype=float)
+    ya = np.asarray(y, dtype=float)
+    if xa.shape != ya.shape:
+        raise DomainError(f"length mismatch: {xa.shape} vs {ya.shape}")
+    nx = math.sqrt(float(xa @ xa))
+    ny = math.sqrt(float(ya @ ya))
+    if nx == 0.0 or ny == 0.0:
+        raise DomainError("cosine undefined for a zero vector")
+    return float(xa @ ya) / (nx * ny)
 
 
 def _sum(values):
@@ -41,13 +56,54 @@ class NamedPartition(NamedTuple):
     target_fraction: float
 
 
+class NamedTable(NamedTuple):
+    """A ConditionalTable by tag name: probs holds both directions of every retained pair,
+    support the item count under the sorted pair, tag_items the listed tags' item counts."""
+
+    tags: frozenset
+    probs: Mapping[tuple[str, str], float]
+    support: Mapping[tuple[str, str], int]
+    tag_items: Mapping[str, int]
+
+
+class NamedForest(NamedTuple):
+    """A TaxonomyForest by tag name: parent is None for a root; the dicts hold the nodes only."""
+
+    nodes: frozenset
+    parent: Mapping[str, Optional[str]]
+    raw_depth: Mapping[str, int]
+    norm_depth: Mapping[str, float]
+    disconnected: frozenset
+
+
 def named(index, value):
     """value with names for codes.
 
     A Partition becomes a NamedPartition, a FreqDist the {name: count} dict
     of its used keys, a bool mask by user code the frozenset of the user
     names it selects, and an array of user codes the list of their names.
+    A ConditionalTable becomes a NamedTable and a TaxonomyForest a
+    NamedForest, named by the tag names they carry.
     """
+    if isinstance(value, ConditionalTable):
+        names, tags = value.tag_names, value.tags.tolist()
+        probs, support = {}, {}
+        for a, b, count, p_ab, p_ba in zip(value.a.tolist(), value.b.tolist(),
+                                           value.support.tolist(), value.p_ab.tolist(),
+                                           value.p_ba.tolist()):
+            support[(names[a], names[b])] = count
+            probs[(names[a], names[b])] = p_ab
+            probs[(names[b], names[a])] = p_ba
+        return NamedTable(frozenset(names[t] for t in tags), probs, support,
+                          {names[t]: int(value.tag_items[t]) for t in tags})
+    if isinstance(value, TaxonomyForest):
+        names, nodes = value.tag_names, value.nodes.tolist()
+        parent = value.parent.tolist()
+        return NamedForest(frozenset(names[t] for t in nodes),
+                           {names[t]: None if parent[t] < 0 else names[parent[t]] for t in nodes},
+                           {names[t]: int(value.raw_depth[t]) for t in nodes},
+                           {names[t]: float(value.norm_depth[t]) for t in nodes},
+                           frozenset(names[t] for t in value.disconnected.tolist()))
     c = index.columns
     if isinstance(value, Partition):
         supertaggers = named(index, value.supertagger)
@@ -60,6 +116,26 @@ def named(index, value):
     if value.dtype == bool:
         return frozenset(c.users[k] for k in np.flatnonzero(value))
     return [c.users[k] for k in value.tolist()]
+
+
+def forest_on(index, forest):
+    """The NamedForest as a TaxonomyForest by the index's tag codes, to score that index.
+
+    Tags the index lacks are left out; a node whose parent the index lacks becomes a root
+    there, keeping its depths.
+    """
+    tags = index.columns.tags
+    code = {tag: k for k, tag in enumerate(tags)}
+    parent = np.full(len(tags), -1)
+    raw_depth = np.zeros(len(tags), dtype=np.int64)
+    norm_depth = np.full(len(tags), np.nan)
+    for tag in forest.nodes & code.keys():
+        parent[code[tag]] = code.get(forest.parent[tag], -1)
+        raw_depth[code[tag]] = forest.raw_depth[tag]
+        norm_depth[code[tag]] = forest.norm_depth[tag]
+    nodes, disconnected = (np.array(sorted(code[t] for t in group & code.keys()), dtype=np.int64)
+                           for group in (forest.nodes, forest.disconnected))
+    return TaxonomyForest(tags, nodes, disconnected, parent, raw_depth, norm_depth)
 
 
 def rank_users(index):
@@ -175,7 +251,7 @@ def similarity_curve(index, partition, dimension, n_values):
     core = None
     if points:
         best = max(p.rho for p in points)
-        core = next(p.n for p in points if p.rho == best)
+        core = next(p.n for p in points if p.rho >= best - CORE_RHO_TOLERANCE)
     return SimilarityCurve(dimension, tuple(points), core)
 
 
@@ -339,12 +415,11 @@ def conditional_table(index, tags, min_support):
                 support[(a, b)] = both
                 probs[(a, b)] = both / len(items[b])
                 probs[(b, a)] = both / len(items[a])
-    return ConditionalTable(frozenset(tag_list), probs, support,
-                            {t: len(items[t]) for t in tag_list})
+    return NamedTable(frozenset(tag_list), probs, support, {t: len(items[t]) for t in tag_list})
 
 
 def depth_expertise(index, forest, mode):
-    """{user: mean normalized tag depth} for every user with a connected tag."""
+    """{user: mean normalized tag depth of the NamedForest} for every user with a connected tag."""
     v = views(index)
     depths = forest.norm_depth
     scores = {}

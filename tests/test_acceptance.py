@@ -32,7 +32,7 @@ from folkmetrics.stats import BinSpec, log_bins, population_zscores
 from folkmetrics.partition import Partition
 from folkmetrics.taxonomy import conditional_table, depth_expertise, induce_forest
 
-from analysis_oracle import named
+from analysis_oracle import forest_on, named
 from conftest import code, make_index, user_mask
 from corpus_oracle import views
 from test_similarity import (brute_cosine_topn, brute_spearman_topn, coded, curve_cosine,
@@ -257,8 +257,9 @@ def test_c08_taxonomy_fixture_edges_acyclicity_and_depth_contrast():
         rock_rows.append(("b", f"i{k}", "rock", 0))
     for k in range(10, 100):
         rock_rows.append(("b", f"i{k}", "rock", 0))
-    table = conditional_table(make_index(rock_rows), ["rock", "classic rock"], 10)
-    forest = induce_forest(table, 0.8)
+    rock_index = make_index(rock_rows)
+    table = conditional_table(rock_index, ["rock", "classic rock"], 10)
+    forest = named(rock_index, induce_forest(table, 0.8))
     assert forest.parent["classic rock"] == "rock"
 
     rng = np.random.default_rng(1008)
@@ -268,7 +269,8 @@ def test_c08_taxonomy_fixture_edges_acyclicity_and_depth_contrast():
                 for _ in range(int(rng.integers(40, 220)))]
         index = make_index(rows)
         rtable = conditional_table(index, sorted(views(index).by_tag), min_support=1)
-        rforest = induce_forest(rtable, threshold=0.6)
+        rforest = named(index, induce_forest(rtable, threshold=0.6))
+        rtable = named(index, rtable)
         for node in rforest.nodes:
             hops = 0
             cursor = node
@@ -286,7 +288,7 @@ def test_c08_taxonomy_fixture_edges_acyclicity_and_depth_contrast():
         )
     )
     ctable = conditional_table(chain, ["a", "b", "c"], min_support=2)
-    cforest = induce_forest(ctable, 0.8)
+    cforest = named(chain, induce_forest(ctable, 0.8))
     assert cforest.norm_depth == {"a": 0.0, "b": 0.5, "c": 1.0}
 
     # vocabulary-mode series rises with user volume; annotation-mode stays flat
@@ -297,7 +299,7 @@ def test_c08_taxonomy_fixture_edges_acyclicity_and_depth_contrast():
         )
     )
     dtable = conditional_table(tax_index, ["r", "x1", "x2", "x3"], min_support=2)
-    dforest = induce_forest(dtable, 0.8)
+    dforest = named(tax_index, induce_forest(dtable, 0.8))
     user_rows = []
     for u in range(5):
         user_rows += [(f"light{u}", f"l{u}a", "r", 0), (f"light{u}", f"l{u}b", "x3", 0),
@@ -307,6 +309,7 @@ def test_c08_taxonomy_fixture_edges_acyclicity_and_depth_contrast():
         user_rows += [(f"heavy{u}", f"h{u}b{k}", "x2", 0) for k in range(27)]
         user_rows += [(f"heavy{u}", f"h{u}c{k}", "x3", 0) for k in range(6)]
     user_index = make_index(user_rows)
+    dforest = forest_on(user_index, dforest)
     ann, vocab = (
         sorted(binned_by_user_count(user_index, depth_expertise(user_index, dforest, mode),
                                     BinSpec()).rows, key=lambda r: r.bin_low)

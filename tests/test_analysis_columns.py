@@ -6,25 +6,26 @@ in the same order, so every result must be equal, not merely close.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import analysis_oracle as oracle
-from folkmetrics import consensus, expertise, motivation, partition, similarity, taxonomy
+from folkmetrics import consensus, expertise, motivation, partition, report, similarity, taxonomy
 from folkmetrics.corpus import binned_by_user_count, build_index
 from folkmetrics.errors import DomainError
 from folkmetrics.stats import BinSpec
-from folkmetrics.taxonomy import TaxonomyForest
 
 from conftest import make_index
 
 SPEC = BinSpec(base=2.0, exponent_step=0.5, max_exponent=6.0)
 
-def chain(tags):
-    """A forest that chains the tags in order: depths k / 7 add up differently in another order."""
-    return TaxonomyForest(frozenset(tags), dict(zip(tags, [None] + tags[:-1])),
-                          {t: k for k, t in enumerate(tags)},
-                          {t: k / 7 for k, t in enumerate(tags)}, frozenset())
+def chain(index):
+    """A forest that chains the index's tags in order: depths k / 7 add up differently in
+    another order."""
+    tags = index.columns.tags
+    return oracle.forest_on(index, oracle.NamedForest(
+        frozenset(tags), dict(zip(tags, [None] + tags[:-1])), {t: k for k, t in enumerate(tags)},
+        {t: k / 7 for k, t in enumerate(tags)}, frozenset()))
 
 
 rows = st.lists(
@@ -66,6 +67,8 @@ def test_partition_and_similarity_match_the_reference(rows, dedupe, fraction):
 
 @settings(max_examples=120, deadline=None)
 @given(rows, st.booleans(), st.sampled_from([0.25, 0.5, 0.9, 1.0]))
+# tag rhos of -1.0 and -0.9999999999999999 by group order: a core size of 1 one way, 5 the other
+@example([("u0", "i0", "rock", 0), ("u0", "i0", "jazz", 0), ("u1", "i0", "σ", 0)], False, 0.25)
 def test_group_properties(rows, dedupe, fraction):
     """Properties of the S / not-S split that hold for any corpus."""
     index = make_index(rows, dedupe=dedupe)
@@ -88,15 +91,33 @@ def test_group_properties(rows, dedupe, fraction):
                 index, partition.Partition(~part.supertagger, 0, fraction), dimension,
                 range(1, 9))
             assert [p.n for p in swapped.points] == [p.n for p in curve.points]
-            # rhos tied but for rounding may peak at another N once the sides swap, so the
-            # swapped core must attain the peak within 1e-12, which pins it when the peak is clear
-            rho = {p.n: p.rho for p in curve.points}
-            if rho:
-                assert rho[swapped.core_size] == pytest.approx(rho[curve.core_size], abs=1e-12)
+            assert swapped.core_size == curve.core_size
             for got, want in zip(swapped.points, curve.points):
                 assert got.rho == pytest.approx(want.rho, abs=1e-12)
                 assert got.cosine == pytest.approx(want.cosine, abs=1e-12)
                 assert got.coverage == want.coverage
+
+
+@settings(max_examples=120, deadline=None)
+@given(rows, st.booleans(), st.sampled_from([0.5, 0.8]), st.sampled_from([1, 2]), st.data())
+def test_taxonomy_properties(rows, dedupe, threshold, min_support, data):
+    """Permuting the rows changes neither the forest with its coverage nor vocabulary-mode
+    depth; annotation-mode depth adds up in annotation order, so it agrees within 1e-12."""
+    runs = []
+    for permuted in (rows, data.draw(st.permutations(rows))):
+        index = make_index(permuted, dedupe=dedupe)
+        table = taxonomy.conditional_table(index, index.columns.tags, min_support)
+        forest = taxonomy.induce_forest(table, threshold)
+        runs.append((index.columns.users,
+                     report.forest_json(index, forest),
+                     *(taxonomy.depth_expertise(index, forest, mode)
+                       for mode in ("vocabulary", "annotation"))))
+    (users, payload, vocabulary, annotation), permuted = runs
+    # equal user lists, so equal codes name the same users
+    assert permuted[0] == users
+    assert permuted[1] == payload
+    assert permuted[2].tobytes() == vocabulary.tobytes()
+    np.testing.assert_allclose(permuted[3], annotation, rtol=0, atol=1e-12)
 
 
 @settings(max_examples=120, deadline=None)
@@ -126,12 +147,12 @@ def test_taxonomy_matches_the_reference(rows, dedupe, min_support):
     index = make_index(rows, dedupe=dedupe)
     tags = index.columns.tags
     table = taxonomy.conditional_table(index, tags, min_support)
-    assert table == oracle.conditional_table(index, tags, min_support)
-    for forest in (taxonomy.induce_forest(table, threshold=0.5), chain(tags)):
+    assert oracle.named(index, table) == oracle.conditional_table(index, tags, min_support)
+    for forest in (taxonomy.induce_forest(table, threshold=0.5), chain(index)):
         for mode in ("annotation", "vocabulary"):
             assert binned_by_user_count(
                 index, taxonomy.depth_expertise(index, forest, mode), SPEC) == (
-                oracle.depth_by_bin(index, forest, SPEC, mode))
+                oracle.depth_by_bin(index, oracle.named(index, forest), SPEC, mode))
 
 
 @settings(max_examples=120, deadline=None)
@@ -145,7 +166,7 @@ def test_row_order_changes_no_count_reduction(rows, dedupe, data):
     for scores, permuted_scores in zip(motivation.motivation_scores(index),
                                        motivation.motivation_scores(permuted)):
         assert scores.tobytes() == permuted_scores.tobytes()
-    forest = chain(index.columns.tags)
+    forest = chain(index)
     assert taxonomy.depth_expertise(index, forest, "vocabulary").tobytes() == (
         taxonomy.depth_expertise(permuted, forest, "vocabulary").tobytes())
     part = partition.split_supertaggers(index, 0.5)

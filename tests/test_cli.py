@@ -647,9 +647,9 @@ def test_per_user_outputs_match_the_single_user_functions(runner, tmp_path):
     for args, scores in (
         (["expertise", "consensus"], oracle.consensus_expertise(index)),
         (["expertise", "depth", "--min-users", "3", "--min-support", "2", "--mode", "annotation"],
-         oracle.depth_expertise(index, forest, "annotation")),
+         oracle.depth_expertise(index, oracle.named(index, forest), "annotation")),
         (["expertise", "depth", "--min-users", "3", "--min-support", "2"],
-         oracle.depth_expertise(index, forest, "vocabulary")),
+         oracle.depth_expertise(index, oracle.named(index, forest), "vocabulary")),
     ):
         assert rows(args) == expected(scores), args
         assert len(scores) < len(users), args

@@ -20,9 +20,9 @@ from folkmetrics.similarity import (
     similarity_curve,
     usage_distribution,
 )
-from folkmetrics.stats import BinSpec, cosine
+from folkmetrics.stats import BinSpec
 
-from analysis_oracle import named
+from analysis_oracle import cosine, named
 from conftest import make_index, random_rows, user_mask
 from corpus_oracle import views
 
@@ -222,7 +222,7 @@ class TestCosineTopN:
                                     st.integers(1, 10**6), min_size=1), min_size=2, max_size=2),
            st.integers(1, 13))
     def test_equals_the_float_cosine_exactly(self, counts, n):
-        """Integer dot products give stats.cosine's value on the float vectors, bit for bit."""
+        """Integer dot products give the reference cosine of the float vectors, bit for bit."""
         def top(c):
             return set(sorted(c, key=lambda k: (-c[k], k))[:n])
 

@@ -20,6 +20,7 @@ from folkmetrics.taxonomy import (
     induce_forest,
 )
 
+from analysis_oracle import forest_on, named
 from conftest import code, make_index, random_rows
 from corpus_oracle import views
 
@@ -63,7 +64,7 @@ def chain_index():
 class TestConditionalTable:
     def test_rock_fixture_probabilities(self):
         index = rock_fixture_index()
-        table = conditional_table(index, ["rock", "classic rock"], min_support=10)
+        table = named(index, conditional_table(index, ["rock", "classic rock"], min_support=10))
         assert table.probs[("rock", "classic rock")] == pytest.approx(1.0)
         assert table.probs[("classic rock", "rock")] == pytest.approx(0.1)
         assert table.support[("classic rock", "rock")] == 10
@@ -72,19 +73,19 @@ class TestConditionalTable:
     def test_non_cooccurring_pair_has_no_entry(self):
         rows = [("u", "i1", "x", 0), ("u", "i2", "y", 0)]
         index = make_index(rows)
-        table = conditional_table(index, ["x", "y"], min_support=1)
+        table = named(index, conditional_table(index, ["x", "y"], min_support=1))
         assert table.probs == {}
         assert table.support == {}
 
     def test_no_self_pairs(self):
         rows = [("u", "i1", "x", 0), ("v", "i1", "x", 1)]
         index = make_index(rows)
-        table = conditional_table(index, ["x"], min_support=1)
+        table = named(index, conditional_table(index, ["x"], min_support=1))
         assert table.probs == {}
 
     def test_min_support_filters(self):
         index = rock_fixture_index()
-        table = conditional_table(index, ["rock", "classic rock"], min_support=11)
+        table = named(index, conditional_table(index, ["rock", "classic rock"], min_support=11))
         assert table.probs == {}
 
     def test_distinct_items_not_annotations(self):
@@ -92,7 +93,7 @@ class TestConditionalTable:
         rows = [("u", "i1", "x", 0), ("u", "i1", "x", 5), ("v", "i1", "y", 1),
                 ("u", "i2", "x", 2), ("u", "i2", "y", 3)]
         index = make_index(rows)
-        table = conditional_table(index, ["x", "y"], min_support=1)
+        table = named(index, conditional_table(index, ["x", "y"], min_support=1))
         assert table.tag_items == {"x": 2, "y": 2}
         assert table.support[("x", "y")] == 2
 
@@ -112,7 +113,7 @@ class TestConditionalTable:
         rows = random_rows(rng, n_users=6, n_items=12, n_tags=6, n_annotations=150)
         index = make_index(rows)
         tags = sorted(views(index).by_tag)
-        table = conditional_table(index, tags, min_support=1)
+        table = named(index, conditional_table(index, tags, min_support=1))
         items_of = {t: {r[1] for r in rows if r[2] == t} for t in tags}
         for a in tags:
             for b in tags:
@@ -131,7 +132,7 @@ class TestInduceForest:
     def test_rock_fixture_edge(self):
         index = rock_fixture_index()
         table = conditional_table(index, ["rock", "classic rock"], min_support=10)
-        forest = induce_forest(table, threshold=0.8)
+        forest = named(index, induce_forest(table, threshold=0.8))
         assert forest.parent["classic rock"] == "rock"
         assert forest.parent["rock"] is None
         assert forest.raw_depth == {"rock": 0, "classic rock": 1}
@@ -148,13 +149,14 @@ class TestInduceForest:
             rows.append(("u", f"i{k}", "y", 0))
         index = make_index(rows)
         table = conditional_table(index, ["x", "y"], min_support=1)
-        forest = induce_forest(table, threshold=0.8)
+        forest = named(index, induce_forest(table, threshold=0.8))
         assert forest.nodes == frozenset()
         assert forest.disconnected == {"x", "y"}
 
     def test_three_level_chain(self):
-        table = conditional_table(chain_index(), ["a", "b", "c"], min_support=2)
-        forest = induce_forest(table, threshold=0.8)
+        index = chain_index()
+        table = conditional_table(index, ["a", "b", "c"], min_support=2)
+        forest = named(index, induce_forest(table, threshold=0.8))
         assert forest.parent == {"a": None, "b": "a", "c": "b"}
         assert forest.raw_depth == {"a": 0, "b": 1, "c": 2}
         assert forest.norm_depth == {"a": 0.0, "b": 0.5, "c": 1.0}
@@ -167,7 +169,7 @@ class TestInduceForest:
             rows.append(("u", f"i{k}", "y", 0))
         index = make_index(rows)
         table = conditional_table(index, ["x", "y"], min_support=1)
-        forest = induce_forest(table, threshold=0.8)
+        forest = named(index, induce_forest(table, threshold=0.8))
         assert forest.nodes == frozenset()
         assert forest.disconnected == {"x", "y"}
 
@@ -183,7 +185,8 @@ class TestInduceForest:
             )
             index = make_index(rows)
             table = conditional_table(index, sorted(views(index).by_tag), min_support=1)
-            forest = induce_forest(table, threshold=0.6)
+            forest = named(index, induce_forest(table, threshold=0.6))
+            table = named(index, table)
             assert forest.nodes | forest.disconnected == table.tags
             assert not forest.nodes & forest.disconnected
             for node in forest.nodes:
@@ -226,15 +229,22 @@ def scored_user_index():
 
 
 def user_depth(index, forest, user, mode):
-    """The user's depth expertise, read from the all-users array at the user's code."""
-    return float(depth_expertise(index, forest, mode)[code(index, user)])
+    """The user's depth expertise over the NamedForest, read from the all-users array at the
+    user's code."""
+    return float(depth_expertise(index, forest_on(index, forest), mode)[code(index, user)])
+
+
+def chain_forest():
+    """The a <- b <- c forest of chain_index, by name."""
+    index = chain_index()
+    table = conditional_table(index, ["a", "b", "c"], min_support=2)
+    return named(index, induce_forest(table, threshold=0.8))
 
 
 class TestUserDepthExpertise:
     @pytest.fixture
     def forest(self):
-        table = conditional_table(chain_index(), ["a", "b", "c"], min_support=2)
-        return induce_forest(table, threshold=0.8)
+        return chain_forest()
 
     def test_root_only_user_scores_zero(self, forest):
         index = scored_user_index()
@@ -253,25 +263,39 @@ class TestUserDepthExpertise:
             assert np.isnan(user_depth(index, forest, "loner", mode))
 
     def test_bad_mode(self, forest):
+        index = scored_user_index()
         with pytest.raises(DomainError):
-            depth_expertise(scored_user_index(), forest, "both")
+            depth_expertise(index, forest_on(index, forest), "both")
+
+    def test_forest_of_another_index_raises(self):
+        """Codes name other tags in another index, so a forest scores only its own."""
+        index = chain_index()
+        forest = induce_forest(conditional_table(index, ["a", "b", "c"], min_support=2))
+        assert depth_expertise(index, forest, "annotation").size == len(index.columns.users)
+        other = scored_user_index()
+        for mode in ("annotation", "vocabulary"):
+            with pytest.raises(DomainError, match="other tags"):
+                depth_expertise(other, forest, mode)
+        with pytest.raises(DomainError, match="other tags"):
+            annotation_coverage(other, forest)
 
     def test_vocabulary_sum_does_not_depend_on_hash_order(self):
         """Depths add up in tag-name order, whatever order PYTHONHASHSEED gives a set."""
         code = (
+            "from analysis_oracle import NamedForest, forest_on\n"
             "from folkmetrics.corpus import Annotation, build_index\n"
-            "from folkmetrics.taxonomy import TaxonomyForest, depth_expertise\n"
+            "from folkmetrics.taxonomy import depth_expertise\n"
             "chain = [f't{k}' for k in range(11)]\n"
-            "forest = TaxonomyForest(frozenset(chain), dict(zip(chain, [None] + chain[:-1])),\n"
+            "forest = NamedForest(frozenset(chain), dict(zip(chain, [None] + chain[:-1])),\n"
             "    {t: k for k, t in enumerate(chain)}, {t: k / 10 for k, t in enumerate(chain)},\n"
             "    frozenset())\n"
             "tags = ['t1', 't2', 't3', 't6', 't7']\n"
             "index = build_index([Annotation('u', 'i', t, 0) for t in tags])\n"
-            "print(repr(float(depth_expertise(index, forest)[0])))\n"
+            "print(repr(float(depth_expertise(index, forest_on(index, forest))[0])))\n"
         )
-        src = str(Path(folkmetrics.__file__).parents[1])
+        path = os.pathsep.join((str(Path(folkmetrics.__file__).parents[1]), str(Path(__file__).parent)))
         for seed in range(10):
-            env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=str(seed))
+            env = dict(os.environ, PYTHONPATH=path, PYTHONHASHSEED=str(seed))
             done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                                   text=True, check=True)
             assert done.stdout == "0.38\n", seed
@@ -279,21 +303,18 @@ class TestUserDepthExpertise:
 
 class TestCoverage:
     def test_fraction_of_connected_annotations(self):
-        table = conditional_table(chain_index(), ["a", "b", "c"], min_support=2)
-        forest = induce_forest(table, threshold=0.8)
         index = scored_user_index()
         # 4 + 10 annotations on connected tags, 3 on zzz
-        assert annotation_coverage(index, forest) == pytest.approx(14 / 17)
+        assert annotation_coverage(index, forest_on(index, chain_forest())) == pytest.approx(14 / 17)
 
 
 class TestDepthByBin:
     def test_uniform_flat(self):
-        table = conditional_table(chain_index(), ["a", "b", "c"], min_support=2)
-        forest = induce_forest(table, threshold=0.8)
         rows = []
         for u in range(6):
             rows += [(f"u{u}", f"x{u}{k}", "b", 0) for k in range(3)]
         index = make_index(rows)
+        forest = forest_on(index, chain_forest())
         series = binned_by_user_count(index, depth_expertise(index, forest, "annotation"), BinSpec())
         assert len(series.rows) == 1
         assert series.rows[0].mean == pytest.approx(0.5)
@@ -312,7 +333,7 @@ class TestDepthByBin:
             )
         )
         table = conditional_table(taxonomy_index, ["r", "x1", "x2", "x3"], min_support=2)
-        forest = induce_forest(table, threshold=0.8)
+        forest = named(taxonomy_index, induce_forest(table, threshold=0.8))
         assert forest.norm_depth == {"r": 0.0, "x1": 1 / 3, "x2": 2 / 3, "x3": 1.0}
 
         rows = []
@@ -328,6 +349,7 @@ class TestDepthByBin:
             rows += [(f"heavy{u}", f"h{u}b{k}", "x2", 0) for k in range(27)]
             rows += [(f"heavy{u}", f"h{u}c{k}", "x3", 0) for k in range(6)]
         index = make_index(rows)
+        forest = forest_on(index, forest)
         ann, vocab = (binned_by_user_count(index, depth_expertise(index, forest, mode), BinSpec())
                       for mode in ("annotation", "vocabulary"))
         ann_rows = sorted(ann.rows, key=lambda r: r.bin_low)
@@ -347,7 +369,7 @@ class TestDepthByBin:
         index = make_index(rows)
         table = conditional_table(index, sorted(views(index).by_tag), min_support=1)
         forest = induce_forest(table, threshold=0.5)
-        assert forest.nodes
+        assert forest.nodes.size
         spec = BinSpec()
         from folkmetrics.stats import binned_mean
 
@@ -355,7 +377,7 @@ class TestDepthByBin:
             series = binned_by_user_count(index, depth_expertise(index, forest, mode), spec)
             counts, scores = [], []
             for user in views(index).by_user:
-                score = user_depth(index, forest, user, mode)
+                score = user_depth(index, named(index, forest), user, mode)
                 if not np.isnan(score):
                     counts.append(float(views(index).user_annotation_count[user]))
                     scores.append(score)
