@@ -10,13 +10,12 @@ every downstream analysis.
 
 from __future__ import annotations
 
-import contextlib
 import io
 from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from itertools import count, islice, repeat
+from itertools import repeat
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
@@ -64,14 +63,14 @@ class Annotation(NamedTuple):
     time: int
 
 
-class AnnotationColumns(Sequence[Annotation]):
+class AnnotationColumns:
     """Annotations held as columns rather than one object per annotation.
 
     user[k], item[k] and tag[k] are int32 codes into the name lists users,
     items and tags. Each list is sorted and holds only names that occur, so
     codes compare as the names do. time is int64, or an object array of
-    exact Python ints when a timestamp does not fit in int64. Indexing and
-    iteration build Annotation objects on demand.
+    exact Python ints when a timestamp does not fit in int64. Iteration
+    builds Annotation objects on demand.
     """
 
     __slots__ = ("user", "item", "tag", "time", "users", "items", "tags")
@@ -80,20 +79,8 @@ class AnnotationColumns(Sequence[Annotation]):
         self.user, self.item, self.tag, self.time = user, item, tag, time
         self.users, self.items, self.tags = users, items, tags
 
-    @classmethod
-    def from_annotations(cls, annotations: Iterable[Annotation]) -> "AnnotationColumns":
-        rows = list(annotations)
-        coded = [_vocabulary([getattr(a, field) for a in rows])
-                 for field in ("user", "item", "tag")]
-        time = _exact_times(np.array([a.time for a in rows], dtype=object))
-        return cls(*(code for _, code in coded), time, *(names for names, _ in coded))
-
     def __len__(self) -> int:
         return len(self.user)
-
-    def __getitem__(self, k: int) -> Annotation:
-        return Annotation(self.users[self.user[k]], self.items[self.item[k]],
-                          self.tags[self.tag[k]], int(self.time[k]))
 
     def __iter__(self) -> Iterator[Annotation]:
         # tuple.__new__ builds each record from its fields without a Python-level call
@@ -118,14 +105,6 @@ def _vocabulary(names: list[str], distinct_sorted: bool = False) -> tuple[list[s
     return vocab, np.fromiter(map(index.__getitem__, names), dtype=np.int32, count=len(names))
 
 
-def _exact_times(time: np.ndarray) -> np.ndarray:
-    """The times as int64 if they all fit, else as they are."""
-    if time.dtype == object:
-        with contextlib.suppress(OverflowError):
-            return time.astype(np.int64)
-    return time
-
-
 def _occurring(codes: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Codes from range(n) renumbered in order over the values that occur, and those values."""
     occurs = np.bincount(codes, minlength=n) > 0
@@ -141,9 +120,8 @@ class ParseResult:
     granularity: TimeGranularity
 
 
-# Lines joined at a time from an iterable of lines; a stream is read CHUNK_LINES * 32
-# bytes (2 MiB) at a time. The parser's working memory is bounded by this, not by the
-# size of the input.
+# A stream is read CHUNK_LINES * 32 bytes (2 MiB) at a time. The parser's working memory
+# is bounded by this, not by the size of the input.
 CHUNK_LINES = 1 << 16
 
 # any run of at most 18 decimal digits fits in int64
@@ -153,11 +131,9 @@ _POW10 = 10 ** np.arange(_INT64_DIGITS + 1, dtype=np.int64)
 _PREFIXES = np.array([(1 << 64) - (1 << (64 - 8 * k)) for k in range(9)], dtype=np.uint64)
 
 
-def _utf8(data, first_line: int) -> bytes:
-    """Text or bytes as UTF-8. Bytes that are not UTF-8 raise FormatError naming the line of
-    the first bad byte: first_line plus the line feeds before it."""
-    if isinstance(data, str):
-        return data.encode("utf-8", "surrogatepass")
+def _utf8(data: bytes, first_line: int) -> bytes:
+    """The bytes, if they are UTF-8; else FormatError naming the line of the first bad byte:
+    first_line plus the line feeds before it."""
     if not data.isascii():
         try:
             data.decode("utf-8")
@@ -182,18 +158,6 @@ def _stream_blocks(stream) -> Iterator[bytes]:
         first += np.count_nonzero(np.frombuffer(data, dtype=np.uint8) == ord("\n"))
     data = b"".join(pieces)
     yield data if text else _utf8(data, first)
-
-
-def _line_blocks(lines: Iterable) -> Iterator[bytes]:
-    """An iterable's text or bytes lines joined CHUNK_LINES at a time, as UTF-8 blocks."""
-    it, first = iter(lines), 1
-    while chunk := list(islice(it, CHUNK_LINES)):
-        try:
-            data = "\n".join(chunk).encode("utf-8", "surrogatepass")
-        except TypeError:  # bytes lines, maybe mixed with text ones
-            data = b"\n".join(map(_utf8, chunk, count(first)))
-        yield data + b"\n"
-        first += len(chunk)
 
 
 def _key_exponents(lengths: np.ndarray) -> np.ndarray:
@@ -403,32 +367,33 @@ def parse_annotations(
     timestamp that is not a run of ASCII digits are counted as malformed.
     If more than half of the non-blank lines are malformed a FormatError is
     raised, signalling a wrong delimiter spec; so is a byte that is not
-    UTF-8, naming its line. `source` may be a path, a text or binary
-    stream, or any iterable of text or bytes lines. A line ends at "\\n",
+    UTF-8, naming its line. `source` is a path or a text or binary stream
+    (io.IOBase); anything else raises DomainError. A line ends at "\\n",
     "\\r\\n" or a lone "\\r", as it does when Python reads a text file.
 
     A stream is read in blocks of CHUNK_LINES * 32 bytes (or characters),
-    each cut after its last line break; an iterable's lines are joined
-    CHUNK_LINES at a time. No object is built per line or field: numpy
-    finds the lines and fields of a block's UTF-8 bytes, checks them all at
-    once, and codes each name field as a fixed-width byte key with one
-    np.unique per key width. Only the lines the checks flag (malformed or
-    whitespace-only lines, a NUL, a timestamp of more than 18 digits) are
-    settled one by one, in place. At the end one sort per key width numbers
-    the blocks' distinct keys, and each distinct key is decoded and
-    normalized once. When a column's keys share one width and no name
-    changes, the keys' order is the names'; otherwise the names are sorted.
+    each cut after its last line break. No object is built per line or
+    field: numpy finds the lines and fields of a block's UTF-8 bytes, checks
+    them all at once, and codes each name field as a fixed-width byte key
+    with one np.unique per key width. Only the lines the checks flag
+    (malformed or whitespace-only lines, a NUL, a timestamp of more than 18
+    digits) are settled one by one, in place. At the end one sort per key
+    width numbers the blocks' distinct keys, and each distinct key is
+    decoded and normalized once. When a column's keys share one width and no
+    name changes, the keys' order is the names'; otherwise the names are
+    sorted.
     """
     if not delimiter:
         raise DomainError("the delimiter must not be empty")
     if isinstance(source, (str, Path)):
         with open(source, "rb") as stream:
             return parse_annotations(stream, delimiter, granularity, header)
-    blocks = _stream_blocks(source) if isinstance(source, io.IOBase) else _line_blocks(source)
+    if not isinstance(source, io.IOBase):
+        raise DomainError(f"source must be a path or a stream, not {type(source).__name__}")
     names = [_NameColumn(str.strip), _NameColumn(str.strip), _NameColumn(_normal_tag)]
     times = [np.zeros(0, dtype=np.int64)]
     malformed = sum(_parse_block(data, delimiter, header and not k, names, times)
-                    for k, data in enumerate(blocks))
+                    for k, data in enumerate(_stream_blocks(source)))
     coded = [column.finish() for column in names]
     time = np.concatenate(times)
     # a name that is empty once normalized sorts first: its lines are malformed
@@ -600,24 +565,20 @@ def _dedupe(columns: AnnotationColumns) -> AnnotationColumns:
 
 
 def build_index(
-    annotations: Sequence[Annotation],
+    annotations: AnnotationColumns,
     dedupe: bool = False,
     granularity: TimeGranularity = TimeGranularity.SECONDS,
 ) -> FolksonomyIndex:
-    """Index an annotation collection by user, item, and tag.
+    """Index annotation columns, as parse_annotations or generate_synthetic give them.
 
-    `annotations` may be AnnotationColumns, used as they are, or any
-    sequence of Annotation. With dedupe=True, duplicate (user, item, tag)
-    triples collapse to the earliest-timestamped instance (first occurrence
-    on timestamp ties), preserving first-occurrence order. Deduplication is
-    idempotent.
+    Anything but AnnotationColumns raises DomainError. With dedupe=True,
+    duplicate (user, item, tag) triples collapse to the earliest-timestamped
+    instance (first occurrence on timestamp ties), preserving
+    first-occurrence order. Deduplication is idempotent.
     """
-    if isinstance(annotations, AnnotationColumns):
-        columns = annotations
-    else:
-        columns = AnnotationColumns.from_annotations(annotations)
-    if dedupe:
-        columns = _dedupe(columns)
+    if not isinstance(annotations, AnnotationColumns):
+        raise DomainError(f"build_index takes AnnotationColumns, not {type(annotations).__name__}")
+    columns = _dedupe(annotations) if dedupe else annotations
     return FolksonomyIndex(columns=columns, granularity=granularity, deduped=dedupe)
 
 

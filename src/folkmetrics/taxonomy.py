@@ -79,12 +79,14 @@ def conditional_table(
     # one row per item code, one column per listed tag: its rank among the listed codes
     rank = np.full(len(c.tags), -1, dtype=np.int32)
     rank[codes] = np.arange(len(codes))
-    rows = rank[c.tag] >= 0
-    (item, column), _, _ = _tally(c.item[rows], rank[c.tag[rows]])
-    matrix = sparse.csr_matrix((np.ones(len(item), dtype=np.int64), (item, column)),
-                               shape=(len(c.items), len(codes)))
+    column = rank[c.tag]
+    rows = column >= 0
+    # building the matrix sums a pair's repeated rows; setting each entry to 1 counts items once
+    matrix = sparse.csr_matrix((np.ones(np.count_nonzero(rows), dtype=np.int64),
+                                (c.item[rows], column[rows])), shape=(len(c.items), len(codes)))
+    matrix.data[:] = 1
     cooc = (matrix.T @ matrix).tocoo()
-    tag_items = np.bincount(codes[column], minlength=len(c.tags))
+    tag_items = np.bincount(codes[matrix.indices], minlength=len(c.tags))
 
     keep = (cooc.row < cooc.col) & (cooc.data >= min_support)
     a, b, support = codes[cooc.row[keep]], codes[cooc.col[keep]], cooc.data[keep]

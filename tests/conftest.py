@@ -1,7 +1,15 @@
+import io
+
 import numpy as np
 import pytest
 
-from folkmetrics.corpus import Annotation, TimeGranularity, _item_tag_users, build_index
+from folkmetrics.corpus import (
+    Annotation,
+    TimeGranularity,
+    _item_tag_users,
+    build_index,
+    parse_annotations,
+)
 
 
 def make_annotations(rows):
@@ -9,8 +17,17 @@ def make_annotations(rows):
     return [Annotation(u, i, t, tm) for u, i, t, tm in rows]
 
 
+def make_columns(rows):
+    """The columns parse_annotations gives for the rows as tab-separated lines. Each row must
+    parse to itself: four well-formed fields, names trimmed and tags lowercase."""
+    text = "".join(f"{u}\t{i}\t{t}\t{tm}\n" for u, i, t, tm in rows)
+    columns = parse_annotations(io.StringIO(text)).annotations
+    assert list(columns) == make_annotations(rows)
+    return columns
+
+
 def make_index(rows, dedupe=False, granularity=TimeGranularity.SECONDS):
-    return build_index(make_annotations(rows), dedupe=dedupe, granularity=granularity)
+    return build_index(make_columns(rows), dedupe=dedupe, granularity=granularity)
 
 
 def user_mask(index, names):

@@ -10,7 +10,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import analysis_oracle as oracle
-from folkmetrics import consensus, expertise, motivation, partition, report, similarity, taxonomy
+from folkmetrics import (consensus, expertise, motivation, partition, report, similarity, spear,
+                         taxonomy)
 from folkmetrics.corpus import binned_by_user_count, build_index
 from folkmetrics.errors import DomainError
 from folkmetrics.stats import BinSpec
@@ -171,6 +172,46 @@ def test_row_order_changes_no_count_reduction(rows, dedupe, data):
         taxonomy.depth_expertise(permuted, forest, "vocabulary").tobytes())
     part = partition.split_supertaggers(index, 0.5)
     assert partition.partition_summary(index, part) == partition.partition_summary(permuted, part)
+
+
+def outcome(call, *args):
+    """What call(*args) returns, or the message of the DomainError it raises."""
+    try:
+        return call(*args)
+    except DomainError as exc:
+        return str(exc)
+
+
+def consensus_bins(series):
+    """Of a consensus series or its error: the shared items with each bin's bounds and count,
+    and apart from them each bin's mean."""
+    if isinstance(series, str):
+        return series, []
+    bins = series.top_match.rows + series.cosine.rows
+    counts = [(r.bin_low, r.bin_high, r.n) for r in bins]
+    return (series.shared_items, counts), [r.mean for r in bins]
+
+
+@settings(max_examples=120, deadline=None)
+@given(rows, st.booleans(), st.data())
+def test_row_order_changes_no_curve_score_or_shared_item(rows, dedupe, data):
+    """Permuting the rows, here at random and in reverse, leaves both similarity curves and
+    the SPEAR scores bit-identical, and consensus's shared items and bins. Consensus adds up
+    items in first-annotation order, so its means agree within 1e-12."""
+    index = make_index(rows, dedupe=dedupe)
+    part = partition.split_supertaggers(index, 0.5)
+    n = index.n_annotations
+    runs = []
+    for order in (range(n), data.draw(st.permutations(range(n))), range(n)[::-1]):
+        permuted = build_index(index.columns.take(np.array(order, dtype=np.intp)))
+        curves = [outcome(similarity.similarity_curve, permuted, part, dimension, range(1, 9))
+                  for dimension in ("tag", "item")]
+        z = spear.user_mean_z(permuted, min_users=1).tobytes()
+        runs.append((curves, z, *consensus_bins(outcome(consensus.consensus_by_bin, permuted,
+                                                        part, SPEC))))
+    for *exact, means in runs[1:]:
+        assert exact == list(runs[0][:3])
+        np.testing.assert_allclose(means, runs[0][3], rtol=0, atol=1e-12)
 
 
 @settings(max_examples=120, deadline=None)

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from folkmetrics.corpus import (
     Annotation,
-    AnnotationColumns,
     SyntheticConfig,
     build_index,
     generate_synthetic,
@@ -23,7 +22,8 @@ from folkmetrics.corpus import (
 from folkmetrics.errors import DomainError, FormatError
 from folkmetrics.partition import Partition, partition_summary
 
-from conftest import item_tag_freq, make_annotations, make_index, random_rows, user_mask
+from conftest import (item_tag_freq, make_annotations, make_columns, make_index, random_rows,
+                      user_mask)
 from corpus_oracle import views
 
 
@@ -35,11 +35,11 @@ class TestParse:
 
     def test_tag_normalization(self):
         result = parse_annotations(io.StringIO("u1\ti1\tRoCk \t100\n"))
-        assert result.annotations[0].tag == "rock"
+        assert list(result.annotations)[0].tag == "rock"
 
     def test_unicode_lowercase(self):
         result = parse_annotations(io.StringIO("u1\ti1\tROCKMUSIKİ\t1\n"))
-        assert result.annotations[0].tag == "rockmusikİ".lower()
+        assert list(result.annotations)[0].tag == "rockmusikİ".lower()
 
     def test_empty_stream(self):
         result = parse_annotations(io.StringIO(""))
@@ -91,6 +91,13 @@ class TestParse:
         with pytest.raises(OSError):
             parse_annotations("/nonexistent/annotations.tsv")
 
+    def test_lines_are_not_a_source(self):
+        """A path or a stream: a list of lines is read as io.StringIO("".join(lines))."""
+        lines = ["u1\ti1\trock\t1\n", "u2\ti2\tjazz\t2\n"]
+        with pytest.raises(DomainError, match="path or a stream"):
+            parse_annotations(lines)
+        assert len(parse_annotations(io.StringIO("".join(lines))).annotations) == 2
+
     def test_custom_delimiter(self):
         result = parse_annotations(io.StringIO("u1|i1|rock|3\n"), delimiter="|")
         assert list(result.annotations) == [Annotation("u1", "i1", "rock", 3)]
@@ -111,7 +118,7 @@ class TestBuildIndex:
     def test_dedupe_collapses_to_earliest(self):
         index = make_index([("u1", "i1", "rock", 5), ("u1", "i1", "rock", 9)], dedupe=True)
         assert index.n_annotations == 1
-        assert index.columns[0].time == 5
+        assert list(index.columns)[0].time == 5
         assert item_tag_freq(index)[("i1", "rock")] == 1
 
     def test_two_distinct_users(self):
@@ -130,8 +137,8 @@ class TestBuildIndex:
     def test_dedupe_idempotent(self):
         rng = np.random.default_rng(6)
         rows = random_rows(rng, n_users=5, n_items=5, n_tags=3, n_annotations=200)
-        once = build_index(make_annotations(rows), dedupe=True)
-        twice = build_index(list(once.columns), dedupe=True)
+        once = make_index(rows, dedupe=True)
+        twice = build_index(once.columns, dedupe=True)
         assert list(once.columns) == list(twice.columns)
         assert item_tag_freq(once) == item_tag_freq(twice)
         assert views(once).by_user == views(twice).by_user
@@ -148,6 +155,14 @@ class TestBuildIndex:
         index = make_index([("u1", "i1", "rock", 5), ("u1", "i1", "rock", 9)])
         assert index.n_annotations == 2
         assert item_tag_freq(index)[("i1", "rock")] == 1
+
+    def test_rows_are_not_columns(self):
+        """build_index takes the parser's or the generator's columns, not Annotation rows."""
+        rows = [("u1", "i1", "rock", 5), ("u2", "i1", "jazz", 9)]
+        for annotations in (make_annotations(rows), []):
+            with pytest.raises(DomainError, match="AnnotationColumns"):
+                build_index(annotations)
+        assert build_index(make_columns(rows)).n_annotations == 2
 
 
 # codes near 2**31 make three int32 columns overflow one int64 key; int64 values near both
@@ -218,7 +233,7 @@ class TestSummary:
         assert (s.taggers, s.tags, s.resources, s.annotations) == (1, 1, 1, 1)
 
     def test_empty_index(self):
-        s = summary(build_index([]))
+        s = summary(make_index([]))
         assert (s.taggers, s.tags, s.resources, s.annotations) == (0, 0, 0, 0)
         assert s.per_user is None
 
@@ -226,7 +241,7 @@ class TestSummary:
         """ingest reads only the summary: it needs the counts, not the first positions."""
         rng = np.random.default_rng(13)
         for dedupe in (False, True):
-            index = build_index(make_annotations(random_rows(rng)), dedupe=dedupe)
+            index = make_index(random_rows(rng), dedupe=dedupe)
             summary(index)
             assert not {"user_first", "item_first"} & set(vars(index))
 
@@ -280,8 +295,11 @@ class TestSynthetic:
     @settings(max_examples=150, deadline=None)
     @given(_synthetic_configs())
     def test_columns_equal_those_of_the_annotations(self, config):
+        """The generated columns equal those parsed from their annotations, written row by row."""
         got = generate_synthetic(config)
-        want = AnnotationColumns.from_annotations(list(got))
+        written = io.StringIO()
+        write_annotations(list(got), written)
+        want = parse_annotations(io.StringIO(written.getvalue())).annotations
         for column in ("user", "item", "tag", "time"):
             assert getattr(got, column).dtype == getattr(want, column).dtype
             assert getattr(got, column).tolist() == getattr(want, column).tolist()
@@ -290,7 +308,7 @@ class TestSynthetic:
     def test_single_user(self):
         config = SyntheticConfig(n_users=1, n_items=5, n_tags=5, seed=1)
         annotations = generate_synthetic(config)
-        assert {a.user for a in annotations} == {annotations[0].user}
+        assert {a.user for a in annotations} == {next(iter(annotations)).user}
 
     def test_invalid_config(self):
         with pytest.raises(DomainError):

@@ -148,10 +148,8 @@ class TestSplitSupertaggers:
                 split_supertaggers(four_user_index, fraction)
 
     def test_empty_index(self):
-        from folkmetrics.corpus import build_index
-
         with pytest.raises(DomainError):
-            split_supertaggers(build_index([]), 0.5)
+            split_supertaggers(make_index([]), 0.5)
 
 
 class TestParetoCurve:
