@@ -26,7 +26,6 @@ from .errors import (
     DomainError,
     FolkmetricsError,
     FormatError,
-    NotFoundError,
     UndefinedCorrelationError,
 )
 from .expertise import consensus_expertise

@@ -25,16 +25,11 @@ from . import report as report_mod
 from . import similarity as similarity_mod
 from . import spear as spear_mod
 from . import taxonomy as taxonomy_mod
-from .corpus import (
-    SyntheticConfig,
-    TimeGranularity,
-    build_index,
-    generate_synthetic,
-    parse_annotations,
-    write_annotations,
-)
-from .errors import ConvergenceWarning, FolkmetricsError
-from .partition import pareto_curve, partition_summary, split_supertaggers
+from .corpus import (SyntheticConfig, TimeGranularity, _utf8, build_index, generate_synthetic,
+                     parse_annotations, write_annotations)
+from .errors import ConvergenceWarning, FolkmetricsError, FormatError
+from .partition import (DEFAULT_PARETO_RESOLUTION, pareto_curve, partition_summary,
+                        split_supertaggers)
 from .stats import BinSpec
 
 
@@ -126,6 +121,14 @@ fraction_option = click.option("--fraction", type=float, default=0.5, show_defau
                                help="target supertagger share of annotations")
 top_k_option = click.option("--top-k", type=click.IntRange(1), default=spear_mod.DEFAULT_TOP_K,
                             show_default=True)
+dimension_option = click.option("--dimension", type=click.Choice(["tag", "item"]), default="tag",
+                                show_default=True)
+max_n_option = click.option("--max-n", type=click.IntRange(1),
+                            default=similarity_mod.DEFAULT_MAX_N, show_default=True)
+exponent_option = click.option("--exponent", type=float, default=spear_mod.DEFAULT_EXPONENT,
+                               show_default=True)
+orphan_divisor_option = click.option("--orphan-divisor", type=click.IntRange(1), show_default=True,
+                                     default=motivation_mod.DEFAULT_ORPHAN_DIVISOR)
 min_users_option = click.option("--min-users", type=click.IntRange(1),
                                 default=spear_mod.DEFAULT_MIN_USERS, show_default=True)
 threshold_option = click.option("--threshold", type=float, default=taxonomy_mod.DEFAULT_THRESHOLD,
@@ -238,8 +241,8 @@ def synth(users, items, tags, activity_exponent, item_exponent, tag_exponent, se
 @click.option("--out", default="-", help="partition JSON (default: stdout)")
 @click.option("--tables", default=None, help="write the per-group summary CSV here")
 @click.option("--pareto", default=None, help="write the Pareto curve CSV here")
-@click.option("--resolution", type=click.IntRange(2), default=1000, show_default=True,
-              help="Pareto curve sample points")
+@click.option("--resolution", type=click.IntRange(2), default=DEFAULT_PARETO_RESOLUTION,
+              show_default=True, help="Pareto curve sample points")
 @click.option("--full-pareto", is_flag=True, help="export the curve at full resolution")
 @click.option("--omit-users", is_flag=True, help="leave user lists out of the JSON")
 @click.option("--users-out", default=None,
@@ -266,9 +269,9 @@ def partition(fraction, out, tables, pareto, resolution, full_pareto, omit_users
 
 @main.command()
 @input_options
-@click.option("--dimension", type=click.Choice(["tag", "item"]), default="tag", show_default=True)
+@dimension_option
 @fraction_option
-@click.option("--max-n", type=click.IntRange(1), default=100_000, show_default=True)
+@max_n_option
 @click.option("--out", default="-", help="curve CSV (default: stdout)")
 @_fail_on_domain_errors
 def similarity(dimension, fraction, max_n, out, **load):
@@ -285,7 +288,7 @@ def similarity(dimension, fraction, max_n, out, **load):
 
 @main.command("usage-dist")
 @input_options
-@click.option("--dimension", type=click.Choice(["tag", "item"]), default="tag", show_default=True)
+@dimension_option
 @click.option("--cumulative", is_flag=True, help="emit the at-least-N cumulative form")
 @fraction_option
 @click.option("--out", default="-", help="CSV output (default: stdout)")
@@ -297,14 +300,13 @@ def usage_dist(dimension, cumulative, fraction, out, **load):
     report_mod.write_usage_csv(out, report_mod._usage_by_group(index, part, dimension, cumulative))
 
 
-def _read_popularity(path, delimiter="\t"):
-    data = Path(path).read_bytes()
+def _read_popularity(path, index, delimiter="\t") -> np.ndarray:
+    """The sidecar's popularity of each item of the index by code; NaN for an item it does not
+    list. Raises for a line that is not UTF-8 or not an item and a finite count >= 0."""
     try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        line = data.count(b"\n", 0, exc.start) + 1
-        raise FolkmetricsError(
-            f"popularity line {line}: invalid UTF-8 byte {data[exc.start]:#04x}") from None
+        text = _utf8(Path(path).read_bytes(), 1).decode("utf-8")
+    except FormatError as exc:
+        raise FormatError(f"popularity {exc}") from None
     popularity = {}
     # universal newlines, as a file opened in text mode reads them
     for line in io.StringIO(text, newline=None):
@@ -319,7 +321,7 @@ def _read_popularity(path, delimiter="\t"):
         if not (math.isfinite(count) and count >= 0):
             raise FolkmetricsError(f"bad popularity line: {line!r}")
         popularity[item.strip()] = count
-    return popularity
+    return np.array([popularity.get(item, math.nan) for item in index.columns.items])
 
 
 @main.command("exo-diff")
@@ -334,7 +336,7 @@ def exo_diff(popularity, fraction, bins, out, **load):
     index, _ = _load_index(**load)
     part = split_supertaggers(index, fraction)
     series = similarity_mod.exogenous_popularity_diff(
-        index, part, _read_popularity(popularity, load["delimiter"]), bins
+        index, part, _read_popularity(popularity, index, load["delimiter"]), bins
     )
     report_mod.write_binned_csv(out, series, "mean_diff")
 
@@ -355,7 +357,7 @@ def consensus(fraction, bins, out, **load):
 
 @main.command()
 @scores_command()
-@click.option("--orphan-divisor", type=click.IntRange(1), default=100, show_default=True)
+@orphan_divisor_option
 def motivation(index, orphan_divisor):
     """Categorizer/describer metrics: TPP, TRR, orphan ratio."""
     scores = motivation_mod.motivation_scores(index, orphan_divisor)
@@ -366,7 +368,7 @@ def motivation(index, orphan_divisor):
 @scores_command("--out")
 @top_k_option
 @min_users_option
-@click.option("--exponent", type=float, default=spear_mod.DEFAULT_EXPONENT, show_default=True)
+@exponent_option
 @click.option("--tolerance", type=click.FloatRange(0, min_open=True), callback=_finite,
               default=spear_mod.DEFAULT_TOLERANCE, show_default=True)
 @click.option("--max-iter", type=click.IntRange(1), default=spear_mod.DEFAULT_MAX_ITER,
@@ -432,14 +434,15 @@ def taxonomy(threshold, min_support, top_k, min_users, out, **load):
 @click.option("--out-dir", required=True, help="bundle output directory")
 @fraction_option
 @bins_option
-@click.option("--max-n", type=click.IntRange(1), default=100_000, show_default=True)
-@click.option("--pareto-resolution", type=click.IntRange(2), default=1000, show_default=True)
+@max_n_option
+@click.option("--pareto-resolution", type=click.IntRange(2), default=DEFAULT_PARETO_RESOLUTION,
+              show_default=True)
 @top_k_option
 @min_users_option
-@click.option("--exponent", type=float, default=spear_mod.DEFAULT_EXPONENT, show_default=True)
+@exponent_option
 @threshold_option
 @min_support_option
-@click.option("--orphan-divisor", type=click.IntRange(1), default=100, show_default=True)
+@orphan_divisor_option
 @click.option("--popularity", default=None, help="optional exogenous popularity sidecar")
 @_fail_on_domain_errors
 def report(out_dir, popularity, threshold, source, delimiter, granularity, header, dedupe,
@@ -448,7 +451,7 @@ def report(out_dir, popularity, threshold, source, delimiter, granularity, heade
     # every other option is the ReportConfig field of its name
     config = report_mod.ReportConfig(taxonomy_threshold=threshold, **config)
     index, _ = _load_index(source, delimiter, granularity, header, dedupe)
-    pop = _read_popularity(popularity, delimiter) if popularity else None
+    pop = _read_popularity(popularity, index, delimiter) if popularity else None
     written = report_mod.write_report(index, out_dir, config, popularity=pop)
     click.echo(f"wrote {len(written)} files to {out_dir}", err=True)
 

@@ -11,13 +11,12 @@ every downstream analysis.
 from __future__ import annotations
 
 import io
-from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from itertools import repeat
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -493,9 +492,17 @@ def _item_tag_users(columns: "AnnotationColumns", rows=slice(None)):
     return item, tag, users
 
 
-def _members(names: Sequence[str], wanted) -> np.ndarray:
-    """Mask over the codes of names: whether each name is in the set wanted."""
-    return np.fromiter(map(wanted.__contains__, names), dtype=bool, count=len(names))
+def _check_codes(codes, n_codes: int) -> np.ndarray:
+    """codes as an int64 array; DomainError unless they are distinct integers in [0, n_codes)
+    (unchecked, a negative code would pick a name from the end of the list)."""
+    codes = np.asarray(codes)
+    if codes.ndim != 1 or codes.size and codes.dtype.kind not in "iu":
+        raise DomainError(f"need a 1-D array of integer codes, got {codes.dtype} {codes.shape}")
+    codes = codes.astype(np.int64, copy=False)
+    in_range = not codes.size or 0 <= codes.min() <= codes.max() < n_codes
+    if not in_range or np.bincount(codes).max(initial=0) > 1:
+        raise DomainError(f"need distinct codes in [0, {n_codes})")
+    return codes
 
 
 def _user_means(user: np.ndarray, values: np.ndarray, n_users: int, weights=None) -> np.ndarray:
@@ -580,12 +587,6 @@ def build_index(
         raise DomainError(f"build_index takes AnnotationColumns, not {type(annotations).__name__}")
     columns = _dedupe(annotations) if dedupe else annotations
     return FolksonomyIndex(columns=columns, granularity=granularity, deduped=dedupe)
-
-
-def _code(names: Sequence[str], name: str) -> int:
-    """The code of name in the sorted names, or -1 if it is not one of them."""
-    code = bisect_left(names, name)
-    return code if code < len(names) and names[code] == name else -1
 
 
 @dataclass(frozen=True)

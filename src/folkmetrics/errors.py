@@ -13,10 +13,6 @@ class DomainError(FolkmetricsError):
     """Arguments are outside the domain of the requested computation."""
 
 
-class NotFoundError(FolkmetricsError):
-    """A referenced user, item, tag, or annotation does not exist."""
-
-
 class UndefinedCorrelationError(DomainError):
     """Correlation is undefined (constant input or fewer than two points)."""
 

@@ -29,6 +29,9 @@ __all__ = [
     "split_supertaggers",
 ]
 
+# the sample points of the Pareto curve that partition --pareto and report write
+DEFAULT_PARETO_RESOLUTION = 1000
+
 
 def gini(values: Iterable[float]) -> float:
     """Gini coefficient of non-negative values.

@@ -26,8 +26,8 @@ from . import spear as spear_mod
 from . import taxonomy as taxonomy_mod
 from .corpus import FolksonomyIndex, binned_by_user_count, summary
 from .errors import DomainError, _check_counts
-from .partition import (Partition, _check_fraction, _check_resolution, pareto_curve,
-                        partition_summary, split_supertaggers)
+from .partition import (DEFAULT_PARETO_RESOLUTION, Partition, _check_fraction,
+                        _check_resolution, pareto_curve, partition_summary, split_supertaggers)
 from .stats import BinSpec, BinnedSeries
 
 __all__ = ["ReportConfig", "write_report"]
@@ -238,8 +238,8 @@ class ReportConfig:
 
     fraction: float = 0.5
     bins: BinSpec = field(default_factory=BinSpec)
-    max_n: int = 100_000
-    pareto_resolution: Optional[int] = 1000
+    max_n: int = similarity_mod.DEFAULT_MAX_N
+    pareto_resolution: Optional[int] = DEFAULT_PARETO_RESOLUTION
     top_k: int = spear_mod.DEFAULT_TOP_K
     min_users: int = spear_mod.DEFAULT_MIN_USERS
     exponent: float = spear_mod.DEFAULT_EXPONENT
@@ -264,16 +264,17 @@ def write_report(
     index: FolksonomyIndex,
     out_dir,
     config: ReportConfig = ReportConfig(),
-    popularity: Optional[Mapping[str, float]] = None,
+    popularity: Optional[np.ndarray] = None,
 ) -> list[str]:
     """Run the full pipeline and write every figure/table data series.
 
     Emits the dataset summary, partition and per-group tables, the Pareto
     curve, tag/item usage distributions and similarity curves, the
     consensus, motivation, SPEAR, consensus-expertise and term-depth
-    series, and the induced taxonomy. Analyses that are undefined for the
-    given corpus (no shared items, no eligible tags) produce header-only
-    files. Returns the list of files written.
+    series, the induced taxonomy, and with popularity (by item code, as
+    exogenous_popularity_diff takes it) exo_diff.csv. Analyses undefined for
+    the corpus (no shared items, no eligible tags) give header-only files.
+    Returns the list of files written.
     """
     # checked before any file is written, so the bundle is all or nothing
     if index.n_annotations == 0:

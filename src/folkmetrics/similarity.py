@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .corpus import FolksonomyIndex, _members
+from .corpus import FolksonomyIndex
 from .errors import DomainError, UndefinedCorrelationError, _check_counts
 from .partition import Partition, _user_mask
 from .stats import BinSpec, BinnedSeries, binned_mean, rank_descending
@@ -31,6 +31,7 @@ __all__ = [
 ]
 
 _DIMENSIONS = ("tag", "item")
+DEFAULT_MAX_N = 100_000
 
 # np.corrcoef rounds differently with the groups swapped, so rhos this close to the peak attain it
 CORE_RHO_TOLERANCE = 1e-12
@@ -153,7 +154,7 @@ class SimilarityCurve:
     core_size: Optional[int]
 
 
-def default_n_grid(max_n: int = 100_000) -> list[int]:
+def default_n_grid(max_n: int = DEFAULT_MAX_N) -> list[int]:
     """Every integer to 100, then ~20 log-spaced values per decade up to max_n."""
     _check_counts(max_n=max_n)
     grid = set(range(1, min(100, max_n) + 1))
@@ -216,22 +217,25 @@ def similarity_curve(
 def exogenous_popularity_diff(
     index: FolksonomyIndex,
     partition: Partition,
-    popularity: Mapping[str, float],
+    popularity: np.ndarray,
     spec: BinSpec,
 ) -> BinnedSeries:
     """Mean S-minus-not-S annotation count per item, binned by external popularity.
 
-    Items lacking an external popularity value are excluded; the series
-    reports the paired mean difference with its standard error per
-    logarithmic popularity bin.
+    popularity holds one value per item code, NaN for an item lacking an
+    external popularity value; those items are excluded. The series reports
+    the paired mean difference with its standard error per logarithmic
+    popularity bin. Raises if popularity does not hold one value per item.
     """
     c = index.columns
+    popularity = np.asarray(popularity, dtype=float)
+    if popularity.shape != (len(c.items),):
+        raise DomainError(f"need {len(c.items)} popularities, one per item, got {popularity.shape}")
     in_s = _user_mask(index, partition.supertagger)[c.user]
     # S minus not-S annotations per item
     diff = 2 * np.bincount(c.item[in_s], minlength=len(c.items)) - index.item_counts
     order = np.argsort(index.item_first)
-    order = order[_members(c.items, popularity)[order]]
+    order = order[~np.isnan(popularity[order])]
     if not len(order):
         raise DomainError("no indexed item has an external popularity value")
-    pop = np.array([popularity[c.items[k]] for k in order.tolist()], dtype=float)
-    return binned_mean(pop, diff[order], spec)
+    return binned_mean(popularity[order], diff[order], spec)

@@ -18,12 +18,12 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .corpus import FolksonomyIndex, _packed_key, _run_starts, _sorted_runs, _user_means
-from .errors import ConvergenceWarning, DomainError, NotFoundError, _check_counts
+from .corpus import (FolksonomyIndex, _check_codes, _packed_key, _run_starts, _sorted_runs,
+                     _user_means)
+from .errors import ConvergenceWarning, DomainError, _check_counts
 from .stats import population_zscores
 
 __all__ = [
@@ -46,8 +46,9 @@ def eligible_tags(
     index: FolksonomyIndex,
     top_k: int = DEFAULT_TOP_K,
     min_users: int = DEFAULT_MIN_USERS,
-) -> set[str]:
-    """The top_k most-annotated tags having at least min_users distinct users.
+) -> np.ndarray:
+    """The codes of the top_k most-annotated tags having at least min_users distinct users,
+    ascending.
 
     Raises if top_k or min_users is below 1.
     """
@@ -60,28 +61,26 @@ def eligible_tags(
     runs = np.append(0, np.cumsum(_run_starts(np.sort(_packed_key(columns.tag, columns.user)))))
     ends = np.cumsum(counts)
     users = runs[ends] - runs[ends - counts]
-    return {columns.tags[k] for k in ranked[users[ranked] >= min_users].tolist()}
+    return np.sort(ranked[users[ranked] >= min_users])
 
 
 @dataclass(frozen=True)
 class CreditBatch:
     """Credit matrices of several tags, concatenated tag by tag.
 
-    users and items are the index's name lists, and user_code and item_code
-    hold index codes. Each tag numbers its distinct users in code order:
-    the users of tags[k] are slots user_offsets[k]:user_offsets[k+1], and
-    users[user_code[s]] names slot s; items likewise. The entries of
-    tags[k] are offsets[k]:offsets[k+1] of user, item (both slots) and
-    credit, in (user, item) order.
+    tags holds tag codes, and user_code and item_code user and item codes.
+    Each tag numbers its distinct users in code order: the users of tags[k]
+    are slots user_offsets[k]:user_offsets[k+1], and user_code[s] is the
+    code of slot s; items likewise. The entries of tags[k] are
+    offsets[k]:offsets[k+1] of user, item (both slots) and credit, in
+    (user, item) order.
 
     A tag's credit for a user and an item is (1 + number of users tagging
     the item with the tag strictly later)**exponent; users sharing a
     timestamp do not count toward each other's "later" sets.
     """
 
-    tags: tuple[str, ...]
-    users: Sequence[str]
-    items: Sequence[str]
+    tags: np.ndarray
     user_offsets: np.ndarray
     user_code: np.ndarray
     item_offsets: np.ndarray
@@ -105,22 +104,18 @@ def _run_ends(starts: np.ndarray) -> np.ndarray:
 
 
 def credit_batch(
-    index: FolksonomyIndex, tags: Sequence[str], exponent: float = DEFAULT_EXPONENT
+    index: FolksonomyIndex, tags: np.ndarray, exponent: float = DEFAULT_EXPONENT
 ) -> CreditBatch:
-    """Build the credit matrices of several tags in one pass.
+    """Build the credit matrices of several tags, given by code, in one pass.
 
     Duplicate (user, item) applications of a tag collapse to the earliest
-    timestamp before credits are assigned.
+    timestamp before credits are assigned. Raises unless the codes are
+    distinct codes of the index's tags.
     """
     columns = index.columns
-    code = {name: k for k, name in enumerate(columns.tags)}
-    missing = [tag for tag in tags if tag not in code]
-    if missing:
-        raise NotFoundError(f"unknown tag: {missing[0]!r}")
-    if len(set(tags)) < len(tags):
-        raise DomainError("credit_batch needs distinct tags")
+    tags = _check_codes(tags, len(columns.tags))
     position = np.full(len(columns.tags), -1)
-    position[np.array([code[tag] for tag in tags], dtype=np.int64)] = np.arange(len(tags))
+    position[tags] = np.arange(len(tags))
     tag = position[columns.tag]
     keep = tag >= 0
     tag, user, item, time = tag[keep], columns.user[keep], columns.item[keep], columns.time[keep]
@@ -138,8 +133,8 @@ def credit_batch(
     later[order] = _run_ends(same_item) - _run_ends(same_item | _run_starts(time[order]))
     power = np.array([float(1 + k) ** exponent for k in range(int(later.max(initial=0)) + 1)])
     offsets = np.searchsorted(tag, np.arange(len(tags) + 1))
-    return CreditBatch(tuple(tags), columns.users, columns.items, user_offsets, user_code,
-                       item_offsets, item_code, offsets, user_slot, item_slot, power[later])
+    return CreditBatch(tags, user_offsets, user_code, item_offsets, item_code, offsets,
+                       user_slot, item_slot, power[later])
 
 
 @dataclass(frozen=True)
@@ -241,9 +236,9 @@ def user_mean_z(
     """
     _check_parameters(exponent, tolerance, max_iter)
     tags = eligible_tags(index, top_k=top_k, min_users=min_users)
-    if not tags:
+    if not tags.size:
         raise DomainError("no eligible tags for expertise analysis")
-    scored = spear_scores(credit_batch(index, sorted(tags), exponent), tolerance, max_iter)
+    scored = spear_scores(credit_batch(index, tags, exponent), tolerance, max_iter)
     if not scored.converged:
         warnings.warn(
             f"spear: {np.count_nonzero(~scored.tag_converged)} of {len(tags)} tags "
@@ -252,7 +247,7 @@ def user_mean_z(
             stacklevel=2,
         )
     credits = scored.credits
-    offsets, n_users = credits.user_offsets, len(credits.users)
+    offsets, n_users = credits.user_offsets, len(index.columns.users)
     sizes, z = np.diff(offsets), np.empty_like(scored.user_score)
     # the tags with each scorer count, one row per tag (a bare np.unique would import numpy.ma)
     for size in np.flatnonzero(np.bincount(sizes)):

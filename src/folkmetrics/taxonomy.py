@@ -11,11 +11,11 @@ tags they use (per annotation) or know (per vocabulary entry).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .corpus import FolksonomyIndex, _code, _run_starts, _tally, _user_means
+from .corpus import FolksonomyIndex, _check_codes, _run_starts, _tally, _user_means
 from .errors import DomainError, _check_counts
 from .spear import DEFAULT_MIN_USERS, DEFAULT_TOP_K, eligible_tags
 
@@ -56,25 +56,22 @@ class ConditionalTable:
 
 def conditional_table(
     index: FolksonomyIndex,
-    tags: Iterable[str],
+    tags: np.ndarray,
     min_support: int = DEFAULT_MIN_SUPPORT,
 ) -> ConditionalTable:
-    """All pairwise P(A|B) between the given tags with enough co-occurrence.
+    """All pairwise P(A|B) between the tags of the given codes with enough co-occurrence.
 
     P(A|B) = |items carrying both A and B| / |items carrying B| over
     distinct items; pairs co-occurring on fewer than min_support items get
-    no entry, and self-pairs are excluded. Raises if min_support is below 1.
+    no entry, and self-pairs are excluded. Raises if min_support is below 1,
+    or unless the codes are distinct codes of the index's tags.
     """
     _check_counts(min_support=min_support)
     # imported here, not at start-up: only taxonomy induction needs scipy
     from scipy import sparse
 
     c = index.columns
-    tag_list = sorted(set(tags))
-    codes = np.array([_code(c.tags, t) for t in tag_list], dtype=np.int64)
-    if (codes < 0).any():
-        missing = [t for t, k in zip(tag_list, codes.tolist()) if k < 0]
-        raise DomainError(f"tags not in index: {missing[:5]!r}")
+    codes = np.sort(_check_codes(tags, len(c.tags)))
 
     # one row per item code, one column per listed tag: its rank among the listed codes
     rank = np.full(len(c.tags), -1, dtype=np.int32)

@@ -40,6 +40,24 @@ def code(index, user):
     return index.columns.users.index(user)
 
 
+def tag_codes(index, names):
+    """The codes of the named tags, in the given order: the names' positions in the sorted tag
+    names, once every name is known to be one of them."""
+    tags = index.columns.tags
+    assert set(names) <= set(tags), sorted(set(names) - set(tags))
+    return np.searchsorted(tags, names)
+
+
+def tag_names(index, codes):
+    """The set of the names of the tag codes."""
+    return {index.columns.tags[k] for k in codes.tolist()}
+
+
+def popularity_by_code(index, popularity):
+    """{item: popularity} as an array by item code, NaN for an item it does not list."""
+    return np.array([popularity.get(item, np.nan) for item in index.columns.items], dtype=float)
+
+
 def item_tag_freq(index):
     """{(item, tag): distinct users} as the analyses count them."""
     c = index.columns

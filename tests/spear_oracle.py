@@ -4,7 +4,8 @@
 timestamps; `spear_scores` runs one tag's power iteration with whole-vector
 `np.sum` normalization. Tests compare the batched kernel against both.
 `batch_of`, `entries` and `results` translate between these dict views and
-the batch API.
+the batch API, whose codes index name lists: an index's columns, or the
+`Names` that `batch_of` returns.
 
 `eligible_tags`, `credit_batch` and `user_mean_z` are the batch functions
 as they were before their steps were rebuilt around int64 sort keys and
@@ -15,7 +16,7 @@ return the same arrays, bit for bit.
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -44,34 +45,44 @@ class SpearResult:
     converged: bool
 
 
+class Names(NamedTuple):
+    """The names of tag, user and item codes, in code order."""
+
+    tags: list
+    users: list
+    items: list
+
+
 def batch_of(entries, tag="t"):
-    """A one-tag CreditBatch of {(user, item): credit}, whatever order the entries come in."""
+    """A one-tag CreditBatch of {(user, item): credit}, whatever order the entries come in, and
+    the Names of its codes."""
     users = sorted({u for u, _ in entries})
     items = sorted({i for _, i in entries})
     u_idx = {u: k for k, u in enumerate(users)}
     i_idx = {i: k for k, i in enumerate(items)}
     cells = sorted((u_idx[u], i_idx[i], c) for (u, i), c in entries.items())
     uu, ii, cc = (np.array(column) for column in zip(*cells))
-    return CreditBatch((tag,), users, items, np.array([0, len(users)]), np.arange(len(users)),
-                       np.array([0, len(items)]), np.arange(len(items)),
-                       np.array([0, len(cells)]), uu, ii, cc)
+    batch = CreditBatch(np.array([0]), np.array([0, len(users)]), np.arange(len(users)),
+                        np.array([0, len(items)]), np.arange(len(items)),
+                        np.array([0, len(cells)]), uu, ii, cc)
+    return batch, Names([tag], users, items)
 
 
-def entries(batch, k=0):
+def entries(batch, names, k=0):
     """{(user, item): credit} of the batch's k-th tag, in the batch's entry order."""
     span = slice(batch.offsets[k], batch.offsets[k + 1])
-    users = [batch.users[c] for c in batch.user_code[batch.user[span]]]
-    items = [batch.items[c] for c in batch.item_code[batch.item[span]]]
+    users = [names.users[c] for c in batch.user_code[batch.user[span]]]
+    items = [names.items[c] for c in batch.item_code[batch.item[span]]]
     return dict(zip(zip(users, items), batch.credit[span].tolist()))
 
 
-def results(scored):
-    """{tag: SpearResult} of a SpearBatch."""
+def results(scored, names):
+    """{tag name: SpearResult} of a SpearBatch."""
     credits = scored.credits
-    users = [credits.users[c] for c in credits.user_code]
-    items = [credits.items[c] for c in credits.item_code]
+    users = [names.users[c] for c in credits.user_code]
+    items = [names.items[c] for c in credits.item_code]
     out = {}
-    for k, tag in enumerate(credits.tags):
+    for k, tag in enumerate(names.tags[t] for t in credits.tags.tolist()):
         u = slice(credits.user_offsets[k], credits.user_offsets[k + 1])
         i = slice(credits.item_offsets[k], credits.item_offsets[k + 1])
         out[tag] = SpearResult(tag, dict(zip(users[u], scored.user_score[u].tolist())),
@@ -164,12 +175,13 @@ def eligible_tags(index, top_k=10_000, min_users=10):
 
 
 def credit_batch(index, tags, exponent=0.5):
-    """The CreditBatch of the tags, from stable multi-key lexsorts."""
+    """The CreditBatch of the named tags, from stable multi-key lexsorts."""
     columns = index.columns
     code = {name: k for k, name in enumerate(columns.tags)}
     # each annotation's position in tags, -1 for a tag not listed
     position = np.full(len(columns.tags), -1, dtype=np.int32)
-    position[[code[tag] for tag in tags]] = np.arange(len(tags))
+    codes = np.array([code[tag] for tag in tags], dtype=np.int64)
+    position[codes] = np.arange(len(tags))
     rows = position[columns.tag] >= 0
     tag = position[columns.tag[rows]]
     user, item, time = columns.user[rows], columns.item[rows], columns.time[rows]
@@ -185,8 +197,8 @@ def credit_batch(index, tags, exponent=0.5):
     later[order] = _run_ends(same_item) - _run_ends(same_item | _run_starts(time[order]))
     power = np.array([float(1 + k) ** exponent for k in range(int(later.max(initial=0)) + 1)])
     offsets = np.searchsorted(tag, np.arange(len(tags) + 1))
-    return CreditBatch(tuple(tags), columns.users, columns.items, user_offsets, user_code,
-                       item_offsets, item_code, offsets, user_slot, item_slot, power[later])
+    return CreditBatch(codes, user_offsets, user_code, item_offsets, item_code, offsets,
+                       user_slot, item_slot, power[later])
 
 
 def user_mean_z(index, top_k=10_000, min_users=10, exponent=0.5, tolerance=1e-8, max_iter=250):
@@ -194,7 +206,7 @@ def user_mean_z(index, top_k=10_000, min_users=10, exponent=0.5, tolerance=1e-8,
     tags = sorted(eligible_tags(index, top_k, min_users))
     scored = batch_scores(credit_batch(index, tags, exponent), tolerance, max_iter)
     credits = scored.credits
-    offsets, n_users = credits.user_offsets, len(credits.users)
+    offsets, n_users = credits.user_offsets, len(index.columns.users)
     z = []
     for a, b in zip(offsets, offsets[1:]):
         values = scored.user_score[a:b]

@@ -33,7 +33,7 @@ from folkmetrics.partition import Partition
 from folkmetrics.taxonomy import conditional_table, depth_expertise, induce_forest
 
 from analysis_oracle import forest_on, named
-from conftest import code, make_index, user_mask
+from conftest import code, make_index, tag_codes, user_mask
 from corpus_oracle import views
 from test_similarity import (brute_cosine_topn, brute_spearman_topn, coded, curve_cosine,
                              curve_rho, shared_top5_index)
@@ -191,21 +191,21 @@ def test_c06_spear_convergence_hits_oracle_ordering_and_zscores():
                                replace=False)
             for i in picks:
                 credits[(f"u{u:03d}", f"i{i:03d}")] = float(rng.integers(1, 6)) ** 0.5
-        result = scored(batch_of(credits), tolerance=1e-8, max_iter=250)
+        result = scored(*batch_of(credits), tolerance=1e-8, max_iter=250)
         assert result.converged and result.iterations <= 250
 
     hits_index = make_index(
         [(f"u{k}", f"i{k % 5}", "shared", k % 7) for k in range(40)]
         + [(f"u{k}", f"j{k % 3}", "shared", k % 5) for k in range(25)]
     )
-    credit = credit_batch(hits_index, ["shared"], exponent=0.0)
-    result = scored(credit, tolerance=1e-12, max_iter=2000)
-    expected_e, _ = brute_force_hits(entries(credit))
+    credit = credit_batch(hits_index, tag_codes(hits_index, ["shared"]), exponent=0.0)
+    result = scored(credit, hits_index.columns, tolerance=1e-12, max_iter=2000)
+    expected_e, _ = brute_force_hits(entries(credit, hits_index.columns))
     for user, score in result.user_scores.items():
         assert score == pytest.approx(expected_e[user], abs=1e-6)
 
     seq = make_index([("early", "i", "rock", 1), ("late", "i", "rock", 2)])
-    seq_result = scored(credit_batch(seq, ["rock"]))
+    seq_result = scored(credit_batch(seq, tag_codes(seq, ["rock"])), seq.columns)
     assert seq_result.user_scores["early"] > seq_result.user_scores["late"]
 
     for _ in range(10):
@@ -258,7 +258,7 @@ def test_c08_taxonomy_fixture_edges_acyclicity_and_depth_contrast():
     for k in range(10, 100):
         rock_rows.append(("b", f"i{k}", "rock", 0))
     rock_index = make_index(rock_rows)
-    table = conditional_table(rock_index, ["rock", "classic rock"], 10)
+    table = conditional_table(rock_index, tag_codes(rock_index, ["rock", "classic rock"]), 10)
     forest = named(rock_index, induce_forest(table, 0.8))
     assert forest.parent["classic rock"] == "rock"
 
@@ -268,7 +268,8 @@ def test_c08_taxonomy_fixture_edges_acyclicity_and_depth_contrast():
                  f"t{rng.integers(3, 11)}", 0)
                 for _ in range(int(rng.integers(40, 220)))]
         index = make_index(rows)
-        rtable = conditional_table(index, sorted(views(index).by_tag), min_support=1)
+        rtable = conditional_table(index, tag_codes(index, sorted(views(index).by_tag)),
+                                   min_support=1)
         rforest = named(index, induce_forest(rtable, threshold=0.6))
         rtable = named(index, rtable)
         for node in rforest.nodes:
@@ -287,7 +288,7 @@ def test_c08_taxonomy_fixture_edges_acyclicity_and_depth_contrast():
             [(30, ["a"]), (8, ["a", "b"]), (4, ["a", "b", "c"]), (2, ["b", "c"])]
         )
     )
-    ctable = conditional_table(chain, ["a", "b", "c"], min_support=2)
+    ctable = conditional_table(chain, tag_codes(chain, ["a", "b", "c"]), min_support=2)
     cforest = named(chain, induce_forest(ctable, 0.8))
     assert cforest.norm_depth == {"a": 0.0, "b": 0.5, "c": 1.0}
 
@@ -298,7 +299,8 @@ def test_c08_taxonomy_fixture_edges_acyclicity_and_depth_contrast():
              (3, ["x1", "x2", "x3"]), (2, ["x2", "x3"])]
         )
     )
-    dtable = conditional_table(tax_index, ["r", "x1", "x2", "x3"], min_support=2)
+    dtable = conditional_table(tax_index, tag_codes(tax_index, ["r", "x1", "x2", "x3"]),
+                               min_support=2)
     dforest = named(tax_index, induce_forest(dtable, 0.8))
     user_rows = []
     for u in range(5):

@@ -16,7 +16,7 @@ from folkmetrics.corpus import binned_by_user_count, build_index
 from folkmetrics.errors import DomainError
 from folkmetrics.stats import BinSpec
 
-from conftest import make_index
+from conftest import make_index, popularity_by_code, tag_codes
 
 SPEC = BinSpec(base=2.0, exponent_step=0.5, max_exponent=6.0)
 
@@ -62,7 +62,8 @@ def test_partition_and_similarity_match_the_reference(rows, dedupe, fraction):
     items = index.columns.items
     popularity = {item: float(k * 3 % 7) for k, item in enumerate(items) if k % 3}
     if popularity:
-        assert similarity.exogenous_popularity_diff(index, part, popularity, SPEC) == (
+        by_code = popularity_by_code(index, popularity)
+        assert similarity.exogenous_popularity_diff(index, part, by_code, SPEC) == (
             oracle.exogenous_popularity_diff(index, names, popularity, SPEC))
 
 
@@ -107,7 +108,7 @@ def test_taxonomy_properties(rows, dedupe, threshold, min_support, data):
     runs = []
     for permuted in (rows, data.draw(st.permutations(rows))):
         index = make_index(permuted, dedupe=dedupe)
-        table = taxonomy.conditional_table(index, index.columns.tags, min_support)
+        table = taxonomy.conditional_table(index, np.arange(len(index.columns.tags)), min_support)
         forest = taxonomy.induce_forest(table, threshold)
         runs.append((index.columns.users,
                      report.forest_json(index, forest),
@@ -147,7 +148,7 @@ def test_per_user_and_per_item_series_match_the_reference(rows, dedupe, divisor)
 def test_taxonomy_matches_the_reference(rows, dedupe, min_support):
     index = make_index(rows, dedupe=dedupe)
     tags = index.columns.tags
-    table = taxonomy.conditional_table(index, tags, min_support)
+    table = taxonomy.conditional_table(index, tag_codes(index, tags), min_support)
     assert oracle.named(index, table) == oracle.conditional_table(index, tags, min_support)
     for forest in (taxonomy.induce_forest(table, threshold=0.5), chain(index)):
         for mode in ("annotation", "vocabulary"):

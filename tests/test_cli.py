@@ -1,5 +1,6 @@
 """CLI surface: subcommands, exit codes, output schemas, determinism."""
 
+import collections
 import contextlib
 import csv
 import io
@@ -668,7 +669,8 @@ def test_spear_per_user_rows_match_the_per_tag_reference(runner, tmp_path):
              for _ in range(600)]
     src = write_fixture(tmp_path / "corpus.tsv", "".join(lines))
     index = build_index(parse_annotations(src).annotations)
-    expected = spear_oracle.mean_z(index, sorted(eligible_tags(index, min_users=3)))
+    tags = eligible_tags(index, min_users=3)
+    expected = spear_oracle.mean_z(index, [index.columns.tags[k] for k in tags.tolist()])
     out = tmp_path / "per_user.csv"
     result = runner.invoke(main, ["spear", src, "--min-users", "3", "--per-user", str(out),
                                   "--out", str(tmp_path / "binned.csv")])
@@ -680,3 +682,57 @@ def test_spear_per_user_rows_match_the_per_tag_reference(runner, tmp_path):
     for user, annotations, mean_z in rows[1:]:
         assert int(annotations) == counts[user]
         assert float(mean_z) == pytest.approx(expected[user], abs=1e-12)
+
+
+def test_subcommands_are_thin_slices_of_report(runner, tmp_path):
+    """Each subcommand writes the bytes of its file in the report bundle of the c09 corpus."""
+    corpus, bundle, bundle_pop = tmp_path / "c09.tsv", tmp_path / "bundle", tmp_path / "bundle_pop"
+    synth = ["synth", "--users", "400", "--items", "150", "--tags", "60", "--seed", "20260810"]
+    assert runner.invoke(main, synth + ["--out", str(corpus)]).exit_code == 0
+    src, options = str(corpus), ["--min-users", "3", "--min-support", "2"]
+    # a popularity sidecar: each item's annotation count
+    items = collections.Counter(line.split("\t")[1] for line in corpus.read_text().splitlines())
+    sidecar = tmp_path / "pop.tsv"
+    sidecar.write_text("".join(f"{item}\t{count}\n" for item, count in sorted(items.items())))
+    for out_dir, extra in ((bundle, []), (bundle_pop, ["--popularity", str(sidecar)])):
+        result = runner.invoke(main, ["report", src, "--out-dir", str(out_dir), *options, *extra])
+        assert result.exit_code == 0, result.output
+
+    def run(command, args, **outputs):
+        """Run the subcommand on the corpus; outputs maps an output option to a bundle file,
+        which the option's output is read back as."""
+        paths = {option: tmp_path / f"{option}.out" for option in outputs}
+        flags = [arg for option, path in paths.items() for arg in (f"--{option}", str(path))]
+        result = runner.invoke(main, [*command.split(), src, *args, *flags])
+        assert result.exit_code == 0, (command, result.output)
+        return {outputs[option]: path.read_bytes() for option, path in paths.items()}
+
+    cases = [
+        ("partition", [], dict(out="partition.json", tables="partition_summary.csv",
+                               pareto="pareto.csv")),
+        ("similarity", ["--dimension", "tag"], dict(out="tag_similarity.csv")),
+        ("similarity", ["--dimension", "item"], dict(out="item_similarity.csv")),
+        ("usage-dist", ["--dimension", "tag"], dict(out="tag_usage_dist.csv")),
+        ("usage-dist", ["--dimension", "item", "--cumulative"], dict(out="item_usage_dist.csv")),
+        ("consensus", [], dict(out="consensus.csv")),
+        ("motivation", [], dict(binned="motivation_binned.csv")),
+        ("spear", ["--min-users", "3"], dict(out="spear_binned.csv")),
+        ("expertise consensus", [], dict(binned="consensus_expertise_binned.csv")),
+        ("taxonomy", options, dict(out="taxonomy.json")),
+    ]
+    for command, args, outputs in cases:
+        for name, data in run(command, args, **outputs).items():
+            assert data == (bundle / name).read_bytes(), (command, args, name)
+    exo = run("exo-diff", ["--popularity", str(sidecar)], out="exo_diff.csv")["exo_diff.csv"]
+    assert exo.count(b"\n") > 1 and exo == (bundle_pop / "exo_diff.csv").read_bytes()
+    # depth_binned.csv holds both modes' rows, each led by its mode
+    depth = (bundle / "depth_binned.csv").read_text().splitlines()[1:]
+    for mode in ("annotation", "vocabulary"):
+        rows = run("expertise depth", [*options, "--mode", mode], binned="rows")["rows"]
+        rows = rows.decode().splitlines()[1:]
+        assert rows and rows == [row.split(",", 1)[1] for row in depth if row.startswith(mode)]
+    # --users-out writes the bundle's user lists, one name a line
+    run("partition", ["--users-out", str(tmp_path / "u_")], out="p.json")
+    payload = json.loads((bundle / "partition.json").read_text())
+    for group in ("supertaggers", "others"):
+        assert (tmp_path / f"u_{group}.txt").read_text().splitlines() == payload[group]

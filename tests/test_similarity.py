@@ -23,7 +23,7 @@ from folkmetrics.similarity import (
 from folkmetrics.stats import BinSpec
 
 from analysis_oracle import cosine, named
-from conftest import make_index, random_rows, user_mask
+from conftest import make_index, popularity_by_code, random_rows, user_mask
 from corpus_oracle import views
 
 
@@ -340,6 +340,11 @@ class TestSimilarityCurve:
         assert grid_small == list(range(1, 51))
 
 
+def exo_diff(index, part, popularity):
+    """exogenous_popularity_diff of {item: popularity} with the default bins."""
+    return exogenous_popularity_diff(index, part, popularity_by_code(index, popularity), BinSpec())
+
+
 class TestExogenousPopularityDiff:
     def test_identical_tagging_zero_diff(self):
         rows = []
@@ -349,7 +354,7 @@ class TestExogenousPopularityDiff:
         index = make_index(rows)
         part = Partition(user_mask(index, {"s"}), 0, 0.5)
         popularity = {f"i{k}": 2 ** k for k in range(8)}
-        series = exogenous_popularity_diff(index, part, popularity, BinSpec())
+        series = exo_diff(index, part, popularity)
         assert series.rows
         for row in series.rows:
             assert row.mean == pytest.approx(0.0)
@@ -366,7 +371,7 @@ class TestExogenousPopularityDiff:
         part = Partition(user_mask(index, {"s"}), 0, 0.5)
         popularity = {f"low{k}": k + 2 for k in range(5)}
         popularity.update({f"high{k}": 1000 + k for k in range(5)})
-        series = exogenous_popularity_diff(index, part, popularity, BinSpec())
+        series = exo_diff(index, part, popularity)
         for row in series.rows:
             if row.bin_high <= 10:
                 assert row.mean > 0
@@ -377,7 +382,7 @@ class TestExogenousPopularityDiff:
         rows = [("s", "i1", "a", 0), ("s", "i1", "b", 1), ("s", "i1", "c", 2), ("o", "i1", "a", 3)]
         index = make_index(rows)
         part = Partition(user_mask(index, {"s"}), 0, 0.5)
-        series = exogenous_popularity_diff(index, part, {"i1": 7.0}, BinSpec())
+        series = exo_diff(index, part, {"i1": 7.0})
         assert len(series.rows) == 1
         assert series.rows[0].mean == pytest.approx(2.0)
         assert series.rows[0].n == 1
@@ -386,11 +391,18 @@ class TestExogenousPopularityDiff:
         rows = [("s", "i1", "a", 0), ("o", "i2", "a", 0)]
         index = make_index(rows)
         part = Partition(user_mask(index, {"s"}), 0, 0.5)
-        series = exogenous_popularity_diff(index, part, {"i1": 3.0}, BinSpec())
+        series = exo_diff(index, part, {"i1": 3.0})
         assert series.total_count == 1
 
     def test_no_overlap_raises(self):
         index = make_index([("s", "i1", "a", 0)])
         part = Partition(user_mask(index, {"s"}), 0, 0.5)
         with pytest.raises(DomainError):
-            exogenous_popularity_diff(index, part, {"other": 1.0}, BinSpec())
+            exo_diff(index, part, {"other": 1.0})
+
+    @pytest.mark.parametrize("n", [0, 1, 3])
+    def test_popularity_not_one_per_item_raises(self, n):
+        index = make_index([("s", "i1", "a", 0), ("o", "i2", "a", 0)])
+        part = Partition(user_mask(index, {"s"}), 0, 0.5)
+        with pytest.raises(DomainError, match="one per item"):
+            exogenous_popularity_diff(index, part, np.ones(n), BinSpec())

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from folkmetrics.corpus import binned_by_user_count
-from folkmetrics.errors import ConvergenceWarning, DomainError, NotFoundError
+from folkmetrics.errors import ConvergenceWarning, DomainError
 from folkmetrics.report import ReportConfig
 from folkmetrics.spear import (
     credit_batch,
@@ -16,19 +16,24 @@ from folkmetrics.spear import (
 )
 from folkmetrics.stats import BinSpec
 
-from conftest import make_index, random_rows
+from conftest import make_index, random_rows, tag_codes, tag_names
 from corpus_oracle import views
 from spear_oracle import batch_of, entries, results
 
 
+def batch_by_name(index, tags, exponent=0.5):
+    """credit_batch of the named tags."""
+    return credit_batch(index, tag_codes(index, tags), exponent)
+
+
 def credit_matrix(index, tag, exponent=0.5):
-    """{(user, item): credit} of one tag, from credit_batch."""
-    return entries(credit_batch(index, [tag], exponent))
+    """{(user, item): credit} of one named tag, from credit_batch."""
+    return entries(batch_by_name(index, [tag], exponent), index.columns)
 
 
-def scored(batch, **limits):
-    """The SpearResult of a one-tag batch."""
-    return results(spear_scores(batch, **limits))[batch.tags[0]]
+def scored(batch, names, **limits):
+    """The SpearResult of a one-tag batch whose codes index the Names names."""
+    return results(spear_scores(batch, **limits), names)[names.tags[batch.tags[0]]]
 
 
 def mean_z_by_name(index, **options):
@@ -65,20 +70,21 @@ class TestEligibleTags:
     def test_small_corpus_all_pass(self):
         rows = [(f"u{k}", "i", f"t{k % 5}", k) for k in range(20)]
         index = make_index(rows)
-        assert eligible_tags(index, top_k=10, min_users=1) == {f"t{k}" for k in range(5)}
+        got = eligible_tags(index, top_k=10, min_users=1)
+        assert tag_names(index, got) == {f"t{k}" for k in range(5)}
 
     def test_min_users_boundary(self):
         rows = [(f"u{k}", "i", "popular", k) for k in range(9)]
         rows += [(f"v{k}", "i", "common", k) for k in range(10)]
         index = make_index(rows)
-        assert eligible_tags(index, top_k=10, min_users=10) == {"common"}
+        assert tag_names(index, eligible_tags(index, top_k=10, min_users=10)) == {"common"}
 
     def test_top_k_cuts_by_annotation_count(self):
         rows = []
         for k, count in enumerate([10, 8, 6, 4, 2]):
             rows += [(f"u{j}", f"i{j}", f"t{k}", j) for j in range(count)]
         index = make_index(rows)
-        assert eligible_tags(index, top_k=2, min_users=1) == {"t0", "t1"}
+        assert tag_names(index, eligible_tags(index, top_k=2, min_users=1)) == {"t0", "t1"}
 
     @pytest.mark.parametrize("top_k", [0, -1])
     def test_top_k_below_one_raises(self, top_k):
@@ -98,6 +104,8 @@ class TestEligibleTags:
         index = make_index(rows)
         top_k, min_users = 8, 3
         got = eligible_tags(index, top_k=top_k, min_users=min_users)
+        assert got.dtype == np.int64 and (np.diff(got) > 0).all()
+        got = tag_names(index, got)
         counts = {}
         users = {}
         for u, _, t, _ in rows:
@@ -154,24 +162,24 @@ class TestCreditMatrix:
 
     def test_unknown_tag(self):
         index = make_index([("u", "i", "t", 0)])
-        with pytest.raises(NotFoundError):
-            credit_matrix(index, "ghost")
+        with pytest.raises(DomainError):
+            credit_batch(index, [1])
 
 
 class TestSpearScores:
     def test_single_user_single_item(self):
-        result = scored(batch_of({("u", "i"): 1.0}))
+        result = scored(*batch_of({("u", "i"): 1.0}))
         assert result.user_scores == {"u": 1.0}
         assert result.converged
 
     def test_symmetric_users(self):
-        result = scored(batch_of({("u1", "i1"): 1.0, ("u2", "i2"): 1.0}))
+        result = scored(*batch_of({("u1", "i1"): 1.0, ("u2", "i2"): 1.0}))
         assert result.user_scores["u1"] == pytest.approx(0.5)
         assert result.user_scores["u2"] == pytest.approx(0.5)
 
     def test_earlier_tagger_scores_higher(self):
         index = make_index([("early", "i", "rock", 1), ("late", "i", "rock", 2)])
-        result = scored(credit_batch(index, ["rock"]))
+        result = scored(batch_by_name(index, ["rock"]), index.columns)
         assert result.user_scores["early"] > result.user_scores["late"]
         # single item: fixed point is proportional to credit
         expected = math.sqrt(2) / (math.sqrt(2) + 1.0)
@@ -181,7 +189,7 @@ class TestSpearScores:
         rng = np.random.default_rng(151)
         index = make_index(random_rows(rng, n_annotations=200))
         for tag in sorted(views(index).by_tag)[:3]:
-            result = scored(credit_batch(index, [tag]))
+            result = scored(batch_by_name(index, [tag]), index.columns)
             assert sum(result.user_scores.values()) == pytest.approx(1.0, abs=1e-9)
             assert all(v >= 0 for v in result.user_scores.values())
             assert sum(result.item_scores.values()) == pytest.approx(1.0, abs=1e-9)
@@ -195,7 +203,7 @@ class TestSpearScores:
             for u in range(n_users):
                 for i in rng.choice(n_items, size=min(n_items, 3), replace=False):
                     credits[(f"u{u}", f"i{i}")] = float(rng.integers(1, 5)) ** 0.5
-            result = scored(batch_of(credits), tolerance=1e-8, max_iter=250)
+            result = scored(*batch_of(credits), tolerance=1e-8, max_iter=250)
             assert result.converged
             assert result.iterations <= 250
 
@@ -204,9 +212,9 @@ class TestSpearScores:
         rows = random_rows(rng, n_users=12, n_items=8, n_tags=2, n_annotations=150)
         index = make_index(rows)
         for tag in views(index).by_tag:
-            batch = credit_batch(index, [tag], exponent=0.0)
-            result = scored(batch, tolerance=1e-12, max_iter=2000)
-            expected_e, expected_q = brute_force_hits(entries(batch))
+            batch = batch_by_name(index, [tag], exponent=0.0)
+            result = scored(batch, index.columns, tolerance=1e-12, max_iter=2000)
+            expected_e, expected_q = brute_force_hits(entries(batch, index.columns))
             for user, score in result.user_scores.items():
                 assert score == pytest.approx(expected_e[user], abs=1e-6)
             for item, score in result.item_scores.items():
@@ -215,8 +223,8 @@ class TestSpearScores:
     def test_input_order_invariance(self):
         credits = {("b", "i1"): 2.0, ("a", "i1"): 1.0, ("c", "i2"): 1.5}
         shuffled = dict(reversed(list(credits.items())))
-        r1 = scored(batch_of(credits))
-        r2 = scored(batch_of(shuffled))
+        r1 = scored(*batch_of(credits))
+        r2 = scored(*batch_of(shuffled))
         assert r1.user_scores == r2.user_scores
 
     def test_empty_matrix_raises(self):
@@ -257,7 +265,7 @@ class TestStandardize:
         rows = random_rows(rng, n_annotations=300)
         index = make_index(rows)
         tags = sorted(views(index).by_tag)[:5]
-        for result in results(spear_scores(credit_batch(index, tags))).values():
+        for result in results(spear_scores(batch_by_name(index, tags)), index.columns).values():
             scores = np.array(sorted(result.user_scores.values()))
             if np.all(scores == scores[0]):
                 continue
@@ -301,8 +309,8 @@ class TestSpearByBin:
 
         tags = eligible_tags(index, top_k=3, min_users=1)
         per_user = {}
-        for tag in sorted(tags):
-            result = scored(credit_batch(index, [tag]))
+        for tag in tags.tolist():
+            result = scored(credit_batch(index, [tag]), index.columns)
             users = sorted(result.user_scores)
             scores = np.array([result.user_scores[u] for u in users])
             equal = np.all(scores == scores[0])

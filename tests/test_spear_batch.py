@@ -12,7 +12,7 @@ import spear_oracle
 from folkmetrics.errors import DomainError
 from folkmetrics.spear import CreditBatch, credit_batch, eligible_tags, spear_scores, user_mean_z
 
-from conftest import make_index
+from conftest import make_index, tag_codes, tag_names
 from corpus_oracle import views
 
 corpora = st.lists(
@@ -26,6 +26,12 @@ corpora = st.lists(
     max_size=80,
 )
 limits = st.tuples(st.sampled_from([1e-3, 1e-8, 1e-12]), st.integers(0, 60))
+
+
+def results(index, tags, *limit):
+    """{tag: SpearResult} of the batch of the named tags."""
+    batch = credit_batch(index, tag_codes(index, tags))
+    return spear_oracle.results(spear_scores(batch, *limit), index.columns)
 
 
 @st.composite
@@ -47,7 +53,7 @@ def test_batch_matches_per_tag_reference(rows, limit):
     tolerance, max_iter = limit
     index = make_index(rows)
     tags = sorted(views(index).by_tag)
-    scored = spear_oracle.results(spear_scores(credit_batch(index, tags), tolerance, max_iter))
+    scored = results(index, tags, tolerance, max_iter)
     for tag in tags:
         expected = spear_oracle.spear_scores(
             spear_oracle.credit_matrix(index, tag), tolerance, max_iter
@@ -68,8 +74,8 @@ def test_scores_do_not_depend_on_the_rest_of_the_batch(rows, limit, data):
     index = make_index(rows)
     tags = sorted(views(index).by_tag)
     subset = data.draw(st.permutations(tags))[: data.draw(st.integers(1, len(tags)))]
-    full = spear_oracle.results(spear_scores(credit_batch(index, tags), *limit))
-    part = spear_oracle.results(spear_scores(credit_batch(index, subset), *limit))
+    full = results(index, tags, *limit)
+    part = results(index, subset, *limit)
     for tag in subset:
         assert part[tag] == full[tag]
 
@@ -79,17 +85,18 @@ def test_scores_do_not_depend_on_the_rest_of_the_batch(rows, limit, data):
 def test_credits_equal_the_counting_reference(rows, exponent):
     index = make_index(rows)
     tags = sorted(views(index).by_tag)
-    batch = credit_batch(index, tags, exponent)
+    batch = credit_batch(index, tag_codes(index, tags), exponent)
     for k, tag in enumerate(tags):
-        got = spear_oracle.entries(batch, k)
+        got = spear_oracle.entries(batch, index.columns, k)
         assert got == spear_oracle.credit_matrix(index, tag, exponent).entries
         assert list(got) == sorted(got)
 
 
 def test_timestamps_beyond_int64_keep_their_order():
     rows = [("a", "i", "rock", 2**70), ("b", "i", "rock", 2**70 + 1), ("c", "i", "rock", 3)]
-    batch = credit_batch(make_index(rows), ["rock"], exponent=1.0)
-    users = [batch.users[batch.user_code[u]] for u in batch.user]
+    index = make_index(rows)
+    batch = credit_batch(index, tag_codes(index, ["rock"]), exponent=1.0)
+    users = [index.columns.users[batch.user_code[u]] for u in batch.user]
     credits = dict(zip(users, batch.credit.tolist()))
     assert credits == {"a": 2.0, "b": 1.0, "c": 3.0}
 
@@ -98,7 +105,8 @@ def test_batch_totals_iterations_and_convergence_over_its_tags():
     rows = [("u0", "i0", "solo", 0)]
     rows += [(f"u{k}", f"i{k}", "chain", k) for k in range(6)]
     rows += [(f"u{k + 1}", f"i{k}", "chain", k + 1) for k in range(5)]
-    scored = spear_scores(credit_batch(make_index(rows), ["solo", "chain"]), 1e-8, 3)
+    index = make_index(rows)
+    scored = spear_scores(credit_batch(index, tag_codes(index, ["solo", "chain"])), 1e-8, 3)
     assert scored.tag_iterations.tolist() == [1, 3]
     assert scored.tag_converged.tolist() == [True, False]
     assert (scored.iterations, scored.converged) == (4, False)
@@ -116,7 +124,7 @@ def test_credit_batch_equals_the_lexsort_reference(rows, exponent, data):
     index = make_index(rows)
     tags = data.draw(st.permutations(index.columns.tags))
     tags = tags[: data.draw(st.integers(0, len(tags)))]
-    got = credit_batch(index, tags, exponent)
+    got = credit_batch(index, tag_codes(index, tags), exponent)
     want = spear_oracle.credit_batch(index, tags, exponent)
     for field in dataclasses.fields(CreditBatch):
         a, b = getattr(got, field.name), getattr(want, field.name)
@@ -132,8 +140,8 @@ def test_credit_batch_equals_the_lexsort_reference(rows, exponent, data):
 def test_user_mean_z_equals_the_loop_reference_bit_for_bit(rows, top_k, min_users, limit):
     index = make_index(rows)
     tags = eligible_tags(index, top_k, min_users)
-    assert tags == spear_oracle.eligible_tags(index, top_k, min_users)
-    if not tags:
+    assert tag_names(index, tags) == spear_oracle.eligible_tags(index, top_k, min_users)
+    if not tags.size:
         with pytest.raises(DomainError):
             user_mean_z(index, top_k, min_users, 0.5, *limit)
         return
@@ -146,7 +154,15 @@ def test_user_mean_z_equals_the_loop_reference_bit_for_bit(rows, top_k, min_user
 
 def test_duplicate_tags_raise():
     with pytest.raises(DomainError):
-        credit_batch(make_index([("u", "i", "rock", 0)]), ["rock", "rock"])
+        credit_batch(make_index([("u", "i", "rock", 0)]), [0, 0])
+
+
+@pytest.mark.parametrize("codes", [[-1], [0, 2], [1, 0, 1], [0.0], ["jazz"], [[0, 1]]])
+def test_credit_batch_rejects_codes_that_name_no_distinct_tag(codes):
+    # without the check, -1 would select "rock", the last of the two tags
+    index = make_index([("u", "i", "jazz", 0), ("u", "i", "rock", 1)])
+    with pytest.raises(DomainError):
+        credit_batch(index, codes)
 
 
 @pytest.mark.parametrize("limit", [(1e-8, 0), (1e-8, -1), (0.0, 250), (-1.0, 250),

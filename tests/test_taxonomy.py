@@ -14,8 +14,13 @@ from folkmetrics.taxonomy import (
 )
 
 from analysis_oracle import NamedForest, forest_on, named
-from conftest import code, make_index, random_rows
+from conftest import code, make_index, random_rows, tag_codes
 from corpus_oracle import views
+
+
+def table_of(index, tags, min_support):
+    """conditional_table of the named tags."""
+    return conditional_table(index, tag_codes(index, tags), min_support)
 
 
 def rock_fixture_index():
@@ -57,7 +62,7 @@ def chain_index():
 class TestConditionalTable:
     def test_rock_fixture_probabilities(self):
         index = rock_fixture_index()
-        table = named(index, conditional_table(index, ["rock", "classic rock"], min_support=10))
+        table = named(index, table_of(index, ["rock", "classic rock"], min_support=10))
         assert table.probs[("rock", "classic rock")] == pytest.approx(1.0)
         assert table.probs[("classic rock", "rock")] == pytest.approx(0.1)
         assert table.support[("classic rock", "rock")] == 10
@@ -66,19 +71,19 @@ class TestConditionalTable:
     def test_non_cooccurring_pair_has_no_entry(self):
         rows = [("u", "i1", "x", 0), ("u", "i2", "y", 0)]
         index = make_index(rows)
-        table = named(index, conditional_table(index, ["x", "y"], min_support=1))
+        table = named(index, table_of(index, ["x", "y"], min_support=1))
         assert table.probs == {}
         assert table.support == {}
 
     def test_no_self_pairs(self):
         rows = [("u", "i1", "x", 0), ("v", "i1", "x", 1)]
         index = make_index(rows)
-        table = named(index, conditional_table(index, ["x"], min_support=1))
+        table = named(index, table_of(index, ["x"], min_support=1))
         assert table.probs == {}
 
     def test_min_support_filters(self):
         index = rock_fixture_index()
-        table = named(index, conditional_table(index, ["rock", "classic rock"], min_support=11))
+        table = named(index, table_of(index, ["rock", "classic rock"], min_support=11))
         assert table.probs == {}
 
     def test_distinct_items_not_annotations(self):
@@ -86,27 +91,34 @@ class TestConditionalTable:
         rows = [("u", "i1", "x", 0), ("u", "i1", "x", 5), ("v", "i1", "y", 1),
                 ("u", "i2", "x", 2), ("u", "i2", "y", 3)]
         index = make_index(rows)
-        table = named(index, conditional_table(index, ["x", "y"], min_support=1))
+        table = named(index, table_of(index, ["x", "y"], min_support=1))
         assert table.tag_items == {"x": 2, "y": 2}
         assert table.support[("x", "y")] == 2
 
     def test_unknown_tag_raises(self):
         index = rock_fixture_index()
         with pytest.raises(DomainError):
-            conditional_table(index, ["rock", "ghost"])
+            conditional_table(index, np.array([0, len(index.columns.tags)]))
+
+    @pytest.mark.parametrize("codes", [[-1], [0, 2], [1, 0, 1], [0.0], ["rock"], [[0, 1]]])
+    def test_codes_that_name_no_distinct_tag_raise(self, codes):
+        # without the check, -1 would select "rock", the last of the two tags
+        with pytest.raises(DomainError):
+            conditional_table(rock_fixture_index(), codes, min_support=1)
 
     @pytest.mark.parametrize("min_support", [0, -1])
     def test_min_support_below_one_raises(self, min_support):
         # 0 and 1 would keep the same pairs: a pair with no common item has no entry
+        index = rock_fixture_index()
         with pytest.raises(DomainError, match="min_support"):
-            conditional_table(rock_fixture_index(), ["rock", "classic rock"], min_support)
+            table_of(index, ["rock", "classic rock"], min_support)
 
     def test_matches_pairwise_scan_oracle(self):
         rng = np.random.default_rng(197)
         rows = random_rows(rng, n_users=6, n_items=12, n_tags=6, n_annotations=150)
         index = make_index(rows)
         tags = sorted(views(index).by_tag)
-        table = named(index, conditional_table(index, tags, min_support=1))
+        table = named(index, table_of(index, tags, min_support=1))
         items_of = {t: {r[1] for r in rows if r[2] == t} for t in tags}
         for a in tags:
             for b in tags:
@@ -124,7 +136,7 @@ class TestConditionalTable:
 class TestInduceForest:
     def test_rock_fixture_edge(self):
         index = rock_fixture_index()
-        table = conditional_table(index, ["rock", "classic rock"], min_support=10)
+        table = table_of(index, ["rock", "classic rock"], min_support=10)
         forest = named(index, induce_forest(table, threshold=0.8))
         assert forest.parent["classic rock"] == "rock"
         assert forest.parent["rock"] is None
@@ -141,14 +153,14 @@ class TestInduceForest:
         for k in range(10, 15):
             rows.append(("u", f"i{k}", "y", 0))
         index = make_index(rows)
-        table = conditional_table(index, ["x", "y"], min_support=1)
+        table = table_of(index, ["x", "y"], min_support=1)
         forest = named(index, induce_forest(table, threshold=0.8))
         assert forest.nodes == frozenset()
         assert forest.disconnected == {"x", "y"}
 
     def test_three_level_chain(self):
         index = chain_index()
-        table = conditional_table(index, ["a", "b", "c"], min_support=2)
+        table = table_of(index, ["a", "b", "c"], min_support=2)
         forest = named(index, induce_forest(table, threshold=0.8))
         assert forest.parent == {"a": None, "b": "a", "c": "b"}
         assert forest.raw_depth == {"a": 0, "b": 1, "c": 2}
@@ -161,7 +173,7 @@ class TestInduceForest:
             rows.append(("u", f"i{k}", "x", 0))
             rows.append(("u", f"i{k}", "y", 0))
         index = make_index(rows)
-        table = conditional_table(index, ["x", "y"], min_support=1)
+        table = table_of(index, ["x", "y"], min_support=1)
         forest = named(index, induce_forest(table, threshold=0.8))
         assert forest.nodes == frozenset()
         assert forest.disconnected == {"x", "y"}
@@ -177,7 +189,7 @@ class TestInduceForest:
                 n_annotations=int(rng.integers(30, 200)),
             )
             index = make_index(rows)
-            table = conditional_table(index, sorted(views(index).by_tag), min_support=1)
+            table = table_of(index, sorted(views(index).by_tag), min_support=1)
             forest = named(index, induce_forest(table, threshold=0.6))
             table = named(index, table)
             assert forest.nodes | forest.disconnected == table.tags
@@ -199,7 +211,8 @@ class TestInduceForest:
                 assert max(forest.norm_depth[n] for n in tree) == 1.0
 
     def test_bad_threshold(self):
-        table = conditional_table(chain_index(), ["a", "b"], min_support=1)
+        index = chain_index()
+        table = table_of(index, ["a", "b"], min_support=1)
         with pytest.raises(DomainError):
             induce_forest(table, threshold=0.0)
 
@@ -230,7 +243,7 @@ def user_depth(index, forest, user, mode):
 def chain_forest():
     """The a <- b <- c forest of chain_index, by name."""
     index = chain_index()
-    table = conditional_table(index, ["a", "b", "c"], min_support=2)
+    table = table_of(index, ["a", "b", "c"], min_support=2)
     return named(index, induce_forest(table, threshold=0.8))
 
 
@@ -263,7 +276,7 @@ class TestUserDepthExpertise:
     def test_forest_of_another_index_raises(self):
         """Codes name other tags in another index, so a forest scores only its own."""
         index = chain_index()
-        forest = induce_forest(conditional_table(index, ["a", "b", "c"], min_support=2))
+        forest = induce_forest(table_of(index, ["a", "b", "c"], min_support=2))
         assert depth_expertise(index, forest, "annotation").size == len(index.columns.users)
         other = scored_user_index()
         for mode in ("annotation", "vocabulary"):
@@ -314,7 +327,7 @@ class TestDepthByBin:
                 ]
             )
         )
-        table = conditional_table(taxonomy_index, ["r", "x1", "x2", "x3"], min_support=2)
+        table = table_of(taxonomy_index, ["r", "x1", "x2", "x3"], min_support=2)
         forest = named(taxonomy_index, induce_forest(table, threshold=0.8))
         assert forest.norm_depth == {"r": 0.0, "x1": 1 / 3, "x2": 2 / 3, "x3": 1.0}
 
@@ -349,7 +362,7 @@ class TestDepthByBin:
         rows += [(f"u{k % 10}", f"c{k}", t, k) for k in range(10) for t in ("a", "b")]
         rows += [(f"u{k % 10}", f"d{k}", "a", k) for k in range(20)]
         index = make_index(rows)
-        table = conditional_table(index, sorted(views(index).by_tag), min_support=1)
+        table = table_of(index, sorted(views(index).by_tag), min_support=1)
         forest = induce_forest(table, threshold=0.5)
         assert forest.nodes.size
         spec = BinSpec()
