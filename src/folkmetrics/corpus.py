@@ -450,10 +450,12 @@ def _run_starts(*keys: np.ndarray) -> np.ndarray:
     return starts
 
 
-def _packed_key(*keys: np.ndarray) -> np.ndarray:
-    """One int64 per row of the key columns that sorts and compares as the rows do, the first
-    column most significant. Where a multiply could overflow, the key so far (or an object or
-    over-wide column) is first replaced by its dense rank, below n rows."""
+def _sorted_runs(*keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The order that sorts the rows of the key columns, the first most significant, and where
+    each run of equal rows starts in it. One unstable argsort of a packed int64 key that sorts
+    and compares as the rows do: a run's first row is np.minimum.reduceat(order, starts).
+    Where a multiply could overflow, the key so far (or an object or over-wide column) is first
+    replaced by its dense rank, below n rows."""
     n = len(keys[0])
     packed, span = np.zeros(n, dtype=np.int64), 1
     for key in keys:
@@ -466,30 +468,28 @@ def _packed_key(*keys: np.ndarray) -> np.ndarray:
         span *= width
         packed *= width
         packed += np.subtract(key, low, dtype=np.int64)
-    return packed
-
-
-def _sorted_runs(*keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The order that sorts the rows of the key columns, the first most significant, and where
-    each run of equal rows starts in it. One unstable argsort of the packed key: a run's first
-    row is np.minimum.reduceat(order, starts)."""
-    packed = _packed_key(*keys)
     order = np.argsort(packed)
-    return order, np.flatnonzero(_run_starts(packed[order]))
+    packed = packed[order]
+    return order, np.flatnonzero(_run_starts(packed))
 
 
 def _tally(*keys: np.ndarray) -> tuple[tuple[np.ndarray, ...], np.ndarray, np.ndarray]:
-    """The distinct tuples of the key columns in sorted order, each one's count, and its first index."""
+    """The distinct tuples of the key columns in sorted order, each one's count, and its first
+    index; counts and first indices are int32 below 2**31 rows."""
     order, starts = _sorted_runs(*keys)
     first = np.minimum.reduceat(order, starts)
-    return tuple(key[first] for key in keys), np.diff(np.append(starts, len(order))), first
+    del order
+    counts = np.diff(starts, append=len(keys[0]))
+    if len(keys[0]) < 2**31:
+        first, counts = first.astype(np.int32), counts.astype(np.int32)
+    return tuple(key[first] for key in keys), counts, first
 
 
-def _item_tag_users(columns: "AnnotationColumns", rows=slice(None)):
-    """The distinct (item, tag) pairs of the annotations at rows, sorted, and each one's distinct users."""
-    (item, tag, _), _, _ = _tally(columns.item[rows], columns.tag[rows], columns.user[rows])
-    (item, tag), users, _ = _tally(item, tag)
-    return item, tag, users
+def _item_tag_users(index: "FolksonomyIndex") -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct (item, tag, user) codes of the index, sorted. Not cached: its readers run
+    one after the other, and holding it would raise the report's peak."""
+    c = index.columns
+    return _tally(c.item, c.tag, c.user)[0]
 
 
 def _check_codes(codes, n_codes: int) -> np.ndarray:
@@ -527,10 +527,12 @@ class FolksonomyIndex:
     columns holds the indexed annotations (raw or deduped), the one data
     model every analysis reads. The index adds, by code, each user's, item's
     and tag's annotation count and each user's and item's first annotation
-    position, each built on first read and then cached. Where an analysis
-    visits users or items one by one, it visits them in the order of their
-    first annotation (np.argsort of user_first or item_first), so its sums
-    add up in a fixed order.
+    position, and two distinct sets: triples, the (user, item, tag) codes
+    sorted with each triple's first annotation position, and user_tags, the
+    (user, tag) codes sorted. Each is built on first read and then cached.
+    Where an analysis visits users or items one by one, it visits them in
+    the order of their first annotation (np.argsort of user_first or
+    item_first), so its sums add up in a fixed order.
     """
 
     columns: AnnotationColumns
@@ -552,6 +554,18 @@ class FolksonomyIndex:
     @cached_property
     def tag_counts(self) -> np.ndarray:
         return np.bincount(self.columns.tag, minlength=len(self.columns.tags))
+
+    @cached_property
+    def triples(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The distinct (user, item, tag) codes, sorted, and each one's first annotation index."""
+        c = self.columns
+        (user, item, tag), _, first = _tally(c.user, c.item, c.tag)
+        return user, item, tag, first
+
+    @cached_property
+    def user_tags(self) -> tuple[np.ndarray, np.ndarray]:
+        """The distinct (user, tag) codes, sorted."""
+        return _tally(self.columns.user, self.columns.tag)[0]
 
     @cached_property
     def user_first(self) -> np.ndarray:

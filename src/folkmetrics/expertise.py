@@ -10,55 +10,12 @@ so timestamps and duplicate applications are irrelevant.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
 
 import numpy as np
 
 from .corpus import FolksonomyIndex, _item_tag_users, _run_starts, _tally, _user_means
 
 __all__ = ["consensus_expertise"]
-
-
-class _Pairs(NamedTuple):
-    """Distinct (user, item, tag) codes in sorted order: the user and item of each, its consensus
-    score, the weight of its (user, item) (NaN for an excluded item) and its first annotation."""
-
-    user: np.ndarray
-    item: np.ndarray
-    score: np.ndarray
-    weight: np.ndarray
-    first: np.ndarray
-
-
-def _pairs(index: FolksonomyIndex, raw_counts: bool = False) -> _Pairs:
-    """Every annotation's pair, scored against its item's tagging.
-
-    F is the distinct-user count per (item, tag), or the raw count with
-    raw_counts.
-    """
-    c = index.columns
-    if raw_counts:
-        (item, tag), freq, _ = _tally(c.item, c.tag)
-    else:
-        item, tag, freq = _item_tag_users(c)
-    starts = np.flatnonzero(_run_starts(item))
-    sizes = np.diff(np.append(starts, len(item)))
-    max_freq = np.repeat(np.maximum.reduceat(freq, starts), sizes)
-    total = np.repeat(np.add.reduceat(freq, starts), sizes)
-    # a tag tied for most popular scores 1; the others discount the scorer's own use
-    score = np.where(freq == max_freq, 1.0, (freq - 1) / max_freq)
-    key = item.astype(np.int64) * len(c.tags) + tag
-
-    (user, item, tag), count, first = _tally(c.user, c.item, c.tag)
-    at = np.searchsorted(key, item.astype(np.int64) * len(c.tags) + tag)
-    starts = np.flatnonzero(_run_starts(user, item))
-    sizes = np.diff(np.append(starts, len(user)))
-    own = np.add.reduceat(count, starts) if raw_counts else sizes
-    # others' share of the item's tagging; 0 others -> item excluded
-    arguments, inverse = np.unique(total[at[starts]] - own, return_inverse=True)
-    logs = np.array([math.log10(a) if a > 0 else math.nan for a in arguments.tolist()])
-    weight = np.repeat(logs[inverse], sizes)
-    return _Pairs(user, item, score[at], weight, first)
 
 
 def consensus_expertise(index: FolksonomyIndex, raw_counts: bool = False) -> np.ndarray:
@@ -74,14 +31,37 @@ def consensus_expertise(index: FolksonomyIndex, raw_counts: bool = False) -> np.
     raw_counts switches F and the user's own share from distinct users to
     raw annotation counts.
     """
-    pairs = _pairs(index, raw_counts)
-    n_users = len(index.columns.users)
-    starts = np.flatnonzero(_run_starts(pairs.user, pairs.item))
-    best = np.maximum.reduceat(pairs.score, starts)
-    user, weight = pairs.user[starts], pairs.weight[starts]
-    first = np.minimum.reduceat(pairs.first, starts)
-    # each user's items in the order of their first annotation: bincount adds in that order
-    kept = np.flatnonzero(~np.isnan(weight))
-    kept = kept[np.argsort(first[kept])]
-    return _user_means(user[kept], best[kept], n_users, weight[kept])
+    c = index.columns
+    if raw_counts:
+        (item, tag), freq, _ = _tally(c.item, c.tag)
+    else:
+        item, tag, _ = _item_tag_users(index)
+        starts = np.flatnonzero(_run_starts(item, tag))
+        item, tag, freq = item[starts], tag[starts], np.diff(starts, append=len(item))
+    # per (item, tag), sorted: its score; per item code: its total tagging
+    starts = np.flatnonzero(_run_starts(item))
+    max_freq = np.repeat(np.maximum.reduceat(freq, starts), np.diff(starts, append=len(item)))
+    # a tag tied for most popular scores 1; the others discount the scorer's own use
+    score = np.where(freq == max_freq, 1.0, (freq - 1) / max_freq)
+    total = np.zeros(len(c.items), dtype=freq.dtype)
+    total[item[starts]] = np.add.reduceat(freq, starts)
+    key = item.astype(np.int64) * len(c.tags) + tag
+    del freq, max_freq
 
+    # per (user, item): the best score of its tags and others' share of the item's tagging
+    user, item, tag, first = index.triples
+    starts = np.flatnonzero(_run_starts(user, item))
+    at = np.searchsorted(key, item.astype(np.int64) * len(c.tags) + tag)
+    best = np.maximum.reduceat(score[at], starts)
+    del at, score, key
+    own = _tally(c.user, c.item)[1] if raw_counts else np.diff(starts, append=len(user))
+    others = total[item[starts]] - own
+    del own
+    # log10 taken once per share; an item with 0 others is excluded
+    logs = np.full(others.max(initial=0) + 1, math.nan)
+    shares = np.flatnonzero(np.bincount(others))
+    logs[shares] = [math.log10(a) if a > 0 else math.nan for a in shares.tolist()]
+    # each user's items in the order of their first annotation: bincount adds in that order
+    kept = np.flatnonzero(others)
+    kept = kept[np.argsort(np.minimum.reduceat(first, starts)[kept])]
+    return _user_means(user[starts[kept]], best[kept], len(c.users), logs[others[kept]])

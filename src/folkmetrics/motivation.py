@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .corpus import FolksonomyIndex, _tally
+from .corpus import FolksonomyIndex, _run_starts, _tally
 from .errors import _check_counts
 
 __all__ = ["motivation_scores"]
@@ -31,11 +31,10 @@ def motivation_scores(
     divisor) times, and 1 when the most-used tag covers at most divisor items.
     """
     _check_counts(divisor=divisor)
-    c = index.columns
-    n_users = len(c.users)
-    (pair_user, _, pair_tag), _, _ = _tally(c.user, c.item, c.tag)
+    n_users = len(index.columns.users)
+    pair_user, pair_item, pair_tag, _ = index.triples
     (usage_user, _), usage, _ = _tally(pair_user, pair_tag)
-    items = np.bincount(_tally(c.user, c.item)[0][0], minlength=n_users)
+    items = np.bincount(pair_user[_run_starts(pair_user, pair_item)], minlength=n_users)
     vocabulary = np.bincount(usage_user, minlength=n_users)
     top = np.zeros(n_users, dtype=usage.dtype)
     np.maximum.at(top, usage_user, usage)

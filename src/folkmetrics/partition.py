@@ -13,7 +13,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .corpus import FolksonomyIndex, _tally
+from .corpus import FolksonomyIndex, _run_starts
 from .errors import DomainError
 from .stats import MedianIQR, median_iqr
 
@@ -188,8 +188,9 @@ def partition_summary(index: FolksonomyIndex, partition: Partition) -> Partition
     s_items, o_items = (np.bincount(c.item[rows], minlength=len(c.items)) > 0
                         for rows in (s_rows, ~s_rows))
     # annotations, distinct tags and distinct items per user
-    per_user = [index.user_counts, *(np.bincount(_tally(c.user, key)[0][0], minlength=len(c.users))
-                                     for key in (c.tag, c.item))]
+    user, item, _, _ = index.triples
+    per_user = [index.user_counts, *(np.bincount(users, minlength=len(c.users)) for users in
+                                     (index.user_tags[0], user[_run_starts(user, item)]))]
     return PartitionSummary(
         supertaggers=_group_summary(s_users, per_user, s_tags, o_tags, s_items, o_items),
         others=_group_summary(~s_users, per_user, o_tags, s_tags, o_items, s_items),

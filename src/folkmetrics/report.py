@@ -279,6 +279,15 @@ def write_report(
     # checked before any file is written, so the bundle is all or nothing
     if index.n_annotations == 0:
         raise DomainError("cannot report on an empty index")
+    if popularity is not None:
+        popularity = similarity_mod._check_popularity(index, popularity)
+    # SPEAR before the stages that build the index's cached sets: its working set is the peak
+    try:
+        mean_z = spear_mod.user_mean_z(index, config.top_k, config.min_users, config.exponent,
+                                       config.tolerance, config.max_iter)
+    except DomainError:
+        # no eligible tag: no user has a score
+        mean_z = np.full(len(index.columns.users), np.nan)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written = []
@@ -320,12 +329,6 @@ def write_report(
     write_binned_scores(emit("motivation_binned.csv"), index,
                         dict(zip(MOTIVATION_METRICS, motivation)), config.bins)
 
-    try:
-        mean_z = spear_mod.user_mean_z(index, config.top_k, config.min_users, config.exponent,
-                                       config.tolerance, config.max_iter)
-    except DomainError:
-        # no eligible tag: no user has a score
-        mean_z = np.full(len(index.columns.users), np.nan)
     write_binned_scores(emit("spear_binned.csv"), index, {"mean_z": mean_z}, config.bins)
 
     write_binned_scores(emit("consensus_expertise_binned.csv"), index,

@@ -214,6 +214,18 @@ def similarity_curve(
     return SimilarityCurve(dimension=dimension, points=tuple(points), core_size=core_size)
 
 
+def _check_popularity(index: FolksonomyIndex, popularity) -> np.ndarray:
+    """popularity as a float array; DomainError unless it holds one value per item code and
+    lists at least one item (a value that is not NaN)."""
+    popularity = np.asarray(popularity, dtype=float)
+    n_items = len(index.columns.items)
+    if popularity.shape != (n_items,):
+        raise DomainError(f"need {n_items} popularities, one per item, got {popularity.shape}")
+    if np.isnan(popularity).all():
+        raise DomainError("no indexed item has an external popularity value")
+    return popularity
+
+
 def exogenous_popularity_diff(
     index: FolksonomyIndex,
     partition: Partition,
@@ -225,17 +237,15 @@ def exogenous_popularity_diff(
     popularity holds one value per item code, NaN for an item lacking an
     external popularity value; those items are excluded. The series reports
     the paired mean difference with its standard error per logarithmic
-    popularity bin. Raises if popularity does not hold one value per item.
+    popularity bin. Raises if popularity does not hold one value per item or
+    lists no item.
     """
     c = index.columns
-    popularity = np.asarray(popularity, dtype=float)
-    if popularity.shape != (len(c.items),):
-        raise DomainError(f"need {len(c.items)} popularities, one per item, got {popularity.shape}")
+    popularity = _check_popularity(index, popularity)
     in_s = _user_mask(index, partition.supertagger)[c.user]
     # S minus not-S annotations per item
     diff = 2 * np.bincount(c.item[in_s], minlength=len(c.items)) - index.item_counts
     order = np.argsort(index.item_first)
     order = order[~np.isnan(popularity[order])]
-    if not len(order):
-        raise DomainError("no indexed item has an external popularity value")
     return binned_mean(popularity[order], diff[order], spec)
+

@@ -21,8 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import (FolksonomyIndex, _check_codes, _packed_key, _run_starts, _sorted_runs,
-                     _user_means)
+from .corpus import FolksonomyIndex, _check_codes, _run_starts, _sorted_runs, _user_means
 from .errors import ConvergenceWarning, DomainError, _check_counts
 from .stats import population_zscores
 
@@ -53,14 +52,9 @@ def eligible_tags(
     Raises if top_k or min_users is below 1.
     """
     _check_counts(top_k=top_k, min_users=min_users)
-    columns, counts = index.columns, index.tag_counts
     # codes follow name order, so a stable sort by count breaks ties by name
-    ranked = np.argsort(-counts, kind="stable")[:top_k]
-    # the keys sort by tag first: tag k's rows are ends[k] - counts[k]:ends[k] of the sorted keys,
-    # and each of its distinct users starts one run of equal keys there
-    runs = np.append(0, np.cumsum(_run_starts(np.sort(_packed_key(columns.tag, columns.user)))))
-    ends = np.cumsum(counts)
-    users = runs[ends] - runs[ends - counts]
+    ranked = np.argsort(-index.tag_counts, kind="stable")[:top_k]
+    users = np.bincount(index.user_tags[1], minlength=len(index.columns.tags))
     return np.sort(ranked[users[ranked] >= min_users])
 
 

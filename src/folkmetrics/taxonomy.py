@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import FolksonomyIndex, _check_codes, _run_starts, _tally, _user_means
+from .corpus import FolksonomyIndex, _check_codes, _run_starts, _user_means
 from .errors import DomainError, _check_counts
 from .spear import DEFAULT_MIN_USERS, DEFAULT_TOP_K, eligible_tags
 
@@ -190,9 +190,7 @@ def depth_expertise(index: FolksonomyIndex, forest: TaxonomyForest,
         raise DomainError(f"mode must be one of {_MODES}, got {mode!r}")
     if forest.tag_names != index.columns.tags:
         raise DomainError("the forest was induced on an index with other tags")
-    user, tag = index.columns.user, index.columns.tag
-    if mode == "vocabulary":
-        (user, tag), _, _ = _tally(user, tag)
+    user, tag = index.user_tags if mode == "vocabulary" else (index.columns.user, index.columns.tag)
     depth = forest.norm_depth[tag]
     scored = ~np.isnan(depth)
     return _user_means(user[scored], depth[scored], len(index.columns.users))

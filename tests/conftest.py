@@ -1,4 +1,5 @@
 import io
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -61,8 +62,8 @@ def popularity_by_code(index, popularity):
 def item_tag_freq(index):
     """{(item, tag): distinct users} as the analyses count them."""
     c = index.columns
-    item, tag, users = _item_tag_users(c)
-    return {(c.items[i], c.tags[t]): n for i, t, n in zip(item.tolist(), tag.tolist(), users.tolist())}
+    freq = Counter(zip(*(codes.tolist() for codes in _item_tag_users(index)[:2])))
+    return {(c.items[i], c.tags[t]): n for (i, t), n in freq.items()}
 
 
 @pytest.fixture

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from folkmetrics import corpus as corpus_mod, spear as spear_mod
 from folkmetrics.cli import main as cli_main
 from folkmetrics.consensus import consensus_by_bin
 from folkmetrics.corpus import (
@@ -30,6 +31,7 @@ from folkmetrics.similarity import similarity_curve
 from folkmetrics.spear import credit_batch
 from folkmetrics.stats import BinSpec, log_bins, population_zscores
 from folkmetrics.partition import Partition
+from folkmetrics.report import ReportConfig, write_report
 from folkmetrics.taxonomy import conditional_table, depth_expertise, induce_forest
 
 from analysis_oracle import forest_on, named
@@ -345,6 +347,24 @@ def test_c09_report_byte_identical_across_runs(tmp_path):
     assert len(names) == 14
     for name in names:
         assert (bundles[0] / name).read_bytes() == (bundles[1] / name).read_bytes(), name
+
+
+def test_c09_report_sorts_each_distinct_set_once(tmp_path, monkeypatch):
+    """One report sorts seven times: the (user, item, tag) and (user, tag) sets once each, the
+    (item, tag, user) set for consensus and for consensus expertise, motivation's (user, tag)
+    tally of the triples, and credit_batch's two sorts."""
+    index = build_index(generate_synthetic(SyntheticConfig(n_users=400, n_items=150, n_tags=60,
+                                                           seed=20260810)))
+    sorted_runs, rows = corpus_mod._sorted_runs, []
+
+    def counted(*keys):
+        rows.append(len(keys[0]))
+        return sorted_runs(*keys)
+
+    for module in (corpus_mod, spear_mod):
+        monkeypatch.setattr(module, "_sorted_runs", counted)
+    write_report(index, tmp_path / "bundle", ReportConfig(min_users=3, min_support=2))
+    assert len(rows) <= 7, rows
 
 
 def test_c10_report_performance_one_million_annotations(tmp_path):

@@ -548,6 +548,32 @@ class TestReportBundle:
         assert result.exit_code == 1 and "empty" in result.output
         assert not out_dir.exists()
 
+    def test_popularity_matching_no_item_exits_one_before_writing(self, runner, tmp_path):
+        src = write_fixture(tmp_path / "corpus.tsv")
+        sidecar = tmp_path / "pop.tsv"
+        sidecar.write_text("nosuch\t3\n")
+        out_dir = tmp_path / "bundle"
+        result = runner.invoke(main, ["report", src, "--out-dir", str(out_dir),
+                                      "--popularity", str(sidecar)])
+        assert result.exit_code == 1
+        assert result.stderr == "Error: no indexed item has an external popularity value\n"
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("value, extra", [(float("nan"), 0), (1.0, 1)],
+                             ids=["no-item-listed", "one-value-too-many"])
+    def test_bad_popularity_writes_no_file(self, tmp_path, value, extra):
+        import numpy as np
+
+        from folkmetrics.corpus import build_index, parse_annotations
+        from folkmetrics.errors import DomainError
+        from folkmetrics.report import write_report
+
+        index = build_index(parse_annotations(write_fixture(tmp_path / "corpus.tsv")).annotations)
+        popularity = np.full(len(index.columns.items) + extra, value)
+        with pytest.raises(DomainError):
+            write_report(index, tmp_path / "bundle", popularity=popularity)
+        assert not (tmp_path / "bundle").exists()
+
     @pytest.mark.parametrize("bad", [
         dict(fraction=0.0), dict(fraction=float("nan")), dict(max_n=0), dict(pareto_resolution=1),
         dict(top_k=0), dict(taxonomy_threshold=0.0), dict(taxonomy_threshold=1.5),

@@ -17,6 +17,7 @@ from folkmetrics.corpus import (
     parse_annotations,
     summary,
     write_annotations,
+    _item_tag_users,
     _tally,
 )
 from folkmetrics.errors import DomainError, FormatError
@@ -191,6 +192,31 @@ def test_tally_matches_sorted_counter(columns):
     assert list(zip(*(key.tolist() for key in keys))) == expected
     assert counts.tolist() == [counter[row] for row in expected]
     assert first.tolist() == [rows.index(row) for row in expected]
+    assert counts.dtype == first.dtype == np.int32
+
+
+_ROWS = st.lists(st.tuples(st.sampled_from(["u0", "u1", "u2"]), st.sampled_from(["i0", "i1", "i2"]),
+                           st.sampled_from(["a", "b", "c"]), st.integers(0, 3)), max_size=30)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_ROWS, st.booleans())
+def test_shared_sets_match_set_reference(rows, dedupe):
+    """triples, user_tags and _item_tag_users against sets of the indexed rows' codes, on raw,
+    deduped and empty indexes."""
+    index = make_index(rows, dedupe=dedupe)
+    c = index.columns
+    coded = list(zip(c.user.tolist(), c.item.tolist(), c.tag.tolist()))
+    *triple, first = index.triples
+    expected = sorted(set(coded))
+    assert list(zip(*(codes.tolist() for codes in triple))) == expected
+    assert first.tolist() == [coded.index(row) for row in expected]
+    assert list(zip(*(codes.tolist() for codes in index.user_tags))) == sorted(
+        {(u, t) for u, _, t in coded})
+    assert list(zip(*(codes.tolist() for codes in _item_tag_users(index)))) == sorted(
+        {(i, t, u) for u, i, t in coded})
+    for codes in (*index.triples, *index.user_tags, *_item_tag_users(index)):
+        assert codes.dtype == np.int32
 
 
 def user_stats(index, user):
