@@ -13,7 +13,6 @@ from .corpus import (
     FolksonomyIndex,
     ParseResult,
     SyntheticConfig,
-    TimeGranularity,
     binned_by_user_count,
     build_index,
     generate_synthetic,

@@ -25,8 +25,8 @@ from . import report as report_mod
 from . import similarity as similarity_mod
 from . import spear as spear_mod
 from . import taxonomy as taxonomy_mod
-from .corpus import (SyntheticConfig, TimeGranularity, _utf8, build_index, generate_synthetic,
-                     parse_annotations, write_annotations)
+from .corpus import (SyntheticConfig, _utf8, build_index, generate_synthetic, parse_annotations,
+                     write_annotations)
 from .errors import ConvergenceWarning, FolkmetricsError, FormatError
 from .partition import (DEFAULT_PARETO_RESOLUTION, pareto_curve, partition_summary,
                         split_supertaggers)
@@ -83,13 +83,6 @@ def input_options(fn):
     fn = click.argument("source", type=str)(fn)
     fn = click.option("--delimiter", default="\t", callback=_check_delimiter,
                       help="field delimiter (default: tab)")(fn)
-    fn = click.option(
-        "--granularity",
-        type=click.Choice([g.value for g in TimeGranularity]),
-        default=TimeGranularity.SECONDS.value,
-        show_default=True,
-        help="timestamp resolution",
-    )(fn)
     fn = click.option("--header/--no-header", default=False, help="first line is a header")(fn)
     fn = click.option(
         "--dedupe",
@@ -137,12 +130,11 @@ min_support_option = click.option("--min-support", type=click.IntRange(1),
                                   default=taxonomy_mod.DEFAULT_MIN_SUPPORT, show_default=True)
 
 
-def _load_index(source, delimiter, granularity, header, dedupe):
-    gran = TimeGranularity(granularity)
+def _load_index(source, delimiter, header, dedupe):
     # stdin as bytes: the parser decodes it, and names the line of a bad byte
     stream = sys.stdin.buffer if source == "-" else source
-    parsed = parse_annotations(stream, delimiter=delimiter, granularity=gran, header=header)
-    return build_index(parsed.annotations, dedupe=(dedupe == "on"), granularity=gran), parsed
+    parsed = parse_annotations(stream, delimiter=delimiter, header=header)
+    return build_index(parsed.annotations, dedupe=(dedupe == "on")), parsed
 
 
 def scores_command(binned_flag="--binned"):
@@ -161,9 +153,8 @@ def scores_command(binned_flag="--binned"):
         @bins_option
         @_fail_on_domain_errors
         @functools.wraps(score)
-        def command(source, delimiter, granularity, header, dedupe, per_user, binned, bins,
-                    **params):
-            index, _ = _load_index(source, delimiter, granularity, header, dedupe)
+        def command(source, delimiter, header, dedupe, per_user, binned, bins, **params):
+            index, _ = _load_index(source, delimiter, header, dedupe)
             scores = score(index, **params)
             if per_user:
                 values = np.array(list(scores.values()))
@@ -445,12 +436,11 @@ def taxonomy(threshold, min_support, top_k, min_users, out, **load):
 @orphan_divisor_option
 @click.option("--popularity", default=None, help="optional exogenous popularity sidecar")
 @_fail_on_domain_errors
-def report(out_dir, popularity, threshold, source, delimiter, granularity, header, dedupe,
-           **config):
+def report(out_dir, popularity, threshold, source, delimiter, header, dedupe, **config):
     """Run the full pipeline and write every figure/table data series."""
     # every other option is the ReportConfig field of its name
     config = report_mod.ReportConfig(taxonomy_threshold=threshold, **config)
-    index, _ = _load_index(source, delimiter, granularity, header, dedupe)
+    index, _ = _load_index(source, delimiter, header, dedupe)
     pop = _read_popularity(popularity, index, delimiter) if popularity else None
     written = report_mod.write_report(index, out_dir, config, popularity=pop)
     click.echo(f"wrote {len(written)} files to {out_dir}", err=True)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import FolksonomyIndex, _item_tag_users, _run_starts
+from .corpus import FolksonomyIndex, _run_starts
 from .errors import DomainError
 from .partition import Partition, _user_mask
 from .stats import BinSpec, BinnedSeries, binned_mean
@@ -39,14 +39,10 @@ def consensus_by_bin(
     folksonomy. Raises if no item is shared between the groups.
     """
     in_s = _user_mask(index, partition.supertagger)
-    item, tag, user = _item_tag_users(index)
-    # per (item, tag): its distinct S users, counted over the pair's run, and its not-S users
-    pair = _run_starts(item, tag)
-    starts = np.flatnonzero(pair)
-    s_users = np.bincount((np.cumsum(pair) - 1)[in_s[user]], minlength=len(starts))
-    o_users = np.diff(starts, append=len(pair)) - s_users
-    item, tag = item[starts], tag[starts]
-    del pair, user
+    item, tag, pair_of_triple = index.item_tags
+    # per (item, tag): its distinct S users, from the S users' triples, and its not-S users
+    s_users = np.bincount(pair_of_triple[in_s[index.triples[0]]], minlength=len(item))
+    o_users = np.bincount(pair_of_triple, minlength=len(item)) - s_users
     starts = np.flatnonzero(_run_starts(item))
     sizes = np.diff(starts, append=len(item))
     shared = (np.add.reduceat(s_users, starts) > 0) & (np.add.reduceat(o_users, starts) > 0)

@@ -1,8 +1,8 @@
 """Annotation datasets: parsing, validation, indexing, and synthesis.
 
 An annotation is a (user, item, tag, time) tuple. Datasets are delimited
-UTF-8 text, one annotation per line; timestamps are integers at a declared
-granularity (seconds or months). Parsed annotations are held as columns:
+UTF-8 text, one annotation per line; timestamps are non-negative integers,
+which only order the annotations. Parsed annotations are held as columns:
 int32 user, item and tag codes, numbered in sorted name order, and a time
 column. The FolksonomyIndex built over them here is the immutable input to
 every downstream analysis.
@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass
-from enum import Enum
 from functools import cached_property
 from itertools import repeat
 from pathlib import Path
@@ -32,7 +31,6 @@ __all__ = [
     "FolksonomyIndex",
     "ParseResult",
     "SyntheticConfig",
-    "TimeGranularity",
     "binned_by_user_count",
     "build_index",
     "generate_synthetic",
@@ -40,13 +38,6 @@ __all__ = [
     "summary",
     "write_annotations",
 ]
-
-
-class TimeGranularity(str, Enum):
-    """Temporal resolution of a dataset's timestamps."""
-
-    SECONDS = "seconds"
-    MONTHS = "months"
 
 
 class Annotation(NamedTuple):
@@ -116,7 +107,6 @@ class ParseResult:
 
     annotations: AnnotationColumns
     malformed: int
-    granularity: TimeGranularity
 
 
 # A stream is read CHUNK_LINES * 32 bytes (2 MiB) at a time. The parser's working memory
@@ -353,12 +343,7 @@ def _parse_block(data: bytes, delimiter: str, skip_header: bool, names, times: l
     return malformed
 
 
-def parse_annotations(
-    source,
-    delimiter: str = "\t",
-    granularity: TimeGranularity = TimeGranularity.SECONDS,
-    header: bool = False,
-) -> ParseResult:
+def parse_annotations(source, delimiter: str = "\t", header: bool = False) -> ParseResult:
     """Parse delimited user/item/tag/time lines into annotation columns.
 
     Tags are trimmed and lowercased (Unicode-aware); user and item ids are
@@ -386,7 +371,7 @@ def parse_annotations(
         raise DomainError("the delimiter must not be empty")
     if isinstance(source, (str, Path)):
         with open(source, "rb") as stream:
-            return parse_annotations(stream, delimiter, granularity, header)
+            return parse_annotations(stream, delimiter, header)
     if not isinstance(source, io.IOBase):
         raise DomainError(f"source must be a path or a stream, not {type(source).__name__}")
     names = [_NameColumn(str.strip), _NameColumn(str.strip), _NameColumn(_normal_tag)]
@@ -412,8 +397,7 @@ def parse_annotations(
             f"{malformed} of {total} lines malformed; wrong delimiter spec?"
         )
     (users, user), (items, item), (tags, tag) = coded
-    return ParseResult(AnnotationColumns(user, item, tag, time, users, items, tags), malformed,
-                       granularity)
+    return ParseResult(AnnotationColumns(user, item, tag, time, users, items, tags), malformed)
 
 
 def write_annotations(annotations: Iterable[Annotation], dest, delimiter: str = "\t") -> None:
@@ -485,11 +469,14 @@ def _tally(*keys: np.ndarray) -> tuple[tuple[np.ndarray, ...], np.ndarray, np.nd
     return tuple(key[first] for key in keys), counts, first
 
 
-def _item_tag_users(index: "FolksonomyIndex") -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The distinct (item, tag, user) codes of the index, sorted. Not cached: its readers run
-    one after the other, and holding it would raise the report's peak."""
-    c = index.columns
-    return _tally(c.item, c.tag, c.user)[0]
+def _distinct_pairs(high: np.ndarray, low: np.ndarray, n_low: int) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct (high, low) rows of two int32 code columns, sorted, as int32 columns, low
+    codes below n_low. Keys only: one in-place sort of high * n_low + low, which fits in int64."""
+    key = high.astype(np.int64) * n_low
+    key += low
+    key.sort()
+    high, low = np.divmod(key[_run_starts(key)], n_low)
+    return high.astype(np.int32), low.astype(np.int32)
 
 
 def _check_codes(codes, n_codes: int) -> np.ndarray:
@@ -527,16 +514,16 @@ class FolksonomyIndex:
     columns holds the indexed annotations (raw or deduped), the one data
     model every analysis reads. The index adds, by code, each user's, item's
     and tag's annotation count and each user's and item's first annotation
-    position, and two distinct sets: triples, the (user, item, tag) codes
-    sorted with each triple's first annotation position, and user_tags, the
-    (user, tag) codes sorted. Each is built on first read and then cached.
+    position, and three distinct sets: triples, the (user, item, tag) codes
+    sorted with each triple's first annotation position; user_tags, the
+    (user, tag) codes sorted; and item_tags, the (item, tag) codes sorted
+    with each triple's pair. Each is built on first read and then cached.
     Where an analysis visits users or items one by one, it visits them in
     the order of their first annotation (np.argsort of user_first or
     item_first), so its sums add up in a fixed order.
     """
 
     columns: AnnotationColumns
-    granularity: TimeGranularity
     deduped: bool
 
     @property
@@ -565,7 +552,21 @@ class FolksonomyIndex:
     @cached_property
     def user_tags(self) -> tuple[np.ndarray, np.ndarray]:
         """The distinct (user, tag) codes, sorted."""
-        return _tally(self.columns.user, self.columns.tag)[0]
+        return _distinct_pairs(self.columns.user, self.columns.tag, len(self.columns.tags))
+
+    @cached_property
+    def item_tags(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The distinct (item, tag) codes, sorted, and the index of each triple's pair in them
+        (int32 below 2**31 triples): a pair's count in it is the pair's distinct users."""
+        _, item, tag, _ = self.triples
+        order, starts = _sorted_runs(item, tag)
+        pair = np.zeros(len(order), dtype=np.int32 if len(order) < 2**31 else np.int64)
+        pair[starts[1:]] = 1
+        np.cumsum(pair, out=pair)
+        pair_of_triple = np.empty_like(pair)
+        pair_of_triple[order] = pair
+        first = order[starts]
+        return item[first], tag[first], pair_of_triple
 
     @cached_property
     def user_first(self) -> np.ndarray:
@@ -585,11 +586,7 @@ def _dedupe(columns: AnnotationColumns) -> AnnotationColumns:
     return columns.take(first[kept], earliest[kept])
 
 
-def build_index(
-    annotations: AnnotationColumns,
-    dedupe: bool = False,
-    granularity: TimeGranularity = TimeGranularity.SECONDS,
-) -> FolksonomyIndex:
+def build_index(annotations: AnnotationColumns, dedupe: bool = False) -> FolksonomyIndex:
     """Index annotation columns, as parse_annotations or generate_synthetic give them.
 
     Anything but AnnotationColumns raises DomainError. With dedupe=True,
@@ -600,7 +597,7 @@ def build_index(
     if not isinstance(annotations, AnnotationColumns):
         raise DomainError(f"build_index takes AnnotationColumns, not {type(annotations).__name__}")
     columns = _dedupe(annotations) if dedupe else annotations
-    return FolksonomyIndex(columns=columns, granularity=granularity, deduped=dedupe)
+    return FolksonomyIndex(columns=columns, deduped=dedupe)
 
 
 @dataclass(frozen=True)

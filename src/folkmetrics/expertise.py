@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .corpus import FolksonomyIndex, _item_tag_users, _run_starts, _tally, _user_means
+from .corpus import FolksonomyIndex, _run_starts, _tally, _user_means
 
 __all__ = ["consensus_expertise"]
 
@@ -32,28 +32,24 @@ def consensus_expertise(index: FolksonomyIndex, raw_counts: bool = False) -> np.
     raw annotation counts.
     """
     c = index.columns
-    if raw_counts:
-        (item, tag), freq, _ = _tally(c.item, c.tag)
-    else:
-        item, tag, _ = _item_tag_users(index)
-        starts = np.flatnonzero(_run_starts(item, tag))
-        item, tag, freq = item[starts], tag[starts], np.diff(starts, append=len(item))
-    # per (item, tag), sorted: its score; per item code: its total tagging
+    # per (item, tag), sorted: F, its score; per item code: its total tagging. Raw counts cover
+    # the same sorted pairs as the distinct users do
+    item, _, pair_of_triple = index.item_tags
+    freq = (_tally(c.item, c.tag)[1] if raw_counts
+            else np.bincount(pair_of_triple, minlength=len(item)))
     starts = np.flatnonzero(_run_starts(item))
     max_freq = np.repeat(np.maximum.reduceat(freq, starts), np.diff(starts, append=len(item)))
     # a tag tied for most popular scores 1; the others discount the scorer's own use
     score = np.where(freq == max_freq, 1.0, (freq - 1) / max_freq)
     total = np.zeros(len(c.items), dtype=freq.dtype)
     total[item[starts]] = np.add.reduceat(freq, starts)
-    key = item.astype(np.int64) * len(c.tags) + tag
     del freq, max_freq
 
     # per (user, item): the best score of its tags and others' share of the item's tagging
-    user, item, tag, first = index.triples
+    user, item, _, first = index.triples
     starts = np.flatnonzero(_run_starts(user, item))
-    at = np.searchsorted(key, item.astype(np.int64) * len(c.tags) + tag)
-    best = np.maximum.reduceat(score[at], starts)
-    del at, score, key
+    best = np.maximum.reduceat(score[pair_of_triple], starts)
+    del score
     own = _tally(c.user, c.item)[1] if raw_counts else np.diff(starts, append=len(user))
     others = total[item[starts]] - own
     del own
@@ -61,7 +57,12 @@ def consensus_expertise(index: FolksonomyIndex, raw_counts: bool = False) -> np.
     logs = np.full(others.max(initial=0) + 1, math.nan)
     shares = np.flatnonzero(np.bincount(others))
     logs[shares] = [math.log10(a) if a > 0 else math.nan for a in shares.tolist()]
-    # each user's items in the order of their first annotation: bincount adds in that order
+    # each user's items in the order of their first annotation: bincount adds in that order.
+    # Each column is cut to the kept items before the next is, which bounds the peak
     kept = np.flatnonzero(others)
     kept = kept[np.argsort(np.minimum.reduceat(first, starts)[kept])]
-    return _user_means(user[starts[kept]], best[kept], len(c.users), logs[others[kept]])
+    user = user[starts[kept]]
+    del starts
+    weights = logs[others[kept]]
+    del others
+    return _user_means(user, best[kept], len(c.users), weights)

@@ -1,16 +1,9 @@
 import io
-from collections import Counter
 
 import numpy as np
 import pytest
 
-from folkmetrics.corpus import (
-    Annotation,
-    TimeGranularity,
-    _item_tag_users,
-    build_index,
-    parse_annotations,
-)
+from folkmetrics.corpus import Annotation, build_index, parse_annotations
 
 
 def make_annotations(rows):
@@ -27,8 +20,8 @@ def make_columns(rows):
     return columns
 
 
-def make_index(rows, dedupe=False, granularity=TimeGranularity.SECONDS):
-    return build_index(make_columns(rows), dedupe=dedupe, granularity=granularity)
+def make_index(rows, dedupe=False):
+    return build_index(make_columns(rows), dedupe=dedupe)
 
 
 def user_mask(index, names):
@@ -62,8 +55,10 @@ def popularity_by_code(index, popularity):
 def item_tag_freq(index):
     """{(item, tag): distinct users} as the analyses count them."""
     c = index.columns
-    freq = Counter(zip(*(codes.tolist() for codes in _item_tag_users(index)[:2])))
-    return {(c.items[i], c.tags[t]): n for (i, t), n in freq.items()}
+    item, tag, pair_of_triple = index.item_tags
+    users = np.bincount(pair_of_triple, minlength=len(item))
+    return {(c.items[i], c.tags[t]): n
+            for i, t, n in zip(item.tolist(), tag.tolist(), users.tolist())}
 
 
 @pytest.fixture

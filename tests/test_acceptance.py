@@ -350,21 +350,26 @@ def test_c09_report_byte_identical_across_runs(tmp_path):
 
 
 def test_c09_report_sorts_each_distinct_set_once(tmp_path, monkeypatch):
-    """One report sorts seven times: the (user, item, tag) and (user, tag) sets once each, the
-    (item, tag, user) set for consensus and for consensus expertise, motivation's (user, tag)
-    tally of the triples, and credit_batch's two sorts."""
+    """One report sorts six times: the (user, item, tag) and (user, tag) sets once each, the
+    (item, tag) pairs of the triples, motivation's (user, tag) tally of the triples, and
+    credit_batch's two sorts. The (user, tag) set sorts its keys alone, through
+    _distinct_pairs; every other sort goes through _sorted_runs."""
     index = build_index(generate_synthetic(SyntheticConfig(n_users=400, n_items=150, n_tags=60,
                                                            seed=20260810)))
-    sorted_runs, rows = corpus_mod._sorted_runs, []
+    rows = []
 
-    def counted(*keys):
-        rows.append(len(keys[0]))
-        return sorted_runs(*keys)
+    def counted(sort):
+        def wrapper(*keys):
+            rows.append((sort.__name__, len(keys[0])))
+            return sort(*keys)
+        return wrapper
 
+    sorted_runs = counted(corpus_mod._sorted_runs)
     for module in (corpus_mod, spear_mod):
-        monkeypatch.setattr(module, "_sorted_runs", counted)
+        monkeypatch.setattr(module, "_sorted_runs", sorted_runs)
+    monkeypatch.setattr(corpus_mod, "_distinct_pairs", counted(corpus_mod._distinct_pairs))
     write_report(index, tmp_path / "bundle", ReportConfig(min_users=3, min_support=2))
-    assert len(rows) <= 7, rows
+    assert len(rows) <= 6, rows
 
 
 def test_c10_report_performance_one_million_annotations(tmp_path):

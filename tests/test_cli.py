@@ -603,12 +603,12 @@ class TestReportBundle:
         usage = list(csv.reader(out_dir.joinpath("tag_usage_dist.csv").open()))
         assert len(usage) > 1 and {row[0] for row in usage[1:]} == {"S"}
 
-    def test_months_granularity_accepted(self, runner, tmp_path):
+    def test_granularity_option_is_gone(self, runner, tmp_path):
         src = write_fixture(tmp_path / "corpus.tsv")
         result = runner.invoke(
             main, ["partition", src, "--granularity", "months", "--omit-users"]
         )
-        assert result.exit_code == 0, result.output
+        assert result.exit_code == 2, result.output
 
     def test_stdin_pipeline(self, runner, tmp_path):
         synth_result = runner.invoke(main, ["synth", "--users", "60", "--seed", "2"])

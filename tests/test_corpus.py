@@ -17,7 +17,6 @@ from folkmetrics.corpus import (
     parse_annotations,
     summary,
     write_annotations,
-    _item_tag_users,
     _tally,
 )
 from folkmetrics.errors import DomainError, FormatError
@@ -202,8 +201,8 @@ _ROWS = st.lists(st.tuples(st.sampled_from(["u0", "u1", "u2"]), st.sampled_from(
 @settings(max_examples=100, deadline=None)
 @given(_ROWS, st.booleans())
 def test_shared_sets_match_set_reference(rows, dedupe):
-    """triples, user_tags and _item_tag_users against sets of the indexed rows' codes, on raw,
-    deduped and empty indexes."""
+    """triples, user_tags and item_tags against sets of the indexed rows' codes, on raw, deduped
+    and empty indexes."""
     index = make_index(rows, dedupe=dedupe)
     c = index.columns
     coded = list(zip(c.user.tolist(), c.item.tolist(), c.tag.tolist()))
@@ -213,9 +212,16 @@ def test_shared_sets_match_set_reference(rows, dedupe):
     assert first.tolist() == [coded.index(row) for row in expected]
     assert list(zip(*(codes.tolist() for codes in index.user_tags))) == sorted(
         {(u, t) for u, _, t in coded})
-    assert list(zip(*(codes.tolist() for codes in _item_tag_users(index)))) == sorted(
-        {(i, t, u) for u, i, t in coded})
-    for codes in (*index.triples, *index.user_tags, *_item_tag_users(index)):
+    item, tag, pair_of_triple = index.item_tags
+    pairs = list(zip(item.tolist(), tag.tolist()))
+    assert pairs == sorted({(i, t) for _, i, t in coded})
+    # each triple's own pair, which counts the pair's distinct users
+    assert [pairs[p] for p in pair_of_triple.tolist()] == [(i, t) for _, i, t in expected]
+    assert np.bincount(pair_of_triple, minlength=len(pairs)).tolist() == [
+        Counter((i, t) for _, i, t in expected)[pair] for pair in pairs]
+    # raw counts under expertise's --raw-counts number the same pairs
+    assert list(zip(*(codes.tolist() for codes in _tally(c.item, c.tag)[0]))) == pairs
+    for codes in (*index.triples, *index.user_tags, *index.item_tags):
         assert codes.dtype == np.int32
 
 
