@@ -317,7 +317,8 @@ def _read_popularity(path, index, delimiter="\t") -> np.ndarray:
 
 @main.command("exo-diff")
 @input_options
-@click.option("--popularity", required=True, help="two-column <item>\\t<count> sidecar file")
+@click.option("--popularity", required=True,
+              help="two-column <item><delimiter><count> sidecar file, split on --delimiter")
 @fraction_option
 @bins_option
 @click.option("--out", default="-", help="CSV output (default: stdout)")
@@ -376,11 +377,9 @@ def expertise():
 
 @expertise.command("consensus")
 @scores_command()
-@click.option("--raw-counts", is_flag=True,
-              help="use raw annotation counts instead of distinct users for F")
-def expertise_consensus(index, raw_counts):
+def expertise_consensus(index):
     """Item-consensus expertise scores."""
-    return {"expertise": expertise_mod.consensus_expertise(index, raw_counts)}
+    return {"expertise": expertise_mod.consensus_expertise(index)}
 
 
 def _forest(index, top_k, min_users, min_support, threshold):
@@ -434,7 +433,8 @@ def taxonomy(threshold, min_support, top_k, min_users, out, **load):
 @threshold_option
 @min_support_option
 @orphan_divisor_option
-@click.option("--popularity", default=None, help="optional exogenous popularity sidecar")
+@click.option("--popularity", default=None,
+              help="optional <item><delimiter><count> popularity sidecar, split on --delimiter")
 @_fail_on_domain_errors
 def report(out_dir, popularity, threshold, source, delimiter, header, dedupe, **config):
     """Run the full pipeline and write every figure/table data series."""

@@ -457,26 +457,24 @@ def _sorted_runs(*keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return order, np.flatnonzero(_run_starts(packed))
 
 
-def _tally(*keys: np.ndarray) -> tuple[tuple[np.ndarray, ...], np.ndarray, np.ndarray]:
-    """The distinct tuples of the key columns in sorted order, each one's count, and its first
-    index; counts and first indices are int32 below 2**31 rows."""
-    order, starts = _sorted_runs(*keys)
-    first = np.minimum.reduceat(order, starts)
-    del order
-    counts = np.diff(starts, append=len(keys[0]))
-    if len(keys[0]) < 2**31:
-        first, counts = first.astype(np.int32), counts.astype(np.int32)
-    return tuple(key[first] for key in keys), counts, first
-
-
-def _distinct_pairs(high: np.ndarray, low: np.ndarray, n_low: int) -> tuple[np.ndarray, np.ndarray]:
+def _distinct_pairs(high: np.ndarray, low: np.ndarray, n_low: int) -> tuple[np.ndarray, ...]:
     """The distinct (high, low) rows of two int32 code columns, sorted, as int32 columns, low
-    codes below n_low. Keys only: one in-place sort of high * n_low + low, which fits in int64."""
+    codes below n_low, and each one's row count (int32 below 2**31 rows). No row order: one
+    in-place sort of high * n_low + low, which fits in int64."""
     key = high.astype(np.int64) * n_low
     key += low
     key.sort()
-    high, low = np.divmod(key[_run_starts(key)], n_low)
-    return high.astype(np.int32), low.astype(np.int32)
+    # the full key freed before the counts are taken, the counts written in their own dtype
+    # with no int64 copy, and the starts freed before the split: this bounds the peak
+    starts = np.flatnonzero(_run_starts(key))
+    key = key[starts]
+    counts = np.empty(len(starts), dtype=np.int32 if len(high) < 2**31 else np.int64)
+    np.subtract(starts[1:], starts[:-1], out=counts[:-1])
+    counts[-1:] = len(high) - starts[-1:]
+    del starts
+    high = (key // n_low).astype(np.int32)
+    key -= np.multiply(high, n_low, dtype=np.int64)
+    return high, key.astype(np.int32), counts
 
 
 def _check_codes(codes, n_codes: int) -> np.ndarray:
@@ -524,7 +522,6 @@ class FolksonomyIndex:
     """
 
     columns: AnnotationColumns
-    deduped: bool
 
     @property
     def n_annotations(self) -> int:
@@ -546,13 +543,17 @@ class FolksonomyIndex:
     def triples(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """The distinct (user, item, tag) codes, sorted, and each one's first annotation index."""
         c = self.columns
-        (user, item, tag), _, first = _tally(c.user, c.item, c.tag)
-        return user, item, tag, first
+        order, starts = _sorted_runs(c.user, c.item, c.tag)
+        first = np.minimum.reduceat(order, starts)
+        del order, starts
+        if len(c) < 2**31:
+            first = first.astype(np.int32)
+        return c.user[first], c.item[first], c.tag[first], first
 
     @cached_property
     def user_tags(self) -> tuple[np.ndarray, np.ndarray]:
         """The distinct (user, tag) codes, sorted."""
-        return _distinct_pairs(self.columns.user, self.columns.tag, len(self.columns.tags))
+        return _distinct_pairs(self.columns.user, self.columns.tag, len(self.columns.tags))[:2]
 
     @cached_property
     def item_tags(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -597,7 +598,7 @@ def build_index(annotations: AnnotationColumns, dedupe: bool = False) -> Folkson
     if not isinstance(annotations, AnnotationColumns):
         raise DomainError(f"build_index takes AnnotationColumns, not {type(annotations).__name__}")
     columns = _dedupe(annotations) if dedupe else annotations
-    return FolksonomyIndex(columns=columns, deduped=dedupe)
+    return FolksonomyIndex(columns=columns)
 
 
 @dataclass(frozen=True)

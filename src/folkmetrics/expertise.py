@@ -13,12 +13,12 @@ import math
 
 import numpy as np
 
-from .corpus import FolksonomyIndex, _run_starts, _tally, _user_means
+from .corpus import FolksonomyIndex, _run_starts, _user_means
 
 __all__ = ["consensus_expertise"]
 
 
-def consensus_expertise(index: FolksonomyIndex, raw_counts: bool = False) -> np.ndarray:
+def consensus_expertise(index: FolksonomyIndex) -> np.ndarray:
     """Consensus expertise of every user, by user code; NaN where undefined.
 
     An annotation's score is 1 when its tag is tied for most popular on the
@@ -28,15 +28,11 @@ def consensus_expertise(index: FolksonomyIndex, raw_counts: bool = False) -> np.
     log10 of the item's tagging volume excluding the user's own share. An
     item with no outside tagging is excluded, and a user whose every item is
     excluded, or whose retained weights are all zero, has no defined score.
-    raw_counts switches F and the user's own share from distinct users to
-    raw annotation counts.
     """
     c = index.columns
-    # per (item, tag), sorted: F, its score; per item code: its total tagging. Raw counts cover
-    # the same sorted pairs as the distinct users do
+    # per (item, tag), sorted: F, its score; per item code: its total tagging
     item, _, pair_of_triple = index.item_tags
-    freq = (_tally(c.item, c.tag)[1] if raw_counts
-            else np.bincount(pair_of_triple, minlength=len(item)))
+    freq = np.bincount(pair_of_triple, minlength=len(item))
     starts = np.flatnonzero(_run_starts(item))
     max_freq = np.repeat(np.maximum.reduceat(freq, starts), np.diff(starts, append=len(item)))
     # a tag tied for most popular scores 1; the others discount the scorer's own use
@@ -50,9 +46,7 @@ def consensus_expertise(index: FolksonomyIndex, raw_counts: bool = False) -> np.
     starts = np.flatnonzero(_run_starts(user, item))
     best = np.maximum.reduceat(score[pair_of_triple], starts)
     del score
-    own = _tally(c.user, c.item)[1] if raw_counts else np.diff(starts, append=len(user))
-    others = total[item[starts]] - own
-    del own
+    others = total[item[starts]] - np.diff(starts, append=len(user))
     # log10 taken once per share; an item with 0 others is excluded
     logs = np.full(others.max(initial=0) + 1, math.nan)
     shares = np.flatnonzero(np.bincount(others))

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .corpus import FolksonomyIndex, _run_starts, _tally
+from .corpus import FolksonomyIndex, _distinct_pairs, _run_starts
 from .errors import _check_counts
 
 __all__ = ["motivation_scores"]
@@ -33,7 +33,8 @@ def motivation_scores(
     _check_counts(divisor=divisor)
     n_users = len(index.columns.users)
     pair_user, pair_item, pair_tag, _ = index.triples
-    (usage_user, _), usage, _ = _tally(pair_user, pair_tag)
+    # the pairs' tag codes dropped at once, which lowers the peak
+    usage_user, usage = _distinct_pairs(pair_user, pair_tag, len(index.columns.tags))[::2]
     items = np.bincount(pair_user[_run_starts(pair_user, pair_item)], minlength=n_users)
     vocabulary = np.bincount(usage_user, minlength=n_users)
     top = np.zeros(n_users, dtype=usage.dtype)

@@ -366,7 +366,7 @@ def motivation_by_bin(index, spec, divisor):
                  for k in range(3))
 
 
-def consensus_expertise(index, raw_counts=False):
+def consensus_expertise(index):
     """{user: consensus expertise} for every user whose score is defined."""
     v = views(index)
     freq = {}
@@ -374,7 +374,7 @@ def consensus_expertise(index, raw_counts=False):
         f, seen = {}, set()
         for pos in positions:
             a = v.annotations[pos]
-            if raw_counts or (a.tag, a.user) not in seen:
+            if (a.tag, a.user) not in seen:
                 seen.add((a.tag, a.user))
                 f[a.tag] = f.get(a.tag, 0) + 1
         freq[item] = f
@@ -387,7 +387,7 @@ def consensus_expertise(index, raw_counts=False):
         for item, tag_list in user_items.items():
             f = freq[item]
             best_f, total = max(f.values()), sum(f.values())
-            argument = total - (len(tag_list) if raw_counts else len(set(tag_list)))
+            argument = total - len(set(tag_list))
             if argument <= 0:
                 continue
             w = math.log10(argument)
@@ -399,8 +399,8 @@ def consensus_expertise(index, raw_counts=False):
     return scores
 
 
-def consensus_expertise_by_bin(index, spec, raw_counts=False):
-    return _binned(index, consensus_expertise(index, raw_counts), spec)
+def consensus_expertise_by_bin(index, spec):
+    return _binned(index, consensus_expertise(index), spec)
 
 
 def conditional_table(index, tags, min_support):

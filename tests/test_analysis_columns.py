@@ -137,10 +137,8 @@ def test_per_user_and_per_item_series_match_the_reference(rows, dedupe, divisor)
     assert tuple(binned_by_user_count(index, scores, SPEC)
                  for scores in motivation.motivation_scores(index, divisor)) == (
         oracle.motivation_by_bin(index, SPEC, divisor))
-    for raw_counts in (False, True):
-        assert binned_by_user_count(
-            index, expertise.consensus_expertise(index, raw_counts), SPEC) == (
-            oracle.consensus_expertise_by_bin(index, SPEC, raw_counts))
+    assert binned_by_user_count(index, expertise.consensus_expertise(index), SPEC) == (
+        oracle.consensus_expertise_by_bin(index, SPEC))
 
 
 @settings(max_examples=120, deadline=None)

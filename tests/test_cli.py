@@ -320,6 +320,25 @@ class TestAnalysisCommands:
         assert result.exit_code == 0, result.output
         assert result.stdout.splitlines()[0] == "bin_low,bin_high,mean_diff,stderr,n"
 
+    def test_exo_diff_popularity_follows_delimiter(self, runner, tmp_path):
+        """The sidecar splits on the corpus's --delimiter: a comma corpus takes a comma sidecar,
+        gives the tab corpus's output, and rejects a tab sidecar."""
+        pop = {k: 10 * (k + 1) for k in range(10)}
+        outputs = []
+        for name, delimiter in (("tab", "\t"), ("comma", ",")):
+            src = write_fixture(tmp_path / f"{name}.txt", FOUR_USER_TSV.replace("\t", delimiter))
+            sidecar = tmp_path / f"{name}_pop.txt"
+            sidecar.write_text("".join(f"i{k}{delimiter}{n}\n" for k, n in pop.items()))
+            result = runner.invoke(main, ["exo-diff", src, "--delimiter", delimiter,
+                                          "--popularity", str(sidecar)])
+            assert result.exit_code == 0, result.output
+            outputs.append(result.stdout)
+        assert outputs[0] == outputs[1]
+        result = runner.invoke(main, ["exo-diff", src, "--delimiter", ",",
+                                      "--popularity", str(tmp_path / "tab_pop.txt")])
+        assert result.exit_code == 1
+        assert "bad popularity line: 'i0\\t10'" in result.stderr
+
     def test_expertise_consensus(self, runner, tmp_path):
         src = write_fixture(tmp_path / "corpus.tsv")
         result = runner.invoke(main, ["expertise", "consensus", src])
@@ -609,6 +628,14 @@ class TestReportBundle:
             main, ["partition", src, "--granularity", "months", "--omit-users"]
         )
         assert result.exit_code == 2, result.output
+
+    def test_raw_counts_option_is_gone(self, runner, tmp_path):
+        src = write_fixture(tmp_path / "corpus.tsv")
+        out = tmp_path / "scores.csv"
+        result = runner.invoke(main, ["expertise", "consensus", src, "--raw-counts",
+                                      "--per-user", str(out)])
+        assert result.exit_code == 2, result.output
+        assert not out.exists()
 
     def test_stdin_pipeline(self, runner, tmp_path):
         synth_result = runner.invoke(main, ["synth", "--users", "60", "--seed", "2"])

@@ -6,7 +6,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from folkmetrics.corpus import (
@@ -17,7 +17,8 @@ from folkmetrics.corpus import (
     parse_annotations,
     summary,
     write_annotations,
-    _tally,
+    _distinct_pairs,
+    _sorted_runs,
 )
 from folkmetrics.errors import DomainError, FormatError
 from folkmetrics.partition import Partition, partition_summary
@@ -175,23 +176,49 @@ _COLUMNS = [(st.integers(0, 3) | st.integers(2**31 - 4, 2**31 - 1), np.int32),
 
 
 @st.composite
-def _tally_columns(draw):
+def _key_columns(draw):
     n = draw(st.integers(0, 40))
     return [np.array(draw(st.lists(values, min_size=n, max_size=n)), dtype=dtype)
             for values, dtype in draw(st.lists(st.sampled_from(_COLUMNS), min_size=1, max_size=3))]
 
 
 @settings(max_examples=300, deadline=None)
-@given(_tally_columns())
-def test_tally_matches_sorted_counter(columns):
+@given(_key_columns())
+def test_sorted_runs_matches_sorted_counter(columns):
+    """A run's first row in the order is the distinct row, its length the row's count and the
+    minimum of its positions the row's first index."""
     rows = list(zip(*(column.tolist() for column in columns)))
     counter = Counter(rows)
     expected = sorted(counter)
-    keys, counts, first = _tally(*columns)
-    assert list(zip(*(key.tolist() for key in keys))) == expected
-    assert counts.tolist() == [counter[row] for row in expected]
-    assert first.tolist() == [rows.index(row) for row in expected]
-    assert counts.dtype == first.dtype == np.int32
+    order, starts = _sorted_runs(*columns)
+    assert sorted(order.tolist()) == list(range(len(rows)))
+    assert [rows[k] for k in order[starts].tolist()] == expected
+    assert np.diff(starts, append=len(rows)).tolist() == [counter[row] for row in expected]
+    assert np.minimum.reduceat(order, starts).tolist() == [rows.index(row) for row in expected]
+
+
+@st.composite
+def _code_pairs(draw):
+    """Two int32 code columns, low codes below n_low; codes near 2**31 overflow an int32 key."""
+    n_low = draw(st.sampled_from([1, 3, 2**31 - 1]))
+    n = draw(st.integers(0, 40))
+    codes = st.integers(0, 3) | st.integers(2**31 - 4, 2**31 - 1)
+    low = st.integers(0, min(3, n_low - 1)) | st.integers(max(0, n_low - 4), n_low - 1)
+    return (np.array(draw(st.lists(codes, min_size=n, max_size=n)), dtype=np.int32),
+            np.array(draw(st.lists(low, min_size=n, max_size=n)), dtype=np.int32), n_low)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_code_pairs())
+@example((np.zeros(0, dtype=np.int32), np.zeros(0, dtype=np.int32), 1))
+def test_distinct_pairs_matches_sorted_counter(columns):
+    high, low, n_low = columns
+    counter = Counter(zip(high.tolist(), low.tolist()))
+    expected = sorted(counter)
+    pair_high, pair_low, counts = _distinct_pairs(high, low, n_low)
+    assert list(zip(pair_high.tolist(), pair_low.tolist())) == expected
+    assert counts.tolist() == [counter[pair] for pair in expected]
+    assert pair_high.dtype == pair_low.dtype == counts.dtype == np.int32
 
 
 _ROWS = st.lists(st.tuples(st.sampled_from(["u0", "u1", "u2"]), st.sampled_from(["i0", "i1", "i2"]),
@@ -219,8 +246,6 @@ def test_shared_sets_match_set_reference(rows, dedupe):
     assert [pairs[p] for p in pair_of_triple.tolist()] == [(i, t) for _, i, t in expected]
     assert np.bincount(pair_of_triple, minlength=len(pairs)).tolist() == [
         Counter((i, t) for _, i, t in expected)[pair] for pair in pairs]
-    # raw counts under expertise's --raw-counts number the same pairs
-    assert list(zip(*(codes.tolist() for codes in _tally(c.item, c.tag)[0]))) == pairs
     for codes in (*index.triples, *index.user_tags, *index.item_tags):
         assert codes.dtype == np.int32
 

@@ -198,16 +198,6 @@ class TestConsensusExpertiseByBin:
         by_low = sorted(series.rows, key=lambda r: r.bin_low)
         assert by_low[-1].mean < by_low[0].mean
 
-    def test_raw_counts_mode_differs_when_duplicates_exist(self):
-        rows = [(f"crowd{j}", "i", "top", j) for j in range(6)]
-        # one user repeats a minority tag; raw view inflates its frequency
-        rows += [("me", "i", "mine", k) for k in range(8)]
-        rows += [("me", "j", "top2", 0)] + [(f"c{j}", "j", "top2", j) for j in range(4)]
-        index = make_index(rows)
-        distinct, raw = (binned_by_user_count(index, consensus_expertise(index, raw_counts),
-                                              BinSpec()) for raw_counts in (False, True))
-        assert distinct != raw
-
     def test_matches_brute_force(self):
         rng = np.random.default_rng(193)
         rows = random_rows(rng, n_users=12, n_items=8, n_tags=4, n_annotations=250)
