@@ -9,7 +9,6 @@ with status 2.
 from __future__ import annotations
 
 import functools
-import io
 import math
 import sys
 import warnings
@@ -25,8 +24,8 @@ from . import report as report_mod
 from . import similarity as similarity_mod
 from . import spear as spear_mod
 from . import taxonomy as taxonomy_mod
-from .corpus import (SyntheticConfig, _utf8, build_index, generate_synthetic, parse_annotations,
-                     write_annotations)
+from .corpus import (SyntheticConfig, _line_feeds, _utf8, build_index, generate_synthetic,
+                     parse_annotations, write_annotations)
 from .errors import ConvergenceWarning, FolkmetricsError, FormatError
 from .partition import (DEFAULT_PARETO_RESOLUTION, pareto_curve, partition_summary,
                         split_supertaggers)
@@ -104,7 +103,7 @@ def bins_option(fn):
 
 
 def _finite(_ctx, _param, value: float) -> float:
-    if math.isinf(value):
+    if not math.isfinite(value):
         raise click.BadParameter("must be finite")
     return value
 
@@ -295,13 +294,11 @@ def _read_popularity(path, index, delimiter="\t") -> np.ndarray:
     """The sidecar's popularity of each item of the index by code; NaN for an item it does not
     list. Raises for a line that is not UTF-8 or not an item and a finite count >= 0."""
     try:
-        text = _utf8(Path(path).read_bytes(), 1).decode("utf-8")
+        text = _utf8(_line_feeds(Path(path).read_bytes()), 1).decode("utf-8")
     except FormatError as exc:
         raise FormatError(f"popularity {exc}") from None
     popularity = {}
-    # universal newlines, as a file opened in text mode reads them
-    for line in io.StringIO(text, newline=None):
-        line = line.rstrip("\n")
+    for line in text.split("\n"):
         if not line.strip():
             continue
         item, _, raw = line.partition(delimiter)

@@ -132,20 +132,27 @@ def _utf8(data: bytes, first_line: int) -> bytes:
     return data
 
 
+def _line_feeds(data: bytes) -> bytes:
+    """The bytes with each "\\r\\n" and each lone "\\r" made one "\\n"."""
+    return data.replace(b"\r\n", b"\n").replace(b"\r", b"\n") if b"\r" in data else data
+
+
 def _stream_blocks(stream) -> Iterator[bytes]:
     """A stream read CHUNK_LINES * 32 characters or bytes at a time, as UTF-8 blocks cut after
-    their last line break; a line longer than that takes more reads."""
+    their last line break and with "\\n" line ends; a line longer than that takes more reads.
+    A block is not cut right after a final "\\r", whose "\\n" may start the next read."""
     text, first, pieces = isinstance(stream, io.TextIOBase), 1, []
     while block := stream.read(CHUNK_LINES * 32):
         block = block.encode("utf-8", "surrogatepass") if text else block
-        cut = max(block.rfind(b"\n"), block.rfind(b"\r")) + 1
+        end = len(block) - block.endswith(b"\r")
+        cut = max(block.rfind(b"\n", 0, end), block.rfind(b"\r", 0, end)) + 1
         if not cut:  # no line ends in the block
             pieces.append(block)
             continue
-        data, pieces = b"".join([*pieces, memoryview(block)[:cut]]), [block[cut:]]
+        data, pieces = _line_feeds(b"".join([*pieces, memoryview(block)[:cut]])), [block[cut:]]
         yield data if text else _utf8(data, first)
         first += np.count_nonzero(np.frombuffer(data, dtype=np.uint8) == ord("\n"))
-    data = b"".join(pieces)
+    data = _line_feeds(b"".join(pieces))
     yield data if text else _utf8(data, first)
 
 
@@ -284,7 +291,6 @@ def _parse_block(data: bytes, delimiter: str, skip_header: bool, names, times: l
     field of the others. A name that is empty once normalized is found when
     the names are.
     """
-    data = data.replace(b"\r", b"\n")
     if skip_header:
         data = data.partition(b"\n")[2]
     sep = delimiter.encode("utf-8", "surrogatepass")

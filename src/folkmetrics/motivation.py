@@ -39,8 +39,7 @@ def motivation_scores(
     vocabulary = np.bincount(usage_user, minlength=n_users)
     top = np.zeros(n_users, dtype=usage.dtype)
     np.maximum.at(top, usage_user, usage)
-    seldom = np.bincount(usage_user, weights=usage <= np.ceil(top / divisor)[usage_user],
-                         minlength=n_users)
+    seldom = np.bincount(usage_user[usage <= np.ceil(top / divisor)[usage_user]], minlength=n_users)
     orphan = np.where(top <= divisor, 1.0, seldom / vocabulary)
     return np.bincount(pair_user, minlength=n_users) / items, vocabulary / items, orphan
 

@@ -74,68 +74,37 @@ def usage_distribution(dist: FreqDist, cumulative: bool = False) -> list[tuple[i
     return list(zip(levels.tolist(), (mass / total).tolist()))
 
 
-class _Ranking(NamedTuple):
-    """One side's keys as codes, most used first (ties in code order), and their counts."""
-
-    keys: np.ndarray
-    counts: np.ndarray
-
-    @classmethod
-    def of(cls, dist: FreqDist) -> "_Ranking":
-        keys = np.flatnonzero(dist.counts)
-        keys = keys[np.argsort(-dist.counts[keys], kind="stable")]
-        return cls(keys, dist.counts[keys])
+def _ranked(dist: FreqDist) -> np.ndarray:
+    """The codes of the keys a side uses, most used first, ties in code order (name order)."""
+    keys = np.flatnonzero(dist.counts)
+    return keys[np.argsort(-dist.counts[keys], kind="stable")]
 
 
-def _rankings(dist_a: FreqDist, dist_b: FreqDist) -> tuple[_Ranking, _Ranking, int]:
-    """Both sides ranked, and the number of key codes they share."""
-    if len(dist_a.counts) != len(dist_b.counts):
-        raise DomainError(f"dists over {len(dist_a.counts)} and {len(dist_b.counts)} keys")
-    return _Ranking.of(dist_a), _Ranking.of(dist_b), len(dist_a.counts)
+def _top(dist: FreqDist, ranked: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """A side's top-n as two vectors by key code: its counts, 0 outside the top-n, and its
+    ranks 1..n by count with ties averaged, n + 1 outside."""
+    top = ranked[:n]
+    counts = np.zeros_like(dist.counts)
+    counts[top] = dist.counts[top]
+    ranks = np.full(len(counts), float(n + 1))
+    ranks[top] = rank_descending(counts[top])
+    return counts, ranks
 
 
-def _spread(ranking: _Ranking, values, n: int, n_keys: int, absent: float) -> np.ndarray:
-    """values of the top-n keys placed at their codes; every other code holds absent."""
-    full = np.full(n_keys, absent)
-    full[ranking.keys[:n]] = values
-    return full
-
-
-def _union(a: _Ranking, b: _Ranking, n_keys: int, n: int) -> np.ndarray:
-    """The codes in either top-n, ascending: the keys in sorted order."""
-    either = np.zeros(n_keys, dtype=bool)
-    either[a.keys[:n]] = either[b.keys[:n]] = True
-    return np.flatnonzero(either)
-
-
-def _spearman_tops(a: _Ranking, b: _Ranking, n_keys: int, n: int) -> float:
-    """Rank correlation between the two top-n rankings over the union of their keys."""
-    union = _union(a, b, n_keys, n)
-    if len(union) < 2:
-        raise UndefinedCorrelationError("top-N union has fewer than two keys")
-    # ranks 1..N by count within each top-N; keys outside it take rank N+1
-    vec_a = _spread(a, rank_descending(a.counts[:n]), n, n_keys, float(n + 1))[union]
-    vec_b = _spread(b, rank_descending(b.counts[:n]), n, n_keys, float(n + 1))[union]
-    if np.ptp(vec_a) == 0.0 or np.ptp(vec_b) == 0.0:
+def _rank_correlation(ranks_a: np.ndarray, ranks_b: np.ndarray) -> float:
+    """Pearson correlation of two rank vectors over the union; UndefinedCorrelationError if
+    either is constant, as it is over a union of one key."""
+    if np.ptp(ranks_a) == 0.0 or np.ptp(ranks_b) == 0.0:
         raise UndefinedCorrelationError("constant rank vector")
-    if np.array_equal(vec_a, vec_b):
+    if np.array_equal(ranks_a, ranks_b):
         return 1.0
-    return float(np.corrcoef(vec_a, vec_b)[0, 1])
+    return float(np.corrcoef(ranks_a, ranks_b)[0, 1])
 
 
-def _cosine_tops(a: _Ranking, b: _Ranking, n_keys: int, n: int) -> float:
-    """Cosine of the two top-n count vectors over the union of their keys; a key outside a
-    side's top-n counts 0 there."""
-    union = _union(a, b, n_keys, n)
-    x = _spread(a, a.counts[:n], n, n_keys, 0)[union]
-    y = _spread(b, b.counts[:n], n, n_keys, 0)[union]
-    # Integer counts give exact integer dot products, so this equals the cosine of
-    # float vectors bit for bit (float sums of integers below 2**53 are exact too),
-    # without the BLAS call that wakes its threads on every product.
-    xx, yy = float(x @ x), float(y @ y)
-    if xx == 0.0 or yy == 0.0:
-        raise DomainError("cosine undefined for a zero vector")
-    return float(x @ y) / (math.sqrt(xx) * math.sqrt(yy))
+def _cosine(x: np.ndarray, y: np.ndarray) -> float:
+    """Cosine of two integer count vectors, neither zero. Their exact integer dot products give
+    the float vectors' cosine bit for bit, without a BLAS call that wakes its threads."""
+    return float(x @ y) / (math.sqrt(float(x @ x)) * math.sqrt(float(y @ y)))
 
 
 class CurvePoint(NamedTuple):
@@ -173,10 +142,16 @@ def similarity_curve(
 ) -> SimilarityCurve:
     """Spearman/cosine similarity between S and not-S as a function of top-N.
 
-    Coverage at N is the share of all annotations (full folksonomy) whose
-    key falls in the union of the two top-N sets. N values where the rank
-    correlation is undefined are skipped. The core size is the smallest N
-    whose rho is within CORE_RHO_TOLERANCE of the maximum.
+    n_values defaults to default_n_grid(). Each side's top-N holds its N
+    most used keys, most used first, ties by name. Over the union of the
+    two top-N key sets, rho is the Pearson correlation of the two rank
+    vectors: ranks 1..N by count within each top-N, ties averaged, N+1 for
+    a key outside it. The cosine is that of the two top-N count vectors, 0
+    outside each top-N. Coverage is the share of all annotations (full
+    folksonomy) whose key falls in the union. An N where rho is undefined (a
+    union under 2 keys, or a constant rank vector) is skipped. The core
+    size, which the `similarity` command prints on stderr, is the smallest
+    N whose rho is within CORE_RHO_TOLERANCE of the peak rho.
     """
     dist_s = freq_dist(index, partition.supertagger, dimension)
     dist_o = freq_dist(index, ~partition.supertagger, dimension)
@@ -188,29 +163,24 @@ def similarity_curve(
     if any(n < 1 for n in n_values):
         raise DomainError("N values must be >= 1")
 
-    s_ranked, o_ranked, n_keys = _rankings(dist_s, dist_o)
+    ranked_s, ranked_o = _ranked(dist_s), _ranked(dist_o)
     full = dist_s.counts + dist_o.counts  # every user is in S or in not-S
-    covered = np.zeros(n_keys, dtype=bool)
-    covered_annotations = 0
-    prev_n = 0
     points: list[CurvePoint] = []
     for n in n_values:
-        new = np.concatenate((s_ranked.keys[prev_n:n], o_ranked.keys[prev_n:n]))
-        new = np.unique(new[~covered[new]])
-        covered[new] = True
-        covered_annotations += int(full[new].sum())
-        prev_n = n
+        either = np.zeros(len(full), dtype=bool)
+        either[ranked_s[:n]] = either[ranked_o[:n]] = True
+        union = np.flatnonzero(either)
+        counts_s, ranks_s = _top(dist_s, ranked_s, n)
+        counts_o, ranks_o = _top(dist_o, ranked_o, n)
         try:
-            rho = _spearman_tops(s_ranked, o_ranked, n_keys, n)
+            rho = _rank_correlation(ranks_s[union], ranks_o[union])
         except UndefinedCorrelationError:
             continue
-        cos = _cosine_tops(s_ranked, o_ranked, n_keys, n)
-        points.append(CurvePoint(n, rho, cos, covered_annotations / index.n_annotations))
+        cos = _cosine(counts_s[union], counts_o[union])
+        points.append(CurvePoint(n, rho, cos, int(full[union].sum()) / index.n_annotations))
 
-    core_size = None
-    if points:
-        best = max(p.rho for p in points)
-        core_size = next(p.n for p in points if p.rho >= best - CORE_RHO_TOLERANCE)
+    best = max((p.rho for p in points), default=math.nan)
+    core_size = next((p.n for p in points if p.rho >= best - CORE_RHO_TOLERANCE), None)
     return SimilarityCurve(dimension=dimension, points=tuple(points), core_size=core_size)
 
 

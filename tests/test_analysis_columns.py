@@ -56,9 +56,10 @@ def test_partition_and_similarity_match_the_reference(rows, dedupe, fraction):
             assert oracle.named(index, similarity.freq_dist(index, mask, dimension)) == (
                 oracle.freq_dist(index, users, dimension))
         if names.others:
-            n_values = range(1, 9)
-            assert similarity.similarity_curve(index, part, dimension, n_values) == (
-                oracle.similarity_curve(index, names, dimension, n_values))
+            # a sparse grid too, whose coverage skips the N values in between
+            for n_values in (range(1, 9), [2, 3, 7, 40]):
+                assert similarity.similarity_curve(index, part, dimension, n_values) == (
+                    oracle.similarity_curve(index, names, dimension, n_values))
     items = index.columns.items
     popularity = {item: float(k * 3 % 7) for k, item in enumerate(items) if k % 3}
     if popularity:

@@ -398,6 +398,7 @@ class TestAnalysisCommands:
         ["taxonomy", "--min-users", "0"], ["taxonomy", "--min-support", "0"],
         ["expertise", "depth", "--min-users", "0"], ["expertise", "depth", "--min-support", "0"],
         ["report", "--min-users", "0"], ["report", "--min-support", "0"],
+        ["spear", "--tolerance", "nan"],
     ])
     def test_min_counts_below_one_and_infinite_tolerance_are_usage_errors(self, runner, tmp_path,
                                                                           args):
@@ -446,12 +447,13 @@ class TestAnalysisCommands:
                                                                     command):
         src = write_fixture(tmp_path / "corpus.tsv")
         sidecar = tmp_path / "pop.tsv"
-        sidecar.write_bytes(b"i0\t10\ni\xff1\t3\n")
         out = ["--out-dir", str(tmp_path / "bundle")] if command == "report" else []
-        result = runner.invoke(main, [command, src, "--popularity", str(sidecar)] + out)
-        assert result.exit_code == 1
-        assert isinstance(result.exception, SystemExit)
-        assert result.stderr == "Error: popularity line 2: invalid UTF-8 byte 0xff\n"
+        for newline in (b"\n", b"\r\n", b"\r"):
+            sidecar.write_bytes(b"i0\t10" + newline + b"i\xff1\t3" + newline)
+            result = runner.invoke(main, [command, src, "--popularity", str(sidecar)] + out)
+            assert result.exit_code == 1
+            assert isinstance(result.exception, SystemExit)
+            assert result.stderr == "Error: popularity line 2: invalid UTF-8 byte 0xff\n"
 
     def test_threads_flag_accepted(self, runner, tmp_path):
         src = write_fixture(tmp_path / "corpus.tsv")

@@ -279,10 +279,11 @@ def test_times_beyond_int64_stay_exact():
 @pytest.mark.parametrize("chunk", [1, 2, corpus.CHUNK_LINES])
 @pytest.mark.parametrize("header", [False, True])
 def test_invalid_utf8_names_its_line(chunk, header):
-    data = b"u\ti\tt\t1\n" * 4 + b"u\t\xc3(\tt\t1\n"
-    with mock.patch.object(corpus, "CHUNK_LINES", chunk):
-        with pytest.raises(FormatError, match=r"^line 5: invalid UTF-8 byte 0xc3$"):
-            parse_annotations(io.BytesIO(data), header=header)
+    for newline in (b"\n", b"\r\n", b"\r"):
+        data = (b"u\ti\tt\t1\n" * 4 + b"u\t\xc3(\tt\t1\n").replace(b"\n", newline)
+        with mock.patch.object(corpus, "CHUNK_LINES", chunk):
+            with pytest.raises(FormatError, match=r"^line 5: invalid UTF-8 byte 0xc3$"):
+                parse_annotations(io.BytesIO(data), header=header)
 
 
 def test_invalid_utf8_in_the_header_names_line_1():
