@@ -205,8 +205,8 @@ def ingest(out, summary_out, **load):
 @click.option("--activity-exponent", type=float, default=2.0, show_default=True)
 @click.option("--item-exponent", type=float, default=1.0, show_default=True)
 @click.option("--tag-exponent", type=float, default=1.0, show_default=True)
-@click.option("--seed", type=int, default=0, envvar="FOLKMETRICS_SEED", show_default=True,
-              help="RNG seed (FOLKMETRICS_SEED overrides the default)")
+@click.option("--seed", type=click.IntRange(0), default=0, envvar="FOLKMETRICS_SEED",
+              show_default=True, help="RNG seed (FOLKMETRICS_SEED overrides the default)")
 @click.option("--out", default="-", help="output path (default: stdout)")
 @_fail_on_domain_errors
 def synth(users, items, tags, activity_exponent, item_exponent, tag_exponent, seed, out):

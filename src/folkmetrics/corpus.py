@@ -58,9 +58,8 @@ class AnnotationColumns:
 
     user[k], item[k] and tag[k] are int32 codes into the name lists users,
     items and tags. Each list is sorted and holds only names that occur, so
-    codes compare as the names do. time is int64, or an object array of
-    exact Python ints when a timestamp does not fit in int64. Iteration
-    builds Annotation objects on demand.
+    codes compare as the names do. time is int64, each in [0, 2**63).
+    Iteration builds Annotation objects on demand.
     """
 
     __slots__ = ("user", "item", "tag", "time", "users", "items", "tags")
@@ -113,9 +112,9 @@ class ParseResult:
 # is bounded by this, not by the size of the input.
 CHUNK_LINES = 1 << 16
 
-# any run of at most 18 decimal digits fits in int64
-_INT64_DIGITS = 18
-_POW10 = 10 ** np.arange(_INT64_DIGITS + 1, dtype=np.int64)
+# a time below 2**63 has at most 19 digits, and any run of 19 digits fits in uint64
+_TIME_DIGITS = 19
+_POW10 = 10 ** np.arange(_TIME_DIGITS + 1, dtype=np.uint64)
 # _PREFIXES[k] keeps the first k bytes of a big-endian uint64
 _PREFIXES = np.array([(1 << 64) - (1 << (64 - 8 * k)) for k in range(9)], dtype=np.uint64)
 
@@ -271,13 +270,17 @@ def _matches(buf: np.ndarray, sep: bytes) -> np.ndarray:
     return np.flatnonzero(hit)
 
 
-def _settle(line: str, delimiter: str) -> Optional[list[str]]:
-    """A line the vector checks flagged, settled with str.split: its four raw fields if it is
-    well formed, [] if it is blank, None if it is malformed."""
+def _settle(line: str, delimiter: str) -> Optional[list]:
+    """A line the vector checks flagged, settled with str.split: its three raw names and its
+    time if it is well formed, [] if it is blank, None if it is malformed."""
     if line.isspace():
         return []
     fields = line.split(delimiter)
-    return fields if len(fields) == 4 and fields[3].isdigit() and fields[3].isascii() else None
+    if len(fields) != 4 or not (fields[3].isdigit() and fields[3].isascii()):
+        return None
+    # a time below 2**63 has at most 19 digits past its zero padding
+    padding, time = fields[3][:-_TIME_DIGITS], int(fields[3][-_TIME_DIGITS:])
+    return None if padding.strip("0") or time >= 1 << 63 else [*fields[:3], time]
 
 
 def _parse_block(data: bytes, delimiter: str, skip_header: bool, names, times: list) -> int:
@@ -285,11 +288,11 @@ def _parse_block(data: bytes, delimiter: str, skip_header: bool, names, times: l
     count of its malformed lines.
 
     numpy checks all lines at once: three delimiters, four non-empty fields,
-    no NUL, and a time of 1 to 18 ASCII digits. Only the lines it flags are
-    settled one by one with str.split, as blank, malformed or well formed (a
-    NUL in a name, a time of more digits). No object is built per line or
-    field of the others. A name that is empty once normalized is found when
-    the names are.
+    no NUL, and a time of 1 to 19 ASCII digits below 2**63. Only the lines
+    it flags are settled one by one with str.split, as blank, malformed or
+    well formed (a NUL in a name, overlapping delimiters, a zero-padded time
+    of more digits). No object is built per line or field of the others. A
+    name that is empty once normalized is found when the names are.
     """
     if skip_header:
         data = data.partition(b"\n")[2]
@@ -308,24 +311,31 @@ def _parse_block(data: bytes, delimiter: str, skip_header: bool, names, times: l
     if b"\0" in data:
         flagged[np.searchsorted(ends, np.flatnonzero(buf == 0))] = True
     ok = np.flatnonzero(~flagged)
-    # field k of a line spans firsts[k] .. firsts[k] + lengths[k]
+    # field k of a line spans firsts[k] .. firsts[k] + lengths[k]; firsts is a view of bounds
     bounds = np.empty((5, len(ok)), dtype=np.int64)
-    bounds[0], bounds[4] = starts[ok] - len(sep), ends[ok]
-    bounds[1:4] = marks[held[ok] + np.arange(3)[:, None]]
-    firsts, lengths = bounds[:4] + len(sep), np.diff(bounds, axis=0) - len(sep)
-    widest = max(_INT64_DIGITS, 1 << int(_key_exponents(lengths[:3].max(initial=1))))
+    bounds[0], bounds[4] = starts[ok], ends[ok] + len(sep)
+    bounds[1:4] = marks[held[ok] + np.arange(3)[:, None]] + len(sep)
+    firsts, lengths = bounds[:4], np.diff(bounds, axis=0) - len(sep)
+    widest = max(_TIME_DIGITS, 1 << int(_key_exponents(lengths[:3].max(initial=1))))
     padded = np.zeros(len(buf) + widest, dtype=np.uint8)
     padded[:len(buf)] = buf
-    stamps = np.minimum(lengths[3], _INT64_DIGITS)
+    stamps = np.minimum(lengths[3], _TIME_DIGITS)
     stamp_width = int(stamps.max(initial=1))
     digits = sliding_window_view(padded, stamp_width)[firsts[3]]
     digits -= np.uint8(ord("0"))
     digits *= np.arange(stamp_width) < stamps[:, None]
-    if (lengths.min(initial=1) < 1 or lengths[3].max(initial=0) > _INT64_DIGITS
-            or digits.max(initial=0) > 9):
-        fits = (lengths.min(axis=0) > 0) & (lengths[3] == stamps) & (digits.max(axis=1) <= 9)
+    # the digits padded with zeros to stamp_width, read as a number; then the padding divided out
+    time = np.zeros(len(ok), dtype=np.uint64)
+    for column in digits.T:
+        time *= 10
+        time += column
+    time //= _POW10[stamp_width - stamps]
+    if (lengths.min(initial=1) < 1 or lengths[3].max(initial=0) > _TIME_DIGITS
+            or digits.max(initial=0) > 9 or time.max(initial=0) >= 1 << 63):
+        fits = ((lengths.min(axis=0) > 0) & (lengths[3] == stamps) & (digits.max(axis=1) <= 9)
+                & (time < 1 << 63))
         flagged[ok[~fits]] = True
-        ok, firsts, lengths, digits = ok[fits], firsts[:, fits], lengths[:, fits], digits[fits]
+        ok, firsts, lengths, time = ok[fits], firsts[:, fits], lengths[:, fits], time[fits]
     malformed, settled = 0, []
     for line in np.flatnonzero(flagged).tolist():
         fields = _settle(data[starts[line]:ends[line]].decode("utf-8", "surrogatepass"), delimiter)
@@ -336,16 +346,7 @@ def _parse_block(data: bytes, delimiter: str, skip_header: bool, names, times: l
     before = np.searchsorted(ok, [line for line, _ in settled]).astype(np.intp)
     for k, column in enumerate(names):
         column.add(padded, firsts[k], lengths[k], before, [f[k] for _, f in settled])
-    # the digits padded with zeros to stamp_width, read as a number; then the padding divided out
-    time = np.zeros(len(ok), dtype=np.int64)
-    for column in digits.T:
-        time *= 10
-        time += column
-    time //= _POW10[stamp_width - lengths[3]]
-    stamps = [int(f[3]) for _, f in settled]
-    if max(stamps, default=0) >= 1 << 63:  # kept as exact Python ints
-        time = time.astype(object)
-    times.append(np.insert(time, before, stamps))
+    times.append(np.insert(time.view(np.int64), before, [f[3] for _, f in settled]))
     return malformed
 
 
@@ -354,24 +355,24 @@ def parse_annotations(source, delimiter: str = "\t", header: bool = False) -> Pa
 
     Tags are trimmed and lowercased (Unicode-aware); user and item ids are
     trimmed only. Lines with a wrong field count, empty fields, or a
-    timestamp that is not a run of ASCII digits are counted as malformed.
-    If more than half of the non-blank lines are malformed a FormatError is
-    raised, signalling a wrong delimiter spec; so is a byte that is not
-    UTF-8, naming its line. `source` is a path or a text or binary stream
-    (io.IOBase); anything else raises DomainError. A line ends at "\\n",
-    "\\r\\n" or a lone "\\r", as it does when Python reads a text file.
+    timestamp that is not a run of ASCII digits below 2**63 are counted as
+    malformed. If more than half of the non-blank lines are malformed a
+    FormatError is raised, signalling a wrong delimiter spec; so is a byte
+    that is not UTF-8, naming its line. `source` is a path or a text or
+    binary stream (io.IOBase); anything else raises DomainError. A line ends
+    at "\\n", "\\r\\n" or a lone "\\r", as when Python reads a text file.
 
     A stream is read in blocks of CHUNK_LINES * 32 bytes (or characters),
     each cut after its last line break. No object is built per line or
     field: numpy finds the lines and fields of a block's UTF-8 bytes, checks
     them all at once, and codes each name field as a fixed-width byte key
     with one np.unique per key width. Only the lines the checks flag
-    (malformed or whitespace-only lines, a NUL, a timestamp of more than 18
-    digits) are settled one by one, in place. At the end one sort per key
-    width numbers the blocks' distinct keys, and each distinct key is
-    decoded and normalized once. When a column's keys share one width and no
-    name changes, the keys' order is the names'; otherwise the names are
-    sorted.
+    (malformed or whitespace-only lines, a NUL, overlapping delimiters, a
+    timestamp of more than 19 digits or of 2**63 or more) are settled one by
+    one, in place. At the end one sort per key width numbers the blocks'
+    distinct keys, and each distinct key is decoded and normalized once.
+    When a column's keys share one width and no name changes, the keys'
+    order is the names'; otherwise the names are sorted.
     """
     if not delimiter:
         raise DomainError("the delimiter must not be empty")
@@ -444,13 +445,13 @@ def _sorted_runs(*keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The order that sorts the rows of the key columns, the first most significant, and where
     each run of equal rows starts in it. One unstable argsort of a packed int64 key that sorts
     and compares as the rows do: a run's first row is np.minimum.reduceat(order, starts).
-    Where a multiply could overflow, the key so far (or an object or over-wide column) is first
-    replaced by its dense rank, below n rows."""
+    Where a multiply could overflow, the key so far (or an over-wide column) is first replaced
+    by its dense rank, below n rows."""
     n = len(keys[0])
     packed, span = np.zeros(n, dtype=np.int64), 1
     for key in keys:
         low, high = (int(key.min()), int(key.max())) if n else (0, 0)
-        if key.dtype == object or (high - low + 1) * n > 2**63:
+        if (high - low + 1) * n > 2**63:
             low, high, key = 0, n - 1, np.unique(key, return_inverse=True)[1]
         width = high - low + 1
         if span * width > 2**63:
@@ -596,13 +597,16 @@ def _dedupe(columns: AnnotationColumns) -> AnnotationColumns:
 def build_index(annotations: AnnotationColumns, dedupe: bool = False) -> FolksonomyIndex:
     """Index annotation columns, as parse_annotations or generate_synthetic give them.
 
-    Anything but AnnotationColumns raises DomainError. With dedupe=True,
-    duplicate (user, item, tag) triples collapse to the earliest-timestamped
-    instance (first occurrence on timestamp ties), preserving
-    first-occurrence order. Deduplication is idempotent.
+    Anything but AnnotationColumns, or a time column that is not int64,
+    raises DomainError. With dedupe=True, duplicate (user, item, tag)
+    triples collapse to the earliest-timestamped instance (first occurrence
+    on timestamp ties), preserving first-occurrence order. Deduplication is
+    idempotent.
     """
     if not isinstance(annotations, AnnotationColumns):
         raise DomainError(f"build_index takes AnnotationColumns, not {type(annotations).__name__}")
+    if annotations.time.dtype != np.int64:
+        raise DomainError(f"the time column must be int64, not {annotations.time.dtype}")
     columns = _dedupe(annotations) if dedupe else annotations
     return FolksonomyIndex(columns=columns)
 
@@ -667,8 +671,10 @@ class SyntheticConfig:
         _check_counts(**{name: getattr(self, name) for name in (
             "n_users", "n_items", "n_tags", "tags_per_item", "max_user_annotations", "time_span")})
         for name in ("activity_exponent", "item_popularity_exponent", "tag_popularity_exponent"):
-            if getattr(self, name) <= 0:
-                raise DomainError(f"{name} must be > 0")
+            if not 0 < getattr(self, name) < np.inf:  # NaN too
+                raise DomainError(f"{name} must be finite and > 0, got {getattr(self, name)}")
+        if self.seed < 0:
+            raise DomainError(f"seed must be at least 0, got {self.seed}")
 
 
 def _power_law_cdf(n: int, exponent: float) -> np.ndarray:

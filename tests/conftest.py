@@ -13,7 +13,9 @@ def make_annotations(rows):
 
 def make_columns(rows):
     """The columns parse_annotations gives for the rows as tab-separated lines. Each row must
-    parse to itself: four well-formed fields, names trimmed and tags lowercase."""
+    parse to itself: four well-formed fields, names trimmed, tags lowercase and a time in
+    [0, 2**63)."""
+    assert all(0 <= tm < 2**63 for *_, tm in rows), "a time outside [0, 2**63) is malformed"
     text = "".join(f"{u}\t{i}\t{t}\t{tm}\n" for u, i, t, tm in rows)
     columns = parse_annotations(io.StringIO(text)).annotations
     assert list(columns) == make_annotations(rows)

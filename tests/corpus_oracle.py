@@ -49,7 +49,9 @@ def parse_annotations(lines, delimiter="\t", header=False):
         item = parts[1].strip()
         tag = parts[2].strip().lower()
         stamp = parts[3]
-        if not user or not item or not tag or not (stamp.isdigit() and stamp.isascii()):
+        # a time is a run of ASCII digits below 2**63
+        if (not user or not item or not tag or not (stamp.isdigit() and stamp.isascii())
+                or int(stamp) >= 2**63):
             malformed += 1
             continue
         annotations.append(Annotation(user, item, tag, int(stamp)))

@@ -229,6 +229,24 @@ class TestSynth:
         assert result.exit_code == 2, result.output
         assert option in result.output and "x>=1" in result.output
 
+    @pytest.mark.parametrize("args, env", [(["--seed", "-1"], {}),
+                                           ([], {"FOLKMETRICS_SEED": "-5"})])
+    def test_negative_seed_is_a_usage_error(self, runner, tmp_path, args, env):
+        out = tmp_path / "corpus.tsv"
+        result = runner.invoke(main, ["synth", *args, "--out", str(out)], env=env)
+        assert result.exit_code == 2, result.output
+        assert "--seed" in result.output and "x>=0" in result.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize("option", ["--activity-exponent", "--item-exponent", "--tag-exponent"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0"])
+    def test_exponents_not_finite_and_above_zero_exit_one(self, runner, tmp_path, option, value):
+        out = tmp_path / "corpus.tsv"
+        result = runner.invoke(main, ["synth", option, value, "--out", str(out)])
+        assert result.exit_code == 1, result.output
+        assert "must be finite and > 0" in result.output and "Traceback" not in result.output
+        assert not out.exists()
+
 
 class TestAnalysisCommands:
     def test_similarity_schema(self, runner, tmp_path):

@@ -22,7 +22,9 @@ from folkmetrics.errors import DomainError, FormatError
 
 from conftest import item_tag_freq, make_annotations, make_columns
 
-BIG = [2**63 - 1, 2**63, 2**70, 10**20]
+# times near the top of int64 parse; 2**63 and more are malformed
+WIDE = [2**63 - 1, 10**18]
+TOO_BIG = [2**63, 2**70, 10**20]
 
 # padding str.strip removes and bytes.strip keeps, names past 8 bytes, a NUL
 ids = st.sampled_from(["u1", "U1", " u1", "u2 ", "ü", "Ü", "\x1cu1\x1f", "u2\x85", "\xa0u1",
@@ -32,7 +34,8 @@ tags = st.sampled_from(["Rock", "rock", " ROCK ", "İ", "i̇", "Straße", "STRAS
                         "\x1dRock\x1e", "Straße-Und-Weg"])
 stamps = st.one_of(
     st.integers(0, 4).map(str),
-    st.sampled_from([str(t) for t in BIG] + ["007", "0" * 20 + "5", "9" * 18, "1" * 19]),
+    st.sampled_from([str(t) for t in WIDE + TOO_BIG]
+                    + ["007", "0" * 20 + "5", "9" * 18, "1" * 19]),
     st.sampled_from(["-1", "", " 5", "x", "1_0", "٥", "²"]),
 )
 delimiters = st.sampled_from(["\t", ",", "||", "·"])
@@ -171,7 +174,8 @@ def test_scattered_bad_lines_are_settled_in_place(delimiter, chunk):
         41: "  \t ",
         77: delimiter.join(["u\0", "i", "T1", "5"]),
         90: delimiter.join(["u", "i", "t", "1" * 25]),
-        120: delimiter.join(["u", "i\0", "t", "9" * 19]),
+        120: delimiter.join(["u", "i\0", "t", str(2**63 - 1)]),
+        130: delimiter.join(["u", "i", "t", str(2**63)]),
         150: delimiter.join(["u", "", "t", "1"]),
         160: delimiter.join(["u", "i", "t", "1x"]),
         170: "u" + delimiter * 5,
@@ -186,11 +190,11 @@ def test_scattered_bad_lines_are_settled_in_place(delimiter, chunk):
             mock.patch.object(corpus, "_settle", wraps=corpus._settle) as settle:
         got = parse_annotations(io.BytesIO(data), delimiter)
     assert list(got.annotations) == expected.annotations
-    assert got.malformed == expected.malformed == 5
+    assert got.malformed == expected.malformed == 7
     assert settle.call_count == len(bad) - 1
-    assert got.annotations.time.dtype == object
-    # lines 17, 40 and 41 hold no annotation
-    assert list(got.annotations)[117] == Annotation("u", "i\0", "t", 10**19 - 1)
+    assert got.annotations.time.dtype == np.int64
+    # lines 17, 40, 41 and 90 hold no annotation
+    assert list(got.annotations)[116] == Annotation("u", "i\0", "t", 2**63 - 1)
 
 
 def test_a_megabyte_name_in_a_chunk_of_short_ones():
@@ -214,8 +218,8 @@ rows = st.lists(
         st.sampled_from(["u0", "u1", "U1", "ü"]),
         st.sampled_from(["i0", "i1", "i2"]),
         st.sampled_from(["rock", "jazz", "σ"]),
-        # ties, timestamps out of order, and a few beyond int64
-        st.one_of(st.integers(0, 3), st.sampled_from(BIG)),
+        # ties, timestamps out of order, and a few near the top of int64
+        st.one_of(st.integers(0, 3), st.sampled_from(WIDE)),
     ),
     max_size=40,
 )
@@ -267,13 +271,29 @@ def test_codes_follow_sorted_names():
     assert columns.time.dtype == np.int64
 
 
-def test_times_beyond_int64_stay_exact():
-    big = parse_annotations(io.StringIO(f"u\ti\tt\t{2**70}\nu\ti\tt\t1\n")).annotations
-    assert big.time.dtype == object
-    assert [a.time for a in big] == [2**70, 1]
-    padded = parse_annotations(io.StringIO("u\ti\tt\t" + "0" * 30 + "7\n")).annotations
-    assert padded.time.dtype == np.int64
-    assert list(padded)[0].time == 7
+def test_nineteen_digit_times_skip_the_general_parser():
+    """Every time below 2**63 is read by the vector checks; 2**63 and more are malformed."""
+    times = [2**63 - 1, 10**18, 1234567890123456789, 7]
+    text = "".join(f"u{k}\ti\tt\t{t}\n" for k, t in enumerate(times))
+    with mock.patch.object(corpus, "_settle", wraps=corpus._settle) as settle:
+        parsed = parse_annotations(io.StringIO(text))
+    assert settle.call_count == 0
+    assert parsed.annotations.time.dtype == np.int64
+    assert (parsed.annotations.time.tolist(), parsed.malformed) == (times, 0)
+    for big in ["9223372036854775808", "9" * 19, str(2**64), "1" + "0" * 4999]:
+        parsed = parse_annotations(io.StringIO(text + f"u\ti\tt\t{big}\n"))
+        assert (parsed.annotations.time.tolist(), parsed.malformed) == (times, 1)
+    # zero padding does not count: the line is settled by itself
+    padded = parse_annotations(io.StringIO("u\ti\tt\t" + "0" * 5000 + "7\n")).annotations
+    assert padded.time.tolist() == [7]
+
+
+def test_time_columns_other_than_int64_are_domain_errors():
+    columns = make_columns([("u", "i", "t", 1), ("u", "j", "t", 2)])
+    for time in (columns.time.astype(object), columns.time.astype(np.int32),
+                 columns.time.astype(np.uint64), columns.time.astype(float)):
+        with pytest.raises(DomainError, match="int64"):
+            build_index(columns.take(np.arange(2), time))
 
 
 @pytest.mark.parametrize("chunk", [1, 2, corpus.CHUNK_LINES])
@@ -311,15 +331,15 @@ def any_columns(draw):
         drawn = draw(st.lists(st.integers(0, len(vocab) - 1), min_size=n, max_size=n))
         present, code = np.unique(np.array(drawn, dtype=np.int32), return_inverse=True)
         coded.append((code.astype(np.int32), [vocab[k] for k in present.tolist()]))
-    times = draw(st.lists(st.integers(0, 10**6) | st.sampled_from(BIG), min_size=n, max_size=n))
-    time = np.array(times, dtype=object if max(times, default=0) >= 2**63 else np.int64)
+    times = draw(st.lists(st.integers(0, 10**6) | st.sampled_from(WIDE), min_size=n, max_size=n))
+    time = np.array(times, dtype=np.int64)
     return AnnotationColumns(*(code for code, _ in coded), time, *(vocab for _, vocab in coded))
 
 
 @settings(max_examples=150, deadline=None)
 @given(any_columns(), st.booleans(), delimiters, st.sampled_from([1, 2, 3, corpus.CHUNK_LINES]))
 @example(make_columns([]), False, "\t", corpus.CHUNK_LINES)
-@example(make_columns([("ü", "i", "σ", 2**70), ("u", "ĳ", "t", 1)]), False, "||", 2)
+@example(make_columns([("ü", "i", "σ", 2**63 - 1), ("u", "ĳ", "t", 1)]), False, "||", 2)
 def test_columnar_writer_matches_the_annotation_writer(columns, dedupe, delimiter, chunk):
     columns = build_index(columns, dedupe=dedupe).columns
     assert isinstance(columns, AnnotationColumns)

@@ -36,14 +36,15 @@ def results(index, tags, *limit):
 
 @st.composite
 def edge_corpora(draw):
-    """corpora, plus at times seven simultaneous taggers of one item and times beyond int64."""
+    """corpora, plus at times seven simultaneous taggers of one item and times too wide to
+    pack beside the other keys."""
     rows = draw(corpora)
     if draw(st.booleans()):
         # one item, one time: each of the seven scores 1/7, whose std is 2.8e-17
         rows += [(f"s{k}", "i0", "seven", 3) for k in range(7)]
     if draw(st.booleans()):
-        # the time column becomes an object array of Python ints; ties stay ties
-        rows = [(u, i, t, time + 2**64 if time > 2 else time) for u, i, t, time in rows]
+        # credit_batch's sort takes its dense-rank branch; ties stay ties
+        rows = [(u, i, t, time + 2**62 if time > 2 else time) for u, i, t, time in rows]
     return rows
 
 
@@ -92,8 +93,8 @@ def test_credits_equal_the_counting_reference(rows, exponent):
         assert list(got) == sorted(got)
 
 
-def test_timestamps_beyond_int64_keep_their_order():
-    rows = [("a", "i", "rock", 2**70), ("b", "i", "rock", 2**70 + 1), ("c", "i", "rock", 3)]
+def test_timestamps_near_the_int64_limit_keep_their_order():
+    rows = [("a", "i", "rock", 2**63 - 2), ("b", "i", "rock", 2**63 - 1), ("c", "i", "rock", 3)]
     index = make_index(rows)
     batch = credit_batch(index, tag_codes(index, ["rock"]), exponent=1.0)
     users = [index.columns.users[batch.user_code[u]] for u in batch.user]
