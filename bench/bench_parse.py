@@ -4,11 +4,13 @@
 
 Run from the repository root. The script writes the synthetic corpora
 (quarter-c10, c10 and c10x3: c10's arguments divided or multiplied as below;
-c10-malformed: c10 with a truncated line after every 60,000th line; and
+c10-malformed: c10 with a truncated line after every 60,000th line;
 c10-ns: c10 with each time t written as the 19 digits "17%017d" % t, a log
-in nanoseconds since the epoch whose times keep their order) with this
-checkout's generator into a temporary directory, extracts `src/` of
-the base commit with `git archive`, and times one `parse_annotations` call on
+in nanoseconds since the epoch whose times keep their order; and c10-wide: c10 with
+"user_" before each user name and "https://example.org/item/" before each item
+name, 12- and 32-byte names as in a crawled log) with this checkout's generator
+into a temporary directory, extracts `src/` of the base commit with
+`git archive`, and times one `parse_annotations` call on
 each corpus in a fresh interpreter per run, then one
 `build_index(annotations, dedupe=True)` on its result, RUNS runs a side, base
 and checkout alternating, and the side that runs first alternating too. It
@@ -42,12 +44,15 @@ CORPORA = {
     "c10": C10,
     "c10-malformed": C10,
     "c10-ns": C10,
+    "c10-wide": C10,
     "c10x3": dict(C10, n_users=420_000, n_items=300_000, n_tags=15_000),
 }
 # a truncated record (three fields) after every this many lines
 MALFORMED_EVERY = {"c10-malformed": 60_000}
 # each time t written as TIME_FORMAT % t
 TIME_FORMAT = {"c10-ns": "17%017d"}
+# the user and the item name of each line written after these prefixes
+PREFIXES = {"c10-wide": (b"user_", b"https://example.org/item/")}
 
 # One timed parse and dedupe in a fresh interpreter: argv is the src/ directory and the corpus.
 CHILD = """
@@ -88,16 +93,17 @@ def extract_src(commit: str, dest: Path) -> Path:
 
 
 def write_corpus(config: dict, path: Path, malformed_every: int = 0,
-                 time_format: str = "") -> None:
+                 time_format: str = "", prefixes: tuple = ()) -> None:
     """The synthetic corpus of config, written by this checkout's generator, with a truncated
-    record after every malformed_every lines if that is not 0, and each time t written as
-    time_format % t if that is not empty."""
+    record after every malformed_every lines if that is not 0, each time t written as
+    time_format % t if that is not empty, and each user and item name after the two prefixes
+    if they are given."""
     if str(SRC) not in sys.path:
         sys.path.insert(0, str(SRC))
     from folkmetrics.corpus import SyntheticConfig, generate_synthetic, write_annotations
 
     write_annotations(generate_synthetic(SyntheticConfig(**config)), path)
-    if malformed_every or time_format:
+    if malformed_every or time_format or prefixes:
         clean = path.with_suffix(".clean")
         path.rename(clean)
         with open(clean, "rb") as lines, open(path, "wb") as dest:
@@ -105,6 +111,9 @@ def write_corpus(config: dict, path: Path, malformed_every: int = 0,
                 if time_format:
                     names, _, time = line.rpartition(b"\t")
                     line = b"%s\t%s\n" % (names, (time_format % int(time)).encode())
+                if prefixes:
+                    user, item, rest = line.split(b"\t", 2)
+                    line = b"%s%s\t%s%s\t%s" % (prefixes[0], user, prefixes[1], item, rest)
                 dest.write(line)
                 if malformed_every and k % malformed_every == 0:
                     dest.write(line.rpartition(b"\t")[0] + b"\n")
@@ -141,7 +150,8 @@ def main(argv=None) -> int:
         sides = {"base": extract_src(opts.base, Path(work) / "base"), "change": SRC}
         for name, config in CORPORA.items():
             corpus = Path(work) / f"{name}.tsv"
-            write_corpus(config, corpus, MALFORMED_EVERY.get(name, 0), TIME_FORMAT.get(name, ""))
+            write_corpus(config, corpus, MALFORMED_EVERY.get(name, 0), TIME_FORMAT.get(name, ""),
+                         PREFIXES.get(name, ()))
             runs = {side: [] for side in sides}
             for k in range(RUNS):
                 for side in (("base", "change") if k % 2 == 0 else ("change", "base")):
@@ -153,6 +163,7 @@ def main(argv=None) -> int:
             first = runs["change"][0]
             entry = {"config": config, "malformed_every": MALFORMED_EVERY.get(name, 0),
                      "time_format": TIME_FORMAT.get(name, ""),
+                     "prefixes": [p.decode() for p in PREFIXES.get(name, ())],
                      "bytes": corpus.stat().st_size, "annotations": first["annotations"],
                      "deduped": first["deduped"], "malformed": first["malformed"],
                      "digest": first["digest"]}

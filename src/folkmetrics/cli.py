@@ -308,6 +308,8 @@ def _read_popularity(path, index, delimiter="\t") -> np.ndarray:
             count = math.nan
         if not (math.isfinite(count) and count >= 0):
             raise FolkmetricsError(f"bad popularity line: {line!r}")
+        if item.strip() in popularity:
+            raise FolkmetricsError(f"popularity line lists an item twice: {line!r}")
         popularity[item.strip()] = count
     return np.array([popularity.get(item, math.nan) for item in index.columns.items])
 

@@ -85,15 +85,6 @@ class AnnotationColumns:
                                  self.users, self.items, self.tags)
 
 
-def _vocabulary(names: list[str], distinct_sorted: bool = False) -> tuple[list[str], np.ndarray]:
-    """The names sorted without repeats, and the int32 code of each given name in them."""
-    if distinct_sorted:
-        return names, np.arange(len(names), dtype=np.int32)
-    vocab = sorted(set(names))
-    index = dict(zip(vocab, range(len(vocab))))
-    return vocab, np.fromiter(map(index.__getitem__, names), dtype=np.int32, count=len(names))
-
-
 def _occurring(codes: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Codes from range(n) renumbered in order over the values that occur, and those values."""
     occurs = np.bincount(codes, minlength=n) > 0
@@ -165,45 +156,52 @@ def _key_exponents(lengths: np.ndarray) -> np.ndarray:
 
 
 def _name_keys(padded: np.ndarray, starts: np.ndarray, lengths: np.ndarray):
-    """Per key width, ascending: the rows of the names that width, their sorted distinct keys and
-    each row's index into them.
+    """Per key width the names take, ascending: the rows of the names that width, their sorted
+    distinct keys and each row's index into them.
 
-    A key is the name's bytes zero-padded to the width; names hold no NUL,
-    so equal keys are equal names, and keys sort as the names' code points
-    do. Width 8 keys are big-endian uint64s.
+    A width's keys are a (k, n) array of big-endian uint64 words, word j of a key the name's
+    bytes 8j to 8j + 8, zero-padded. Names hold no NUL, so equal keys are equal names, and keys
+    sort as the names' code points do.
     """
-    if lengths.max(initial=0) <= 8:
-        classes = [(8, slice(None))]
+    if lengths.size and lengths.max() <= 8:
+        classes = [(1, slice(None))]
     else:
         exponents = _key_exponents(lengths)
-        classes = [(1 << e, np.flatnonzero(exponents == e))
+        classes = [(1 << (e - 3), np.flatnonzero(exponents == e))
                    for e in np.flatnonzero(np.bincount(exponents)).tolist()]
-    for width, rows in classes:
-        if width == 8:
-            # the 8 bytes from each start, as one number, cut to the name's length
-            words = sliding_window_view(padded, 8).view(">u8")[starts[rows], 0]
-            keys = words.astype(np.uint64) & _PREFIXES[lengths[rows]]
-        else:
-            keys = sliding_window_view(padded, width)[starts[rows]]
-            keys[np.arange(width) >= lengths[rows, None]] = 0
-            keys = keys.view(f"S{width}")[:, 0]
-        yield (width, rows, *np.unique(keys, return_inverse=True))
+    for k, rows in classes:
+        # word j: the 8 bytes from the name's start + 8j as one number, cut to the name's bytes
+        at = 8 * np.arange(k)[:, None]
+        keys = sliding_window_view(padded, 8).view(">u8")[starts[rows] + at, 0].astype(np.uint64)
+        keys &= _PREFIXES[np.clip(lengths[rows] - at, 0, 8)]
+        yield (rows, *_distinct_keys(keys))
 
 
-def _decoded(width: int, keys: np.ndarray) -> list[str]:
-    """The names of sorted keys of one width."""
-    # each key's bytes and a line feed, less the zero padding, decoded at once
-    rows = np.empty((len(keys), width + 1), dtype=np.uint8)
-    rows[:, :width] = (keys.astype(">u8") if width == 8 else keys).view(np.uint8).reshape(-1, width)
-    rows[:, width] = ord("\n")
-    flat = rows.ravel()
+def _distinct_keys(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct columns of a (k, n) array of key words, sorted word 0 first, and each column's
+    int32 index in them. Equal keys are equal names: an unstable argsort for k = 1, else lexsort."""
+    order = np.argsort(keys[0]) if len(keys) == 1 else np.lexsort(keys[::-1])
+    keys = keys.take(order, axis=1)
+    starts = np.ones(len(order), dtype=bool)
+    starts[1:] = (keys[:, 1:] != keys[:, :-1]).any(axis=0)
+    inverse = np.empty(len(order), dtype=np.int32)
+    inverse[order] = np.cumsum(starts, dtype=np.int32) - 1
+    return keys.compress(starts, axis=1), inverse
+
+
+def _decoded(keys: np.ndarray) -> list[str]:
+    """The names of sorted keys of one width, a (k, n) array of words."""
+    # each key's words and a line feed word as big-endian bytes, less the zero bytes, decoded
+    rows = np.full((keys.shape[1], len(keys) + 1), ord("\n") << 56, dtype=">u8")
+    rows[:, :-1] = keys.T
+    flat = rows.view(np.uint8)
     return flat[flat != 0].tobytes().decode("utf-8", "surrogatepass").split("\n")[:-1]
 
 
 class _NameColumn:
     """One name column of a parse, block by block.
 
-    A block holds its distinct name keys per width, the raw names of its
+    A block holds its distinct name keys by word count, the raw names of its
     lines settled one by one, and its annotations' int32 codes into those:
     the keys by ascending width, then the settled names. finish() decodes
     and normalizes each distinct key once and numbers the names in sorted
@@ -212,15 +210,15 @@ class _NameColumn:
 
     def __init__(self, normalize):
         self.normalize = normalize
-        self.blocks: list[tuple[list, list[str], np.ndarray]] = []
+        self.blocks: list[tuple[dict, list[str], np.ndarray]] = []
 
     def add(self, padded, starts, lengths, before: np.ndarray, settled: list[str]) -> None:
         """A block: the names at starts in padded, and settled ones inserted before `before`."""
-        code, keys, held = np.empty(len(starts), dtype=np.int32), [], 0
-        for width, rows, distinct, inverse in _name_keys(padded, starts, lengths):
+        code, keys, held = np.empty(len(starts), dtype=np.int32), {}, 0
+        for rows, distinct, inverse in _name_keys(padded, starts, lengths):
             code[rows] = inverse + held
-            keys.append((width, distinct))
-            held += len(distinct)
+            keys[len(distinct)] = distinct
+            held += distinct.shape[1]
         code = np.insert(code, before, np.arange(held, held + len(settled), dtype=np.int32))
         self.blocks.append((keys, settled, code))
 
@@ -228,24 +226,27 @@ class _NameColumn:
         """The names sorted without repeats, and every annotation's code, block after block."""
         luts = [[] for _ in self.blocks]  # per block: each block code's index in raw
         raw: list[str] = []
-        widths = sorted({width for keys, _, _ in self.blocks for width, _ in keys})
-        for width in widths:
-            held = [(lut, distinct) for lut, (keys, _, _) in zip(luts, self.blocks)
-                    for w, distinct in keys if w == width]
-            keys = np.sort(np.concatenate([d for _, d in held]))
-            distinct = keys[_run_starts(keys)]
-            del keys
-            for lut, d in held:
-                lut.append(np.searchsorted(distinct, d) + len(raw))
-            raw += _decoded(width, distinct)
+        widths = sorted({k for keys, _, _ in self.blocks for k in keys})
+        for k in widths:
+            held = [(lut, keys[k]) for lut, (keys, _, _) in zip(luts, self.blocks) if k in keys]
+            distinct, inverse = _distinct_keys(np.concatenate([d for _, d in held], axis=1))
+            inverse += len(raw)
+            for (lut, _), part in zip(held, np.split(inverse, np.cumsum(
+                    [d.shape[1] for _, d in held[:-1]]))):
+                lut.append(part)
+            raw += _decoded(distinct)
         distinct_keys = len(raw)
         for lut, (_, settled, _) in zip(luts, self.blocks):
             lut.append(np.arange(len(raw), len(raw) + len(settled)))
             raw += settled
         names = list(map(self.normalize, raw))
+        code = np.arange(len(names), dtype=np.int32)
         # the names of one width's distinct keys come sorted, if no name changed
-        names, code = _vocabulary(names, len(widths) == 1 and len(raw) == distinct_keys
-                                  and names == raw)
+        if len(widths) > 1 or len(raw) > distinct_keys or names != raw:
+            vocab = sorted(set(names))
+            index = dict(zip(vocab, range(len(vocab))))
+            code = np.fromiter(map(index.__getitem__, names), dtype=np.int32, count=len(names))
+            names = vocab
         codes = np.empty(sum(len(local) for *_, local in self.blocks), dtype=np.int32)
         at = 0
         for lut, (*_, local) in zip(luts, self.blocks):
@@ -365,12 +366,12 @@ def parse_annotations(source, delimiter: str = "\t", header: bool = False) -> Pa
     A stream is read in blocks of CHUNK_LINES * 32 bytes (or characters),
     each cut after its last line break. No object is built per line or
     field: numpy finds the lines and fields of a block's UTF-8 bytes, checks
-    them all at once, and codes each name field as a fixed-width byte key
-    with one np.unique per key width. Only the lines the checks flag
-    (malformed or whitespace-only lines, a NUL, overlapping delimiters, a
-    timestamp of more than 19 digits or of 2**63 or more) are settled one by
-    one, in place. At the end one sort per key width numbers the blocks'
-    distinct keys, and each distinct key is decoded and normalized once.
+    them all at once, and keys each name field as big-endian uint64 words,
+    one sort per key width finding the distinct keys. Only the lines the
+    checks flag (malformed or whitespace-only lines, a NUL, overlapping
+    delimiters, a timestamp of more than 19 digits or of 2**63 or more) are
+    settled one by one, in place. At the end one sort per key width numbers
+    the blocks' distinct keys, and each is decoded and normalized once.
     When a column's keys share one width and no name changes, the keys'
     order is the names'; otherwise the names are sorted.
     """
@@ -408,13 +409,17 @@ def parse_annotations(source, delimiter: str = "\t", header: bool = False) -> Pa
 
 
 def write_annotations(annotations: Iterable[Annotation], dest, delimiter: str = "\t") -> None:
-    """Serialize annotations in the same delimited format parse_annotations reads."""
+    """Serialize annotations in the same delimited format parse_annotations reads. Columns with a
+    name that holds the delimiter, which would read back as more fields, raise DomainError."""
     if isinstance(dest, (str, Path)):
         with open(dest, "w", encoding="utf-8", newline="") as fh:
             write_annotations(annotations, fh, delimiter)
         return
     if isinstance(annotations, AnnotationColumns):
         c = annotations
+        held = [name for names in (c.users, c.items, c.tags) for name in names if delimiter in name]
+        if held:
+            raise DomainError(f"name {held[0]!r} holds the delimiter {delimiter!r}")
         # each name with its delimiter, built once; object arrays, so codes index them
         names = [np.array([name + delimiter for name in vocab], dtype=object)
                  for vocab in (c.users, c.items, c.tags)]

@@ -117,6 +117,16 @@ class TestIngest:
         assert result.exit_code == 0
         assert result.stdout == "u1\ti1\trock\t3\n"
 
+    def test_a_name_holding_the_output_delimiter_exits_one(self, runner, tmp_path):
+        """A tab inside a comma corpus's name would write a line of five fields, which the next
+        ingest would drop as malformed."""
+        src = write_fixture(tmp_path / "raw.csv", "u1,a\tb,rock,1\nu2,i2,pop,2\n")
+        out = tmp_path / "clean.tsv"
+        result = runner.invoke(main, ["ingest", src, "--delimiter", ",", "--out", str(out)])
+        assert result.exit_code == 1
+        assert result.stderr == "Error: name 'a\\tb' holds the delimiter '\\t'\n"
+        assert out.read_text() == ""
+
     def test_empty_delimiter_is_a_usage_error(self, runner, tmp_path):
         src = write_fixture(tmp_path / "raw.tsv")
         result = runner.invoke(main, ["ingest", src, "--delimiter", ""])
@@ -472,6 +482,18 @@ class TestAnalysisCommands:
             assert result.exit_code == 1
             assert isinstance(result.exception, SystemExit)
             assert result.stderr == "Error: popularity line 2: invalid UTF-8 byte 0xff\n"
+
+    @pytest.mark.parametrize("command", ["exo-diff", "report"])
+    def test_popularity_listing_an_item_twice_exits_one(self, runner, tmp_path, command):
+        src = write_fixture(tmp_path / "corpus.tsv")
+        sidecar = tmp_path / "pop.tsv"
+        sidecar.write_text("i0\t10\ni1\t3\ni0 \t7\n")
+        out = tmp_path / "out"
+        target = {"exo-diff": "--out", "report": "--out-dir"}[command]
+        result = runner.invoke(main, [command, src, "--popularity", str(sidecar), target, str(out)])
+        assert result.exit_code == 1
+        assert result.stderr == "Error: popularity line lists an item twice: 'i0 \\t7'\n"
+        assert not out.exists()
 
     def test_threads_flag_accepted(self, runner, tmp_path):
         src = write_fixture(tmp_path / "corpus.tsv")

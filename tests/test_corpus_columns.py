@@ -26,12 +26,15 @@ from conftest import item_tag_freq, make_annotations, make_columns
 WIDE = [2**63 - 1, 10**18]
 TOO_BIG = [2**63, 2**70, 10**20]
 
-# padding str.strip removes and bytes.strip keeps, names past 8 bytes, a NUL
+# padding str.strip removes and bytes.strip keeps, a NUL, names past 8 bytes: at and just past
+# each 8-byte word edge, 70 bytes, a 2-byte character across byte 8 and a 3-byte one across 16
 ids = st.sampled_from(["u1", "U1", " u1", "u2 ", "ü", "Ü", "\x1cu1\x1f", "u2\x85", "\xa0u1",
-                       "\x85", "u-longer-than-8", "\x00u"])
-# mixed-case Unicode, some of whose lowercase forms coincide or grow longer
+                       "\x85", "u-longer-than-8", "\x00u", "abcdefgü", "abcdefghijklmno€",
+                       *("u" * n for n in (8, 9, 16, 17, 32, 33, 70))])
+# mixed-case Unicode, some of whose lowercase forms coincide or grow longer, and as wide as ids
 tags = st.sampled_from(["Rock", "rock", " ROCK ", "İ", "i̇", "Straße", "STRASSE", "ǅ", "Σ", "σ",
-                        "\x1dRock\x1e", "Straße-Und-Weg"])
+                        "\x1dRock\x1e", "Straße-Und-Weg", "ABCDEFGÜ", "ABCDEFGHIJKLMNO€",
+                        *("T" * n for n in (8, 9, 16, 17, 32, 33, 70))])
 stamps = st.one_of(
     st.integers(0, 4).map(str),
     st.sampled_from([str(t) for t in WIDE + TOO_BIG]
@@ -69,6 +72,9 @@ def sources(lines):
 
 @settings(max_examples=150, deadline=None)
 @given(texts(), st.sampled_from([1, 2, 3, corpus.CHUNK_LINES]))
+# users of two words and items of four, whose names sort by their first words
+@example(("\t", False, ["abcdefgü\tabcdefghijklmno€\tt\t1\n", "u-longer-than-8\t" + "u" * 17
+                        + "\tt\t2\n"]), corpus.CHUNK_LINES)
 def test_parse_matches_the_reference(case, chunk):
     delimiter, header, lines = case
     with mock.patch.object(corpus, "CHUNK_LINES", chunk):
@@ -81,6 +87,10 @@ def test_parse_matches_the_reference(case, chunk):
                 continue
             got = parse_annotations(source, delimiter, header=header)
             assert list(got.annotations) == expected.annotations
+            # each name list holds the names that occur, sorted, so codes compare as names do
+            c = got.annotations
+            assert [c.users, c.items, c.tags] == [
+                sorted({a[k] for a in expected.annotations}) for k in range(3)]
             assert got.malformed == expected.malformed
             assert len(got.annotations) == len(expected.annotations)
 
@@ -340,6 +350,7 @@ def any_columns(draw):
 @given(any_columns(), st.booleans(), delimiters, st.sampled_from([1, 2, 3, corpus.CHUNK_LINES]))
 @example(make_columns([]), False, "\t", corpus.CHUNK_LINES)
 @example(make_columns([("ü", "i", "σ", 2**63 - 1), ("u", "ĳ", "t", 1)]), False, "||", 2)
+@example(make_columns([("u", "i", "t", 1), ("u", "i·j", "t", 2)]), False, "·", 1)
 def test_columnar_writer_matches_the_annotation_writer(columns, dedupe, delimiter, chunk):
     columns = build_index(columns, dedupe=dedupe).columns
     assert isinstance(columns, AnnotationColumns)
@@ -347,5 +358,12 @@ def test_columnar_writer_matches_the_annotation_writer(columns, dedupe, delimite
     write_annotations(list(columns), by_annotation, delimiter)
     by_column = io.StringIO()
     with mock.patch.object(corpus, "CHUNK_LINES", chunk):
+        if any(delimiter in name for names in (columns.users, columns.items, columns.tags)
+               for name in names):
+            # such a line would read back as more fields: nothing is written
+            with pytest.raises(DomainError, match="holds the delimiter"):
+                write_annotations(columns, by_column, delimiter)
+            assert by_column.getvalue() == ""
+            return
         write_annotations(columns, by_column, delimiter)
     assert by_column.getvalue().encode() == by_annotation.getvalue().encode()
