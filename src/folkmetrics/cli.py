@@ -8,6 +8,7 @@ with status 2.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 import sys
@@ -187,8 +188,9 @@ def main(ctx, threads):
 def ingest(out, summary_out, **load):
     """Parse, validate, optionally dedupe, and re-emit a dataset."""
     index, parsed = _load_index(**load)
-    with report_mod._output(out) as stream:
-        write_annotations(index.columns, stream)
+    # a path goes to write_annotations, which checks the names before it opens the file
+    with contextlib.nullcontext(out) if out != "-" else report_mod._output(out) as dest:
+        write_annotations(index.columns, dest)
     payload = report_mod.summary_json(index)
     payload["malformed_lines"] = parsed.malformed
     if summary_out:

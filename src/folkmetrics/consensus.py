@@ -58,12 +58,10 @@ def consensus_by_bin(
         norm.append(np.sqrt(np.add.reduceat(users.astype(float) ** 2, starts))[shared])
     dot = np.add.reduceat((s_users * o_users).astype(float), starts)[shared]
     match, cos = top[0] == top[1], dot / (norm[0] * norm[1])
-    shared = item[starts][shared]
-    # items in the order of their first annotation, keyed by their annotation count
-    order = np.argsort(index.item_first[shared])
-    keys = index.item_counts[shared[order]]
+    # items in code order, keyed by their annotation count
+    keys = index.item_counts[item[starts][shared]]
     return ConsensusSeries(
-        top_match=binned_mean(keys, match[order], spec),
-        cosine=binned_mean(keys, cos[order], spec),
-        shared_items=len(shared),
+        top_match=binned_mean(keys, match, spec),
+        cosine=binned_mean(keys, cos, spec),
+        shared_items=len(keys),
     )

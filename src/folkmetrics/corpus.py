@@ -10,6 +10,7 @@ every downstream analysis.
 
 from __future__ import annotations
 
+import contextlib
 import io
 from dataclasses import dataclass
 from functools import cached_property
@@ -409,17 +410,20 @@ def parse_annotations(source, delimiter: str = "\t", header: bool = False) -> Pa
 
 
 def write_annotations(annotations: Iterable[Annotation], dest, delimiter: str = "\t") -> None:
-    """Serialize annotations in the same delimited format parse_annotations reads. Columns with a
-    name that holds the delimiter, which would read back as more fields, raise DomainError."""
-    if isinstance(dest, (str, Path)):
-        with open(dest, "w", encoding="utf-8", newline="") as fh:
-            write_annotations(annotations, fh, delimiter)
-        return
-    if isinstance(annotations, AnnotationColumns):
-        c = annotations
-        held = [name for names in (c.users, c.items, c.tags) for name in names if delimiter in name]
-        if held:
-            raise DomainError(f"name {held[0]!r} holds the delimiter {delimiter!r}")
+    """Serialize annotations in the same delimited format parse_annotations reads, to a path or a
+    text stream. Columns with a name that holds the delimiter, which would read back as more
+    fields, raise DomainError before dest is opened: a path is then neither created nor emptied."""
+    c = annotations if isinstance(annotations, AnnotationColumns) else None
+    held = [] if c is None else [name for names in (c.users, c.items, c.tags) for name in names
+                                 if delimiter in name]
+    if held:
+        raise DomainError(f"name {held[0]!r} holds the delimiter {delimiter!r}")
+    with (open(dest, "w", encoding="utf-8", newline="") if isinstance(dest, (str, Path))
+          else contextlib.nullcontext(dest)) as out:
+        if c is None:
+            for a in annotations:
+                out.write(f"{a.user}{delimiter}{a.item}{delimiter}{a.tag}{delimiter}{a.time}\n")
+            return
         # each name with its delimiter, built once; object arrays, so codes index them
         names = [np.array([name + delimiter for name in vocab], dtype=object)
                  for vocab in (c.users, c.items, c.tags)]
@@ -431,10 +435,7 @@ def write_annotations(annotations: Iterable[Annotation], dest, delimiter: str = 
             for k, (codes, vocab) in enumerate(zip((c.user, c.item, c.tag), names)):
                 fields[:, k] = vocab[codes[part]]
             fields[:, 3] = np.array([f"{t}\n" for t in times.tolist()], dtype=object)[at]
-            dest.write("".join(fields.ravel().tolist()))
-        return
-    for a in annotations:
-        dest.write(f"{a.user}{delimiter}{a.item}{delimiter}{a.tag}{delimiter}{a.time}\n")
+            out.write("".join(fields.ravel().tolist()))
 
 
 def _run_starts(*keys: np.ndarray) -> np.ndarray:
@@ -510,27 +511,19 @@ def _user_means(user: np.ndarray, values: np.ndarray, n_users: int, weights=None
     return np.divide(sums, counts, out=np.full(n_users, np.nan), where=counts != 0)
 
 
-def _first_positions(codes: np.ndarray, n_codes: int) -> np.ndarray:
-    """Each code's first position in codes; len(codes) for a code that does not occur."""
-    first = np.full(n_codes, len(codes), dtype=np.int64)
-    np.minimum.at(first, codes, np.arange(len(codes), dtype=np.int64))
-    return first
-
-
 @dataclass(frozen=True, eq=False)
 class FolksonomyIndex:
     """Immutable index over one annotation set.
 
     columns holds the indexed annotations (raw or deduped), the one data
     model every analysis reads. The index adds, by code, each user's, item's
-    and tag's annotation count and each user's and item's first annotation
-    position, and three distinct sets: triples, the (user, item, tag) codes
-    sorted with each triple's first annotation position; user_tags, the
-    (user, tag) codes sorted; and item_tags, the (item, tag) codes sorted
-    with each triple's pair. Each is built on first read and then cached.
-    Where an analysis visits users or items one by one, it visits them in
-    the order of their first annotation (np.argsort of user_first or
-    item_first), so its sums add up in a fixed order.
+    and tag's annotation count, and three distinct sets: triples, the
+    (user, item, tag) codes sorted; user_tags, the (user, tag) codes sorted
+    with each pair's annotation count; and item_tags, the (item, tag) codes
+    sorted with each triple's pair. Each is built on first read and then
+    cached. Every analysis visits users, items and tags in code order, which
+    is name order, so its sums add up in the same order whatever the order
+    of the annotations.
     """
 
     columns: AnnotationColumns
@@ -552,26 +545,24 @@ class FolksonomyIndex:
         return np.bincount(self.columns.tag, minlength=len(self.columns.tags))
 
     @cached_property
-    def triples(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """The distinct (user, item, tag) codes, sorted, and each one's first annotation index."""
+    def triples(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The distinct (user, item, tag) codes, sorted."""
         c = self.columns
         order, starts = _sorted_runs(c.user, c.item, c.tag)
-        first = np.minimum.reduceat(order, starts)
+        row = order[starts]
         del order, starts
-        if len(c) < 2**31:
-            first = first.astype(np.int32)
-        return c.user[first], c.item[first], c.tag[first], first
+        return c.user[row], c.item[row], c.tag[row]
 
     @cached_property
-    def user_tags(self) -> tuple[np.ndarray, np.ndarray]:
-        """The distinct (user, tag) codes, sorted."""
-        return _distinct_pairs(self.columns.user, self.columns.tag, len(self.columns.tags))[:2]
+    def user_tags(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The distinct (user, tag) codes, sorted, and each pair's annotation count."""
+        return _distinct_pairs(self.columns.user, self.columns.tag, len(self.columns.tags))
 
     @cached_property
     def item_tags(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The distinct (item, tag) codes, sorted, and the index of each triple's pair in them
         (int32 below 2**31 triples): a pair's count in it is the pair's distinct users."""
-        _, item, tag, _ = self.triples
+        _, item, tag = self.triples
         order, starts = _sorted_runs(item, tag)
         pair = np.zeros(len(order), dtype=np.int32 if len(order) < 2**31 else np.int64)
         pair[starts[1:]] = 1
@@ -580,14 +571,6 @@ class FolksonomyIndex:
         pair_of_triple[order] = pair
         first = order[starts]
         return item[first], tag[first], pair_of_triple
-
-    @cached_property
-    def user_first(self) -> np.ndarray:
-        return _first_positions(self.columns.user, len(self.columns.users))
-
-    @cached_property
-    def item_first(self) -> np.ndarray:
-        return _first_positions(self.columns.item, len(self.columns.items))
 
 
 def _dedupe(columns: AnnotationColumns) -> AnnotationColumns:
@@ -649,12 +632,10 @@ def summary(index: FolksonomyIndex) -> DatasetSummary:
 def binned_by_user_count(index: FolksonomyIndex, scores: np.ndarray, spec: BinSpec) -> BinnedSeries:
     """A per-user score array, by user code, binned by each user's annotation count.
 
-    Users whose score is NaN are left out; the others add up in the order of
-    their first annotation.
+    Users whose score is NaN are left out; the others add up in code order.
     """
-    order = np.argsort(index.user_first)
-    order = order[~np.isnan(scores[order])]
-    return binned_mean(index.user_counts[order], scores[order], spec)
+    scored = ~np.isnan(scores)
+    return binned_mean(index.user_counts[scored], scores[scored], spec)
 
 
 @dataclass(frozen=True)

@@ -42,7 +42,7 @@ def consensus_expertise(index: FolksonomyIndex) -> np.ndarray:
     del freq, max_freq
 
     # per (user, item): the best score of its tags and others' share of the item's tagging
-    user, item, _, first = index.triples
+    user, item, _ = index.triples
     starts = np.flatnonzero(_run_starts(user, item))
     best = np.maximum.reduceat(score[pair_of_triple], starts)
     del score
@@ -51,10 +51,9 @@ def consensus_expertise(index: FolksonomyIndex) -> np.ndarray:
     logs = np.full(others.max(initial=0) + 1, math.nan)
     shares = np.flatnonzero(np.bincount(others))
     logs[shares] = [math.log10(a) if a > 0 else math.nan for a in shares.tolist()]
-    # each user's items in the order of their first annotation: bincount adds in that order.
-    # Each column is cut to the kept items before the next is, which bounds the peak
+    # each user's items in code order: bincount adds in that order. Each column is cut to the
+    # kept items before the next is, which bounds the peak
     kept = np.flatnonzero(others)
-    kept = kept[np.argsort(np.minimum.reduceat(first, starts)[kept])]
     user = user[starts[kept]]
     del starts
     weights = logs[others[kept]]

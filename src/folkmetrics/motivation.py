@@ -32,7 +32,7 @@ def motivation_scores(
     """
     _check_counts(divisor=divisor)
     n_users = len(index.columns.users)
-    pair_user, pair_item, pair_tag, _ = index.triples
+    pair_user, pair_item, pair_tag = index.triples
     # the pairs' tag codes dropped at once, which lowers the peak
     usage_user, usage = _distinct_pairs(pair_user, pair_tag, len(index.columns.tags))[::2]
     items = np.bincount(pair_user[_run_starts(pair_user, pair_item)], minlength=n_users)

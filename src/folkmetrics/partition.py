@@ -188,7 +188,7 @@ def partition_summary(index: FolksonomyIndex, partition: Partition) -> Partition
     s_items, o_items = (np.bincount(c.item[rows], minlength=len(c.items)) > 0
                         for rows in (s_rows, ~s_rows))
     # annotations, distinct tags and distinct items per user
-    user, item, _, _ = index.triples
+    user, item, _ = index.triples
     per_user = [index.user_counts, *(np.bincount(users, minlength=len(c.users)) for users in
                                      (index.user_tags[0], user[_run_starts(user, item)]))]
     return PartitionSummary(

@@ -104,11 +104,9 @@ def write_similarity_csv(path, curve: similarity_mod.SimilarityCurve) -> None:
 
 
 def write_consensus_csv(path, series: consensus_mod.ConsensusSeries) -> None:
-    cosine_by_low = {r.bin_low: r for r in series.cosine.rows}
-    rows = []
-    for r in series.top_match.rows:
-        c = cosine_by_low[r.bin_low]
-        rows.append((r.bin_low, r.bin_high, r.mean, r.stderr, c.mean, c.stderr, r.n))
+    # both series bin the same item keys, so their rows pair up bin by bin
+    rows = ((r.bin_low, r.bin_high, r.mean, r.stderr, c.mean, c.stderr, r.n)
+            for r, c in zip(series.top_match.rows, series.cosine.rows))
     _write_csv(
         path,
         ["bin_low", "bin_high", "top_match_rate", "top_match_stderr",

@@ -215,7 +215,6 @@ def exogenous_popularity_diff(
     in_s = _user_mask(index, partition.supertagger)[c.user]
     # S minus not-S annotations per item
     diff = 2 * np.bincount(c.item[in_s], minlength=len(c.items)) - index.item_counts
-    order = np.argsort(index.item_first)
-    order = order[~np.isnan(popularity[order])]
-    return binned_mean(popularity[order], diff[order], spec)
+    listed = ~np.isnan(popularity)
+    return binned_mean(popularity[listed], diff[listed], spec)
 

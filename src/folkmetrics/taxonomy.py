@@ -181,16 +181,17 @@ def depth_expertise(index: FolksonomyIndex, forest: TaxonomyForest,
                     mode: str = "vocabulary") -> np.ndarray:
     """Mean normalized tag depth of every user, by user code; NaN where nothing is scoreable.
 
-    Annotation mode averages over every use of a connected tag, adding up in
-    annotation order; vocabulary mode averages each distinct connected tag
-    once, adding up in tag-name order. Raises if the forest was induced on
-    an index with other tags.
+    Annotation mode averages over every use of a connected tag, each of the
+    user's tags weighted by its annotation count; vocabulary mode averages
+    each distinct connected tag once. Both add up in tag code order, which is
+    name order. Raises if the forest was induced on an index with other tags.
     """
     if mode not in _MODES:
         raise DomainError(f"mode must be one of {_MODES}, got {mode!r}")
     if forest.tag_names != index.columns.tags:
         raise DomainError("the forest was induced on an index with other tags")
-    user, tag = index.user_tags if mode == "vocabulary" else (index.columns.user, index.columns.tag)
+    user, tag, uses = index.user_tags
     depth = forest.norm_depth[tag]
     scored = ~np.isnan(depth)
-    return _user_means(user[scored], depth[scored], len(index.columns.users))
+    return _user_means(user[scored], depth[scored], len(index.columns.users),
+                       uses[scored] if mode == "annotation" else None)

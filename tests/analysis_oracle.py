@@ -1,11 +1,10 @@
 """Dict-based analyses: the loop implementations the columnar ones replaced.
 
 Each function reads the dict views of an index (`corpus_oracle.views`) and
-visits users and items in the order of their first annotation, as the
-columnar code does, so both add up their floats in the same order and must
-agree exactly. Sums are plain loops, not `sum()`, whose float summation
-differs between Python versions; vocabulary-mode depth adds a user's tags
-in name order.
+visits users, items and a user's items and tags in name order, which is the
+columnar code's code order, so both add up their floats in the same order
+and must agree exactly. Sums are plain loops, not `sum()`, whose float
+summation differs between Python versions.
 
 The references name users, tags and items: a group is a set of user names,
 a frequency distribution a {name: count} dict, and a conditional table or
@@ -258,7 +257,7 @@ def similarity_curve(index, partition, dimension, n_values):
 def exogenous_popularity_diff(index, partition, popularity, spec):
     v = views(index)
     keys, diffs = [], []
-    for item, positions in v.by_item.items():
+    for item, positions in sorted(v.by_item.items()):
         if item in popularity:
             s = sum(1 for pos in positions if v.annotations[pos].user in partition.supertaggers)
             keys.append(float(popularity[item]))
@@ -320,7 +319,7 @@ def item_tag_distribution(index, users, item):
 def consensus_by_bin(index, partition, spec):
     v = views(index)
     keys, matches, cosines = [], [], []
-    for item, positions in v.by_item.items():
+    for item, positions in sorted(v.by_item.items()):
         s_dist = item_tag_distribution(index, partition.supertaggers, item)
         o_dist = item_tag_distribution(index, partition.others, item)
         match = top_tag_match(s_dist, o_dist)
@@ -344,7 +343,7 @@ def motivation(index, divisor):
     """{user: (tpp, trr, orphan ratio)} for every user."""
     v = views(index)
     scores = {}
-    for user, positions in v.by_user.items():
+    for user, positions in sorted(v.by_user.items()):
         pairs, items, usage = set(), set(), {}
         for pos in positions:
             a = v.annotations[pos]
@@ -379,12 +378,12 @@ def consensus_expertise(index):
                 f[a.tag] = f.get(a.tag, 0) + 1
         freq[item] = f
     scores = {}
-    for user, positions in v.by_user.items():
+    for user, positions in sorted(v.by_user.items()):
         user_items = {}
         for pos in positions:
             user_items.setdefault(v.annotations[pos].item, []).append(v.annotations[pos].tag)
         weighted = weight_sum = 0.0
-        for item, tag_list in user_items.items():
+        for item, tag_list in sorted(user_items.items()):
             f = freq[item]
             best_f, total = max(f.values()), sum(f.values())
             argument = total - len(set(tag_list))
@@ -419,17 +418,21 @@ def conditional_table(index, tags, min_support):
 
 
 def depth_expertise(index, forest, mode):
-    """{user: mean normalized tag depth of the NamedForest} for every user with a connected tag."""
+    """{user: mean normalized tag depth of the NamedForest} for every user with a connected tag.
+
+    Annotation mode adds each tag's depth times its uses by the user, vocabulary mode each
+    tag's depth once."""
     v = views(index)
     depths = forest.norm_depth
     scores = {}
-    for user, positions in v.by_user.items():
-        tags = [v.annotations[pos].tag for pos in positions]
-        if mode == "vocabulary":
-            tags = sorted(set(tags))
-        depth_list = [depths[t] for t in tags if t in depths]
-        if depth_list:
-            scores[user] = _sum(depth_list) / len(depth_list)
+    for user, positions in sorted(v.by_user.items()):
+        uses = {}
+        for pos in positions:
+            tag = v.annotations[pos].tag
+            uses[tag] = uses.get(tag, 0) + 1
+        weights = {t: uses[t] if mode == "annotation" else 1 for t in sorted(uses) if t in depths}
+        if weights:
+            scores[user] = _sum(depths[t] * w for t, w in weights.items()) / _sum(weights.values())
     return scores
 
 

@@ -1,8 +1,13 @@
 """The columnar analyses against the dict-based reference in analysis_oracle.
 
-Both visit users and items in first-annotation order and add their floats
-in the same order, so every result must be equal, not merely close.
+Both visit users and items in name order, which is code order, and add
+their floats in the same order, so every result must be equal, not merely
+close. No sum follows the order of the rows, so permuting them changes no
+result and no byte of the report bundle.
 """
+
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +19,7 @@ from folkmetrics import (consensus, expertise, motivation, partition, report, si
                          taxonomy)
 from folkmetrics.corpus import binned_by_user_count, build_index
 from folkmetrics.errors import DomainError
+from folkmetrics.report import ReportConfig, write_report
 from folkmetrics.stats import BinSpec
 
 from conftest import make_index, popularity_by_code, tag_codes
@@ -104,8 +110,8 @@ def test_group_properties(rows, dedupe, fraction):
 @settings(max_examples=120, deadline=None)
 @given(rows, st.booleans(), st.sampled_from([0.5, 0.8]), st.sampled_from([1, 2]), st.data())
 def test_taxonomy_properties(rows, dedupe, threshold, min_support, data):
-    """Permuting the rows changes neither the forest with its coverage nor vocabulary-mode
-    depth; annotation-mode depth adds up in annotation order, so it agrees within 1e-12."""
+    """Permuting the rows changes neither the forest with its coverage nor either mode's
+    depth."""
     runs = []
     for permuted in (rows, data.draw(st.permutations(rows))):
         index = make_index(permuted, dedupe=dedupe)
@@ -120,7 +126,7 @@ def test_taxonomy_properties(rows, dedupe, threshold, min_support, data):
     assert permuted[0] == users
     assert permuted[1] == payload
     assert permuted[2].tobytes() == vocabulary.tobytes()
-    np.testing.assert_allclose(permuted[3], annotation, rtol=0, atol=1e-12)
+    assert permuted[3].tobytes() == annotation.tobytes()
 
 
 @settings(max_examples=120, deadline=None)
@@ -182,22 +188,11 @@ def outcome(call, *args):
         return str(exc)
 
 
-def consensus_bins(series):
-    """Of a consensus series or its error: the shared items with each bin's bounds and count,
-    and apart from them each bin's mean."""
-    if isinstance(series, str):
-        return series, []
-    bins = series.top_match.rows + series.cosine.rows
-    counts = [(r.bin_low, r.bin_high, r.n) for r in bins]
-    return (series.shared_items, counts), [r.mean for r in bins]
-
-
 @settings(max_examples=120, deadline=None)
 @given(rows, st.booleans(), st.data())
 def test_row_order_changes_no_curve_score_or_shared_item(rows, dedupe, data):
-    """Permuting the rows, here at random and in reverse, leaves both similarity curves and
-    the SPEAR scores bit-identical, and consensus's shared items and bins. Consensus adds up
-    items in first-annotation order, so its means agree within 1e-12."""
+    """Permuting the rows, here at random and in reverse, leaves both similarity curves, the
+    SPEAR scores and the consensus series bit-identical."""
     index = make_index(rows, dedupe=dedupe)
     part = partition.split_supertaggers(index, 0.5)
     n = index.n_annotations
@@ -207,11 +202,9 @@ def test_row_order_changes_no_curve_score_or_shared_item(rows, dedupe, data):
         curves = [outcome(similarity.similarity_curve, permuted, part, dimension, range(1, 9))
                   for dimension in ("tag", "item")]
         z = spear.user_mean_z(permuted, min_users=1).tobytes()
-        runs.append((curves, z, *consensus_bins(outcome(consensus.consensus_by_bin, permuted,
-                                                        part, SPEC))))
-    for *exact, means in runs[1:]:
-        assert exact == list(runs[0][:3])
-        np.testing.assert_allclose(means, runs[0][3], rtol=0, atol=1e-12)
+        runs.append((curves, z, outcome(consensus.consensus_by_bin, permuted, part, SPEC)))
+    assert runs[1] == runs[0]
+    assert runs[2] == runs[0]
 
 
 @settings(max_examples=120, deadline=None)
@@ -225,3 +218,21 @@ def test_consensus_is_one_on_twin_groups(rows, dedupe):
     assert series.shared_items == len(index.columns.items)
     assert all(row.mean == 1.0 for row in series.top_match.rows)
     assert all(row.mean == pytest.approx(1.0, abs=1e-12) for row in series.cosine.rows)
+
+
+@settings(max_examples=120, deadline=None)
+@given(rows, st.booleans(), st.data())
+def test_row_order_changes_no_byte_of_the_bundle(rows, dedupe, data):
+    """write_report, with a popularity array, writes the same files byte for byte for the rows
+    in any order."""
+    bundles = []
+    for permuted in (rows, data.draw(st.permutations(rows))):
+        index = make_index(permuted, dedupe=dedupe)
+        items = index.columns.items
+        popularity = popularity_by_code(index, {item: float(k % 5 + 1) for k, item in
+                                                enumerate(items)})
+        with tempfile.TemporaryDirectory() as out:
+            write_report(index, out, ReportConfig(bins=SPEC, min_users=1, min_support=1),
+                         popularity)
+            bundles.append({path.name: path.read_bytes() for path in Path(out).iterdir()})
+    assert bundles[1] == bundles[0]

@@ -119,13 +119,17 @@ class TestIngest:
 
     def test_a_name_holding_the_output_delimiter_exits_one(self, runner, tmp_path):
         """A tab inside a comma corpus's name would write a line of five fields, which the next
-        ingest would drop as malformed."""
+        ingest would drop as malformed. The names are checked before the output is opened, so
+        no output is created and an earlier one keeps its bytes."""
         src = write_fixture(tmp_path / "raw.csv", "u1,a\tb,rock,1\nu2,i2,pop,2\n")
         out = tmp_path / "clean.tsv"
-        result = runner.invoke(main, ["ingest", src, "--delimiter", ",", "--out", str(out)])
-        assert result.exit_code == 1
-        assert result.stderr == "Error: name 'a\\tb' holds the delimiter '\\t'\n"
-        assert out.read_text() == ""
+        for before in (None, b"keep me\n"):
+            if before is not None:
+                out.write_bytes(before)
+            result = runner.invoke(main, ["ingest", src, "--delimiter", ",", "--out", str(out)])
+            assert result.exit_code == 1
+            assert result.stderr == "Error: name 'a\\tb' holds the delimiter '\\t'\n"
+            assert (out.read_bytes() if out.exists() else None) == before
 
     def test_empty_delimiter_is_a_usage_error(self, runner, tmp_path):
         src = write_fixture(tmp_path / "raw.tsv")

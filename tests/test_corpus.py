@@ -114,6 +114,16 @@ class TestParse:
         write_annotations(reparsed.annotations, buf2)
         assert buf2.getvalue() == buf.getvalue()
 
+    def test_a_name_holding_the_delimiter_opens_no_path(self, tmp_path):
+        columns = make_columns([("u1", "a|b", "rock", 1)])
+        new, old = tmp_path / "new.tsv", tmp_path / "old.tsv"
+        old.write_bytes(b"keep me\n")
+        for path in (new, old):
+            with pytest.raises(DomainError, match="holds the delimiter"):
+                write_annotations(columns, path, delimiter="|")
+        assert not new.exists()
+        assert old.read_bytes() == b"keep me\n"
+
 
 class TestBuildIndex:
     def test_dedupe_collapses_to_earliest(self):
@@ -230,12 +240,11 @@ def test_shared_sets_match_set_reference(rows, dedupe):
     index = make_index(rows, dedupe=dedupe)
     c = index.columns
     coded = list(zip(c.user.tolist(), c.item.tolist(), c.tag.tolist()))
-    *triple, first = index.triples
     expected = sorted(set(coded))
-    assert list(zip(*(codes.tolist() for codes in triple))) == expected
-    assert first.tolist() == [coded.index(row) for row in expected]
+    assert list(zip(*(codes.tolist() for codes in index.triples))) == expected
+    # each (user, tag) pair with its annotation count
     assert list(zip(*(codes.tolist() for codes in index.user_tags))) == sorted(
-        {(u, t) for u, _, t in coded})
+        (u, t, n) for (u, t), n in Counter((u, t) for u, _, t in coded).items())
     item, tag, pair_of_triple = index.item_tags
     pairs = list(zip(item.tolist(), tag.tolist()))
     assert pairs == sorted({(i, t) for _, i, t in coded})
@@ -291,13 +300,13 @@ class TestSummary:
         assert (s.taggers, s.tags, s.resources, s.annotations) == (0, 0, 0, 0)
         assert s.per_user is None
 
-    def test_builds_no_first_positions(self):
-        """ingest reads only the summary: it needs the counts, not the first positions."""
+    def test_caches_only_the_counts(self):
+        """ingest reads only the summary: it builds the three counts and sorts nothing."""
         rng = np.random.default_rng(13)
         for dedupe in (False, True):
             index = make_index(random_rows(rng), dedupe=dedupe)
             summary(index)
-            assert not {"user_first", "item_first"} & set(vars(index))
+            assert set(vars(index)) == {"columns", "user_counts", "item_counts", "tag_counts"}
 
     def test_matches_sort_oracle(self):
         rng = np.random.default_rng(12)

@@ -242,12 +242,6 @@ def assert_same_index(index, expected):
                                 (index.item_counts, c.items, expected.by_item),
                                 (index.tag_counts, c.tags, expected.by_tag)):
         assert dict(zip(names, counts.tolist())) == {k: len(p) for k, p in view.items()}
-    for first, names, view in ((index.user_first, c.users, expected.by_user),
-                               (index.item_first, c.items, expected.by_item)):
-        # each name's first position, the names in the order of their first position
-        first = first.tolist()
-        assert ([(names[k], first[k]) for k in np.argsort(first).tolist()]
-                == [(k, p[0]) for k, p in view.items()])
     assert item_tag_freq(index) == expected.item_tag_freq
 
 

@@ -151,7 +151,8 @@ class TestMotivationByBin:
         index = make_index(rows)
         spec = BinSpec()
         series = binned_by_user_count(index, motivation_scores(index)[0], spec)
-        users = views(index).by_user
+        # users in name order, which is code order
+        users = sorted(views(index).by_user)
         counts = np.array([views(index).user_annotation_count[u] for u in users], dtype=float)
         tpp = np.array([scores_of(index, u)[0] for u in users])
         from folkmetrics.stats import binned_mean

@@ -319,10 +319,10 @@ class TestSpearByBin:
                 per_user.setdefault(u, []).append(float(zv))
         from folkmetrics.stats import binned_mean
 
-        # users in the order of their first annotation
-        first = [u for u in dict.fromkeys(u for u, _, _, _ in rows) if u in per_user]
-        counts = np.array([views(index).user_annotation_count[u] for u in first], dtype=float)
-        means = np.array([np.mean(per_user[u]) for u in first])
+        # users in name order, which is code order
+        users = sorted(per_user)
+        counts = np.array([views(index).user_annotation_count[u] for u in users], dtype=float)
+        means = np.array([np.mean(per_user[u]) for u in users])
         assert series == binned_mean(counts, means, spec)
 
     def test_unconverged_tags_warn(self):
