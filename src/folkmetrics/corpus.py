@@ -14,7 +14,7 @@ import contextlib
 import io
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import repeat
+from itertools import compress, repeat
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Optional
 
@@ -244,10 +244,13 @@ class _NameColumn:
         code = np.arange(len(names), dtype=np.int32)
         # the names of one width's distinct keys come sorted, if no name changed
         if len(widths) > 1 or len(raw) > distinct_keys or names != raw:
-            vocab = sorted(set(names))
-            index = dict(zip(vocab, range(len(vocab))))
-            code = np.fromiter(map(index.__getitem__, names), dtype=np.int32, count=len(names))
-            names = vocab
+            # timsort merges the sorted run of each width; equal names become neighbours
+            order = sorted(range(len(names)), key=names.__getitem__)
+            names = [names[k] for k in order]
+            new = np.ones(len(names), dtype=bool)
+            new[1:] = [name != before for name, before in zip(names[1:], names)]
+            code[order] = np.cumsum(new, dtype=np.int32) - 1
+            names = list(compress(names, new.tolist()))
         codes = np.empty(sum(len(local) for *_, local in self.blocks), dtype=np.int32)
         at = 0
         for lut, (*_, local) in zip(luts, self.blocks):

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import FolksonomyIndex, _check_codes, _run_starts, _user_means
+from .corpus import FolksonomyIndex, _check_codes, _distinct_pairs, _run_starts, _user_means
 from .errors import DomainError, _check_counts
 from .spear import DEFAULT_MIN_USERS, DEFAULT_TOP_K, eligible_tags
 
@@ -31,6 +31,8 @@ __all__ = [
 
 DEFAULT_THRESHOLD = 0.8
 DEFAULT_MIN_SUPPORT = 10
+# about this many tag pairs are counted at a time, whatever the number of tags on an item
+_PAIR_BUDGET = 1 << 18
 
 _MODES = ("annotation", "vocabulary")
 
@@ -40,8 +42,8 @@ class ConditionalTable:
     """Pairwise P(A|B) over distinct item sets, by code in the index's tag_names.
 
     tags: the listed tags, ascending; tag_items: each tag's distinct-item count (0 if
-    not listed). Retained pair k: codes a[k] < b[k], the support[k] items carrying both,
-    p_ab[k] = P(a|b) and p_ba[k] = P(b|a).
+    not listed). Retained pairs come in (a, b) order; pair k: codes a[k] < b[k], the
+    support[k] items carrying both (int32), p_ab[k] = P(a|b) and p_ba[k] = P(b|a).
     """
 
     tag_names: Sequence[str]
@@ -67,26 +69,31 @@ def conditional_table(
     or unless the codes are distinct codes of the index's tags.
     """
     _check_counts(min_support=min_support)
-    # imported here, not at start-up: only taxonomy induction needs scipy
-    from scipy import sparse
-
     c = index.columns
     codes = np.sort(_check_codes(tags, len(c.tags)))
+    item, tag = index.item_tags[:2]
+    keep = np.isin(tag, codes)
+    item, tag = item[keep], tag[keep]
+    tag_items = np.bincount(tag, minlength=len(c.tags))
 
-    # one row per item code, one column per listed tag: its rank among the listed codes
-    rank = np.full(len(c.tags), -1, dtype=np.int32)
-    rank[codes] = np.arange(len(codes))
-    column = rank[c.tag]
-    rows = column >= 0
-    # building the matrix sums a pair's repeated rows; setting each entry to 1 counts items once
-    matrix = sparse.csr_matrix((np.ones(np.count_nonzero(rows), dtype=np.int64),
-                                (c.item[rows], column[rows])), shape=(len(c.items), len(codes)))
-    matrix.data[:] = 1
-    cooc = (matrix.T @ matrix).tocoo()
-    tag_items = np.bincount(codes[matrix.indices], minlength=len(c.tags))
-
-    keep = (cooc.row < cooc.col) & (cooc.data >= min_support)
-    a, b, support = codes[cooc.row[keep]], codes[cooc.col[keep]], cooc.data[keep]
+    # an entry pairs with each later entry of its item's run, whose tag is greater
+    starts = _run_starts(item)
+    ends = np.append(np.flatnonzero(starts)[1:], len(item))
+    later = ends[np.cumsum(starts) - 1] - np.arange(len(item)) - 1
+    # a first tag's pairs all fall in the block where they start, so each block's counts are final
+    pairs = np.bincount(tag, later, len(c.tags)).astype(np.int64)
+    has = np.flatnonzero(later)
+    block = ((np.cumsum(pairs) - pairs) // _PAIR_BUDGET)[tag[has]]
+    parts = [np.empty((3, 0), dtype=np.int32)]
+    for k in np.flatnonzero(np.bincount(block)).tolist():
+        at = has[block == k]
+        n = later[at]
+        # the positions of each entry's later entries, p + 1 ... p + n, as one ragged arange
+        other = np.repeat(at + 1 - (np.cumsum(n) - n), n)
+        other += np.arange(len(other))
+        high, low, support = _distinct_pairs(np.repeat(tag[at], n), tag[other], len(c.tags))
+        parts.append(np.stack((high, low, support))[:, support >= min_support])
+    a, b, support = np.concatenate(parts, axis=1)
     return ConditionalTable(c.tags, codes, tag_items, a, b, support,
                             support / tag_items[b], support / tag_items[a])
 

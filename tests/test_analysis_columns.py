@@ -8,6 +8,7 @@ result and no byte of the report bundle.
 
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -149,11 +150,15 @@ def test_per_user_and_per_item_series_match_the_reference(rows, dedupe, divisor)
 
 
 @settings(max_examples=120, deadline=None)
-@given(rows, st.booleans(), st.sampled_from([1, 2]))
-def test_taxonomy_matches_the_reference(rows, dedupe, min_support):
+@given(rows, st.booleans(), st.sampled_from([1, 2]),
+       st.sampled_from([1, 3, taxonomy._PAIR_BUDGET]))
+# one broad item: its 400 tags make 79,800 pairs, counted a few first tags at a time
+@example([("u0", "i0", f"t{k:03}", 0) for k in range(400)], False, 1, 3)
+def test_taxonomy_matches_the_reference(rows, dedupe, min_support, budget):
     index = make_index(rows, dedupe=dedupe)
     tags = index.columns.tags
-    table = taxonomy.conditional_table(index, tag_codes(index, tags), min_support)
+    with mock.patch.object(taxonomy, "_PAIR_BUDGET", budget):
+        table = taxonomy.conditional_table(index, tag_codes(index, tags), min_support)
     assert oracle.named(index, table) == oracle.conditional_table(index, tags, min_support)
     for forest in (taxonomy.induce_forest(table, threshold=0.5), chain(index)):
         for mode in ("annotation", "vocabulary"):

@@ -175,20 +175,39 @@ def _python(code, *args, **env):
 
 @pytest.mark.parametrize("module", ["folkmetrics", "folkmetrics.cli"])
 def test_import_leaves_out_scipy(module):
-    """scipy is imported only by the taxonomy induction that uses it."""
+    """No module of folkmetrics imports scipy."""
     code = f"import sys, {module}; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
     assert _python(code).stdout == b"[]\n"
 
 
-def test_taxonomy_command_still_loads_scipy(runner, tmp_path):
-    corpus, out = tmp_path / "corpus.tsv", tmp_path / "forest.json"
+@pytest.mark.parametrize("command, outputs", [
+    (["taxonomy"], ["--out", "{dir}/forest.json"]),
+    (["expertise", "depth"], ["--binned", "{dir}/binned.csv", "--per-user", "{dir}/users.csv"]),
+    (["report"], ["--out-dir", "{dir}/bundle"]),
+], ids=["taxonomy", "expertise depth", "report"])
+def test_taxonomy_commands_run_without_scipy(runner, tmp_path, command, outputs):
+    """With scipy unimportable, a command that induces the taxonomy exits 0 and writes the
+    bytes it writes where scipy can be imported."""
+    corpus = tmp_path / "corpus.tsv"
     synth = ["synth", "--users", "300", "--items", "40", "--tags", "15", "--seed", "3"]
     assert runner.invoke(main, synth + ["--out", str(corpus)]).exit_code == 0
-    code = ("import sys; from folkmetrics.cli import main; "
-            "main(sys.argv[1:], standalone_mode=False); print('scipy.sparse' in sys.modules)")
-    done = _python(code, "taxonomy", str(corpus), "--min-support", "2", "--out", str(out))
-    assert done.stdout == b"True\n"
-    assert json.loads(out.read_text())["nodes"]
+    written = {}
+    for side in ("scipy", "no_scipy"):
+        (tmp_path / side).mkdir()
+        args = [*command, str(corpus), "--min-support", "2",
+                *(arg.format(dir=tmp_path / side) for arg in outputs)]
+        if side == "scipy":
+            assert runner.invoke(main, args).exit_code == 0
+        else:
+            # a None entry in sys.modules makes every import of scipy raise ImportError
+            _python("import sys; sys.modules['scipy'] = None; from folkmetrics.cli import main; "
+                    "main()", *args)
+        files = sorted(path for path in (tmp_path / side).rglob("*") if path.is_file())
+        written[side] = {path.relative_to(tmp_path / side): path.read_bytes() for path in files}
+    assert written["scipy"] and written["no_scipy"] == written["scipy"]
+    for path, data in written["scipy"].items():
+        if path.name in ("forest.json", "taxonomy.json"):
+            assert json.loads(data)["nodes"]
 
 
 def test_spear_command_leaves_out_numpy_ma(runner, tmp_path):
