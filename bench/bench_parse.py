@@ -9,7 +9,8 @@ c10-ns: c10 with each time t written as the 19 digits "17%017d" % t, a log
 in nanoseconds since the epoch whose times keep their order; and c10-wide: c10 with
 "user_" before each user name and "https://example.org/item/" before each item
 name, 12- and 32-byte names as in a crawled log) with this checkout's generator
-into a temporary directory, extracts `src/` of the base commit with
+into a temporary directory, each in a child process so that the script itself
+stays small (see in_child), extracts `src/` of the base commit with
 `git archive`, and times one `parse_annotations` call on
 each corpus in a fresh interpreter per run, then one
 `build_index(annotations, dedupe=True)` on its result, RUNS runs a side, base
@@ -52,7 +53,7 @@ MALFORMED_EVERY = {"c10-malformed": 60_000}
 # each time t written as TIME_FORMAT % t
 TIME_FORMAT = {"c10-ns": "17%017d"}
 # the user and the item name of each line written after these prefixes
-PREFIXES = {"c10-wide": (b"user_", b"https://example.org/item/")}
+PREFIXES = {"c10-wide": ("user_", "https://example.org/item/")}
 
 # One timed parse and dedupe in a fresh interpreter: argv is the src/ directory and the corpus.
 CHILD = """
@@ -92,16 +93,28 @@ def extract_src(commit: str, dest: Path) -> Path:
     return dest / "src"
 
 
-def write_corpus(config: dict, path: Path, malformed_every: int = 0,
+def in_child(module: str, function: str, *args) -> None:
+    """module.function(*args) called in a child process, the arguments passed as JSON. exec
+    records the high-water mark of the memory it replaces, so a child spawned while this
+    process is large reports this process's peak RSS as its own: the generator's memory must
+    never be this process's."""
+    code = (f"import json, sys; from {module} import {function}; "
+            f"{function}(*json.loads(sys.argv[1]))")
+    subprocess.run([sys.executable, "-c", code, json.dumps(args)], check=True,
+                   cwd=Path(__file__).resolve().parent)
+
+
+def write_corpus(config: dict, path, malformed_every: int = 0,
                  time_format: str = "", prefixes: tuple = ()) -> None:
-    """The synthetic corpus of config, written by this checkout's generator, with a truncated
-    record after every malformed_every lines if that is not 0, each time t written as
+    """The synthetic corpus of config, written to path by this checkout's generator, with a
+    truncated record after every malformed_every lines if that is not 0, each time t written as
     time_format % t if that is not empty, and each user and item name after the two prefixes
     if they are given."""
     if str(SRC) not in sys.path:
         sys.path.insert(0, str(SRC))
     from folkmetrics.corpus import SyntheticConfig, generate_synthetic, write_annotations
 
+    path, prefixes = Path(path), [prefix.encode() for prefix in prefixes]
     write_annotations(generate_synthetic(SyntheticConfig(**config)), path)
     if malformed_every or time_format or prefixes:
         clean = path.with_suffix(".clean")
@@ -150,8 +163,9 @@ def main(argv=None) -> int:
         sides = {"base": extract_src(opts.base, Path(work) / "base"), "change": SRC}
         for name, config in CORPORA.items():
             corpus = Path(work) / f"{name}.tsv"
-            write_corpus(config, corpus, MALFORMED_EVERY.get(name, 0), TIME_FORMAT.get(name, ""),
-                         PREFIXES.get(name, ()))
+            in_child("bench_parse", "write_corpus", config, str(corpus),
+                     MALFORMED_EVERY.get(name, 0), TIME_FORMAT.get(name, ""),
+                     PREFIXES.get(name, ()))
             runs = {side: [] for side in sides}
             for k in range(RUNS):
                 for side in (("base", "change") if k % 2 == 0 else ("change", "base")):
@@ -163,7 +177,7 @@ def main(argv=None) -> int:
             first = runs["change"][0]
             entry = {"config": config, "malformed_every": MALFORMED_EVERY.get(name, 0),
                      "time_format": TIME_FORMAT.get(name, ""),
-                     "prefixes": [p.decode() for p in PREFIXES.get(name, ())],
+                     "prefixes": list(PREFIXES.get(name, ())),
                      "bytes": corpus.stat().st_size, "annotations": first["annotations"],
                      "deduped": first["deduped"], "malformed": first["malformed"],
                      "digest": first["digest"]}

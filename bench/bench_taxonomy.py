@@ -6,7 +6,7 @@ Run from the repository root. The script writes three synthetic corpora with
 this checkout's generator into a temporary directory: c10; perfbench's
 `spear-tagrich` corpus at seed 1; and c10-tpi400, c10 with up to 400 tags on
 an item (`tags_per_item=400`), as in a broad folksonomy. A child process
-writes each, so the script itself stays small (see write_corpus_in_child).
+writes each, so the script itself stays small (see bench_parse.in_child).
 It extracts `src/`
 of the base commit with `git archive`. Each run of a side starts two fresh
 interpreters:
@@ -41,7 +41,7 @@ import time
 from importlib import metadata
 from pathlib import Path
 
-from bench_parse import C10, ROOT, SRC, extract_src, git
+from bench_parse import C10, ROOT, SRC, extract_src, git, in_child
 from bench_parse import write_corpus as write_config_corpus
 from bench_spear import write_corpus as write_workload_corpus
 from bench_synth import C10X10
@@ -89,15 +89,6 @@ def write_corpus(name: str, path: Path) -> None:
         write_workload_corpus(name, path)
     else:
         write_config_corpus(config, path)
-
-
-def write_corpus_in_child(name: str, path: Path) -> None:
-    """The named corpus, written by a child process. exec records the high-water mark of the
-    memory it replaces, so a child spawned while this process is large reports this process's
-    peak RSS as its own: the generator's memory must never be this process's."""
-    code = "import sys; from bench_taxonomy import write_corpus; write_corpus(*sys.argv[1:])"
-    subprocess.run([sys.executable, "-c", code, name, str(path)], check=True,
-                   cwd=Path(__file__).resolve().parent)
 
 
 def in_process(src: Path, corpus: Path) -> dict:
@@ -156,7 +147,7 @@ def main(argv=None) -> int:
         for name in corpora:
             with_cli = name in CORPORA
             corpus = Path(work) / f"{name}.tsv"
-            write_corpus_in_child(name, corpus)
+            in_child("bench_taxonomy", "write_corpus", name, str(corpus))
             runs = {side: {"table": [], "cli": []} for side in sides}
             for k in range(RUNS):
                 for side in (("base", "change") if k % 2 == 0 else ("change", "base")):

@@ -134,7 +134,7 @@ def _load_index(source, delimiter, header, dedupe):
     # stdin as bytes: the parser decodes it, and names the line of a bad byte
     stream = sys.stdin.buffer if source == "-" else source
     parsed = parse_annotations(stream, delimiter=delimiter, header=header)
-    return build_index(parsed.annotations, dedupe=(dedupe == "on")), parsed
+    return build_index(parsed.annotations, dedupe=(dedupe == "on")), parsed.malformed
 
 
 def scores_command(binned_flag="--binned"):
@@ -187,17 +187,17 @@ def main(ctx, threads):
 @_fail_on_domain_errors
 def ingest(out, summary_out, **load):
     """Parse, validate, optionally dedupe, and re-emit a dataset."""
-    index, parsed = _load_index(**load)
+    index, malformed = _load_index(**load)
     # a path goes to write_annotations, which checks the names before it opens the file
     with contextlib.nullcontext(out) if out != "-" else report_mod._output(out) as dest:
         write_annotations(index.columns, dest)
     payload = report_mod.summary_json(index)
-    payload["malformed_lines"] = parsed.malformed
+    payload["malformed_lines"] = malformed
     if summary_out:
         report_mod.write_json(summary_out, payload)
     else:
         click.echo(f"{payload['annotations']} annotations "
-                   f"({parsed.malformed} malformed lines skipped)", err=True)
+                   f"({malformed} malformed lines skipped)", err=True)
 
 
 @main.command()

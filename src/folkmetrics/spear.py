@@ -7,7 +7,7 @@ earn more credit via C(x) = x**exponent over their discoverer position.
 Per-tag scores are z-standardized and averaged per user to produce an
 overall score.
 
-All tags are scored as one batch: their credit matrices are built in one
+The tags are scored in batches: a batch's credit matrices are built in one
 vectorized pass and iterated together, each tag on its own segment of the
 concatenated score vectors. Every reduction stays inside a segment, in the
 tag's (user, item) order, so a tag's scores do not depend on the other tags
@@ -39,6 +39,8 @@ DEFAULT_MIN_USERS = 10
 DEFAULT_EXPONENT = 0.5
 DEFAULT_TOLERANCE = 1e-8
 DEFAULT_MAX_ITER = 250
+# about this many annotations are scored at a time, whatever the number of eligible tags
+_SPEAR_BUDGET = 1 << 16
 
 
 def eligible_tags(
@@ -97,34 +99,40 @@ def _run_ends(starts: np.ndarray) -> np.ndarray:
     return np.repeat(ends, ends - first)
 
 
-def credit_batch(
-    index: FolksonomyIndex, tags: np.ndarray, exponent: float = DEFAULT_EXPONENT
-) -> CreditBatch:
+def credit_batch(index: FolksonomyIndex, tags: np.ndarray, exponent: float = DEFAULT_EXPONENT,
+                 rows: np.ndarray | None = None) -> CreditBatch:
     """Build the credit matrices of several tags, given by code, in one pass.
 
     Duplicate (user, item) applications of a tag collapse to the earliest
-    timestamp before credits are assigned. Raises unless the codes are
-    distinct codes of the index's tags.
+    timestamp before credits are assigned. rows, if given, are the positions
+    of the tags' annotations in any order; else they are found. Raises unless
+    the codes are distinct codes of the index's tags.
     """
     columns = index.columns
     tags = _check_codes(tags, len(columns.tags))
-    position = np.full(len(columns.tags), -1)
+    position = np.full(len(columns.tags), -1, dtype=np.int32)
     position[tags] = np.arange(len(tags))
-    tag = position[columns.tag]
-    keep = tag >= 0
-    tag, user, item, time = tag[keep], columns.user[keep], columns.item[keep], columns.time[keep]
+    rows = np.flatnonzero(position[columns.tag] >= 0) if rows is None else rows
+    tag = position[columns.tag[rows]]
+    user, item, time = columns.user[rows], columns.item[rows], columns.time[rows]
+    del rows
     order, starts = _sorted_runs(tag, user, item)
     time, order = np.minimum.reduceat(time[order], starts), order[starts]
-    del keep, starts
+    del starts
     tag, user, item = tag[order], user[order], item[order]
     user_slot, user_code, user_offsets = _slots(tag, user, _run_starts(tag, user), len(tags))
+    del user
     # strictly later taggers of an item: its run's end minus the end of the entry's tie group
     order, _ = _sorted_runs(tag, item, time)
     same_item = _run_starts(tag[order], item[order])
     item_slot, later = np.empty_like(order), np.empty_like(order)
     item_slot[order], item_code, item_offsets = _slots(tag[order], item[order], same_item,
                                                        len(tags))
-    later[order] = _run_ends(same_item) - _run_ends(same_item | _run_starts(time[order]))
+    del item
+    ends = _run_ends(same_item)
+    ends -= _run_ends(same_item | _run_starts(time[order]))
+    del same_item, time
+    later[order] = ends
     power = np.array([float(1 + k) ** exponent for k in range(int(later.max(initial=0)) + 1)])
     offsets = np.searchsorted(tag, np.arange(len(tags) + 1))
     return CreditBatch(tags, user_offsets, user_code, item_offsets, item_code, offsets,
@@ -166,7 +174,9 @@ def spear_scores(
     Every tag of the batch starts from uniform vectors and stops on its own
     when its largest user-score change drops below the tolerance;
     non-convergence within max_iter is reported via the converged flags,
-    not raised.
+    not raised. A tag's scores, iterations and flag are those of its stop;
+    stopped tags keep iterating until the tags still running hold at most
+    half the entries, and then leave the arrays together.
     """
     n_tags = len(credit.tags)
     n_entries = np.diff(credit.offsets)
@@ -174,8 +184,8 @@ def spear_scores(
     e_out, q_out = np.repeat(1.0 / n_users, n_users), np.repeat(1.0 / n_items, n_items)
     iterations = np.zeros(n_tags, dtype=np.int64)
     converged = np.zeros(n_tags, dtype=bool)
-    # the tags still iterating, their entries, and their slots renumbered
-    # densely; e_at and q_at map an active slot to its output slot
+    # the tags in the arrays (those with 0 iterations still run), their entries, and their
+    # slots renumbered densely; e_at and q_at map a slot to its output slot
     tags, uu, ii, cc = np.arange(n_tags), credit.user, credit.item, credit.credit
     e, q, e_at, q_at = e_out.copy(), q_out.copy(), np.arange(len(e_out)), np.arange(len(q_out))
     for step in range(1, max_iter + 1):
@@ -188,18 +198,22 @@ def spear_scores(
         q /= np.repeat(np.add.reduceat(q, q_starts), n_items)
         done = np.maximum.reduceat(np.abs(e_new - e), e_starts) < tolerance
         e = e_new
-        converged[tags[done]] = True
-        done |= step == max_iter
-        if not done.any():
+        stop = (iterations[tags] == 0) & (done | (step == max_iter))
+        if not stop.any():
             continue
-        iterations[tags[done]] = step
-        e_live, q_live = np.repeat(~done, n_users), np.repeat(~done, n_items)
-        e_out[e_at[~e_live]], q_out[q_at[~q_live]] = e[~e_live], q[~q_live]
-        c_live = np.repeat(~done, n_entries)
+        converged[tags[stop & done]] = True
+        iterations[tags[stop]] = step
+        e_stop, q_stop = np.repeat(stop, n_users), np.repeat(stop, n_items)
+        e_out[e_at[e_stop]], q_out[q_at[q_stop]] = e[e_stop], q[q_stop]
+        live = iterations[tags] == 0
+        if 2 * int(n_entries[live].sum()) > len(cc):
+            continue
+        e_live, q_live = np.repeat(live, n_users), np.repeat(live, n_items)
+        c_live = np.repeat(live, n_entries)
         uu = (np.cumsum(e_live) - 1)[uu[c_live]]
         ii = (np.cumsum(q_live) - 1)[ii[c_live]]
         cc, e, q, e_at, q_at = cc[c_live], e[e_live], q[q_live], e_at[e_live], q_at[q_live]
-        tags, n_entries, n_users, n_items = (a[~done] for a in (tags, n_entries, n_users, n_items))
+        tags, n_entries, n_users, n_items = (a[live] for a in (tags, n_entries, n_users, n_items))
     return SpearBatch(credit, e_out, q_out, iterations, converged)
 
 
@@ -223,30 +237,40 @@ def user_mean_z(
     scorers (population standard deviation; a tag whose scores are all
     equal contributes zeros), then averaged per user over the tags the user
     appears in; a user with no eligible tag gets NaN. The eligible tags are
-    scored as one batch. Tags stopped by max_iter before converging are
-    reported with a ConvergenceWarning; raises if the exponent is not
-    finite, if max_iter < 1, if tolerance is not finite and above 0, or if
-    no tag passes the eligibility filter.
+    scored in batches of contiguous tags of about _SPEAR_BUDGET annotations,
+    so memory is bounded by the budget, not by the corpus, and since a tag's
+    scores do not depend on its batch, neither does the result. Tags stopped
+    by max_iter before converging are reported with a ConvergenceWarning;
+    raises if the exponent is not finite, if max_iter < 1, if tolerance is
+    not finite and above 0, or if no tag passes the eligibility filter.
     """
     _check_parameters(exponent, tolerance, max_iter)
     tags = eligible_tags(index, top_k=top_k, min_users=min_users)
     if not tags.size:
         raise DomainError("no eligible tags for expertise analysis")
-    scored = spear_scores(credit_batch(index, tags, exponent), tolerance, max_iter)
-    if not scored.converged:
+    # the rows by eligible tag; a batch starts at each tag whose rows start past a budget multiple
+    position = np.full(len(index.columns.tags), len(tags), dtype=np.min_scalar_type(len(tags)))
+    position[tags] = np.arange(len(tags))
+    rows = np.argsort(position[index.columns.tag], kind="stable")
+    offsets = np.append(0, np.cumsum(index.tag_counts[tags]))
+    bounds = [*np.flatnonzero(np.diff(offsets[:-1] // _SPEAR_BUDGET, prepend=-1)), len(tags)]
+    user_code, z, unconverged = [], [], 0
+    for lo, hi in zip(bounds, bounds[1:]):
+        credits = credit_batch(index, tags[lo:hi], exponent, rows[offsets[lo]:offsets[hi]])
+        scored = spear_scores(credits, tolerance, max_iter)
+        unconverged += int(np.count_nonzero(~scored.tag_converged))
+        sizes, block_z = np.diff(credits.user_offsets), np.empty_like(scored.user_score)
+        # the tags with each scorer count, one row per tag (a bare np.unique would import numpy.ma)
+        for size in np.flatnonzero(np.bincount(sizes)):
+            slots = credits.user_offsets[:-1][sizes == size, np.newaxis] + np.arange(size)
+            block_z[slots] = population_zscores(scored.user_score[slots])
+        user_code.append(credits.user_code)
+        z.append(block_z)
+    if unconverged:
         warnings.warn(
-            f"spear: {np.count_nonzero(~scored.tag_converged)} of {len(tags)} tags "
-            f"did not converge within max_iter={max_iter}",
+            f"spear: {unconverged} of {len(tags)} tags did not converge within max_iter={max_iter}",
             ConvergenceWarning,
             stacklevel=2,
         )
-    credits = scored.credits
-    offsets, n_users = credits.user_offsets, len(index.columns.users)
-    sizes, z = np.diff(offsets), np.empty_like(scored.user_score)
-    # the tags with each scorer count, one row per tag (a bare np.unique would import numpy.ma)
-    for size in np.flatnonzero(np.bincount(sizes)):
-        slots = offsets[:-1][sizes == size, np.newaxis] + np.arange(size)
-        z[slots] = population_zscores(scored.user_score[slots])
     # each user's z-scores add up in tag order
-    return _user_means(credits.user_code, z, n_users)
-
+    return _user_means(np.concatenate(user_code), np.concatenate(z), len(index.columns.users))

@@ -10,8 +10,10 @@ the batch API, whose codes index name lists: an index's columns, or the
 `eligible_tags`, `credit_batch` and `user_mean_z` are the batch functions
 as they were before their steps were rebuilt around int64 sort keys and
 z-scores by blocks of tags: `np.unique` over (tag, user) keys, multi-key
-`np.lexsort`s, and one 1-D z-transform per tag. The rebuilt functions must
-return the same arrays, bit for bit.
+`np.lexsort`s, and one 1-D z-transform per tag, all tags in one batch.
+`eager_spear_scores` is the batch iteration as it was before its lazy
+compaction: every tag leaves the arrays at the step it stops. The rebuilt
+functions must return the same arrays, bit for bit.
 """
 
 from bisect import bisect_right
@@ -22,7 +24,8 @@ import numpy as np
 
 from corpus_oracle import views
 from folkmetrics.corpus import _run_starts
-from folkmetrics.spear import CreditBatch, _run_ends, _slots, spear_scores as batch_scores
+from folkmetrics.spear import CreditBatch, SpearBatch, _run_ends, _slots
+from folkmetrics.spear import spear_scores as batch_scores
 
 
 @dataclass(frozen=True)
@@ -147,6 +150,41 @@ def spear_scores(credit, tolerance=1e-8, max_iter=250):
         iterations=iterations,
         converged=converged,
     )
+
+
+def eager_spear_scores(credit, tolerance=1e-8, max_iter=250):
+    """The SpearBatch of a CreditBatch, compacting the arrays at every step where a tag stops."""
+    n_tags = len(credit.tags)
+    n_entries = np.diff(credit.offsets)
+    n_users, n_items = np.diff(credit.user_offsets), np.diff(credit.item_offsets)
+    e_out, q_out = np.repeat(1.0 / n_users, n_users), np.repeat(1.0 / n_items, n_items)
+    iterations = np.zeros(n_tags, dtype=np.int64)
+    converged = np.zeros(n_tags, dtype=bool)
+    tags, uu, ii, cc = np.arange(n_tags), credit.user, credit.item, credit.credit
+    e, q, e_at, q_at = e_out.copy(), q_out.copy(), np.arange(len(e_out)), np.arange(len(q_out))
+    for step in range(1, max_iter + 1):
+        if not tags.size:
+            break
+        e_starts, q_starts = np.cumsum(n_users) - n_users, np.cumsum(n_items) - n_items
+        e_new = np.bincount(uu, weights=cc * q[ii], minlength=len(e))
+        e_new /= np.repeat(np.add.reduceat(e_new, e_starts), n_users)
+        q = np.bincount(ii, weights=cc * e_new[uu], minlength=len(q))
+        q /= np.repeat(np.add.reduceat(q, q_starts), n_items)
+        done = np.maximum.reduceat(np.abs(e_new - e), e_starts) < tolerance
+        e = e_new
+        converged[tags[done]] = True
+        done |= step == max_iter
+        if not done.any():
+            continue
+        iterations[tags[done]] = step
+        e_live, q_live = np.repeat(~done, n_users), np.repeat(~done, n_items)
+        e_out[e_at[~e_live]], q_out[q_at[~q_live]] = e[~e_live], q[~q_live]
+        c_live = np.repeat(~done, n_entries)
+        uu = (np.cumsum(e_live) - 1)[uu[c_live]]
+        ii = (np.cumsum(q_live) - 1)[ii[c_live]]
+        cc, e, q, e_at, q_at = cc[c_live], e[e_live], q[q_live], e_at[e_live], q_at[q_live]
+        tags, n_entries, n_users, n_items = (a[~done] for a in (tags, n_entries, n_users, n_items))
+    return SpearBatch(credit, e_out, q_out, iterations, converged)
 
 
 def mean_z(index, tags, exponent=0.5, tolerance=1e-8, max_iter=250):

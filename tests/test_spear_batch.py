@@ -2,13 +2,15 @@
 
 import dataclasses
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import spear_oracle
+from folkmetrics import spear
 from folkmetrics.errors import DomainError
 from folkmetrics.spear import CreditBatch, credit_batch, eligible_tags, spear_scores, user_mean_z
 
@@ -151,6 +153,38 @@ def test_user_mean_z_equals_the_loop_reference_bit_for_bit(rows, top_k, min_user
         got = user_mean_z(index, top_k, min_users, 0.5, *limit)
     want = spear_oracle.user_mean_z(index, top_k, min_users, 0.5, *limit)
     assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(edge_corpora(), st.integers(1, 4), st.integers(1, 8),
+       st.tuples(st.sampled_from([1e-3, 1e-8, 1e-12]), st.integers(1, 60)))
+# budget 3 cuts before "c", and "big", past three budgets alone, shares a batch with "a" at 3
+@example([("u0", "i0", "a", 0), ("u1", "i1", "a", 1)]
+         + [(f"u{k}", f"i{k % 3}", "big", k) for k in range(10)]
+         + [("u0", "i2", "c", 4), ("u2", "i2", "c", 5)], 3, 2, (1e-8, 60))
+def test_user_mean_z_does_not_depend_on_the_budget(rows, top_k, min_users, limit):
+    index = make_index(rows)
+    if not eligible_tags(index, top_k, min_users).size:
+        return
+    seen = set()
+    for budget in (1, 3, spear._SPEAR_BUDGET, 2**62):
+        with mock.patch.object(spear, "_SPEAR_BUDGET", budget), \
+                warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            got = user_mean_z(index, top_k, min_users, 0.5, *limit)
+        seen.add((got.tobytes(), tuple(str(w.message) for w in caught)))
+    assert len(seen) == 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(edge_corpora(), limits)
+def test_lazy_compaction_stops_each_tag_as_the_eager_reference_does(rows, limit):
+    index = make_index(rows)
+    batch = credit_batch(index, np.arange(len(index.columns.tags)))
+    got, want = spear_scores(batch, *limit), spear_oracle.eager_spear_scores(batch, *limit)
+    for field in ("tag_iterations", "tag_converged", "user_score", "item_score"):
+        a, b = getattr(got, field), getattr(want, field)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), field
 
 
 def test_duplicate_tags_raise():
