@@ -95,7 +95,11 @@ def test_parse_matches_the_reference(case, chunk):
             assert len(got.annotations) == len(expected.annotations)
 
 
-@pytest.mark.parametrize("chunk", [1, 2, 3, corpus.CHUNK_LINES])
+# blocks larger than the default, as an input read in one block sees them
+BIG_BLOCK = 1 << 16
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, corpus.CHUNK_LINES, BIG_BLOCK])
 @pytest.mark.parametrize("delimiter, lines", [
     # padding that str.strip removes and bytes.strip keeps
     ("\t", ["\x1cu1\x1f\t\x85i\xa0\tROCK\x1e\t1\n", "u1\ti\t\x1drock\t2\n", "u1\ti\trock\t3\n"]),
@@ -175,7 +179,7 @@ def test_blocks_cut_anywhere_give_the_same_columns(case, chunk, step):
     assert columns_of(cut) == columns_of(whole)
 
 
-@pytest.mark.parametrize("chunk", [1, 3, corpus.CHUNK_LINES])
+@pytest.mark.parametrize("chunk", [1, 3, corpus.CHUNK_LINES, BIG_BLOCK])
 @pytest.mark.parametrize("delimiter", ["\t", "·", "||"])
 def test_scattered_bad_lines_are_settled_in_place(delimiter, chunk):
     bad = {
@@ -300,7 +304,7 @@ def test_time_columns_other_than_int64_are_domain_errors():
             build_index(columns.take(np.arange(2), time))
 
 
-@pytest.mark.parametrize("chunk", [1, 2, corpus.CHUNK_LINES])
+@pytest.mark.parametrize("chunk", [1, 2, corpus.CHUNK_LINES, BIG_BLOCK])
 @pytest.mark.parametrize("header", [False, True])
 def test_invalid_utf8_names_its_line(chunk, header):
     for newline in (b"\n", b"\r\n", b"\r"):
