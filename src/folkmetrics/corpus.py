@@ -199,19 +199,40 @@ def _decoded(keys: np.ndarray) -> list[str]:
     return flat[flat != 0].tobytes().decode("utf-8", "surrogatepass").split("\n")[:-1]
 
 
+class _Buffer:
+    """A column appended to part by part, in one array that doubles when full; done() cuts the
+    array to its rows in place."""
+
+    def __init__(self, dtype):
+        self.array, self.size = np.empty(0, dtype=dtype), 0
+
+    def append(self, part: np.ndarray) -> None:
+        if self.size + len(part) > len(self.array):
+            grown = np.empty(max(2 * len(self.array), self.size + len(part)), self.array.dtype)
+            grown[:self.size] = self.array[:self.size]
+            self.array = grown
+        self.array[self.size:self.size + len(part)] = part
+        self.size += len(part)
+
+    def done(self) -> np.ndarray:
+        self.array.resize(self.size, refcheck=False)
+        return self.array
+
+
 class _NameColumn:
     """One name column of a parse, block by block.
 
-    A block holds its distinct name keys by word count, the raw names of its
-    lines settled one by one, and its annotations' int32 codes into those:
-    the keys by ascending width, then the settled names. finish() decodes
-    and normalizes each distinct key once and numbers the names in sorted
-    order.
+    A block holds its distinct name keys by word count and the raw names of
+    its lines settled one by one; its annotations' int32 codes into those,
+    the keys by ascending width and then the settled names, go to one buffer
+    for the column. finish() decodes and normalizes each distinct key once,
+    numbers the names in sorted order and renumbers the buffer in place.
     """
 
     def __init__(self, normalize):
         self.normalize = normalize
-        self.blocks: list[tuple[dict, list[str], np.ndarray]] = []
+        self.blocks: list[tuple[dict, list[str], int]] = []
+        self.codes = _Buffer(np.int32)
 
     def add(self, padded, starts, lengths, before: np.ndarray, settled: list[str]) -> None:
         """A block: the names at starts in padded, and settled ones inserted before `before`."""
@@ -221,7 +242,8 @@ class _NameColumn:
             keys[len(distinct)] = distinct
             held += distinct.shape[1]
         code = np.insert(code, before, np.arange(held, held + len(settled), dtype=np.int32))
-        self.blocks.append((keys, settled, code))
+        self.codes.append(code)
+        self.blocks.append((keys, settled, len(code)))
 
     def finish(self) -> tuple[list[str], np.ndarray]:
         """The names sorted without repeats, and every annotation's code, block after block."""
@@ -251,11 +273,9 @@ class _NameColumn:
             new[1:] = [name != before for name, before in zip(names[1:], names)]
             code[order] = np.cumsum(new, dtype=np.int32) - 1
             names = list(compress(names, new.tolist()))
-        codes = np.empty(sum(len(local) for *_, local in self.blocks), dtype=np.int32)
-        at = 0
-        for lut, (*_, local) in zip(luts, self.blocks):
-            codes[at:at + len(local)] = code[np.concatenate(lut)][local]
-            at += len(local)
+        codes, sizes = self.codes.done(), [size for *_, size in self.blocks[:-1]]
+        for lut, local in zip(luts, np.split(codes, np.cumsum(sizes))):  # views of codes
+            local[...] = code[np.concatenate(lut)][local]
         self.blocks.clear()
         return names, codes
 
@@ -288,16 +308,16 @@ def _settle(line: str, delimiter: str) -> Optional[list]:
     return None if padding.strip("0") or time >= 1 << 63 else [*fields[:3], time]
 
 
-def _parse_block(data: bytes, delimiter: str, skip_header: bool, names, times: list) -> int:
+def _parse_block(data: bytes, delimiter: str, skip_header: bool, names, times: _Buffer) -> int:
     """Append a block's annotations, in line order, to the name columns and times; return the
     count of its malformed lines.
 
     numpy checks all lines at once: three delimiters, four non-empty fields,
-    no NUL, and a time of 1 to 19 ASCII digits below 2**63. Only the lines
-    it flags are settled one by one with str.split, as blank, malformed or
-    well formed (a NUL in a name, overlapping delimiters, a zero-padded time
-    of more digits). No object is built per line or field of the others. A
-    name that is empty once normalized is found when the names are.
+    no NUL, and a time of ASCII digits below 2**63, of which only the last
+    19 may be other than "0". Only the lines it flags are settled one by one
+    with str.split, as blank, malformed or well formed (a NUL in a name,
+    overlapping delimiters). No object is built per line or field of the
+    others. A name that is empty once normalized is found when the names are.
     """
     if skip_header:
         data = data.partition(b"\n")[2]
@@ -326,7 +346,12 @@ def _parse_block(data: bytes, delimiter: str, skip_header: bool, names, times: l
     padded[:len(buf)] = buf
     stamps = np.minimum(lengths[3], _TIME_DIGITS)
     stamp_width = int(stamps.max(initial=1))
-    digits = sliding_window_view(padded, stamp_width)[firsts[3]]
+    # a longer stamp is read from its last 19 digits if no byte before them (one OR) is not "0"
+    skip, zeros = lengths[3] - stamps, np.ones(len(ok), dtype=bool)
+    rows = np.flatnonzero(skip)
+    edges = np.stack((firsts[3][rows], firsts[3][rows] + skip[rows]), axis=1).ravel()
+    zeros[rows] = ~np.logical_or.reduceat(buf != ord("0"), edges)[::2]
+    digits = sliding_window_view(padded, stamp_width)[firsts[3] + skip]
     digits -= np.uint8(ord("0"))
     digits *= np.arange(stamp_width) < stamps[:, None]
     # the digits padded with zeros to stamp_width, read as a number; then the padding divided out
@@ -335,10 +360,9 @@ def _parse_block(data: bytes, delimiter: str, skip_header: bool, names, times: l
         time *= 10
         time += column
     time //= _POW10[stamp_width - stamps]
-    if (lengths.min(initial=1) < 1 or lengths[3].max(initial=0) > _TIME_DIGITS
-            or digits.max(initial=0) > 9 or time.max(initial=0) >= 1 << 63):
-        fits = ((lengths.min(axis=0) > 0) & (lengths[3] == stamps) & (digits.max(axis=1) <= 9)
-                & (time < 1 << 63))
+    if (lengths.min(initial=1) < 1 or not zeros.all() or digits.max(initial=0) > 9
+            or time.max(initial=0) >= 1 << 63):
+        fits = (lengths.min(axis=0) > 0) & zeros & (digits.max(axis=1) <= 9) & (time < 1 << 63)
         flagged[ok[~fits]] = True
         ok, firsts, lengths, time = ok[fits], firsts[:, fits], lengths[:, fits], time[fits]
     malformed, settled = 0, []
@@ -373,11 +397,13 @@ def parse_annotations(source, delimiter: str = "\t", header: bool = False) -> Pa
     them all at once, and keys each name field as big-endian uint64 words,
     one sort per key width finding the distinct keys. Only the lines the
     checks flag (malformed or whitespace-only lines, a NUL, overlapping
-    delimiters, a timestamp of more than 19 digits or of 2**63 or more) are
-    settled one by one, in place. At the end one sort per key width numbers
-    the blocks' distinct keys, and each is decoded and normalized once.
-    When a column's keys share one width and no name changes, the keys'
-    order is the names'; otherwise the names are sorted.
+    delimiters, a timestamp of 2**63 or more or with other than "0" before
+    its last 19 digits) are settled one by one, in place. Each block appends
+    its codes and times to one buffer per column, which doubles when full.
+    At the end one sort per key width numbers the blocks' distinct keys,
+    each is decoded and normalized once, and the codes are renumbered in
+    place. When a column's keys share one width and no name changes, the
+    keys' order is the names'; otherwise the names are sorted.
     """
     if not delimiter:
         raise DomainError("the delimiter must not be empty")
@@ -387,11 +413,11 @@ def parse_annotations(source, delimiter: str = "\t", header: bool = False) -> Pa
     if not isinstance(source, io.IOBase):
         raise DomainError(f"source must be a path or a stream, not {type(source).__name__}")
     names = [_NameColumn(str.strip), _NameColumn(str.strip), _NameColumn(_normal_tag)]
-    times = [np.zeros(0, dtype=np.int64)]
+    times = _Buffer(np.int64)
     malformed = sum(_parse_block(data, delimiter, header and not k, names, times)
                     for k, data in enumerate(_stream_blocks(source)))
     coded = [column.finish() for column in names]
-    time = np.concatenate(times)
+    time = times.done()
     # a name that is empty once normalized sorts first: its lines are malformed
     empty = np.zeros(len(time), dtype=bool)
     for vocab, code in coded:
@@ -452,10 +478,11 @@ def _run_starts(*keys: np.ndarray) -> np.ndarray:
 
 def _sorted_runs(*keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The order that sorts the rows of the key columns, the first most significant, and where
-    each run of equal rows starts in it. One unstable argsort of a packed int64 key that sorts
-    and compares as the rows do: a run's first row is np.minimum.reduceat(order, starts).
-    Where a multiply could overflow, the key so far (or an over-wide column) is first replaced
-    by its dense rank, below n rows."""
+    each run of equal rows starts in it, from a packed int64 key that sorts and compares as the
+    rows do. Where a multiply could overflow, the key so far (or an over-wide column) is first
+    replaced by its dense rank, below n rows. If span * 2**bits(n) fits in 2**63, the key takes
+    each row's position in its low bits and sorts in place, and a run's first row is
+    order[starts]; else one argsort sorts it, and that row is np.minimum.reduceat(order, starts)."""
     n = len(keys[0])
     packed, span = np.zeros(n, dtype=np.int64), 1
     for key in keys:
@@ -468,9 +495,16 @@ def _sorted_runs(*keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         span *= width
         packed *= width
         packed += np.subtract(key, low, dtype=np.int64)
-    order = np.argsort(packed)
-    packed = packed[order]
-    return order, np.flatnonzero(_run_starts(packed))
+    bits = max(n - 1, 0).bit_length()
+    if span << bits > 2**63:
+        order = np.argsort(packed)
+        return order, np.flatnonzero(_run_starts(packed[order]))
+    packed <<= bits
+    packed |= np.arange(n)
+    packed.sort()
+    starts = np.flatnonzero(_run_starts(packed >> bits))
+    packed &= (1 << bits) - 1
+    return packed, starts
 
 
 def _distinct_pairs(high: np.ndarray, low: np.ndarray, n_low: int) -> tuple[np.ndarray, ...]:
@@ -579,10 +613,13 @@ class FolksonomyIndex:
 def _dedupe(columns: AnnotationColumns) -> AnnotationColumns:
     """One annotation per (user, item, tag) triple: the first, with the triple's earliest time."""
     order, starts = _sorted_runs(columns.user, columns.item, columns.tag)
-    first = np.minimum.reduceat(order, starts)
     earliest = np.minimum.reduceat(columns.time[order], starts)
+    first = np.minimum.reduceat(order, starts)
+    del order, starts  # each array is freed once read, before the gathers: this bounds the peak
     kept = np.argsort(first)
-    return columns.take(first[kept], earliest[kept])
+    first, earliest = first[kept], earliest[kept]
+    del kept
+    return columns.take(first, earliest)
 
 
 def build_index(annotations: AnnotationColumns, dedupe: bool = False) -> FolksonomyIndex:
@@ -619,17 +656,9 @@ def summary(index: FolksonomyIndex) -> DatasetSummary:
     """Dataset-level summary; medians are None for an empty index."""
     if index.n_annotations == 0:
         return DatasetSummary(0, 0, 0, 0, None, None, None)
-    per_user, per_tag, per_item = (
-        counts.tolist() for counts in (index.user_counts, index.tag_counts, index.item_counts))
-    return DatasetSummary(
-        taggers=len(per_user),
-        tags=len(per_tag),
-        resources=len(per_item),
-        annotations=index.n_annotations,
-        per_user=median_iqr(per_user),
-        per_tag=median_iqr(per_tag),
-        per_item=median_iqr(per_item),
-    )
+    # taggers, tags and resources, then the medians per user, tag and item
+    counts = (index.user_counts, index.tag_counts, index.item_counts)
+    return DatasetSummary(*map(len, counts), index.n_annotations, *map(median_iqr, counts))
 
 
 def binned_by_user_count(index: FolksonomyIndex, scores: np.ndarray, spec: BinSpec) -> BinnedSeries:

@@ -26,36 +26,37 @@ def consensus_expertise(index: FolksonomyIndex) -> np.ndarray:
     scoring user's own contribution from the numerator only. A user's score
     is the mean over the user's items of the best-scoring tag, weighted by
     log10 of the item's tagging volume excluding the user's own share. An
-    item with no outside tagging is excluded, and a user whose every item is
-    excluded, or whose retained weights are all zero, has no defined score.
+    item with no outside tagging weighs 0, and a user whose weights are all
+    zero has no defined score.
     """
     c = index.columns
-    # per (item, tag), sorted: F, its score; per item code: its total tagging
+    # per (item, tag), sorted: F; per item code: the largest F and its total tagging
     item, _, pair_of_triple = index.item_tags
-    freq = np.bincount(pair_of_triple, minlength=len(item))
+    freq = np.bincount(pair_of_triple, minlength=len(item)).astype(pair_of_triple.dtype)
     starts = np.flatnonzero(_run_starts(item))
-    max_freq = np.repeat(np.maximum.reduceat(freq, starts), np.diff(starts, append=len(item)))
-    # a tag tied for most popular scores 1; the others discount the scorer's own use
-    score = np.where(freq == max_freq, 1.0, (freq - 1) / max_freq)
-    total = np.zeros(len(c.items), dtype=freq.dtype)
+    top, total = np.zeros((2, len(c.items)), dtype=freq.dtype)
+    top[item[starts]] = np.maximum.reduceat(freq, starts)
     total[item[starts]] = np.add.reduceat(freq, starts)
-    del freq, max_freq
 
-    # per (user, item): the best score of its tags and others' share of the item's tagging
+    # per (user, item): its tags' largest F and others' share of the item's tagging. A score
+    # does not fall as F grows, so the largest F scores best. Each array is freed once read,
+    # which bounds the peak
     user, item, _ = index.triples
-    starts = np.flatnonzero(_run_starts(user, item))
-    best = np.maximum.reduceat(score[pair_of_triple], starts)
-    del score
-    others = total[item[starts]] - np.diff(starts, append=len(user))
-    # log10 taken once per share; an item with 0 others is excluded
-    logs = np.full(others.max(initial=0) + 1, math.nan)
+    starts = np.flatnonzero(_run_starts(user, item)).astype(pair_of_triple.dtype)
+    best = np.maximum.reduceat(freq[pair_of_triple], starts)
+    others, top = total[item[starts]], top[item[starts]]
+    del freq, total
+    others -= np.diff(starts, append=starts.dtype.type(len(user)))
+    # a tag tied for most popular scores 1; the others discount the scorer's own use
+    score = (best - 1) / top
+    score[best == top] = 1.0
+    del best, top
+    # log10 taken once per share; an item with 0 others weighs 0
+    logs = np.zeros(others.max(initial=0) + 1)
     shares = np.flatnonzero(np.bincount(others))
-    logs[shares] = [math.log10(a) if a > 0 else math.nan for a in shares.tolist()]
-    # each user's items in code order: bincount adds in that order. Each column is cut to the
-    # kept items before the next is, which bounds the peak
-    kept = np.flatnonzero(others)
-    user = user[starts[kept]]
-    del starts
-    weights = logs[others[kept]]
-    del others
-    return _user_means(user, best[kept], len(c.users), weights)
+    logs[shares] = [math.log10(a) if a > 0 else 0.0 for a in shares.tolist()]
+    # user codes as intp, which bincount reads without a copy
+    user, weights = user[starts].astype(np.intp), logs[others]
+    del starts, others
+    # each user's items in code order: bincount adds in that order
+    return _user_means(user, score, len(c.users), weights)

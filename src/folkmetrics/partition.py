@@ -160,17 +160,17 @@ def _group_summary(
     items: np.ndarray, other_items: np.ndarray,
 ) -> GroupSummary:
     """members masks the group's user codes; tags and items mask the codes it used."""
-    ann_counts, tag_counts, item_counts = (counts[members].tolist() for counts in per_user)
+    ann_counts, tag_counts, item_counts = (counts[members] for counts in per_user)
     return GroupSummary(
         users=len(ann_counts),
-        annotations=sum(ann_counts),
+        annotations=int(ann_counts.sum()),
         total_tags=int(np.count_nonzero(tags)),
         unique_tags=int(np.count_nonzero(tags & ~other_tags)),
         total_items=int(np.count_nonzero(items)),
         unique_items=int(np.count_nonzero(items & ~other_items)),
-        annotations_per_user=median_iqr(ann_counts) if ann_counts else None,
-        tags_per_user=median_iqr(tag_counts) if tag_counts else None,
-        items_per_user=median_iqr(item_counts) if item_counts else None,
+        annotations_per_user=median_iqr(ann_counts) if len(ann_counts) else None,
+        tags_per_user=median_iqr(tag_counts) if len(tag_counts) else None,
+        items_per_user=median_iqr(item_counts) if len(item_counts) else None,
     )
 
 

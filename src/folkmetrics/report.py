@@ -139,9 +139,7 @@ def write_pareto_csv(path, curve) -> None:
 
 
 def _median_iqr_json(m) -> Optional[dict]:
-    if m is None:
-        return None
-    return {"median": m.median, "q25": m.q25, "q75": m.q75}
+    return None if m is None else m._asdict()
 
 
 def write_json(path, payload) -> None:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -56,18 +56,14 @@ class MedianIQR(NamedTuple):
     q75: float
 
 
-def _nearest_rank(sorted_values: Sequence[float], pct: float) -> float:
-    n = len(sorted_values)
-    idx = max(math.ceil(pct / 100.0 * n), 1) - 1
-    return sorted_values[idx]
-
-
-def median_iqr(values: Iterable[float]) -> MedianIQR:
-    """Lower median plus nearest-rank 25th/75th percentiles."""
-    s = sorted(values)
-    if not s:
+def median_iqr(values: Sequence[float] | np.ndarray) -> MedianIQR:
+    """Lower median plus nearest-rank 25th/75th percentiles, as Python numbers."""
+    s = np.sort(values)
+    n = len(s)
+    if not n:
         raise DomainError("median of empty sequence")
-    return MedianIQR(s[(len(s) - 1) // 2], _nearest_rank(s, 25), _nearest_rank(s, 75))
+    at = [(n - 1) // 2, *(max(math.ceil(pct / 100.0 * n), 1) - 1 for pct in (25, 75))]
+    return MedianIQR(*s[at].tolist())
 
 
 # far more than a log-binned count needs: at step 1e-4, base 2 reaches 2**100

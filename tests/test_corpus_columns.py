@@ -205,10 +205,35 @@ def test_scattered_bad_lines_are_settled_in_place(delimiter, chunk):
         got = parse_annotations(io.BytesIO(data), delimiter)
     assert list(got.annotations) == expected.annotations
     assert got.malformed == expected.malformed == 7
-    assert settle.call_count == len(bad) - 1
+    # the empty line 40 is never flagged, and line 190's zero-padded stamp is read by the vector
+    # checks
+    assert settle.call_count == len(bad) - 2
     assert got.annotations.time.dtype == np.int64
     # lines 17, 40, 41 and 90 hold no annotation
     assert list(got.annotations)[116] == Annotation("u", "i\0", "t", 2**63 - 1)
+
+
+@pytest.mark.parametrize("chunk", [1, 3, corpus.CHUNK_LINES])
+@pytest.mark.parametrize("kind", ["path", "binary", "text"])
+def test_columns_cross_the_buffer_growth_points(tmp_path, kind, chunk):
+    """Blocks append to one buffer per column, which doubles when full: over about ten blocks
+    and more, with bad lines among them, the columns are the one-block parse's, each exactly
+    as long as the parse, in an array of its own."""
+    lines = ["x\n" if k % 37 == 5 else f"u{k % 97}\ti{k % 89}\tT{k % 13}\t{k}\n"
+             for k in range(max(200, 10 * 32 * chunk // 18))]
+    text = "".join(lines)
+    path = tmp_path / "log.tsv"
+    path.write_text(text)
+    with mock.patch.object(corpus, "CHUNK_LINES", len(text)):
+        whole = parse_annotations(io.StringIO(text))
+    source = {"path": path, "binary": io.BytesIO(text.encode()), "text": io.StringIO(text)}[kind]
+    with mock.patch.object(corpus, "CHUNK_LINES", chunk):
+        got = parse_annotations(source)
+    assert columns_of(got) == columns_of(whole)
+    assert got.malformed == sum(line == "x\n" for line in lines)
+    c = got.annotations
+    for column in (c.user, c.item, c.tag, c.time):
+        assert column.shape == (len(c),) and column.base is None
 
 
 def test_a_megabyte_name_in_a_chunk_of_short_ones():
@@ -247,6 +272,23 @@ def assert_same_index(index, expected):
                                 (index.tag_counts, c.tags, expected.by_tag)):
         assert dict(zip(names, counts.tolist())) == {k: len(p) for k, p in view.items()}
     assert item_tag_freq(index) == expected.item_tag_freq
+
+
+def test_dedupe_past_the_packed_row_bits_keeps_first_rows():
+    """2**20 rows over 2**15 users, items and tags: the (user, item, tag) key spans 2**45, which
+    with 20 bits for the row does not fit in 63, so _sorted_runs sorts with argsort, whose runs
+    come in no row order. Each triple keeps its first row and its earliest time."""
+    n, k = 2**20, 2**15
+    assert k**3 << (n - 1).bit_length() > 2**63
+    rng = np.random.default_rng(31)
+    # about two rows per triple, every code used
+    triples = rng.integers(0, k, size=(3, n // 2), dtype=np.int32)
+    codes = triples[:, rng.integers(0, n // 2, size=n)]
+    codes[:, :k] = [rng.permutation(k) for _ in range(3)]
+    names = [f"n{j:05d}" for j in range(k)]
+    columns = AnnotationColumns(*codes, rng.integers(0, 50, size=n), names, names, names)
+    expected = corpus_oracle.build_index(list(columns), dedupe=True)
+    assert tuple(build_index(columns, dedupe=True).columns) == expected.annotations
 
 
 @settings(max_examples=150, deadline=None)
@@ -291,9 +333,18 @@ def test_nineteen_digit_times_skip_the_general_parser():
     for big in ["9223372036854775808", "9" * 19, str(2**64), "1" + "0" * 4999]:
         parsed = parse_annotations(io.StringIO(text + f"u\ti\tt\t{big}\n"))
         assert (parsed.annotations.time.tolist(), parsed.malformed) == (times, 1)
-    # zero padding does not count: the line is settled by itself
-    padded = parse_annotations(io.StringIO("u\ti\tt\t" + "0" * 5000 + "7\n")).annotations
-    assert padded.time.tolist() == [7]
+    # zero padding does not count, and the vector checks read past it
+    padded = [str(t).zfill(n) for t, n in zip(times, (20, 24, 22, 5001))]
+    text = "".join(f"u{k}\ti\tt\t{t}\n" for k, t in enumerate(padded))
+    with mock.patch.object(corpus, "_settle", wraps=corpus._settle) as settle:
+        parsed = parse_annotations(io.StringIO(text))
+    assert settle.call_count == 0
+    assert (parsed.annotations.time.tolist(), parsed.malformed) == (times, 0)
+    # a padded stamp of 2**63 or more, or with a byte other than "0" before its last 19 digits,
+    # is malformed
+    for big in [str(2**63).zfill(22), "1" + "0" * 19, "00x" + "1" * 19, "0" * 20 + "1x"]:
+        parsed = parse_annotations(io.StringIO(text + f"u\ti\tt\t{big}\n"))
+        assert (parsed.annotations.time.tolist(), parsed.malformed) == (times, 1)
 
 
 def test_time_columns_other_than_int64_are_domain_errors():
