@@ -6,8 +6,7 @@ Run from the repository root. The script writes the synthetic corpora
 (quarter-c10, c10 and c10x3: c10's arguments divided or multiplied as below;
 c10-malformed: c10 with a truncated line after every 60,000th line;
 c10-ns: c10 with each time t written as the 19 digits "17%017d" % t, a log
-in nanoseconds since the epoch whose times keep their order; c10-ns-padded: c10-ns
-with every 11th stamp zero-padded to 22-24 digits; and c10-wide: c10 with
+in nanoseconds since the epoch whose times keep their order; and c10-wide: c10 with
 "user_" before each user name and "https://example.org/item/" before each item
 name, 12- and 32-byte names as in a crawled log) with this checkout's generator
 into a temporary directory, each in a child process so that the script itself
@@ -46,16 +45,13 @@ CORPORA = {
     "c10": C10,
     "c10-malformed": C10,
     "c10-ns": C10,
-    "c10-ns-padded": C10,
     "c10-wide": C10,
     "c10x3": dict(C10, n_users=420_000, n_items=300_000, n_tags=15_000),
 }
 # a truncated record (three fields) after every this many lines
 MALFORMED_EVERY = {"c10-malformed": 60_000}
 # each time t written as TIME_FORMAT % t
-TIME_FORMAT = {"c10-ns": "17%017d", "c10-ns-padded": "17%017d"}
-# the stamp of every this many lines zero-padded to 22, 23 or 24 digits
-PADDED_EVERY = {"c10-ns-padded": 11}
+TIME_FORMAT = {"c10-ns": "17%017d"}
 # the user and the item name of each line written after these prefixes
 PREFIXES = {"c10-wide": ("user_", "https://example.org/item/")}
 
@@ -108,13 +104,12 @@ def in_child(module: str, function: str, *args) -> None:
                    cwd=Path(__file__).resolve().parent)
 
 
-def write_corpus(config: dict, path, malformed_every: int = 0, time_format: str = "",
-                 prefixes: tuple = (), padded_every: int = 0) -> None:
+def write_corpus(config: dict, path, malformed_every: int = 0,
+                 time_format: str = "", prefixes: tuple = ()) -> None:
     """The synthetic corpus of config, written to path by this checkout's generator, with a
     truncated record after every malformed_every lines if that is not 0, each time t written as
-    time_format % t if that is not empty (zero-padded to 22-24 digits on every padded_every-th
-    line if that is not 0), and each user and item name after the two prefixes if they are
-    given."""
+    time_format % t if that is not empty, and each user and item name after the two prefixes
+    if they are given."""
     if str(SRC) not in sys.path:
         sys.path.insert(0, str(SRC))
     from folkmetrics.corpus import SyntheticConfig, generate_synthetic, write_annotations
@@ -128,10 +123,7 @@ def write_corpus(config: dict, path, malformed_every: int = 0, time_format: str 
             for k, line in enumerate(lines, 1):
                 if time_format:
                     names, _, time = line.rpartition(b"\t")
-                    stamp = (time_format % int(time)).encode()
-                    if padded_every and k % padded_every == 0:
-                        stamp = stamp.zfill(22 + k % 3)
-                    line = b"%s\t%s\n" % (names, stamp)
+                    line = b"%s\t%s\n" % (names, (time_format % int(time)).encode())
                 if prefixes:
                     user, item, rest = line.split(b"\t", 2)
                     line = b"%s%s\t%s%s\t%s" % (prefixes[0], user, prefixes[1], item, rest)
@@ -173,7 +165,7 @@ def main(argv=None) -> int:
             corpus = Path(work) / f"{name}.tsv"
             in_child("bench_parse", "write_corpus", config, str(corpus),
                      MALFORMED_EVERY.get(name, 0), TIME_FORMAT.get(name, ""),
-                     PREFIXES.get(name, ()), PADDED_EVERY.get(name, 0))
+                     PREFIXES.get(name, ()))
             runs = {side: [] for side in sides}
             for k in range(RUNS):
                 for side in (("base", "change") if k % 2 == 0 else ("change", "base")):
@@ -186,7 +178,6 @@ def main(argv=None) -> int:
             entry = {"config": config, "malformed_every": MALFORMED_EVERY.get(name, 0),
                      "time_format": TIME_FORMAT.get(name, ""),
                      "prefixes": list(PREFIXES.get(name, ())),
-                     "padded_every": PADDED_EVERY.get(name, 0),
                      "bytes": corpus.stat().st_size, "annotations": first["annotations"],
                      "deduped": first["deduped"], "malformed": first["malformed"],
                      "digest": first["digest"]}

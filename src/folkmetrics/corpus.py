@@ -313,11 +313,11 @@ def _parse_block(data: bytes, delimiter: str, skip_header: bool, names, times: _
     count of its malformed lines.
 
     numpy checks all lines at once: three delimiters, four non-empty fields,
-    no NUL, and a time of ASCII digits below 2**63, of which only the last
-    19 may be other than "0". Only the lines it flags are settled one by one
-    with str.split, as blank, malformed or well formed (a NUL in a name,
-    overlapping delimiters). No object is built per line or field of the
-    others. A name that is empty once normalized is found when the names are.
+    no NUL, and a time of 1 to 19 ASCII digits below 2**63. Only the lines
+    it flags are settled one by one with str.split, as blank, malformed or
+    well formed (a NUL in a name, overlapping delimiters, a zero-padded time
+    of more digits). No object is built per line or field of the others. A
+    name that is empty once normalized is found when the names are.
     """
     if skip_header:
         data = data.partition(b"\n")[2]
@@ -346,12 +346,7 @@ def _parse_block(data: bytes, delimiter: str, skip_header: bool, names, times: _
     padded[:len(buf)] = buf
     stamps = np.minimum(lengths[3], _TIME_DIGITS)
     stamp_width = int(stamps.max(initial=1))
-    # a longer stamp is read from its last 19 digits if no byte before them (one OR) is not "0"
-    skip, zeros = lengths[3] - stamps, np.ones(len(ok), dtype=bool)
-    rows = np.flatnonzero(skip)
-    edges = np.stack((firsts[3][rows], firsts[3][rows] + skip[rows]), axis=1).ravel()
-    zeros[rows] = ~np.logical_or.reduceat(buf != ord("0"), edges)[::2]
-    digits = sliding_window_view(padded, stamp_width)[firsts[3] + skip]
+    digits = sliding_window_view(padded, stamp_width)[firsts[3]]
     digits -= np.uint8(ord("0"))
     digits *= np.arange(stamp_width) < stamps[:, None]
     # the digits padded with zeros to stamp_width, read as a number; then the padding divided out
@@ -360,9 +355,10 @@ def _parse_block(data: bytes, delimiter: str, skip_header: bool, names, times: _
         time *= 10
         time += column
     time //= _POW10[stamp_width - stamps]
-    if (lengths.min(initial=1) < 1 or not zeros.all() or digits.max(initial=0) > 9
-            or time.max(initial=0) >= 1 << 63):
-        fits = (lengths.min(axis=0) > 0) & zeros & (digits.max(axis=1) <= 9) & (time < 1 << 63)
+    if (lengths.min(initial=1) < 1 or lengths[3].max(initial=0) > _TIME_DIGITS
+            or digits.max(initial=0) > 9 or time.max(initial=0) >= 1 << 63):
+        fits = ((lengths.min(axis=0) > 0) & (lengths[3] == stamps) & (digits.max(axis=1) <= 9)
+                & (time < 1 << 63))
         flagged[ok[~fits]] = True
         ok, firsts, lengths, time = ok[fits], firsts[:, fits], lengths[:, fits], time[fits]
     malformed, settled = 0, []
@@ -397,13 +393,12 @@ def parse_annotations(source, delimiter: str = "\t", header: bool = False) -> Pa
     them all at once, and keys each name field as big-endian uint64 words,
     one sort per key width finding the distinct keys. Only the lines the
     checks flag (malformed or whitespace-only lines, a NUL, overlapping
-    delimiters, a timestamp of 2**63 or more or with other than "0" before
-    its last 19 digits) are settled one by one, in place. Each block appends
-    its codes and times to one buffer per column, which doubles when full.
-    At the end one sort per key width numbers the blocks' distinct keys,
-    each is decoded and normalized once, and the codes are renumbered in
-    place. When a column's keys share one width and no name changes, the
-    keys' order is the names'; otherwise the names are sorted.
+    delimiters, a timestamp of more than 19 digits or of 2**63 or more) are
+    settled one by one, in place. Blocks append their codes and times to one
+    buffer per column. At the end one sort per key width numbers the blocks'
+    distinct keys, each is decoded and normalized once, and the codes are
+    renumbered in place. When a column's keys share one width and no name
+    changes, the keys' order is the names'; otherwise the names are sorted.
     """
     if not delimiter:
         raise DomainError("the delimiter must not be empty")
@@ -478,11 +473,10 @@ def _run_starts(*keys: np.ndarray) -> np.ndarray:
 
 def _sorted_runs(*keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The order that sorts the rows of the key columns, the first most significant, and where
-    each run of equal rows starts in it, from a packed int64 key that sorts and compares as the
-    rows do. Where a multiply could overflow, the key so far (or an over-wide column) is first
-    replaced by its dense rank, below n rows. If span * 2**bits(n) fits in 2**63, the key takes
-    each row's position in its low bits and sorts in place, and a run's first row is
-    order[starts]; else one argsort sorts it, and that row is np.minimum.reduceat(order, starts)."""
+    each run of equal rows starts in it. One unstable argsort of a packed int64 key that sorts
+    and compares as the rows do: a run's first row is np.minimum.reduceat(order, starts).
+    Where a multiply could overflow, the key so far (or an over-wide column) is first replaced
+    by its dense rank, below n rows."""
     n = len(keys[0])
     packed, span = np.zeros(n, dtype=np.int64), 1
     for key in keys:
@@ -495,16 +489,9 @@ def _sorted_runs(*keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         span *= width
         packed *= width
         packed += np.subtract(key, low, dtype=np.int64)
-    bits = max(n - 1, 0).bit_length()
-    if span << bits > 2**63:
-        order = np.argsort(packed)
-        return order, np.flatnonzero(_run_starts(packed[order]))
-    packed <<= bits
-    packed |= np.arange(n)
-    packed.sort()
-    starts = np.flatnonzero(_run_starts(packed >> bits))
-    packed &= (1 << bits) - 1
-    return packed, starts
+    order = np.argsort(packed)
+    packed = packed[order]
+    return order, np.flatnonzero(_run_starts(packed))
 
 
 def _distinct_pairs(high: np.ndarray, low: np.ndarray, n_low: int) -> tuple[np.ndarray, ...]:
@@ -656,9 +643,16 @@ def summary(index: FolksonomyIndex) -> DatasetSummary:
     """Dataset-level summary; medians are None for an empty index."""
     if index.n_annotations == 0:
         return DatasetSummary(0, 0, 0, 0, None, None, None)
-    # taggers, tags and resources, then the medians per user, tag and item
-    counts = (index.user_counts, index.tag_counts, index.item_counts)
-    return DatasetSummary(*map(len, counts), index.n_annotations, *map(median_iqr, counts))
+    per_user, per_tag, per_item = index.user_counts, index.tag_counts, index.item_counts
+    return DatasetSummary(
+        taggers=len(per_user),
+        tags=len(per_tag),
+        resources=len(per_item),
+        annotations=index.n_annotations,
+        per_user=median_iqr(per_user),
+        per_tag=median_iqr(per_tag),
+        per_item=median_iqr(per_item),
+    )
 
 
 def binned_by_user_count(index: FolksonomyIndex, scores: np.ndarray, spec: BinSpec) -> BinnedSeries:

@@ -139,7 +139,9 @@ def write_pareto_csv(path, curve) -> None:
 
 
 def _median_iqr_json(m) -> Optional[dict]:
-    return None if m is None else m._asdict()
+    if m is None:
+        return None
+    return {"median": m.median, "q25": m.q25, "q75": m.q75}
 
 
 def write_json(path, payload) -> None:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -56,14 +56,19 @@ class MedianIQR(NamedTuple):
     q75: float
 
 
-def median_iqr(values: Sequence[float] | np.ndarray) -> MedianIQR:
-    """Lower median plus nearest-rank 25th/75th percentiles, as Python numbers."""
-    s = np.sort(values)
-    n = len(s)
-    if not n:
+def _nearest_rank(sorted_values: Sequence[float], pct: float) -> float:
+    n = len(sorted_values)
+    idx = max(math.ceil(pct / 100.0 * n), 1) - 1
+    return sorted_values[idx]
+
+
+def median_iqr(values: Iterable[float]) -> MedianIQR:
+    """Lower median plus nearest-rank 25th/75th percentiles; an array's as Python numbers."""
+    s = np.sort(values) if isinstance(values, np.ndarray) else sorted(values)
+    if not len(s):
         raise DomainError("median of empty sequence")
-    at = [(n - 1) // 2, *(max(math.ceil(pct / 100.0 * n), 1) - 1 for pct in (25, 75))]
-    return MedianIQR(*s[at].tolist())
+    m = MedianIQR(s[(len(s) - 1) // 2], _nearest_rank(s, 25), _nearest_rank(s, 75))
+    return MedianIQR(*(v.item() for v in m)) if isinstance(s, np.ndarray) else m
 
 
 # far more than a log-binned count needs: at step 1e-4, base 2 reaches 2**100

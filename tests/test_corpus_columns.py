@@ -205,9 +205,7 @@ def test_scattered_bad_lines_are_settled_in_place(delimiter, chunk):
         got = parse_annotations(io.BytesIO(data), delimiter)
     assert list(got.annotations) == expected.annotations
     assert got.malformed == expected.malformed == 7
-    # the empty line 40 is never flagged, and line 190's zero-padded stamp is read by the vector
-    # checks
-    assert settle.call_count == len(bad) - 2
+    assert settle.call_count == len(bad) - 1
     assert got.annotations.time.dtype == np.int64
     # lines 17, 40, 41 and 90 hold no annotation
     assert list(got.annotations)[116] == Annotation("u", "i\0", "t", 2**63 - 1)
@@ -274,12 +272,11 @@ def assert_same_index(index, expected):
     assert item_tag_freq(index) == expected.item_tag_freq
 
 
-def test_dedupe_past_the_packed_row_bits_keeps_first_rows():
-    """2**20 rows over 2**15 users, items and tags: the (user, item, tag) key spans 2**45, which
-    with 20 bits for the row does not fit in 63, so _sorted_runs sorts with argsort, whose runs
-    come in no row order. Each triple keeps its first row and its earliest time."""
+def test_dedupe_of_a_large_corpus_keeps_first_rows():
+    """2**20 rows over 2**15 users, items and tags: _sorted_runs sorts the (user, item, tag) key
+    with an unstable argsort, whose runs come in no row order at this size. Each triple keeps
+    its first row and its earliest time."""
     n, k = 2**20, 2**15
-    assert k**3 << (n - 1).bit_length() > 2**63
     rng = np.random.default_rng(31)
     # about two rows per triple, every code used
     triples = rng.integers(0, k, size=(3, n // 2), dtype=np.int32)
@@ -333,18 +330,9 @@ def test_nineteen_digit_times_skip_the_general_parser():
     for big in ["9223372036854775808", "9" * 19, str(2**64), "1" + "0" * 4999]:
         parsed = parse_annotations(io.StringIO(text + f"u\ti\tt\t{big}\n"))
         assert (parsed.annotations.time.tolist(), parsed.malformed) == (times, 1)
-    # zero padding does not count, and the vector checks read past it
-    padded = [str(t).zfill(n) for t, n in zip(times, (20, 24, 22, 5001))]
-    text = "".join(f"u{k}\ti\tt\t{t}\n" for k, t in enumerate(padded))
-    with mock.patch.object(corpus, "_settle", wraps=corpus._settle) as settle:
-        parsed = parse_annotations(io.StringIO(text))
-    assert settle.call_count == 0
-    assert (parsed.annotations.time.tolist(), parsed.malformed) == (times, 0)
-    # a padded stamp of 2**63 or more, or with a byte other than "0" before its last 19 digits,
-    # is malformed
-    for big in [str(2**63).zfill(22), "1" + "0" * 19, "00x" + "1" * 19, "0" * 20 + "1x"]:
-        parsed = parse_annotations(io.StringIO(text + f"u\ti\tt\t{big}\n"))
-        assert (parsed.annotations.time.tolist(), parsed.malformed) == (times, 1)
+    # zero padding does not count: the line is settled by itself
+    padded = parse_annotations(io.StringIO("u\ti\tt\t" + "0" * 5000 + "7\n")).annotations
+    assert padded.time.tolist() == [7]
 
 
 def test_time_columns_other_than_int64_are_domain_errors():

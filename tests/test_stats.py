@@ -159,6 +159,21 @@ class TestMedianIQR:
             assert got.median == s[(n - 1) // 2]
             assert got.q25 == s[max(math.ceil(0.25 * n), 1) - 1]
             assert got.q75 == s[max(math.ceil(0.75 * n), 1) - 1]
+            assert median_iqr(np.array(vals)) == got
+
+    def test_any_iterable(self):
+        assert median_iqr(v for v in [3, 1, 2]) == (2, 1, 3)
+        with pytest.raises(DomainError):
+            median_iqr(v for v in [])
+        with pytest.raises(DomainError):
+            median_iqr(np.zeros(0, dtype=np.int64))
+
+    def test_values_keep_their_types(self):
+        # a list's picks are its own values; an array's come back as Python numbers
+        got = median_iqr([1, 2.5, 3])
+        assert list(map(type, got)) == [float, int, int]
+        assert list(map(type, median_iqr(np.array([4, 1, 3], dtype=np.int32)))) == [int] * 3
+        assert list(map(type, median_iqr(np.array([0.5, 2.0])))) == [float] * 3
 
 
 class TestLogBins:
